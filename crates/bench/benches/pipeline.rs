@@ -46,7 +46,7 @@ fn bench_first_layers(c: &mut Criterion) {
     group.bench_function("this_work_window_cache/6", |b| {
         b.iter(|| cached.forward_image(black_box(&image)).expect("forward"))
     });
-    // The old-SC MUX engine is the slowest to simulate; one point suffices.
+    // The old-SC MUX engine (route-masked count sum); one point suffices.
     let old = StochasticConvLayer::from_conv(
         &conv,
         Precision::new(6).expect("valid"),

@@ -4,7 +4,7 @@
 //! tree and reports RMSE against the exact scaled sum as k grows — the
 //! compounding-error effect that motivates the paper's adder.
 //!
-//! Also sweeps the TFF tree's S0 policy (the DESIGN.md rounding-bias knob).
+//! Also sweeps the TFF tree's S0 policy (its rounding-bias knob).
 //!
 //! ```text
 //! cargo run -p scnn-bench --release --bin ablation_adder_tree

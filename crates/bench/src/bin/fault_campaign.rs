@@ -108,8 +108,8 @@ fn run() {
 
             // The degradation curve must trend down in BER — the graceful-
             // degradation claim the campaign exists to guard. Only the
-            // proposed (TFF) row is gated: the MUX row's streaming noise
-            // floor is too close to its clean accuracy at smoke sizes.
+            // proposed (TFF) row is gated: the MUX row's select-sampling
+            // noise floor is too close to its clean accuracy at smoke sizes.
             let monotone = resilience::curve_is_monotone(&ber_curve, MONOTONE_SLACK);
             if design == "this-work" {
                 assert!(

@@ -1,6 +1,5 @@
 //! Shared infrastructure for the experiment harnesses that regenerate
-//! every table and figure of the paper (see `DESIGN.md` §4 for the
-//! experiment index).
+//! every table and figure of the paper.
 //!
 //! Each table has a binary (`cargo run -p scnn-bench --bin table1` …) that
 //! prints a markdown table next to the paper's reference values, plus

@@ -138,8 +138,7 @@ pub enum Effort {
     /// runs every table/ablation binary at this level so the
     /// paper-reproduction entry points cannot silently rot.
     Smoke,
-    /// Small subsets and few epochs — minutes, suitable for local runs and
-    /// the recorded `EXPERIMENTS.md` tables.
+    /// Small subsets and few epochs — minutes, suitable for local runs.
     Quick,
     /// Larger subsets — closer to the paper's full 60k/10k protocol.
     Full,

@@ -3,7 +3,9 @@
 //! Every TFF-adder datapath in this workspace consumes bit streams only
 //! through `count(a ∧ b)` — the closed form of the TFF adder
 //! ([`scnn_sim::TffAdder::add_count`]) makes the whole tree a pure function
-//! of its leaf 1-counts. That one observation powers three engines:
+//! of its leaf 1-counts. The MUX tree becomes one too once its fixed
+//! select streams are folded into the weights. That observation powers
+//! every count-domain engine here:
 //!
 //! * [`LevelCountTable`] — the level-indexed AND-count LUT. A comparator
 //!   SNG's output is a deterministic function of its input level, so
@@ -15,11 +17,15 @@
 //!   et al. apply to fully-connected SC layers).
 //! * [`LaneTree`] — folds one TFF adder tree for many output lanes at once
 //!   (all kernels of a conv window, all neurons of a dense layer),
-//!   bit-exact with [`scnn_sim::TffAdderTree::fold_counts`] per lane.
-//! * [`LevelStreamCache`] / [`ProductCache`] — stream-level dedup for the
-//!   paths that still need real bits (MUX adders, fault injection): one
-//!   comparator conversion per *distinct* level, and one AND product per
-//!   distinct (level, weight) pair.
+//!   bit-exact with [`scnn_sim::TffAdderTree::fold_counts`] per lane; for
+//!   a MUX tree, [`LaneTree::sum`] adds up route-masked counts instead.
+//! * [`mux_route_masks`] — the MUX scaled-adder tree in the count domain.
+//!   Its select streams are fixed per engine, so at every cycle the root
+//!   outputs exactly one leaf's bit; masking each leaf's weight stream with
+//!   the cycles its root path selects turns the tree into a plain count
+//!   sum over a [`LevelCountTable`].
+//! * [`LevelStreamCache`] — one comparator conversion per *distinct* level
+//!   for the streaming reference paths.
 //! * [`WindowCache`] — window memoization above the fold: a bounded,
 //!   sharded LRU keyed by the quantized window level pattern whose value
 //!   is the full per-kernel pos/neg root-count output, so a repeated
@@ -88,13 +94,6 @@ use std::sync::Mutex;
 /// Upper bound on AND-count table entries (`(2^b + 1) · taps · lanes`);
 /// configurations above it fall back to the streaming engines.
 pub const MAX_LUT_ENTRIES: usize = 1 << 24;
-
-/// Upper bound on [`ProductCache`] storage in packed `u64` words
-/// (`levels · weights · words-per-stream`, ≈ 32 MiB); above it the MUX
-/// streaming path recomputes products per window. A word (not slot)
-/// budget keeps the eager prefill bounded as the stream length grows:
-/// at 8-bit a full conv cache is ~0.8 M words, at 10-bit ~13 M.
-pub const MAX_PRODUCT_WORDS: usize = 1 << 22;
 
 /// Trees kept per word width in each thread's [`ScratchPool`]; checkouts
 /// beyond the cap simply allocate and are dropped on return.
@@ -817,8 +816,24 @@ impl<W: LaneWord> LaneTree<W> {
         &self.root
     }
 
+    /// Sums the tap rows lane-wise into the root — the MUX tree's
+    /// reduction over [`mux_route_masks`]-masked counts, where each cycle
+    /// reaches the root through exactly one tap. The caller guarantees
+    /// every lane's sum stays below `2¹⁶` (route-masked counts of one tree
+    /// add up to at most the stream length), so no carry crosses a lane.
+    pub fn sum(&mut self) -> &[W] {
+        let rw = self.row_words;
+        self.root.fill(W::ZERO);
+        for row in self.entry[..self.taps * rw].chunks_exact(rw) {
+            for (r, &c) in self.root.iter_mut().zip(row) {
+                *r = r.lane_add(c);
+            }
+        }
+        &self.root
+    }
+
     /// The root count of logical lane `lane` from the last
-    /// [`fold`](Self::fold).
+    /// [`fold`](Self::fold) or [`sum`](Self::sum).
     ///
     /// # Panics
     ///
@@ -949,6 +964,73 @@ pub fn live_fold_node(taps: usize, node: usize) -> bool {
         live = pairs;
     }
     false
+}
+
+/// The route masks of one MUX scaled-adder tree: stream `leaf` holds the
+/// cycles in which the tree passes leaf `leaf` to its root.
+///
+/// The tree has `leaves` (a power of two) leaves and takes its select
+/// streams from `selects`, numbered breadth-first from `first_node` as in
+/// the streaming MUX fold: node `i` of a level pairs children `2i` and
+/// `2i + 1`, and select `1` picks the even child. A leaf's mask is the AND
+/// of `sel` or `!sel` along its root path. At every cycle exactly one leaf
+/// is routed, so the masks are pairwise disjoint and together cover the
+/// stream's bits; hence
+/// `count(root) = Σ_leaf count(leaf ∧ mask(leaf))`, and the whole tree is
+/// a sum over a [`LevelCountTable`] built on masked weight streams.
+///
+/// # Errors
+///
+/// Propagates arena construction errors.
+///
+/// # Panics
+///
+/// Panics if `leaves` is not a power of two or `selects` holds fewer than
+/// `first_node + leaves − 1` streams.
+///
+/// # Example
+///
+/// ```
+/// use scnn_core::counts::mux_route_masks;
+/// use scnn_core::StreamArena;
+///
+/// # fn main() -> Result<(), scnn_core::Error> {
+/// // One node over two leaves, selecting the even leaf on cycles 0 and 2.
+/// let mut selects = StreamArena::new(1, 4)?;
+/// selects.stream_mut(0)[0] = 0b0101;
+/// let masks = mux_route_masks(&selects, 0, 2)?;
+/// assert_eq!(masks.stream(0), &[0b0101]);
+/// assert_eq!(masks.stream(1), &[0b1010]);
+/// # Ok(())
+/// # }
+/// ```
+pub fn mux_route_masks(
+    selects: &StreamArena,
+    first_node: usize,
+    leaves: usize,
+) -> Result<StreamArena, Error> {
+    assert!(leaves.is_power_of_two(), "a MUX tree needs a power-of-two leaf count");
+    let n = selects.stream_bits();
+    let mut masks = StreamArena::new(leaves, n)?;
+    for leaf in 0..leaves {
+        let mask = masks.stream_mut(leaf);
+        // Start from the first N bits; `!sel` must not leak beyond them.
+        for (w, word) in mask.iter_mut().enumerate() {
+            *word = u64::MAX >> (64 * (w + 1)).saturating_sub(n);
+        }
+        let (mut width, mut node_base, mut index) = (leaves, first_node, leaf);
+        while width > 1 {
+            let sel = selects.stream(node_base + index / 2);
+            let even = index % 2 == 0;
+            for (m, &s) in mask.iter_mut().zip(sel) {
+                *m &= if even { s } else { !s };
+            }
+            node_base += width / 2;
+            width /= 2;
+            index /= 2;
+        }
+    }
+    Ok(masks)
 }
 
 /// A per-thread pool of reusable [`LaneTree`] scratch, one bucket per
@@ -1137,88 +1219,6 @@ impl LevelStreamCache {
     }
 }
 
-/// Per-(level, weight) AND-product cache for the MUX streaming path.
-///
-/// The MUX adder tree genuinely needs bits (its output depends on which
-/// bits the selects sample), so the count table does not apply — but the
-/// AND products feeding the tree are still pure functions of
-/// (pixel level, weight stream). Repeated windows reuse the product and
-/// only the select sampling reruns (the ROADMAP perf idea from PR 2).
-///
-/// Fill lazily through [`product`](Self::product), or eagerly at engine
-/// construction (every level × weight once) and read through
-/// [`get`](Self::get) — the conv engine prefills so one cache serves
-/// every image of a dataset instead of being rebuilt per call.
-#[derive(Debug, Clone)]
-pub struct ProductCache {
-    weights: usize,
-    words: usize,
-    /// Flat `levels × weights × words` product storage — one allocation,
-    /// slot `level · weights + weight` at `[slot · words..]`, so adjacent
-    /// weights of one level read contiguously in the MUX hot loop.
-    data: Vec<u64>,
-    /// Per-slot fill flag for the lazy [`product`](Self::product) API.
-    filled: Vec<bool>,
-}
-
-impl ProductCache {
-    /// Whether a cache of `levels × weights` products over
-    /// `words_per_stream`-word streams fits the memory budget.
-    pub fn fits(levels: usize, weights: usize, words_per_stream: usize) -> bool {
-        levels.saturating_mul(weights).saturating_mul(words_per_stream) <= MAX_PRODUCT_WORDS
-    }
-
-    /// An empty cache for `levels` comparator levels over `weights` weight
-    /// streams of `words_per_stream` packed words each.
-    pub fn new(levels: usize, weights: usize, words_per_stream: usize) -> Self {
-        Self {
-            weights,
-            words: words_per_stream,
-            data: vec![0; levels * weights * words_per_stream],
-            filled: vec![false; levels * weights],
-        }
-    }
-
-    /// The packed AND product of a level-`level` pixel stream (`pixel`
-    /// words) and weight stream `weight_index` (`weight` words), computed
-    /// on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range or the word slices disagree
-    /// with the cache's words-per-stream.
-    pub fn product(
-        &mut self,
-        level: usize,
-        weight_index: usize,
-        pixel: &[u64],
-        weight: &[u64],
-    ) -> &[u64] {
-        debug_assert_eq!(pixel.len(), weight.len());
-        assert_eq!(pixel.len(), self.words, "stream word count mismatch");
-        let slot = level * self.weights + weight_index;
-        let dst = &mut self.data[slot * self.words..(slot + 1) * self.words];
-        if !self.filled[slot] {
-            for ((d, &a), &b) in dst.iter_mut().zip(pixel).zip(weight) {
-                *d = a & b;
-            }
-            self.filled[slot] = true;
-        }
-        dst
-    }
-
-    /// The cached product for (`level`, `weight_index`), or `None` when
-    /// that slot has not been filled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn get(&self, level: usize, weight_index: usize) -> Option<&[u64]> {
-        let slot = level * self.weights + weight_index;
-        self.filled[slot].then(|| &self.data[slot * self.words..(slot + 1) * self.words])
-    }
-}
-
 /// Lock shards of a [`WindowCache`]. A key's shard is a pure function of
 /// its bytes, so worker threads mostly lock disjoint shards and a given
 /// window always lands in the same shard regardless of thread count.
@@ -1239,8 +1239,8 @@ pub const WINDOW_CACHE_ENV: &str = "SCNN_WINDOW_CACHE";
 /// memoized windows across all shards, evicted least-recently-used;
 /// `Entries(0)` is rejected at validation. Like an explicit
 /// [`LaneWidth`], a non-`Off` mode on a configuration without the
-/// count-domain path (MUX adder, fault injection, oversized table) is a
-/// configuration error rather than a silent fallback.
+/// fault-free TFF count-domain fold (MUX adder, fault injection, oversized
+/// table) is a configuration error rather than a silent fallback.
 ///
 /// # Example
 ///
@@ -2010,9 +2010,6 @@ mod tests {
         assert!(table_fits(256, 25, 32));
         assert!(!table_fits(40_000, 25, 32)); // 16-bit lanes overflow
         assert!(!table_fits(256, 1 << 12, 1 << 12)); // table too big
-        assert!(ProductCache::fits(257, 800, 4)); // 8-bit conv: ~0.8 M words
-        assert!(!ProductCache::fits(1025, 800, 16)); // 10-bit conv: ~13 M words
-        assert!(!ProductCache::fits(1 << 16, 1 << 16, 1));
     }
 
     #[test]
@@ -2172,19 +2169,6 @@ mod tests {
         assert!(WindowCache::new(0, 2, 1).is_err());
         assert!(WindowCache::new(4, 0, 1).is_err());
         assert!(WindowCache::new(4, 2, 0).is_err());
-    }
-
-    #[test]
-    fn product_cache_returns_the_and_product() {
-        let mut cache = ProductCache::new(4, 2, 2);
-        let pixel = [0b1100u64, 0b1010];
-        let weight = [0b1010u64, 0b0110];
-        let expect = [0b1000u64, 0b0010];
-        assert_eq!(cache.product(2, 1, &pixel, &weight), &expect);
-        // Cached: returns the same product even for different inputs (the
-        // caller guarantees the key identifies the content).
-        assert_eq!(cache.product(2, 1, &[0, 0], &[0, 0]), &expect);
-        assert_eq!(cache.product(0, 0, &[0, 0], &[0, 0]), &[0u64, 0]);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! Three crosscutting facilities support the engines:
 //!
 //! * [`counts`] — the shared count-domain core (level-indexed AND-count
-//!   tables, multi-lane TFF tree folds, stream dedup caches, and the
-//!   [`WindowCache`] window memoization) behind the conv and dense fast
-//!   paths,
+//!   tables, multi-lane TFF tree folds and MUX route-masked sums, the
+//!   comparator stream cache, and the [`WindowCache`] window memoization)
+//!   behind the conv and dense fast paths,
 //! * [`ScenarioSpec`] — declarative experiment scenarios that compile to
 //!   ready engines (see the presets `this_work` / `old_sc` / `binary` /
 //!   `float` and the [`ScenarioBuilder`]),

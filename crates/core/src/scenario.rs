@@ -97,8 +97,8 @@ pub struct ScenarioSpec {
     /// ([`WindowCache`](crate::counts::WindowCache)): `Off` in every
     /// preset. A budgeted mode memoizes per-window fold outputs in the
     /// compiled conv engine and is rejected at compile time on
-    /// configurations without the count-domain path (non-stochastic head,
-    /// MUX adder, fault injection) instead of silently degrading.
+    /// configurations without the fault-free TFF fold (non-stochastic
+    /// head, MUX adder, fault injection) instead of silently degrading.
     pub window_cache: WindowCacheMode,
 }
 
@@ -178,7 +178,7 @@ impl ScenarioSpec {
     /// an explicit width needs a stochastic head and a precision whose
     /// stream counts fit the shared 16-bit lane ceiling (≤ 14 bits).
     /// The engine constructors enforce the remaining count-path
-    /// requirements (TFF adder, table budget).
+    /// requirement (table budget); both adders have the count path.
     fn validate_lane_width(&self) -> Result<(), Error> {
         if self.lane_width == LaneWidth::Auto {
             return Ok(());
@@ -217,8 +217,7 @@ impl ScenarioSpec {
         }
         if self.adder != AdderKind::Tff {
             return Err(Error::config(
-                "window_cache requires the TFF adder (the MUX tree's output depends on which \
-                 bits the selects sample, so there is no per-window count to memoize)",
+                "window_cache requires the TFF adder (only the TFF fold is memoized)",
             ));
         }
         if !self.fault.is_none() {
@@ -648,7 +647,7 @@ mod tests {
             let err = spec.first_layer(&conv()).err().unwrap();
             assert!(err.to_string().contains("stochastic"), "{err}");
         }
-        // The MUX adder streams; there is no count to memoize.
+        // Only the TFF fold is memoized.
         let mux = ScenarioSpec::old_sc(6).customize().window_cache(on).build();
         let err = mux.first_layer(&conv()).err().unwrap();
         assert!(err.to_string().contains("TFF"), "{err}");
@@ -690,8 +689,8 @@ mod tests {
         // Non-stochastic heads have no count-domain fold to pin.
         let binary = ScenarioSpec::binary(6).customize().lane_width(LaneWidth::U64).build();
         assert!(binary.first_layer(&conv()).is_err());
-        // The MUX adder rejection surfaces from the engine constructor.
-        let mux = ScenarioSpec::old_sc(6).customize().lane_width(LaneWidth::U64).build();
-        assert!(mux.first_layer(&conv()).is_err());
+        // The MUX adder runs the count path too, so a pinned width compiles.
+        let mux = ScenarioSpec::old_sc(6).customize().lane_width(LaneWidth::U32).build();
+        assert_eq!(mux.stochastic_conv(&conv()).unwrap().lane_width(), Some(LaneWidth::U32));
     }
 }

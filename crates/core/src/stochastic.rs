@@ -1,9 +1,9 @@
 use crate::arena::{and_count, mux_words, StreamArena};
 use crate::baseline::{ternary, window_taps, FirstLayer, KernelBank, IMAGE_SIDE};
 use crate::counts::{
-    fold_tree_counts_wide, fold_tree_counts_wide_stuck, live_fold_node, table_fits,
-    AnyLevelCountTable, LaneWidth, LaneWord, LevelCountTable, LevelStreamCache, PooledTree,
-    ProductCache, ScratchPool, WindowCache, WindowCacheMode, WindowCacheStats,
+    fold_tree_counts_wide, fold_tree_counts_wide_stuck, live_fold_node, mux_route_masks,
+    table_fits, AnyLevelCountTable, LaneWidth, LaneWord, LevelCountTable, LevelStreamCache,
+    PooledTree, ScratchPool, WindowCache, WindowCacheMode, WindowCacheStats,
 };
 use crate::faults::{gather_faulted, AnyCountFaultPlan, ImageFaults};
 use crate::Error;
@@ -87,19 +87,20 @@ pub struct ScOptions {
     /// Fault model for the resilience experiments (paper §I / Fig. 8):
     /// [`FaultModel::None`] (every preset) runs fault-free;
     /// [`FaultModel::BitError`] injects per-bit stream flips — in the
-    /// count domain on the TFF fast path, literally on the streaming
-    /// path; stuck-at models pin a datapath site (TFF only).
+    /// count domain on the fast path (either adder), literally on the
+    /// streaming path; stuck-at models pin a datapath site (TFF only).
     pub fault: FaultModel,
     /// Seed for LFSRs, random sources and fault injection.
     pub seed: u64,
-    /// [`LaneWord`] width of the count-domain fold. [`LaneWidth::Auto`]
-    /// (every preset) picks `u64` when the count path is available and
-    /// falls back to streaming otherwise; an explicit width turns that
-    /// fallback into a construction error.
+    /// [`LaneWord`] width of the count-domain fold or sum, for either
+    /// adder. [`LaneWidth::Auto`] (every preset) picks `u64` when the
+    /// count path is available and falls back to streaming otherwise
+    /// (oversized table, 15- and 16-bit streams); an explicit width turns
+    /// that fallback into a construction error.
     pub lane_width: LaneWidth,
     /// Window memoization ([`WindowCache`]): `Off` in every preset;
     /// a budgeted mode memoizes per-window fold outputs and is a
-    /// construction error on configurations without the fault-free
+    /// construction error on every configuration but the fault-free TFF
     /// count-domain path (MUX adder, any fault model, oversized table —
     /// a faulted fold is not a pure function of the window key).
     pub window_cache: WindowCacheMode,
@@ -159,9 +160,11 @@ impl Default for ScOptions {
 /// The TFF configuration uses the counting closed form of the TFF adder
 /// (§III) as a fast path — bit-exact with the sequential hardware model,
 /// which the test-suite cross-validates against `scnn-sim`'s reference
-/// tree. The MUX configuration is simulated bit-parallel (words of 64
-/// cycles) because its output genuinely depends on which bits the select
-/// streams sample.
+/// tree. The MUX configuration counts too: its select streams are fixed
+/// per engine, so each cycle routes exactly one tap to the root, and the
+/// root count is the sum of each tap's AND count restricted to the cycles
+/// its root path selects ([`mux_route_masks`]). The bit-parallel MUX
+/// simulation (words of 64 cycles) stays as its streaming reference.
 ///
 /// # The level-indexed AND-count table
 ///
@@ -181,10 +184,10 @@ impl Default for ScOptions {
 /// tested). Fault injection stays on the fast path: bit errors are lifted
 /// into per-(pixel, tap) count deltas and stuck-at sites into gather/fold
 /// overrides, so faulted sweeps run at LUT speed (see
-/// [`ScOptions::fault`]). The streaming simulation remains in use where
-/// bits genuinely matter: the MUX tree (select sampling, with AND products
-/// deduplicated through a [`ProductCache`](crate::counts::ProductCache)),
-/// where it also serves as the ground-truth fault reference. The shared
+/// [`ScOptions::fault`]). For the MUX tree the table is built over
+/// route-masked weight streams and the trees reduce by a plain lane sum
+/// instead of the fold. The streaming simulation remains the reference
+/// model for both adders and the ground-truth fault reference. The shared
 /// machinery lives in
 /// [`counts`](crate::counts) and also powers
 /// [`StochasticDenseLayer`](crate::StochasticDenseLayer).
@@ -197,26 +200,22 @@ pub struct StochasticConvLayer {
     n: usize,
     /// Padded tap count (next power of two ≥ ksize²) — the tree width.
     padded: usize,
-    /// Magnitude streams per (kernel, tap).
+    /// Magnitude streams per (kernel, tap), never route-masked: they feed
+    /// [`weight_stream`](Self::weight_stream) and the activity model.
     weight_streams: StreamArena,
     /// Sign of each (kernel, tap) weight.
     weight_neg: Vec<bool>,
     /// Select streams for the MUX trees (2·(padded−1) streams), empty for TFF.
     select_streams: StreamArena,
-    /// Level-indexed AND-count table of the configured [`LaneWidth`];
-    /// `None` when the streaming path must run (MUX adder, oversized
-    /// table).
+    /// Level-indexed AND-count table of the configured [`LaneWidth`],
+    /// over route-masked weights for the MUX adder; `None` when the
+    /// streaming path must run (oversized table, 15- and 16-bit streams).
     lut: Option<AnyLevelCountTable>,
     /// Count-domain bit-error plan, built when the table is live and
     /// [`ScOptions::fault`] carries a positive bit-error rate; per image
     /// it samples the flip set from `(seed, image_index, pixel)` and
     /// perturbs the gathered counts exactly as literal stream flips would.
     fault_plan: Option<AnyCountFaultPlan>,
-    /// Prefilled per-(pixel-level, weight) AND products for the MUX path;
-    /// `None` under fault injection (pixel bits are perturbed) or when the
-    /// cache exceeds its budget. Built once at construction, shared by
-    /// every image.
-    mux_products: Option<ProductCache>,
     /// Per-distinct-level comparator conversion cache for the streaming
     /// paths, hoisted out of `pixel_streams` so repeated streaming
     /// forwards reuse one conversion per level across images. Shared by
@@ -312,21 +311,44 @@ impl StochasticConvLayer {
             StreamArena::new(0, n)?
         };
 
-        // Level-indexed AND-count table (see the type-level docs). Only the
-        // TFF adder admits the count-domain shortcut; `table_fits`
-        // additionally gates the memory budget and the 16-bit lane
-        // arithmetic shared by every width. Fault injection no longer
-        // forces streaming: bit errors become count deltas (the plan
-        // below) and stuck-at sites become gather/fold overrides.
-        let count_path = options.adder == AdderKind::Tff
-            && table_fits(n, ksq, bank.kernels)
-            && options.lane_width.supports_counts_to(n);
+        // The weights the count table sees. A MUX tree passes each tap to
+        // its root only in the cycles its select path picks, so each
+        // weight stream is masked with its sign tree's route mask for that
+        // tap; the TFF tree counts every cycle.
+        let masked;
+        let counted_weights = if options.adder == AdderKind::Mux {
+            let routes = [
+                mux_route_masks(&select_streams, 0, padded)?,
+                mux_route_masks(&select_streams, padded - 1, padded)?,
+            ];
+            let mut arena = weight_streams.clone();
+            for (idx, &neg) in weight_neg.iter().enumerate() {
+                let route = routes[usize::from(neg)].stream(idx % ksq);
+                for (w, &m) in arena.stream_mut(idx).iter_mut().zip(route) {
+                    *w &= m;
+                }
+            }
+            masked = arena;
+            &masked
+        } else {
+            &weight_streams
+        };
+
+        // Level-indexed AND-count table (see the type-level docs).
+        // `table_fits` gates the memory budget and the 16-bit lane
+        // arithmetic shared by every width; one MUX tree's route masks
+        // partition the N cycles, so its root sums stay ≤ N as well. Fault
+        // injection does not force streaming: bit errors become count
+        // deltas (the plan below) and stuck-at sites become gather/fold
+        // overrides.
+        let count_path =
+            table_fits(n, ksq, bank.kernels) && options.lane_width.supports_counts_to(n);
         let lut = if count_path {
             let _build = scnn_obs::span("conv/lut_build");
             Some(AnyLevelCountTable::build(
                 options.lane_width,
                 &pixel_seq,
-                &weight_streams,
+                counted_weights,
                 &weight_neg,
                 ksq,
                 bank.kernels,
@@ -335,8 +357,8 @@ impl StochasticConvLayer {
             // An explicit width pins the count-domain fold; the silent
             // streaming fallback would ignore it.
             return Err(Error::config(format!(
-                "lane width {} requires the count-domain path (TFF adder, table within budget, \
-                 stream counts within the 16-bit lane ceiling)",
+                "lane width {} requires the count-domain path (table within budget, stream \
+                 counts within the 16-bit lane ceiling)",
                 options.lane_width
             )));
         } else {
@@ -344,14 +366,15 @@ impl StochasticConvLayer {
         };
 
         // Count-domain bit-error plan: per-(stream bit, tap) weight bit
-        // planes, sampled per (image index, pixel) at forward time.
+        // planes of the counted (for MUX, route-masked) weights, sampled
+        // per (image index, pixel) at forward time.
         let fault_plan = match (&lut, options.fault.bit_error_rate()) {
             (Some(table), ber) if ber > 0.0 => Some(AnyCountFaultPlan::build(
                 table.width(),
                 ber,
                 options.seed,
                 &pixel_seq,
-                &weight_streams,
+                counted_weights,
                 &weight_neg,
                 ksq,
                 bank.kernels,
@@ -359,39 +382,17 @@ impl StochasticConvLayer {
             _ => None,
         };
 
-        // MUX AND-product dedup (the count table does not apply — the MUX
-        // output depends on which bits the selects sample — but the AND
-        // products are pure functions of (pixel level, weight stream) as
-        // long as fault injection does not perturb the pixel bits).
-        // Prefilled here once so every image of a dataset reuses the same
-        // products and only the select sampling reruns.
-        let num_weights = bank.kernels * ksq;
-        let mux_products = if options.adder == AdderKind::Mux
-            && options.fault.is_none()
-            && ProductCache::fits(n + 1, num_weights, n.div_ceil(64))
-        {
-            let mut cache = ProductCache::new(n + 1, num_weights, n.div_ceil(64));
-            let mut level_stream = StreamArena::new(1, n)?;
-            for level in 0..=n {
-                level_stream.write_from_levels(0, &pixel_seq, level as u64);
-                for idx in 0..num_weights {
-                    cache.product(level, idx, level_stream.stream(0), weight_streams.stream(idx));
-                }
-            }
-            Some(cache)
-        } else {
-            None
-        };
-
-        // Window memoization rides on the count table: the memoized value
-        // is the fold of table gathers, so without the table there is
-        // nothing sound to key on — and a faulted fold is not a pure
+        // Window memoization rides on the TFF count table: the memoized
+        // value is the fold of table gathers, so without the table there
+        // is nothing sound to key on — and a faulted fold is not a pure
         // function of the window key (bit-error deltas vary per image and
-        // pixel position). Requesting it on either configuration is an
+        // pixel position). Requesting it on any other configuration is an
         // error, mirroring the explicit lane-width contract above.
         options.window_cache.validate()?;
         let window_cache = match options.window_cache.entries() {
-            Some(entries) if lut.is_some() && options.fault.is_none() => {
+            Some(entries)
+                if lut.is_some() && options.adder == AdderKind::Tff && options.fault.is_none() =>
+            {
                 Some(Arc::new(WindowCache::new(entries, 2 * ksq, 2 * bank.kernels)?))
             }
             Some(_) => {
@@ -418,7 +419,6 @@ impl StochasticConvLayer {
             select_streams,
             lut,
             fault_plan,
-            mux_products,
             level_streams,
             window_cache,
         })
@@ -524,15 +524,16 @@ impl StochasticConvLayer {
         Ok(arena)
     }
 
-    /// Whether the level-indexed AND-count fast path is active (TFF adder,
-    /// table within budget) — faulted configurations included: bit errors
-    /// run as count deltas, stuck-at sites as gather/fold overrides.
+    /// Whether the level-indexed AND-count fast path is active (table
+    /// within budget, stream counts within the 16-bit lane ceiling) — for
+    /// both adders, faulted configurations included: bit errors run as
+    /// count deltas, stuck-at sites as gather/fold overrides.
     pub fn uses_count_table(&self) -> bool {
         self.lut.is_some()
     }
 
-    /// The concrete [`LaneWidth`] of the count-domain fold (never `Auto`),
-    /// or `None` when the engine runs the streaming path.
+    /// The concrete [`LaneWidth`] of the count-domain fold or MUX sum
+    /// (never `Auto`), or `None` when the engine runs the streaming path.
     pub fn lane_width(&self) -> Option<LaneWidth> {
         self.lut.as_ref().map(AnyLevelCountTable::width)
     }
@@ -593,8 +594,9 @@ impl StochasticConvLayer {
 
     /// The count-domain fast path over one [`LaneWord`]: quantize each
     /// pixel once, gather per-tap AND counts for all kernels from the
-    /// level-indexed table, and fold both trees in packed kernel lanes on
-    /// pooled scratch. With window memoization on, the fold runs only for
+    /// level-indexed table, and reduce both trees in packed kernel lanes
+    /// on pooled scratch — a TFF fold, or a plain sum of the route-masked
+    /// MUX counts. With window memoization on, the fold runs only for
     /// windows whose level pattern has not been seen — a hit copies the
     /// memoized root counts, skipping the gathers, the fold and (on a
     /// fully-hit image) the [`ScratchPool`] checkout entirely.
@@ -624,6 +626,8 @@ impl StochasticConvLayer {
         let faults: Option<ImageFaults<'_, W>> =
             self.fault_plan.as_ref().map(|p| p.typed::<W>().image_faults(&levels, image_index));
         let stuck = self.options.fault.stuck();
+        // MUX trees sum their route-masked counts; TFF trees fold.
+        let mux = self.options.adder == AdderKind::Mux;
         if scnn_obs::metrics_enabled() {
             if let Some(f) = &faults {
                 scnn_obs::registry().counter("fault/injected").add(f.flips);
@@ -717,6 +721,10 @@ impl StochasticConvLayer {
                     }
                 }
                 match stuck {
+                    _ if mux => {
+                        pos.sum();
+                        neg.sum();
+                    }
                     // A stuck TFF column pins one node of the positive
                     // tree (a systematic defect: the same physical adder
                     // in every window).
@@ -745,10 +753,12 @@ impl StochasticConvLayer {
     /// The bit-level streaming engine — the hardware reference model.
     ///
     /// [`forward_image`](FirstLayer::forward_image) dispatches here
-    /// whenever the count-domain table is unavailable (MUX adder,
-    /// oversized table); it stays public so benches and property tests can
-    /// compare the two paths on any configuration (bit-exact for the
-    /// fault-free and stuck-at TFF engine). Under
+    /// whenever the count-domain table is unavailable (oversized table,
+    /// 15- and 16-bit streams); it stays public so benches and property
+    /// tests can compare the two paths on any configuration (bit-exact for
+    /// the fault-free TFF and MUX engines and the stuck-at TFF engine). For
+    /// the MUX adder it ANDs every window's taps directly and folds the
+    /// select streams over the products. Under
     /// [`FaultModel::BitError`] this path flips literal stream bits seeded
     /// by image *content* — the ground-truth realization the count-domain
     /// deltas are statistically matched against.
@@ -757,16 +767,6 @@ impl StochasticConvLayer {
     ///
     /// Returns [`Error::Config`] if the image has the wrong size.
     pub fn forward_image_streaming(&self, image: &[f32]) -> Result<Vec<f32>, Error> {
-        self.forward_image_streaming_impl(image, true)
-    }
-
-    /// The streaming engine body; `use_product_cache` lets the tests pit
-    /// the deduplicated MUX path against the direct per-window recompute.
-    fn forward_image_streaming_impl(
-        &self,
-        image: &[f32],
-        use_product_cache: bool,
-    ) -> Result<Vec<f32>, Error> {
         if image.len() != IMAGE_SIDE * IMAGE_SIDE {
             return Err(Error::config(format!(
                 "expected {} pixels, got {}",
@@ -792,19 +792,7 @@ impl StochasticConvLayer {
         let mut next = vec![0u64; (self.padded / 2).max(1) * w];
         let mut pos_counts = vec![0u64; self.padded];
         let mut neg_counts = vec![0u64; self.padded];
-        // MUX AND-product dedup: the engine prefilled one product per
-        // (pixel level, weight) at construction, so repeated windows —
-        // across all images — reuse them and only the select sampling
-        // reruns. The cached path reads no pixel bits at all, only the
-        // levels, so the per-image stream conversion is skipped entirely.
-        let bits = self.precision.bits();
-        let product_cache = if use_product_cache { self.mux_products.as_ref() } else { None };
-        let levels: Vec<usize> = if product_cache.is_some() {
-            image.iter().map(|&v| pixel_level(v, bits) as usize).collect()
-        } else {
-            Vec::new()
-        };
-        let pixels = if product_cache.is_some() { None } else { Some(self.pixel_streams(image)?) };
+        let arena = self.pixel_streams(image)?;
         for k in 0..self.bank.kernels {
             for oy in 0..IMAGE_SIDE {
                 for ox in 0..IMAGE_SIDE {
@@ -812,8 +800,6 @@ impl StochasticConvLayer {
                         AdderKind::Tff => {
                             pos_counts.fill(0);
                             neg_counts.fill(0);
-                            let arena =
-                                pixels.as_ref().expect("TFF streaming always converts pixels");
                             for (t, px) in window_taps(self.bank.ksize, oy, ox) {
                                 if let Some(p) = px {
                                     let idx = k * ksq + t;
@@ -862,17 +848,7 @@ impl StochasticConvLayer {
                         }
                         AdderKind::Mux => {
                             let mut window = |tree| {
-                                self.mux_window(
-                                    pixels.as_ref(),
-                                    &levels,
-                                    product_cache,
-                                    k,
-                                    oy,
-                                    ox,
-                                    &mut scratch,
-                                    &mut next,
-                                    tree,
-                                )
+                                self.mux_window(&arena, k, oy, ox, &mut scratch, &mut next, tree)
                             };
                             (window(0), window(1))
                         }
@@ -892,9 +868,7 @@ impl StochasticConvLayer {
     #[allow(clippy::too_many_arguments)]
     fn mux_window(
         &self,
-        pixels: Option<&StreamArena>,
-        levels: &[usize],
-        product_cache: Option<&ProductCache>,
+        pixels: &StreamArena,
         k: usize,
         oy: usize,
         ox: usize,
@@ -913,25 +887,16 @@ impl StochasticConvLayer {
             }
             if let Some(p) = px {
                 let dst = &mut scratch[t * w..(t + 1) * w];
-                match product_cache {
-                    Some(cache) => {
-                        let product = cache.get(levels[p], idx).expect("prefilled at construction");
-                        dst.copy_from_slice(product);
-                    }
-                    None => {
-                        let pw = pixels.expect("pixel streams exist when the cache is absent");
-                        let pw = pw.stream(p);
-                        let ww = self.weight_streams.stream(idx);
-                        for i in 0..w {
-                            dst[i] = pw[i] & ww[i];
-                        }
-                    }
+                for ((d, &a), &b) in
+                    dst.iter_mut().zip(pixels.stream(p)).zip(self.weight_streams.stream(idx))
+                {
+                    *d = a & b;
                 }
             }
         }
         // Fold the tree level by level (ping-pong between scratch and next).
         let mut width = self.padded;
-        let mut node = (padded_nodes(self.padded)) * tree;
+        let mut node = (self.padded - 1) * tree;
         let mut cur: &mut [u64] = scratch;
         let mut nxt: &mut [u64] = next;
         while width > 1 {
@@ -950,11 +915,6 @@ impl StochasticConvLayer {
         }
         cur[..w].iter().map(|x| u64::from(x.count_ones())).sum()
     }
-}
-
-/// Nodes in one tree of `padded` leaves.
-fn padded_nodes(padded: usize) -> usize {
-    padded - 1
 }
 
 impl FirstLayer for StochasticConvLayer {
@@ -1087,19 +1047,57 @@ mod tests {
     }
 
     #[test]
-    fn mux_product_cache_is_transparent() {
-        // The deduplicated MUX streaming path must be bit-identical with
-        // the direct per-window AND recompute for every precision.
-        for bits in [3u32, 4, 6] {
+    fn mux_count_path_matches_streaming_oracle() {
+        // The route-masked table plus lane sum must reproduce the streamed
+        // MUX trees bit for bit, across precisions, SNG sources and seeds
+        // (the seed also draws the select streams).
+        let sources =
+            [(SourceKind::Lfsr, SourceKind::Lfsr), (SourceKind::Ramp, SourceKind::Sobol2)];
+        for bits in [2u32, 3, 4, 6, 8] {
+            for (pixel_source, weight_source) in sources {
+                for seed in [1u64, 42, 977] {
+                    let opts =
+                        ScOptions { pixel_source, weight_source, seed, ..ScOptions::old_sc() };
+                    let engine =
+                        StochasticConvLayer::from_conv(&conv(), precision(bits), opts).unwrap();
+                    let case =
+                        format!("bits={bits} {pixel_source:?}/{weight_source:?} seed={seed}");
+                    assert!(engine.uses_count_table(), "{case}");
+                    let img = test_image(seed + u64::from(bits));
+                    assert_eq!(
+                        engine.forward_image(&img).unwrap(),
+                        engine.forward_image_streaming(&img).unwrap(),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mux_route_masks_partition_the_stream() {
+        // Each cycle routes exactly one tap of a tree to its root, so the
+        // tree's masks are pairwise disjoint and OR to exactly the first N
+        // bits — the bound that keeps the lane sum within N.
+        for bits in [2u32, 4, 7, 8] {
             let engine =
                 StochasticConvLayer::from_conv(&conv(), precision(bits), ScOptions::old_sc())
                     .unwrap();
-            let img = test_image(u64::from(bits) * 5 + 2);
-            let cached = engine.forward_image_streaming_impl(&img, true).unwrap();
-            let direct = engine.forward_image_streaming_impl(&img, false).unwrap();
-            assert_eq!(cached, direct, "bits={bits}");
-            // And the public entry points agree with both.
-            assert_eq!(engine.forward_image(&img).unwrap(), cached, "bits={bits}");
+            let n = engine.stream_len();
+            let padded = engine.padded;
+            for first_node in [0, padded - 1] {
+                let masks = mux_route_masks(&engine.select_streams, first_node, padded).unwrap();
+                let mut union = vec![0u64; n.div_ceil(64)];
+                for tap in 0..padded {
+                    for (u, &m) in union.iter_mut().zip(masks.stream(tap)) {
+                        assert_eq!(*u & m, 0, "bits={bits} tree@{first_node} tap={tap} overlaps");
+                        *u |= m;
+                    }
+                }
+                let mut first_n = StreamArena::new(1, n).unwrap();
+                first_n.write_from_levels(0, &vec![0; n], 1);
+                assert_eq!(union, first_n.stream(0), "bits={bits} tree@{first_node}");
+            }
         }
     }
 
@@ -1205,10 +1203,13 @@ mod tests {
         let engine = StochasticConvLayer::from_conv(&conv(), precision(4), noisy).unwrap();
         assert!(engine.uses_count_table());
         assert_eq!(engine.lane_width(), Some(LaneWidth::U64));
-        // The MUX tree still streams.
-        let mux =
-            StochasticConvLayer::from_conv(&conv(), precision(4), ScOptions::old_sc()).unwrap();
-        assert!(!mux.uses_count_table());
+        // The MUX tree counts too, faulted or not.
+        for fault in [FaultModel::None, FaultModel::BitError(0.01)] {
+            let opts = ScOptions { fault, ..ScOptions::old_sc() };
+            let mux = StochasticConvLayer::from_conv(&conv(), precision(4), opts).unwrap();
+            assert!(mux.uses_count_table(), "{fault:?}");
+            assert_eq!(mux.lane_width(), Some(LaneWidth::U64));
+        }
     }
 
     #[test]
@@ -1236,8 +1237,13 @@ mod tests {
 
     #[test]
     fn explicit_width_rejects_streaming_only_configurations() {
-        let mux = ScOptions { lane_width: LaneWidth::U64, ..ScOptions::old_sc() };
-        assert!(StochasticConvLayer::from_conv(&conv(), precision(4), mux).is_err());
+        // 15-bit stream counts overflow the 16-bit lanes.
+        let wide = ScOptions { lane_width: LaneWidth::U64, ..ScOptions::old_sc() };
+        assert!(StochasticConvLayer::from_conv(&conv(), precision(15), wide).is_err());
+        // Otherwise the MUX tree has the count path, so a width pins its sum.
+        let mux = ScOptions { lane_width: LaneWidth::U16, ..ScOptions::old_sc() };
+        let engine = StochasticConvLayer::from_conv(&conv(), precision(4), mux).unwrap();
+        assert_eq!(engine.lane_width(), Some(LaneWidth::U16));
         // A faulted TFF engine keeps the count path, so an explicit width
         // now compiles (it used to force streaming and error out).
         let noisy = ScOptions {
@@ -1484,10 +1490,14 @@ mod tests {
         // feature perturbation rate must agree across paths (the two
         // realizations differ; their statistics must not).
         let c = conv();
-        for (bits, ber) in [(4u32, 0.1f64), (6, 0.05)] {
-            let clean = StochasticConvLayer::from_conv(&c, precision(bits), ScOptions::this_work())
-                .unwrap();
-            let opts = ScOptions { fault: FaultModel::BitError(ber), ..ScOptions::this_work() };
+        for (preset, bits, ber) in [
+            (ScOptions::this_work(), 4u32, 0.1f64),
+            (ScOptions::this_work(), 6, 0.05),
+            (ScOptions::old_sc(), 4, 0.1),
+            (ScOptions::old_sc(), 6, 0.05),
+        ] {
+            let clean = StochasticConvLayer::from_conv(&c, precision(bits), preset).unwrap();
+            let opts = ScOptions { fault: FaultModel::BitError(ber), ..preset };
             let engine = StochasticConvLayer::from_conv(&c, precision(bits), opts).unwrap();
             let plan = engine.fault_plan.as_ref().expect("ber > 0 builds a plan");
             let n = engine.stream_len();
@@ -1525,19 +1535,20 @@ mod tests {
                 let var = v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() - 1) as f64;
                 (m, var)
             };
+            let case = format!("{:?} bits={bits}", preset.adder);
             let (lm, lv) = stats(&lut_flips);
             let (sm, sv) = stats(&str_flips);
             let expect_mean = 784.0 * n as f64 * ber;
             let expect_var = expect_mean * (1.0 - ber);
-            assert!((lm - expect_mean).abs() < 0.05 * expect_mean, "bits={bits} lut mean {lm}");
-            assert!((sm - expect_mean).abs() < 0.05 * expect_mean, "bits={bits} str mean {sm}");
-            assert!(lv > 0.3 * expect_var && lv < 3.0 * expect_var, "bits={bits} lut var {lv}");
-            assert!(sv > 0.3 * expect_var && sv < 3.0 * expect_var, "bits={bits} str var {sv}");
+            assert!((lm - expect_mean).abs() < 0.05 * expect_mean, "{case} lut mean {lm}");
+            assert!((sm - expect_mean).abs() < 0.05 * expect_mean, "{case} str mean {sm}");
+            assert!(lv > 0.3 * expect_var && lv < 3.0 * expect_var, "{case} lut var {lv}");
+            assert!(sv > 0.3 * expect_var && sv < 3.0 * expect_var, "{case} str var {sv}");
             let (lf, sf) = (lut_frac / images as f64, str_frac / images as f64);
-            assert!(lf > 0.0 && sf > 0.0, "bits={bits} lut {lf} streaming {sf}");
+            assert!(lf > 0.0 && sf > 0.0, "{case} lut {lf} streaming {sf}");
             assert!(
                 (lf - sf).abs() < 0.25 * lf.max(sf) + 0.01,
-                "bits={bits} perturbation rates diverge: lut {lf} vs streaming {sf}"
+                "{case} perturbation rates diverge: lut {lf} vs streaming {sf}"
             );
         }
     }

@@ -155,7 +155,8 @@ fn window_cache_budget_holds_under_concurrent_eviction() {
 /// Count-domain fault injection is seeded per `(spec.seed, image_index,
 /// pixel)`, never per worker: the faulted feature bytes must be identical
 /// for every `SCNN_THREADS` value, even though different thread counts
-/// assign images to workers differently.
+/// assign images to workers differently — for the TFF fold and the
+/// route-masked MUX sum alike.
 #[test]
 fn faulted_lut_features_identical_for_any_thread_count() {
     use scnn_core::FaultModel;
@@ -165,27 +166,31 @@ fn faulted_lut_features_identical_for_any_thread_count() {
     let _env = ENV_LOCK.lock().unwrap();
     let cfg = LenetConfig::default();
     let conv = Conv2d::new(1, 32, 5, Padding::Same, 41).unwrap();
-    let opts = ScOptions { fault: FaultModel::BitError(0.05), ..ScOptions::this_work() };
-    let engine = StochasticConvLayer::from_conv(&conv, Precision::new(4).unwrap(), opts).unwrap();
-    assert!(engine.uses_count_table(), "faulted TFF engine must stay on the LUT path");
-    let hybrid = HybridLenet::new(Box::new(engine), lenet5_tail(&cfg).unwrap());
     let dataset = synthetic::generate(10, 11);
+    for preset in [ScOptions::this_work(), ScOptions::old_sc()] {
+        let opts = ScOptions { fault: FaultModel::BitError(0.05), ..preset };
+        let engine =
+            StochasticConvLayer::from_conv(&conv, Precision::new(4).unwrap(), opts).unwrap();
+        assert!(engine.uses_count_table(), "faulted {:?} engine left the LUT path", preset.adder);
+        let hybrid = HybridLenet::new(Box::new(engine), lenet5_tail(&cfg).unwrap());
 
-    let run = |threads: &str| {
-        std::env::set_var(scnn_core::parallel::THREADS_ENV, threads);
-        let features = hybrid.extract_features(&dataset).unwrap();
-        std::env::remove_var(scnn_core::parallel::THREADS_ENV);
-        features
-    };
-    let reference = run("1");
-    for threads in ["2", "8"] {
-        let features = run(threads);
-        for i in 0..reference.len() {
-            let (a, b) = (reference.item(i), features.item(i));
-            assert!(
-                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "faulted features differ at item {i} with {threads} threads"
-            );
+        let run = |threads: &str| {
+            std::env::set_var(scnn_core::parallel::THREADS_ENV, threads);
+            let features = hybrid.extract_features(&dataset).unwrap();
+            std::env::remove_var(scnn_core::parallel::THREADS_ENV);
+            features
+        };
+        let reference = run("1");
+        for threads in ["2", "8"] {
+            let features = run(threads);
+            for i in 0..reference.len() {
+                let (a, b) = (reference.item(i), features.item(i));
+                assert!(
+                    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "faulted {:?} features differ at item {i} with {threads} threads",
+                    preset.adder
+                );
+            }
         }
     }
 }

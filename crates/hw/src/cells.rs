@@ -73,7 +73,7 @@ impl fmt::Display for Cell {
 /// (areas from cell heights of ~1.8 µm and 4–20 tracks; energies from
 /// `C·V²` with a 1.2 V supply and a global wiring/clock overhead folded
 /// into [`wire_factor`](Self::wire_factor)). They are *not* the NDA'd TSMC
-/// values — see `DESIGN.md` substitution 1 for why shape, not absolute
+/// values — see the README, *Substitutions*, item 1, for why shape, not absolute
 /// calibration, is what the reproduction needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellLibrary {

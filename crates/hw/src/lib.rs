@@ -3,7 +3,7 @@
 //!
 //! This crate is the workspace's substitute for the paper's Synopsys
 //! Design Compiler / IC Compiler / PrimeTime flow on a TSMC 65 nm library
-//! (see `DESIGN.md`, substitution 1). It follows the same methodology at a
+//! (see the README, *Substitutions*, item 1). It follows the same methodology at a
 //! coarser granularity:
 //!
 //! 1. each design is expressed as a **bill of standard cells**
@@ -20,7 +20,7 @@
 //! Absolute numbers differ from a tapeout-quality flow; the *structure*
 //! the paper measures (SC cycle count `32·2^b` vs. binary datapath width,
 //! amortized number-generator cost, break-even near 8 bits) is what the
-//! model preserves — see `EXPERIMENTS.md` for measured-vs-paper tables.
+//! model preserves.
 //!
 //! # Example
 //!

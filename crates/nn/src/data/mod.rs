@@ -206,7 +206,7 @@ impl Dataset {
 pub enum DataSource {
     /// Parsed from real MNIST IDX files.
     Mnist,
-    /// Procedurally generated (substitution 3 of `DESIGN.md`).
+    /// Procedurally generated (the README, *Substitutions*, item 3).
     Synthetic,
 }
 

@@ -1,4 +1,4 @@
-//! Procedural MNIST-like digit generator (substitution 3 of `DESIGN.md`).
+//! Procedural MNIST-like digit generator (the README, *Substitutions*, item 3).
 //!
 //! Each digit 0–9 is defined as a set of stroke polylines in the unit
 //! square. A sample applies a random affine jitter (rotation, scale,

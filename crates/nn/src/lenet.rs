@@ -13,7 +13,7 @@
 //! ```
 //!
 //! The dense width is 256 (vs. the common 512) purely for CPU training
-//! speed; see `DESIGN.md` §3.5.
+//! speed; see the README, *Substitutions*, item 2.
 
 use crate::layers::{Conv2d, Dense, Dropout, Flatten, MaxPool2d, Padding, Relu, Sign};
 use crate::{Error, Network};

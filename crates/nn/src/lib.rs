@@ -1,7 +1,7 @@
 //! A minimal, dependency-light CPU neural-network training framework.
 //!
 //! This crate is the `scnn` workspace's stand-in for the paper's
-//! TensorFlow/Keras training stack (see `DESIGN.md`, substitution 2). It
+//! TensorFlow/Keras training stack (see the README, *Substitutions*, item 2). It
 //! provides exactly what reproducing the paper requires — and implements all
 //! of it from scratch:
 //!
