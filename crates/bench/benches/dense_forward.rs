@@ -20,13 +20,12 @@
 
 use criterion::{BenchmarkId, Criterion};
 use scnn_bench::report::{key, BenchJson};
-use scnn_core::{LaneWidth, ScenarioSpec};
+use scnn_core::ScenarioSpec;
 use scnn_nn::layers::Dense;
 use std::hint::black_box;
 use std::time::Duration;
 
 const PRECISIONS: [u32; 3] = [4, 6, 8];
-const WIDTHS: [LaneWidth; 4] = [LaneWidth::U16, LaneWidth::U32, LaneWidth::U64, LaneWidth::U128];
 
 fn main() {
     scnn_bench::setup::obs_env_init();
@@ -53,21 +52,6 @@ fn main() {
                 b.last_ns_per_iter,
             );
         });
-        // The lane-width sweep: one count-domain engine per LaneWord, so
-        // bench_gate tracks each width separately.
-        for width in WIDTHS {
-            let layer = ScenarioSpec::this_work(bits)
-                .customize()
-                .lane_width(width)
-                .build()
-                .dense_layer(&dense)
-                .expect("engine");
-            let id = BenchmarkId::new(format!("lanes_{width}"), bits);
-            group.bench_with_input(id, &layer, |b, l| {
-                b.iter(|| l.forward(black_box(&input)).expect("forward"));
-                json.record(&key::lanes("dense_forward", width, bits), b.last_ns_per_iter);
-            });
-        }
     }
     group.finish();
 
@@ -78,15 +62,6 @@ fn main() {
             let speedup = streaming / lut;
             json.record(&key::per_bits("dense_forward", "speedup_lut_x", bits), speedup);
             println!("dense_forward: {bits}-bit count-table speedup {speedup:.1}x over streaming");
-        }
-        // Wide-lane speedup vs the retained u16 baseline (the default path
-        // is u64 lanes, so this is the measured win of the redesign).
-        let u16_ns = json.get(&key::lanes("dense_forward", "u16", bits));
-        let u64_ns = json.get(&key::lanes("dense_forward", "u64", bits));
-        if let (Some(u16_ns), Some(u64_ns)) = (u16_ns, u64_ns) {
-            let speedup = u16_ns / u64_ns;
-            json.record(&key::per_bits("dense_forward", "speedup_lanes_u64_x", bits), speedup);
-            println!("dense_forward: {bits}-bit u64-lane speedup {speedup:.1}x over u16 lanes");
         }
     }
     // --- Observability: dense stage percentiles + metrics overhead ---

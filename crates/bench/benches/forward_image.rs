@@ -9,13 +9,10 @@
 //! future PRs can diff them. The acceptance bar for the count-table fast
 //! path is a ≥ 10× speedup at 8-bit precision.
 //!
-//! A dataset pass additionally measures window memoization
-//! (`scnn_core::WindowCache`): per-image forward time over a real image
-//! set with the cache off versus on at the default budget, the cold
-//! first-pass hit rate, and the derived cached-vs-uncached speedup. The
-//! timing keys reflect steady state (the cache stays warm across
-//! measurement iterations, exactly as it does across a dataset
-//! evaluation); the hit-rate key is measured on one cold pass.
+//! A dataset pass additionally measures the per-image forward time over
+//! a set of distinct images (`forward_image/dataset_<source>/<bits>`), so
+//! the count-domain path is timed on fresh inputs rather than one image
+//! repeated.
 //!
 //! An observability section measures the metrics layer itself: the
 //! metrics-off run is compared against the baseline the loaded
@@ -32,7 +29,7 @@
 use criterion::{BenchmarkId, Criterion};
 use scnn_bench::report::{key, BenchJson};
 use scnn_bitstream::Precision;
-use scnn_core::{FirstLayer, LaneWidth, ScOptions, StochasticConvLayer, WindowCacheMode};
+use scnn_core::{FirstLayer, ScOptions, StochasticConvLayer};
 use scnn_nn::data::{load_or_synthesize, synthetic};
 use scnn_nn::layers::{Conv2d, Padding};
 use std::hint::black_box;
@@ -42,7 +39,6 @@ use std::time::{Duration, Instant};
 const DATASET_IMAGES: usize = 64;
 
 const PRECISIONS: [u32; 3] = [4, 6, 8];
-const WIDTHS: [LaneWidth; 4] = [LaneWidth::U16, LaneWidth::U32, LaneWidth::U64, LaneWidth::U128];
 
 /// Mean per-image nanoseconds over `iters` forward passes.
 fn time_forwards(engine: &StochasticConvLayer, image: &[f32], iters: usize) -> f64 {
@@ -83,23 +79,12 @@ fn main() {
             b.iter(|| e.forward_image_streaming(black_box(&image)).expect("forward"));
             json.record(&key::per_bits("forward_image", "tff_streaming", bits), b.last_ns_per_iter);
         });
-        // The lane-width sweep: one count-domain engine per LaneWord, so
-        // bench_gate tracks each width separately.
-        for width in WIDTHS {
-            let opts = ScOptions { lane_width: width, ..ScOptions::this_work() };
-            let engine = StochasticConvLayer::from_conv(&conv, precision, opts).expect("engine");
-            let id = BenchmarkId::new(format!("lanes_{width}"), bits);
-            group.bench_with_input(id, &engine, |b, e| {
-                b.iter(|| e.forward_image(black_box(&image)).expect("forward"));
-                json.record(&key::lanes("forward_image", width, bits), b.last_ns_per_iter);
-            });
-        }
     }
     group.finish();
 
-    // Dataset pass: window memoization off vs on at the default budget,
-    // over real images (MNIST when `data/mnist` is present, synthetic
-    // digits otherwise — the keys name the source).
+    // Dataset pass: per-image time over distinct images (MNIST when
+    // `data/mnist` is present, synthetic digits otherwise — the keys name
+    // the source).
     let (dataset, _, source) =
         load_or_synthesize(Path::new("data/mnist"), DATASET_IMAGES, 1, 20170327).expect("dataset");
     let images: Vec<&[f32]> = (0..dataset.len()).map(|i| dataset.item(i)).collect();
@@ -107,93 +92,22 @@ fn main() {
     group.sample_size(10).measurement_time(Duration::from_secs(2));
     for bits in PRECISIONS {
         let precision = Precision::new(bits).expect("valid");
-        let plain = StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work())
+        let engine = StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work())
             .expect("engine");
-        let opts = ScOptions { window_cache: WindowCacheMode::on(), ..ScOptions::this_work() };
-        let cached = StochasticConvLayer::from_conv(&conv, precision, opts).expect("engine");
-
-        // One cold pass measures the honest first-visit hit rate (and
-        // doubles as correctness insurance before the timing loops).
-        for (i, image) in images.iter().enumerate() {
-            let expect = plain.forward_image(image).expect("forward");
-            assert_eq!(expect, cached.forward_image(image).expect("forward"), "image {i}");
-        }
-        let stats = cached.window_cache_stats().expect("cache stats");
-        json.record(
-            &key::per_bits("forward_image", &format!("window_cache/hit_rate/{source}"), bits),
-            stats.hit_rate(),
-        );
-        json.record(
-            &key::per_bits("forward_image", &format!("window_cache/hits/{source}"), bits),
-            stats.hits as f64,
-        );
-        json.record(
-            &key::per_bits("forward_image", &format!("window_cache/misses/{source}"), bits),
-            stats.misses as f64,
-        );
-        json.record(
-            &key::per_bits("forward_image", &format!("window_cache/evictions/{source}"), bits),
-            stats.evictions as f64,
-        );
-        println!(
-            "forward_image: {bits}-bit cold window-cache hit rate over {} {source} images: {:.1}%",
-            images.len(),
-            stats.hit_rate() * 100.0
-        );
-
-        let id = BenchmarkId::new(format!("dataset_{source}/window_cache_off"), bits);
-        group.bench_with_input(id, &plain, |b, e| {
+        let metric = format!("dataset_{source}");
+        group.bench_with_input(BenchmarkId::new(&metric, bits), &engine, |b, e| {
             b.iter(|| {
                 for image in &images {
                     black_box(e.forward_image(black_box(image)).expect("forward"));
                 }
             });
             json.record(
-                &key::per_bits(
-                    "forward_image",
-                    &format!("dataset_{source}/window_cache_off"),
-                    bits,
-                ),
-                b.last_ns_per_iter / images.len() as f64,
-            );
-        });
-        let id = BenchmarkId::new(format!("dataset_{source}/window_cache_on"), bits);
-        group.bench_with_input(id, &cached, |b, e| {
-            b.iter(|| {
-                for image in &images {
-                    black_box(e.forward_image(black_box(image)).expect("forward"));
-                }
-            });
-            json.record(
-                &key::per_bits("forward_image", &format!("dataset_{source}/window_cache_on"), bits),
+                &key::per_bits("forward_image", &metric, bits),
                 b.last_ns_per_iter / images.len() as f64,
             );
         });
     }
     group.finish();
-    for bits in PRECISIONS {
-        let off = json.get(&key::per_bits(
-            "forward_image",
-            &format!("dataset_{source}/window_cache_off"),
-            bits,
-        ));
-        let on = json.get(&key::per_bits(
-            "forward_image",
-            &format!("dataset_{source}/window_cache_on"),
-            bits,
-        ));
-        if let (Some(off), Some(on)) = (off, on) {
-            let speedup = off / on;
-            json.record(
-                &key::per_bits("forward_image", &format!("speedup_window_cache_x/{source}"), bits),
-                speedup,
-            );
-            println!(
-                "forward_image: {bits}-bit window-cache speedup {speedup:.2}x over uncached \
-                 ({source} dataset, warm cache)"
-            );
-        }
-    }
 
     for bits in PRECISIONS {
         let lut = json.get(&key::per_bits("forward_image", "tff_lut", bits));
@@ -204,15 +118,6 @@ fn main() {
             println!(
                 "forward_image: {bits}-bit TFF count-table speedup {speedup:.1}x over streaming"
             );
-        }
-        // Wide-lane speedup vs the retained u16 baseline (the default path
-        // is u64 lanes, so this is the measured win of the redesign).
-        let u16_ns = json.get(&key::lanes("forward_image", "u16", bits));
-        let u64_ns = json.get(&key::lanes("forward_image", "u64", bits));
-        if let (Some(u16_ns), Some(u64_ns)) = (u16_ns, u64_ns) {
-            let speedup = u16_ns / u64_ns;
-            json.record(&key::per_bits("forward_image", "speedup_lanes_u64_x", bits), speedup);
-            println!("forward_image: {bits}-bit u64-lane speedup {speedup:.1}x over u16 lanes");
         }
     }
     // --- Observability: metrics-layer overhead and stage percentiles ---

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scnn_bitstream::Precision;
-use scnn_core::{BinaryConvLayer, FirstLayer, ScOptions, StochasticConvLayer, WindowCacheMode};
+use scnn_core::{BinaryConvLayer, FirstLayer, ScOptions, StochasticConvLayer};
 use scnn_nn::data::synthetic;
 use scnn_nn::layers::{Conv2d, Padding};
 use std::hint::black_box;
@@ -31,21 +31,6 @@ fn bench_first_layers(c: &mut Criterion) {
             b.iter(|| engine.forward_image(black_box(&image)).expect("forward"))
         });
     }
-    // Window memoization at the default budget; repeated forwards of one
-    // image are the cache's best case, so this point shows the ceiling of
-    // the memoized path (steady state, every window a hit).
-    let cached = StochasticConvLayer::from_conv(
-        &conv,
-        Precision::new(6).expect("valid"),
-        ScOptions { window_cache: WindowCacheMode::on(), ..ScOptions::this_work() },
-    )
-    .expect("engine");
-    // One warm-up pass populates the cache so even single-batch smoke
-    // runs measure the steady state rather than the cold fill.
-    cached.forward_image(&image).expect("forward");
-    group.bench_function("this_work_window_cache/6", |b| {
-        b.iter(|| cached.forward_image(black_box(&image)).expect("forward"))
-    });
     // The old-SC MUX engine (route-masked count sum); one point suffices.
     let old = StochasticConvLayer::from_conv(
         &conv,

@@ -1,64 +1,17 @@
 //! Dataset and base-model preparation shared by the table harnesses.
 
-use scnn_core::counts::WINDOW_CACHE_ENV;
 use scnn_core::{
-    retrain_with_cache, train_base, AdderKind, BaseModel, FeatureCache, FeatureCacheMode,
-    FirstLayer, HeadKind, HybridLenet, RetrainConfig, RetrainReport, ScenarioSpec, TrainConfig,
-    WindowCacheMode, FEATURE_CACHE_ENV,
+    retrain_with_cache, train_base, BaseModel, FeatureCache, FeatureCacheMode, FirstLayer,
+    HybridLenet, RetrainConfig, RetrainReport, ScenarioSpec, TrainConfig, FEATURE_CACHE_ENV,
 };
 use scnn_nn::data::{load_or_synthesize, DataSource, Dataset};
 use std::path::Path;
 
-/// Pure parsing core behind [`window_cache_env_mode`]: `None` (variable
-/// unset) means off; any set value goes through
-/// [`WindowCacheMode::from_env_value`]. The error message always names
-/// the variable, echoes the offending value, and spells out the accepted
-/// grammar, so a typo'd override tells the operator exactly what to fix.
-///
-/// # Errors
-///
-/// Returns the harness-facing message for an unparseable value.
-///
-/// ```
-/// use scnn_bench::setup::parse_window_cache_env;
-///
-/// assert!(parse_window_cache_env(Some("on")).unwrap().is_on());
-/// let msg = parse_window_cache_env(Some("bananas")).unwrap_err();
-/// assert!(msg.contains("SCNN_WINDOW_CACHE"));
-/// assert!(msg.contains("\"bananas\""));
-/// assert!(msg.contains("off/0"));
-/// ```
-pub fn parse_window_cache_env(value: Option<&str>) -> Result<WindowCacheMode, String> {
-    let Some(value) = value else { return Ok(WindowCacheMode::Off) };
-    WindowCacheMode::from_env_value(value).map_err(|_| {
-        format!(
-            "invalid {WINDOW_CACHE_ENV}={value:?}: accepted values are off/0 (disable), \
-             on/1 (enable at the default budget), or a positive integer entry budget"
-        )
-    })
-}
-
-/// The window-memoization mode requested through the `SCNN_WINDOW_CACHE`
-/// environment variable ([`WINDOW_CACHE_ENV`]), for harness binaries:
-/// `off`/`0`/unset disable it, `on`/`1` select the default budget, a
-/// positive integer sets the entry budget.
-///
-/// # Panics
-///
-/// Panics on an unparseable value — harnesses are top-level binaries and
-/// a typo'd override must fail loudly, not silently run uncached. The
-/// message (from [`parse_window_cache_env`]) reports the offending value
-/// and the accepted grammar.
-pub fn window_cache_env_mode() -> WindowCacheMode {
-    let value = std::env::var(WINDOW_CACHE_ENV).ok();
-    parse_window_cache_env(value.as_deref()).unwrap_or_else(|msg| panic!("{msg}"))
-}
-
 /// Pure parsing core behind [`feature_cache_env_mode`]: `None` (variable
 /// unset) means off; any set value goes through
-/// [`FeatureCacheMode::from_env_value`]. Mirrors
-/// [`parse_window_cache_env`] — the message names the variable, echoes
-/// the value, and spells out the grammar.
+/// [`FeatureCacheMode::from_env_value`]. The error message always names
+/// the variable, echoes the offending value, and spells out the accepted
+/// grammar, so a typo'd override tells the operator exactly what to fix.
 ///
 /// # Errors
 ///
@@ -109,24 +62,6 @@ pub fn feature_cache_env_mode() -> FeatureCacheMode {
 pub fn obs_env_init() {
     if let Err(msg) = scnn_obs::init_from_env() {
         panic!("{msg}");
-    }
-}
-
-/// Applies a window-memoization override to `spec` — but only where the
-/// count-domain path can honor it: a stochastic head with the TFF adder
-/// and no fault injection, whose spec does not already pin a mode.
-/// Everything else (float/binary baselines, MUX ablations, noisy sweeps)
-/// passes through untouched, so one environment variable can blanket a
-/// whole harness without tripping the unsupported-path validation.
-pub fn with_window_cache(spec: &ScenarioSpec, mode: WindowCacheMode) -> ScenarioSpec {
-    let supported = spec.head == HeadKind::Stochastic
-        && spec.adder == AdderKind::Tff
-        && spec.fault.is_none()
-        && !spec.window_cache.is_on();
-    if mode.is_on() && supported {
-        spec.customize().window_cache(mode).build()
-    } else {
-        *spec
     }
 }
 
@@ -292,17 +227,13 @@ pub struct Workbench {
 
 impl Workbench {
     /// Compiles a [`ScenarioSpec`] into a first-layer engine over the
-    /// trained base convolution, honoring the `SCNN_WINDOW_CACHE`
-    /// environment override on every spec the count-domain path supports
-    /// (see [`with_window_cache`]).
+    /// trained base convolution.
     ///
     /// # Panics
     ///
     /// Panics on construction errors — harnesses are top-level binaries.
     pub fn first_layer(&self, spec: &ScenarioSpec) -> Box<dyn FirstLayer> {
-        with_window_cache(spec, window_cache_env_mode())
-            .first_layer(self.base.conv1())
-            .expect("scenario engine construction failed")
+        spec.first_layer(self.base.conv1()).expect("scenario engine construction failed")
     }
 
     /// Runs the §V-B retraining pipeline for one scenario: compile the
@@ -425,49 +356,6 @@ mod tests {
         assert_eq!(Effort::Smoke.trials(400), 50);
         assert_eq!(Effort::Smoke.trials(16), 8);
         assert_eq!(Effort::Full.trials(200), 400);
-    }
-
-    #[test]
-    fn window_cache_override_only_touches_supported_specs() {
-        let on = WindowCacheMode::on();
-        // The TFF stochastic spec picks the override up…
-        let tff = with_window_cache(&ScenarioSpec::this_work(6), on);
-        assert_eq!(tff.window_cache, on);
-        // …while baselines, MUX ablations and noisy sweeps pass through.
-        for spec in [
-            ScenarioSpec::float(),
-            ScenarioSpec::binary(6),
-            ScenarioSpec::old_sc(6),
-            ScenarioSpec::this_work(6).customize().bit_error_rate(0.01).build(),
-        ] {
-            assert_eq!(with_window_cache(&spec, on).window_cache, WindowCacheMode::Off);
-        }
-        // A spec that already pins a mode wins over the environment.
-        let pinned = ScenarioSpec::this_work(6)
-            .customize()
-            .window_cache(WindowCacheMode::Entries(7))
-            .build();
-        assert_eq!(with_window_cache(&pinned, on).window_cache, WindowCacheMode::Entries(7));
-        // Off never alters anything.
-        let untouched = with_window_cache(&ScenarioSpec::this_work(6), WindowCacheMode::Off);
-        assert_eq!(untouched.window_cache, WindowCacheMode::Off);
-    }
-
-    #[test]
-    fn window_cache_env_parse_reports_value_and_grammar() {
-        assert_eq!(parse_window_cache_env(None).unwrap(), WindowCacheMode::Off);
-        assert_eq!(parse_window_cache_env(Some("off")).unwrap(), WindowCacheMode::Off);
-        assert_eq!(parse_window_cache_env(Some("on")).unwrap(), WindowCacheMode::on());
-        assert_eq!(parse_window_cache_env(Some("128")).unwrap(), WindowCacheMode::Entries(128));
-        for bad in ["bananas", "-3", "1.5"] {
-            let msg = parse_window_cache_env(Some(bad)).unwrap_err();
-            assert!(msg.contains(WINDOW_CACHE_ENV), "message must name the variable: {msg}");
-            assert!(msg.contains(&format!("{bad:?}")), "message must echo the value: {msg}");
-            assert!(
-                msg.contains("off/0") && msg.contains("on/1") && msg.contains("entry budget"),
-                "message must spell out the grammar: {msg}"
-            );
-        }
     }
 
     #[test]

@@ -1,8 +1,5 @@
 use crate::arena::{and_count, StreamArena};
-use crate::counts::{
-    table_fits, AnyLevelCountTable, LaneWidth, LaneWord, LevelCountTable, LevelStreamCache,
-    ScratchPool,
-};
+use crate::counts::{table_fits, LevelCountTable, LevelStreamCache, ScratchPool};
 use crate::Error;
 use scnn_bitstream::Precision;
 use scnn_nn::layers::Dense;
@@ -87,10 +84,9 @@ pub struct StochasticDenseLayer {
     /// Source values for the input SNG bank (unipolar mode).
     input_seq: Vec<u64>,
     tree: TffAdderTree,
-    /// Level-indexed AND-count table of the configured [`LaneWidth`] for
-    /// the unipolar count-domain fast path; `None` for ternary inputs or
-    /// oversized configurations.
-    lut: Option<AnyLevelCountTable>,
+    /// Level-indexed AND-count table for the unipolar count-domain fast
+    /// path; `None` for ternary inputs or oversized configurations.
+    lut: Option<LevelCountTable>,
 }
 
 impl StochasticDenseLayer {
@@ -103,26 +99,6 @@ impl StochasticDenseLayer {
         dense: &Dense,
         precision: Precision,
         input_kind: DenseInput,
-        seed: u64,
-    ) -> Result<Self, Error> {
-        Self::from_dense_with_width(dense, precision, input_kind, LaneWidth::Auto, seed)
-    }
-
-    /// [`from_dense`](Self::from_dense) with an explicit count-domain
-    /// [`LaneWidth`]. `Auto` falls back to the streaming engine when the
-    /// count path is unavailable; an explicit width makes that an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Config`] when an explicit width is requested for a
-    /// configuration the count-domain path cannot serve (ternary inputs,
-    /// oversized table, stream counts beyond the 16-bit lane ceiling);
-    /// propagates stream/configuration errors.
-    pub fn from_dense_with_width(
-        dense: &Dense,
-        precision: Precision,
-        input_kind: DenseInput,
-        lane_width: LaneWidth,
         seed: u64,
     ) -> Result<Self, Error> {
         let &[in_features, out_features] = dense.weights().shape() else {
@@ -157,24 +133,17 @@ impl StochasticDenseLayer {
         // The unipolar count-domain fast path: weight streams are already
         // lane-major (`neuron · in_features + input`), exactly the
         // LevelCountTable convention.
-        let count_path = input_kind == DenseInput::Unipolar
-            && table_fits(n, in_features, out_features)
-            && lane_width.supports_counts_to(n);
+        let count_path =
+            input_kind == DenseInput::Unipolar && table_fits(n, in_features, out_features);
         let lut = if count_path {
             let _build = scnn_obs::span("dense/lut_build");
-            Some(AnyLevelCountTable::build(
-                lane_width,
+            Some(LevelCountTable::build(
                 &input_seq,
                 &weight_streams,
                 &weight_neg,
                 in_features,
                 out_features,
             )?)
-        } else if lane_width != LaneWidth::Auto {
-            return Err(Error::config(format!(
-                "lane width {lane_width} requires the dense count-domain path (unipolar inputs, \
-                 table within budget, stream counts within the 16-bit lane ceiling)"
-            )));
         } else {
             None
         };
@@ -214,12 +183,6 @@ impl StochasticDenseLayer {
         self.lut.is_some()
     }
 
-    /// The concrete [`LaneWidth`] of the count-domain fold (never `Auto`),
-    /// or `None` when the engine runs the streaming path.
-    pub fn lane_width(&self) -> Option<LaneWidth> {
-        self.lut.as_ref().map(AnyLevelCountTable::width)
-    }
-
     /// Computes all neuron outputs (scaled dot-product units, bias
     /// included) for one input vector.
     ///
@@ -232,10 +195,9 @@ impl StochasticDenseLayer {
     /// Returns [`Error::Config`] on a wrong input length or values outside
     /// the declared [`DenseInput`] domain.
     pub fn forward(&self, input: &[f32]) -> Result<Vec<f32>, Error> {
-        if self.lut.is_some() {
-            self.forward_lut(input)
-        } else {
-            self.forward_streaming(input)
+        match &self.lut {
+            Some(lut) => self.forward_lut(lut, input),
+            None => self.forward_streaming(input),
         }
     }
 
@@ -264,26 +226,10 @@ impl StochasticDenseLayer {
         Ok(())
     }
 
-    /// The count-domain fast path: dispatches the configured lane width
-    /// into the monomorphized fold.
-    fn forward_lut(&self, input: &[f32]) -> Result<Vec<f32>, Error> {
-        match self.lut.as_ref().expect("caller checked uses_count_table") {
-            AnyLevelCountTable::U16(lut) => self.forward_lut_typed(lut, input),
-            AnyLevelCountTable::U32(lut) => self.forward_lut_typed(lut, input),
-            AnyLevelCountTable::U64(lut) => self.forward_lut_typed(lut, input),
-            AnyLevelCountTable::U128(lut) => self.forward_lut_typed(lut, input),
-        }
-    }
-
-    /// The count-domain fast path over one [`LaneWord`]: quantize each
-    /// input once, gather its AND counts for all neurons from the
-    /// level-indexed table, and fold both trees in packed neuron lanes on
-    /// pooled scratch.
-    fn forward_lut_typed<W: LaneWord>(
-        &self,
-        lut: &LevelCountTable<W>,
-        input: &[f32],
-    ) -> Result<Vec<f32>, Error> {
+    /// The count-domain fast path: quantize each input once, gather its
+    /// AND counts for all neurons from the level-indexed table, and fold
+    /// both trees in neuron lanes on pooled scratch.
+    fn forward_lut(&self, lut: &LevelCountTable, input: &[f32]) -> Result<Vec<f32>, Error> {
         self.check_input(input)?;
         let _forward = scnn_obs::span("dense/forward");
         if scnn_obs::metrics_enabled() {
@@ -292,18 +238,10 @@ impl StochasticDenseLayer {
         let bits = self.precision.bits();
         let n = self.precision.stream_len() as f32;
         let max_leaf = self.precision.stream_len();
-        let mut pos = ScratchPool::checkout::<W>(
-            self.in_features,
-            self.out_features,
-            DENSE_S0_POLICY,
-            max_leaf,
-        )?;
-        let mut neg = ScratchPool::checkout::<W>(
-            self.in_features,
-            self.out_features,
-            DENSE_S0_POLICY,
-            max_leaf,
-        )?;
+        let mut pos =
+            ScratchPool::checkout(self.in_features, self.out_features, DENSE_S0_POLICY, max_leaf)?;
+        let mut neg =
+            ScratchPool::checkout(self.in_features, self.out_features, DENSE_S0_POLICY, max_leaf)?;
         let _fold = scnn_obs::span("dense/fold");
         for (i, &v) in input.iter().enumerate() {
             let level = pixel_level(v, bits) as usize;
@@ -513,50 +451,6 @@ mod tests {
                 "in={in_f} out={out_f} bits={bits}"
             );
         }
-    }
-
-    #[test]
-    fn every_lane_width_is_bit_exact_with_streaming() {
-        let dense = Dense::new(25, 5, 11);
-        let input: Vec<f32> = (0..25).map(|i| ((i * 37) % 100) as f32 / 100.0).collect();
-        let auto = StochasticDenseLayer::from_dense(
-            &dense,
-            Precision::new(6).unwrap(),
-            DenseInput::Unipolar,
-            2,
-        )
-        .unwrap();
-        assert_eq!(auto.lane_width(), Some(LaneWidth::U64));
-        let reference = auto.forward_streaming(&input).unwrap();
-        for width in [LaneWidth::U16, LaneWidth::U32, LaneWidth::U64, LaneWidth::U128] {
-            let layer = StochasticDenseLayer::from_dense_with_width(
-                &dense,
-                Precision::new(6).unwrap(),
-                DenseInput::Unipolar,
-                width,
-                2,
-            )
-            .unwrap();
-            assert_eq!(layer.lane_width(), Some(width));
-            assert_eq!(
-                layer.forward(&input).unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "width={width}"
-            );
-        }
-    }
-
-    #[test]
-    fn explicit_width_rejects_the_ternary_mode() {
-        let dense = Dense::new(8, 2, 0);
-        assert!(StochasticDenseLayer::from_dense_with_width(
-            &dense,
-            Precision::new(6).unwrap(),
-            DenseInput::Ternary,
-            LaneWidth::U64,
-            1,
-        )
-        .is_err());
     }
 
     #[test]

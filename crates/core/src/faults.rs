@@ -14,8 +14,8 @@
 //! any stream bits.
 //!
 //! [`CountFaultPlan`] precomputes, per stream-bit position `j` and tap
-//! `t`, the packed per-kernel weight-bit indicator rows (split by weight
-//! sign, mirroring [`LevelCountTable::gather`]'s routing). Per image,
+//! `t`, the per-kernel weight-bit indicator rows (split by weight sign,
+//! mirroring [`LevelCountTable::gather`]'s routing). Per image,
 //! [`CountFaultPlan::image_faults`] gap-samples each pixel's flip
 //! positions — seeded from `(seed, image_index, pixel)`, so the flip set
 //! is a pure function of the image *index*, byte-identical for any
@@ -29,19 +29,17 @@
 //! (property-tested moments), it just draws a different deterministic
 //! realization.
 //!
-//! Carry-safety: [`ImageFaults::apply`] accumulates a pixel's `0→1` flips
+//! Lane safety: [`ImageFaults::apply`] accumulates a pixel's `0→1` flips
 //! (count grows) before its `1→0` flips (count shrinks). Each add keeps a
-//! lane at most `healthy + plus ≤ 2N ≤ 65534`, so [`LaneWord::lane_add`]
-//! never carries; each subtract then steps the lane down toward the final
-//! faulted count, which is a true AND-count and hence non-negative, so
-//! every intermediate stays `≥ 0` and [`LaneWord::lane_sub`] never
-//! borrows.
+//! lane at most `healthy + plus ≤ 2N ≤ 65534`, so it never wraps; each
+//! subtract then steps the lane down toward the final faulted count,
+//! which is a true AND-count and hence non-negative, so every
+//! intermediate stays `≥ 0`.
 
 use crate::arena::StreamArena;
-use crate::counts::{LaneWidth, LaneWord, LevelCountTable};
+use crate::counts::LevelCountTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::any::Any;
 
 /// Deterministic per-(seed, image, pixel) RNG seed: a SplitMix64-style
 /// finalizer over the three coordinates, so neighbouring images and
@@ -56,14 +54,14 @@ fn fault_seed(seed: u64, image: u64, pixel: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-engine precomputation for count-domain bit-error injection over one
-/// [`LaneWord`]; built at engine construction alongside the count table.
+/// Per-engine precomputation for count-domain bit-error injection; built
+/// at engine construction alongside the count table.
 #[derive(Debug, Clone)]
-pub(crate) struct CountFaultPlan<W: LaneWord> {
+pub(crate) struct CountFaultPlan {
     seed: u64,
     n: usize,
     taps: usize,
-    row_words: usize,
+    lanes: usize,
     /// `ln(1 − ber)` — the geometric gap sampler's denominator (`−∞` when
     /// `ber == 1`: every gap is 0). Computed via `ln_1p` so denormally
     /// small rates don't round it to 0.
@@ -71,15 +69,15 @@ pub(crate) struct CountFaultPlan<W: LaneWord> {
     /// The comparator source sequence: bit `j` of a level-`L` pixel stream
     /// is `pixel_seq[j] < L`, which decides each flip's sign.
     pixel_seq: Vec<u64>,
-    /// Per `(stream bit j, tap t)`: packed per-kernel weight-bit indicator
-    /// rows (lane `k` is 1 where kernel `k`'s weight stream has a 1 at
-    /// `j`), the positive-weight row then the negative-weight row, laid
-    /// out `(j · taps + t) · 2 · row_words` so one flip touches one
-    /// contiguous row pair.
-    plane: Vec<W>,
+    /// Per `(stream bit j, tap t)`: per-kernel weight-bit indicator rows
+    /// (lane `k` is 1 where kernel `k`'s weight stream has a 1 at `j`),
+    /// the positive-weight row then the negative-weight row, laid out
+    /// `(j · taps + t) · 2 · lanes` so one flip touches one contiguous
+    /// row pair.
+    plane: Vec<u16>,
 }
 
-impl<W: LaneWord> CountFaultPlan<W> {
+impl CountFaultPlan {
     /// Precomputes the weight bit planes; arguments mirror
     /// [`LevelCountTable::build`] plus the fault parameters.
     pub(crate) fn build(
@@ -92,30 +90,20 @@ impl<W: LaneWord> CountFaultPlan<W> {
         lanes: usize,
     ) -> Self {
         let n = pixel_seq.len();
-        let row_words = lanes.div_ceil(W::LANES);
-        let mut plane = vec![W::ZERO; n * taps * 2 * row_words];
+        let mut plane = vec![0u16; n * taps * 2 * lanes];
         for k in 0..lanes {
             for t in 0..taps {
                 let idx = k * taps + t;
                 let words = weight_streams.stream(idx);
-                let half = usize::from(weight_neg[idx]) * row_words;
+                let half = usize::from(weight_neg[idx]) * lanes;
                 for j in 0..n {
                     if (words[j / 64] >> (j % 64)) & 1 == 1 {
-                        plane[(j * taps + t) * 2 * row_words + half + k / W::LANES]
-                            .set_lane(k % W::LANES, 1);
+                        plane[(j * taps + t) * 2 * lanes + half + k] = 1;
                     }
                 }
             }
         }
-        Self {
-            seed,
-            n,
-            taps,
-            row_words,
-            ln_keep: (-ber).ln_1p(),
-            pixel_seq: pixel_seq.to_vec(),
-            plane,
-        }
+        Self { seed, n, taps, lanes, ln_keep: (-ber).ln_1p(), pixel_seq: pixel_seq.to_vec(), plane }
     }
 
     /// Samples this image's flip set (seeded from `(seed, image_index,
@@ -123,7 +111,7 @@ impl<W: LaneWord> CountFaultPlan<W> {
     ///
     /// `levels` holds one quantized comparator level per pixel — the same
     /// values the LUT forward gathers with.
-    pub(crate) fn image_faults(&self, levels: &[usize], image_index: u64) -> ImageFaults<'_, W> {
+    pub(crate) fn image_faults(&self, levels: &[usize], image_index: u64) -> ImageFaults<'_> {
         let mut starts = Vec::with_capacity(levels.len() + 1);
         starts.push(0u32);
         let mut splits = Vec::with_capacity(levels.len());
@@ -165,11 +153,11 @@ impl<W: LaneWord> CountFaultPlan<W> {
 
 /// One image's sampled flip set: per pixel, the flipped stream-bit
 /// positions (`0→1` flips first, then `1→0` — the order
-/// [`apply`](Self::apply)'s carry-safety argument needs), resolved against
+/// [`apply`](Self::apply)'s lane-safety argument needs), resolved against
 /// the plan's cache-hot weight planes at gather time.
 #[derive(Debug)]
-pub(crate) struct ImageFaults<'a, W: LaneWord> {
-    plan: &'a CountFaultPlan<W>,
+pub(crate) struct ImageFaults<'a> {
+    plan: &'a CountFaultPlan,
     /// Per pixel: start offset of its flips in `bits` (one trailing end).
     starts: Vec<u32>,
     /// Per pixel: offset where its `1→0` flips begin.
@@ -180,114 +168,41 @@ pub(crate) struct ImageFaults<'a, W: LaneWord> {
     pub(crate) flips: u64,
 }
 
-impl<W: LaneWord> ImageFaults<'_, W> {
+impl ImageFaults<'_> {
     /// Perturbs one gathered `(pixel, tap)` row pair in place. A pixel
     /// without flips is two indexed loads — the common case at small
     /// bit-error rates.
     #[inline]
-    pub(crate) fn apply(&self, pixel: usize, tap: usize, pos: &mut [W], neg: &mut [W]) {
+    pub(crate) fn apply(&self, pixel: usize, tap: usize, pos: &mut [u16], neg: &mut [u16]) {
         let start = self.starts[pixel] as usize;
         let end = self.starts[pixel + 1] as usize;
         if start == end {
             return;
         }
         let split = self.splits[pixel] as usize;
-        let rw = self.plan.row_words;
-        let taps = self.plan.taps;
+        let lanes = self.plan.lanes;
+        let row = |j: u16| {
+            let row = &self.plan.plane[(j as usize * self.plan.taps + tap) * 2 * lanes..];
+            row[..2 * lanes].split_at(lanes)
+        };
         for &j in &self.bits[start..split] {
-            let row = &self.plan.plane[(j as usize * taps + tap) * 2 * rw..][..2 * rw];
-            for w in 0..rw {
-                pos[w] = pos[w].lane_add(row[w]);
-                neg[w] = neg[w].lane_add(row[rw + w]);
+            let (plus_pos, plus_neg) = row(j);
+            for (p, &d) in pos.iter_mut().zip(plus_pos) {
+                *p = p.wrapping_add(d);
+            }
+            for (m, &d) in neg.iter_mut().zip(plus_neg) {
+                *m = m.wrapping_add(d);
             }
         }
         for &j in &self.bits[split..end] {
-            let row = &self.plan.plane[(j as usize * taps + tap) * 2 * rw..][..2 * rw];
-            for w in 0..rw {
-                pos[w] = pos[w].lane_sub(row[w]);
-                neg[w] = neg[w].lane_sub(row[rw + w]);
+            let (minus_pos, minus_neg) = row(j);
+            for (p, &d) in pos.iter_mut().zip(minus_pos) {
+                *p = p.wrapping_sub(d);
+            }
+            for (m, &d) in neg.iter_mut().zip(minus_neg) {
+                *m = m.wrapping_sub(d);
             }
         }
-    }
-}
-
-/// A [`CountFaultPlan`] of runtime-selected [`LaneWidth`], mirroring
-/// [`AnyLevelCountTable`](crate::counts::AnyLevelCountTable): the engine
-/// builds the plan with its table's width and recovers the typed plan
-/// inside each monomorphized forward.
-#[derive(Debug, Clone)]
-pub(crate) enum AnyCountFaultPlan {
-    U16(CountFaultPlan<u16>),
-    U32(CountFaultPlan<u32>),
-    U64(CountFaultPlan<u64>),
-    U128(CountFaultPlan<u128>),
-}
-
-impl AnyCountFaultPlan {
-    /// Builds a plan of the given width ([`LaneWidth::Auto`] resolves as
-    /// for the table); arguments as in [`CountFaultPlan::build`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build(
-        width: LaneWidth,
-        ber: f64,
-        seed: u64,
-        pixel_seq: &[u64],
-        weight_streams: &StreamArena,
-        weight_neg: &[bool],
-        taps: usize,
-        lanes: usize,
-    ) -> Self {
-        match width.resolve() {
-            LaneWidth::U16 => Self::U16(CountFaultPlan::build(
-                ber,
-                seed,
-                pixel_seq,
-                weight_streams,
-                weight_neg,
-                taps,
-                lanes,
-            )),
-            LaneWidth::U32 => Self::U32(CountFaultPlan::build(
-                ber,
-                seed,
-                pixel_seq,
-                weight_streams,
-                weight_neg,
-                taps,
-                lanes,
-            )),
-            LaneWidth::U64 => Self::U64(CountFaultPlan::build(
-                ber,
-                seed,
-                pixel_seq,
-                weight_streams,
-                weight_neg,
-                taps,
-                lanes,
-            )),
-            LaneWidth::U128 => Self::U128(CountFaultPlan::build(
-                ber,
-                seed,
-                pixel_seq,
-                weight_streams,
-                weight_neg,
-                taps,
-                lanes,
-            )),
-            LaneWidth::Auto => unreachable!("resolve never returns Auto"),
-        }
-    }
-
-    /// The typed plan for the monomorphized forward; the engine guarantees
-    /// the plan was built with the table's width.
-    pub(crate) fn typed<W: LaneWord>(&self) -> &CountFaultPlan<W> {
-        let any: &dyn Any = match self {
-            Self::U16(p) => p,
-            Self::U32(p) => p,
-            Self::U64(p) => p,
-            Self::U128(p) => p,
-        };
-        any.downcast_ref().expect("fault plan width matches the table width")
     }
 }
 
@@ -295,14 +210,14 @@ impl AnyCountFaultPlan {
 /// plus this image's delta rows. Factored here so the engine's window loop
 /// stays one call.
 #[inline]
-pub(crate) fn gather_faulted<W: LaneWord>(
-    lut: &LevelCountTable<W>,
-    faults: &ImageFaults<'_, W>,
+pub(crate) fn gather_faulted(
+    lut: &LevelCountTable,
+    faults: &ImageFaults<'_>,
     level: usize,
     pixel: usize,
     tap: usize,
-    pos: &mut [W],
-    neg: &mut [W],
+    pos: &mut [u16],
+    neg: &mut [u16],
 ) {
     lut.gather(level, tap, pos, neg);
     faults.apply(pixel, tap, pos, neg);
@@ -318,7 +233,7 @@ mod tests {
         bits: u32,
         taps: usize,
         lanes: usize,
-    ) -> (Vec<u64>, StreamArena, Vec<bool>, LevelCountTable<u64>) {
+    ) -> (Vec<u64>, StreamArena, Vec<bool>, LevelCountTable) {
         let n = 1usize << bits;
         let pixel_seq = SourceKind::Ramp.sequence(bits, n, 1).unwrap();
         let weight_seq = SourceKind::Sobol2.sequence(bits, n, 7).unwrap();
@@ -328,7 +243,7 @@ mod tests {
             weights.write_from_levels(i, &weight_seq, (i as u64 * 3 + 1) % (n as u64));
             *sign = i % 4 == 2;
         }
-        let table = LevelCountTable::<u64>::build(&pixel_seq, &weights, &neg, taps, lanes).unwrap();
+        let table = LevelCountTable::build(&pixel_seq, &weights, &neg, taps, lanes).unwrap();
         (pixel_seq, weights, neg, table)
     }
 
@@ -360,12 +275,11 @@ mod tests {
         let n = 1usize << bits;
         let (pixel_seq, weights, neg, table) = fixture(bits, taps, lanes);
         let (ber, seed) = (0.2f64, 99u64);
-        let plan = CountFaultPlan::<u64>::build(ber, seed, &pixel_seq, &weights, &neg, taps, lanes);
+        let plan = CountFaultPlan::build(ber, seed, &pixel_seq, &weights, &neg, taps, lanes);
         // Pretend a `taps`-pixel image where window tap t reads pixel t.
         let levels: Vec<usize> = (0..taps).map(|p| (p * 11 + 3) % (n + 1)).collect();
         for image in 0..8u64 {
             let faults = plan.image_faults(&levels, image);
-            let rw = table.row_words();
             for (p, &level) in levels.iter().enumerate() {
                 // Literal flipped stream of pixel p.
                 let flips = reference_flips(seed, image, p as u64, n, ber);
@@ -373,8 +287,8 @@ mod tests {
                 for &j in &flips {
                     stream[j] = !stream[j];
                 }
-                let mut pos = vec![0u64; rw];
-                let mut neg_row = vec![0u64; rw];
+                let mut pos = vec![0u16; lanes];
+                let mut neg_row = vec![0u16; lanes];
                 gather_faulted(&table, &faults, level, p, p, &mut pos, &mut neg_row);
                 for k in 0..lanes {
                     let idx = k * taps + p;
@@ -382,12 +296,10 @@ mod tests {
                     let want: u16 = (0..n)
                         .filter(|&j| stream[j] && (words[j / 64] >> (j % 64)) & 1 == 1)
                         .count() as u16;
-                    let got =
-                        if neg[idx] { neg_row[k / 4].lane(k % 4) } else { pos[k / 4].lane(k % 4) };
+                    let got = if neg[idx] { neg_row[k] } else { pos[k] };
                     assert_eq!(got, want, "image={image} pixel={p} kernel={k}");
                     // And the other tree's lane stays untouched.
-                    let other =
-                        if neg[idx] { pos[k / 4].lane(k % 4) } else { neg_row[k / 4].lane(k % 4) };
+                    let other = if neg[idx] { pos[k] } else { neg_row[k] };
                     assert_eq!(other, 0, "image={image} pixel={p} kernel={k}");
                 }
             }
@@ -398,7 +310,7 @@ mod tests {
     fn flip_sets_depend_on_image_index_not_thread_or_order() {
         let (bits, taps, lanes) = (4u32, 3usize, 2usize);
         let (pixel_seq, weights, neg, _table) = fixture(bits, taps, lanes);
-        let plan = CountFaultPlan::<u64>::build(0.3, 5, &pixel_seq, &weights, &neg, taps, lanes);
+        let plan = CountFaultPlan::build(0.3, 5, &pixel_seq, &weights, &neg, taps, lanes);
         let levels = vec![3usize; taps];
         let a = plan.image_faults(&levels, 12);
         let b = plan.image_faults(&levels, 12);
@@ -416,7 +328,7 @@ mod tests {
         // of its 1→0 flips; check the layout against the comparator rule.
         let (bits, taps, lanes) = (6u32, 2usize, 1usize);
         let (pixel_seq, weights, neg, _table) = fixture(bits, taps, lanes);
-        let plan = CountFaultPlan::<u64>::build(0.4, 21, &pixel_seq, &weights, &neg, taps, lanes);
+        let plan = CountFaultPlan::build(0.4, 21, &pixel_seq, &weights, &neg, taps, lanes);
         let levels = vec![40usize, 9];
         let faults = plan.image_faults(&levels, 3);
         for (p, &level) in levels.iter().enumerate() {
@@ -440,8 +352,7 @@ mod tests {
         let n = 1usize << bits;
         let (pixel_seq, weights, neg, _table) = fixture(bits, taps, lanes);
         for ber in [0.02f64, 0.1, 0.5] {
-            let plan =
-                CountFaultPlan::<u64>::build(ber, 11, &pixel_seq, &weights, &neg, taps, lanes);
+            let plan = CountFaultPlan::build(ber, 11, &pixel_seq, &weights, &neg, taps, lanes);
             let levels = vec![7usize; 64]; // 64 "pixels" per image
             let mut flips = 0u64;
             let images = 40u64;
@@ -459,7 +370,7 @@ mod tests {
         let (bits, taps, lanes) = (4u32, 2usize, 1usize);
         let n = 1usize << bits;
         let (pixel_seq, weights, neg, _table) = fixture(bits, taps, lanes);
-        let plan = CountFaultPlan::<u64>::build(1.0, 3, &pixel_seq, &weights, &neg, taps, lanes);
+        let plan = CountFaultPlan::build(1.0, 3, &pixel_seq, &weights, &neg, taps, lanes);
         let levels = vec![5usize; taps];
         let faults = plan.image_faults(&levels, 0);
         assert_eq!(faults.flips, (taps * n) as u64);

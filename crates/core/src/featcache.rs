@@ -10,23 +10,20 @@
 //! dataset fingerprint to the `Arc`'d extracted feature [`Dataset`], so
 //! one extraction serves every scenario that shares an engine.
 //!
-//! Unlike the [`WindowCache`](crate::counts::WindowCache) — millions of
-//! tiny per-window entries behind sharded locks — this cache holds a
-//! handful of multi-megabyte feature sets, so a single mutex over an
-//! entry list is the right shape: the lock is touched twice per
-//! retraining run and never during extraction.
+//! The cache holds a handful of multi-megabyte feature sets, so a single
+//! mutex over an entry list is the right shape: the lock is touched twice
+//! per retraining run and never during extraction.
 
+use crate::dense::DenseInput;
 use crate::scenario::ScenarioSpec;
 use crate::Error;
 use scnn_nn::data::Dataset;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Environment variable selecting the feature-cache mode for the bench
-/// harnesses (parsed by `scnn_bench::setup::feature_cache_env_mode`, same
-/// grammar as `SCNN_WINDOW_CACHE`: `off`/`0`, `on`/`1`, or an entry
-/// budget).
+/// harnesses (parsed by `scnn_bench::setup::feature_cache_env_mode`:
+/// `off`/`0`, `on`/`1`, or an entry budget).
 pub const FEATURE_CACHE_ENV: &str = "SCNN_FEATURE_CACHE";
 
 /// Default entry budget: one entry is a full extracted feature set
@@ -83,38 +80,23 @@ impl FeatureCacheMode {
 /// Cache key: the spec fields that determine the extracted feature values,
 /// plus a fingerprint of the dataset they are extracted over.
 ///
-/// Deliberately **excluded** are the bit-exact performance knobs —
-/// `lane_width` and `window_cache` change how fast the fold runs, never
-/// what it produces (property-tested elsewhere) — and `input_mode`, which
-/// only affects dense-layer compilation, not the conv head the retraining
-/// features come from. Scenarios differing only in those fields share one
-/// extraction.
+/// Every [`ScenarioSpec`] field determines the features except
+/// `input_mode`, which only affects dense-layer compilation, not the conv
+/// head the retraining features come from; scenarios differing only in
+/// it share one extraction.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FeatureKey(String);
 
 impl FeatureKey {
     /// The key for extracting `spec`'s first-layer features over `source`.
     ///
-    /// Float fields enter through their exact bit patterns; enums through
-    /// their `Debug` rendering (injective: every variant and payload
-    /// prints distinctly).
+    /// The spec enters through its derived `Debug` rendering with
+    /// `input_mode` pinned, so a new spec field joins the key without
+    /// being listed here. The rendering is injective: every variant and
+    /// payload prints distinctly, and `Debug` of `f32`/`f64` round-trips.
     pub fn new(spec: &ScenarioSpec, source: &Dataset) -> Self {
-        let mut key = String::new();
-        let _ = write!(
-            key,
-            "{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:08x}|{:?}|{}|ds:{:016x}",
-            spec.head,
-            spec.bits,
-            spec.adder,
-            spec.pixel_source,
-            spec.weight_source,
-            spec.s0_policy,
-            spec.soft_threshold.to_bits(),
-            spec.fault,
-            spec.seed,
-            dataset_fingerprint(source),
-        );
-        FeatureKey(key)
+        let semantic = ScenarioSpec { input_mode: DenseInput::Unipolar, ..*spec };
+        FeatureKey(format!("{semantic:?}|ds:{:016x}", dataset_fingerprint(source)))
     }
 }
 
@@ -328,11 +310,10 @@ impl FeatureCache {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioSpec;
-    use crate::WindowCacheMode;
     use scnn_nn::data::synthetic;
 
     #[test]
-    fn mode_parses_the_window_cache_grammar() {
+    fn mode_parses_the_env_grammar() {
         assert_eq!(FeatureCacheMode::from_env_value("off").unwrap(), FeatureCacheMode::Off);
         assert_eq!(FeatureCacheMode::from_env_value("0").unwrap(), FeatureCacheMode::Off);
         assert_eq!(FeatureCacheMode::from_env_value("on").unwrap(), FeatureCacheMode::on());
@@ -349,24 +330,28 @@ mod tests {
     }
 
     #[test]
-    fn key_ignores_bit_exact_knobs_and_splits_datasets() {
+    fn key_ignores_only_input_mode_and_splits_datasets() {
         let images = synthetic::generate(4, 1);
         let base = ScenarioSpec::this_work(6);
         let key = FeatureKey::new(&base, &images);
-        // lane_width and window_cache don't change feature values, so they
-        // must not split the cache.
-        let tuned = base
-            .customize()
-            .lane_width(crate::LaneWidth::U16)
-            .window_cache(WindowCacheMode::on())
-            .build();
-        assert_eq!(FeatureKey::new(&tuned, &images), key);
-        // Feature-determining fields do split it…
-        assert_ne!(FeatureKey::new(&ScenarioSpec::this_work(4), &images), key);
-        assert_ne!(FeatureKey::new(&ScenarioSpec::old_sc(6), &images), key);
-        assert_ne!(FeatureKey::new(&ScenarioSpec::binary(6), &images), key);
-        assert_ne!(FeatureKey::new(&base.customize().seed(99).build(), &images), key);
-        assert_ne!(FeatureKey::new(&base.customize().bit_error_rate(0.01).build(), &images), key);
+        // The dense input mode doesn't reach the conv head, so it must not
+        // split the cache.
+        let ternary = base.customize().input_mode(DenseInput::Ternary).build();
+        assert_eq!(FeatureKey::new(&ternary, &images), key);
+        // Every other field does split it…
+        for spec in [
+            base.customize().head(crate::HeadKind::Binary).build(),
+            base.customize().bits(4).build(),
+            base.customize().adder(crate::AdderKind::Mux).build(),
+            base.customize().pixel_source(crate::SourceKind::Lfsr).build(),
+            base.customize().weight_source(crate::SourceKind::Lfsr).build(),
+            base.customize().s0_policy(scnn_sim::S0Policy::AllZero).build(),
+            base.customize().soft_threshold(0.25).build(),
+            base.customize().bit_error_rate(0.01).build(),
+            base.customize().seed(99).build(),
+        ] {
+            assert_ne!(FeatureKey::new(&spec, &images), key, "{spec:?}");
+        }
         // …and so does the dataset.
         let other = synthetic::generate(4, 2);
         assert_ne!(FeatureKey::new(&base, &other), key);

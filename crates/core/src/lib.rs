@@ -22,9 +22,8 @@
 //! Three crosscutting facilities support the engines:
 //!
 //! * [`counts`] — the shared count-domain core (level-indexed AND-count
-//!   tables, multi-lane TFF tree folds and MUX route-masked sums, the
-//!   comparator stream cache, and the [`WindowCache`] window memoization)
-//!   behind the conv and dense fast paths,
+//!   tables, multi-lane TFF tree folds and MUX route-masked sums, and the
+//!   comparator stream cache) behind the conv and dense fast paths,
 //! * [`ScenarioSpec`] — declarative experiment scenarios that compile to
 //!   ready engines (see the presets `this_work` / `old_sc` / `binary` /
 //!   `float` and the [`ScenarioBuilder`]),
@@ -69,9 +68,7 @@ mod stochastic;
 
 pub use arena::{and_count, mux_words, StreamArena};
 pub use baseline::{BinaryConvLayer, FirstLayer, FloatConvLayer};
-pub use counts::{
-    LaneWidth, LaneWord, PooledTree, ScratchPool, WindowCache, WindowCacheMode, WindowCacheStats,
-};
+pub use counts::{PooledTree, ScratchPool};
 pub use dense::{DenseInput, StochasticDenseLayer};
 pub use error::Error;
 pub use featcache::{

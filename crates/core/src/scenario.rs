@@ -32,7 +32,6 @@
 //! ```
 
 use crate::baseline::{BinaryConvLayer, FirstLayer, FloatConvLayer};
-use crate::counts::{LaneWidth, WindowCacheMode};
 use crate::dense::{DenseInput, StochasticDenseLayer};
 use crate::hybrid::HybridLenet;
 use crate::stochastic::{AdderKind, ScOptions, SourceKind, StochasticConvLayer};
@@ -87,19 +86,6 @@ pub struct ScenarioSpec {
     pub input_mode: DenseInput,
     /// Seed for LFSRs, random sources and fault injection.
     pub seed: u64,
-    /// [`LaneWord`](crate::counts::LaneWord) width of the count-domain
-    /// fold. Every preset keeps [`LaneWidth::Auto`] (pick `u64` when the
-    /// count path applies, stream otherwise), so recorded tables are
-    /// unchanged; an explicit width pins the fold and makes unavailable
-    /// configurations a compile error.
-    pub lane_width: LaneWidth,
-    /// Window memoization
-    /// ([`WindowCache`](crate::counts::WindowCache)): `Off` in every
-    /// preset. A budgeted mode memoizes per-window fold outputs in the
-    /// compiled conv engine and is rejected at compile time on
-    /// configurations without the fault-free TFF fold (non-stochastic
-    /// head, MUX adder, fault injection) instead of silently degrading.
-    pub window_cache: WindowCacheMode,
 }
 
 impl ScenarioSpec {
@@ -140,8 +126,6 @@ impl ScenarioSpec {
             fault: options.fault,
             input_mode: DenseInput::Unipolar,
             seed: options.seed,
-            lane_width: options.lane_width,
-            window_cache: options.window_cache,
         }
     }
 
@@ -169,65 +153,7 @@ impl ScenarioSpec {
             soft_threshold: self.soft_threshold,
             fault: self.fault,
             seed: self.seed,
-            lane_width: self.lane_width,
-            window_cache: self.window_cache,
         }
-    }
-
-    /// Rejects lane-width requests the compiled engine could not honor:
-    /// an explicit width needs a stochastic head and a precision whose
-    /// stream counts fit the shared 16-bit lane ceiling (≤ 14 bits).
-    /// The engine constructors enforce the remaining count-path
-    /// requirement (table budget); both adders have the count path.
-    fn validate_lane_width(&self) -> Result<(), Error> {
-        if self.lane_width == LaneWidth::Auto {
-            return Ok(());
-        }
-        if self.head != HeadKind::Stochastic {
-            return Err(Error::config(format!(
-                "lane width {} only applies to stochastic scenarios, got {:?}",
-                self.lane_width, self.head
-            )));
-        }
-        let n = self.precision()?.stream_len();
-        if !self.lane_width.supports_counts_to(n) {
-            return Err(Error::config(format!(
-                "{}-bit streams ({} counts) overflow the 16-bit lanes of lane width {}",
-                self.bits, n, self.lane_width
-            )));
-        }
-        Ok(())
-    }
-
-    /// Rejects window-memoization requests the compiled engine could not
-    /// honor: a non-`Off` mode needs a stochastic head, the TFF adder and
-    /// a fault-free datapath (the memoized fold outputs only exist on the
-    /// fault-free count-domain path). The engine constructor enforces the
-    /// remaining requirements (table budget, lane ceiling).
-    fn validate_window_cache(&self) -> Result<(), Error> {
-        self.window_cache.validate()?;
-        if !self.window_cache.is_on() {
-            return Ok(());
-        }
-        if self.head != HeadKind::Stochastic {
-            return Err(Error::config(format!(
-                "window_cache only applies to stochastic scenarios, got {:?}",
-                self.head
-            )));
-        }
-        if self.adder != AdderKind::Tff {
-            return Err(Error::config(
-                "window_cache requires the TFF adder (only the TFF fold is memoized)",
-            ));
-        }
-        if !self.fault.is_none() {
-            return Err(Error::config(
-                "window_cache requires a fault-free scenario (a faulted fold is not a pure \
-                 function of the window levels, so windows with equal levels no longer share \
-                 outputs)",
-            ));
-        }
-        Ok(())
     }
 
     /// The engine's report label (matches [`FirstLayer::label`]).
@@ -247,8 +173,6 @@ impl ScenarioSpec {
     ///
     /// Propagates precision and engine-construction errors.
     pub fn first_layer(&self, conv: &Conv2d) -> Result<Box<dyn FirstLayer>, Error> {
-        self.validate_lane_width()?;
-        self.validate_window_cache()?;
         Ok(match self.head {
             HeadKind::Float => Box::new(FloatConvLayer::from_conv(conv, self.soft_threshold)?),
             HeadKind::Binary => {
@@ -278,8 +202,6 @@ impl ScenarioSpec {
                 self.head
             )));
         }
-        self.validate_lane_width()?;
-        self.validate_window_cache()?;
         StochasticConvLayer::from_conv(conv, self.precision()?, self.sc_options())
     }
 
@@ -323,23 +245,13 @@ impl ScenarioSpec {
             ("weight_source", self.weight_source != supported.weight_source),
             ("s0_policy", self.s0_policy != crate::dense::DENSE_S0_POLICY),
             ("fault", !self.fault.is_none()),
-            // Window memoization is a conv concept: the dense engine has
-            // no sliding window to key on.
-            ("window_cache", self.window_cache.is_on()),
         ];
         if let Some((field, _)) = unsupported.iter().find(|(_, differs)| *differs) {
             return Err(Error::config(format!(
                 "the dense engine does not implement non-default `{field}` scenarios"
             )));
         }
-        self.validate_lane_width()?;
-        StochasticDenseLayer::from_dense_with_width(
-            dense,
-            self.precision()?,
-            self.input_mode,
-            self.lane_width,
-            self.seed,
-        )
+        StochasticDenseLayer::from_dense(dense, self.precision()?, self.input_mode, self.seed)
     }
 }
 
@@ -429,29 +341,6 @@ impl ScenarioBuilder {
     /// Sets the scenario seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.spec.seed = seed;
-        self
-    }
-
-    /// Sets the count-domain [`LaneWidth`].
-    pub fn lane_width(mut self, width: LaneWidth) -> Self {
-        self.spec.lane_width = width;
-        self
-    }
-
-    /// Sets the window-memoization mode.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use scnn_core::counts::WindowCacheMode;
-    /// use scnn_core::ScenarioSpec;
-    ///
-    /// let spec =
-    ///     ScenarioSpec::this_work(6).customize().window_cache(WindowCacheMode::on()).build();
-    /// assert_eq!(spec.window_cache, WindowCacheMode::Entries(65536));
-    /// ```
-    pub fn window_cache(mut self, mode: WindowCacheMode) -> Self {
-        self.spec.window_cache = mode;
         self
     }
 
@@ -582,115 +471,5 @@ mod tests {
     fn invalid_precision_is_reported() {
         assert!(ScenarioSpec::this_work(99).precision().is_err());
         assert!(ScenarioSpec::this_work(99).first_layer(&conv()).is_err());
-    }
-
-    #[test]
-    fn presets_keep_auto_lane_width() {
-        for spec in [
-            ScenarioSpec::this_work(6),
-            ScenarioSpec::old_sc(6),
-            ScenarioSpec::binary(6),
-            ScenarioSpec::float(),
-        ] {
-            assert_eq!(spec.lane_width, LaneWidth::Auto);
-        }
-    }
-
-    #[test]
-    fn lane_width_round_trips_and_compiles() {
-        let spec = ScenarioSpec::this_work(6).customize().lane_width(LaneWidth::U128).build();
-        assert_eq!(spec.lane_width, LaneWidth::U128);
-        assert_eq!(spec.sc_options().lane_width, LaneWidth::U128);
-        let engine = spec.stochastic_conv(&conv()).unwrap();
-        assert_eq!(engine.lane_width(), Some(LaneWidth::U128));
-        let dense = Dense::new(8, 2, 1);
-        let layer = spec.dense_layer(&dense).unwrap();
-        assert_eq!(layer.lane_width(), Some(LaneWidth::U128));
-    }
-
-    #[test]
-    fn presets_keep_window_cache_off() {
-        for spec in [
-            ScenarioSpec::this_work(6),
-            ScenarioSpec::old_sc(6),
-            ScenarioSpec::binary(6),
-            ScenarioSpec::float(),
-        ] {
-            assert_eq!(spec.window_cache, WindowCacheMode::Off);
-        }
-    }
-
-    #[test]
-    fn window_cache_round_trips_and_compiles() {
-        let spec =
-            ScenarioSpec::this_work(4).customize().window_cache(WindowCacheMode::on()).build();
-        assert_eq!(spec.window_cache, WindowCacheMode::on());
-        assert_eq!(spec.sc_options().window_cache, WindowCacheMode::on());
-        let engine = spec.stochastic_conv(&conv()).unwrap();
-        assert!(engine.uses_window_cache());
-        assert_eq!(engine.window_cache().unwrap().budget(), WindowCacheMode::DEFAULT_ENTRIES);
-        // first_layer compiles the same engine behind the trait.
-        let boxed = spec.first_layer(&conv()).unwrap();
-        let img: Vec<f32> = (0..784).map(|i| (i % 97) as f32 / 96.0).collect();
-        assert_eq!(
-            boxed.forward_image(&img).unwrap(),
-            ScenarioSpec::this_work(4).first_layer(&conv()).unwrap().forward_image(&img).unwrap()
-        );
-    }
-
-    #[test]
-    fn window_cache_validation_rejects_unsupported_paths() {
-        let on = WindowCacheMode::on();
-        // Non-stochastic heads have no fold to memoize.
-        for head in [ScenarioSpec::float(), ScenarioSpec::binary(6)] {
-            let spec = head.customize().window_cache(on).build();
-            let err = spec.first_layer(&conv()).err().unwrap();
-            assert!(err.to_string().contains("stochastic"), "{err}");
-        }
-        // Only the TFF fold is memoized.
-        let mux = ScenarioSpec::old_sc(6).customize().window_cache(on).build();
-        let err = mux.first_layer(&conv()).err().unwrap();
-        assert!(err.to_string().contains("TFF"), "{err}");
-        // A faulted fold is not a pure function of the window levels.
-        let noisy =
-            ScenarioSpec::this_work(6).customize().bit_error_rate(0.01).window_cache(on).build();
-        let err = noisy.first_layer(&conv()).err().unwrap();
-        assert!(err.to_string().contains("fault"), "{err}");
-        let stuck = ScenarioSpec::this_work(6)
-            .customize()
-            .fault(FaultModel::StuckAt { site: crate::FaultSite::LutTap { tap: 3 }, value: false })
-            .window_cache(on)
-            .build();
-        assert!(stuck.first_layer(&conv()).is_err());
-        // A zero budget is degenerate in any position.
-        let zero = ScenarioSpec::this_work(6)
-            .customize()
-            .window_cache(WindowCacheMode::Entries(0))
-            .build();
-        assert!(zero.first_layer(&conv()).is_err());
-        // The dense engine has no window; non-Off modes are rejected.
-        let dense = Dense::new(8, 2, 1);
-        let spec = ScenarioSpec::this_work(4).customize().window_cache(on).build();
-        let err = spec.dense_layer(&dense).unwrap_err();
-        assert!(err.to_string().contains("window_cache"), "{err}");
-    }
-
-    #[test]
-    fn lane_width_validation_rejects_bad_combinations() {
-        // Overflowing precision: 15-bit streams exceed the 16-bit lane
-        // ceiling shared by every width.
-        let wide = ScenarioSpec::this_work(15).customize().lane_width(LaneWidth::U64).build();
-        let err = wide.validate_lane_width().unwrap_err();
-        assert!(err.to_string().contains("overflow"), "{err}");
-        assert!(wide.first_layer(&conv()).is_err());
-        // Auto at the same precision streams instead of erroring.
-        let auto = ScenarioSpec::this_work(15);
-        assert!(auto.validate_lane_width().is_ok());
-        // Non-stochastic heads have no count-domain fold to pin.
-        let binary = ScenarioSpec::binary(6).customize().lane_width(LaneWidth::U64).build();
-        assert!(binary.first_layer(&conv()).is_err());
-        // The MUX adder runs the count path too, so a pinned width compiles.
-        let mux = ScenarioSpec::old_sc(6).customize().lane_width(LaneWidth::U32).build();
-        assert_eq!(mux.stochastic_conv(&conv()).unwrap().lane_width(), Some(LaneWidth::U32));
     }
 }

@@ -2,10 +2,9 @@ use crate::arena::{and_count, mux_words, StreamArena};
 use crate::baseline::{ternary, window_taps, FirstLayer, KernelBank, IMAGE_SIDE};
 use crate::counts::{
     fold_tree_counts_wide, fold_tree_counts_wide_stuck, live_fold_node, mux_route_masks,
-    table_fits, AnyLevelCountTable, LaneWidth, LaneWord, LevelCountTable, LevelStreamCache,
-    PooledTree, ScratchPool, WindowCache, WindowCacheMode, WindowCacheStats,
+    table_fits, LevelCountTable, LevelStreamCache, ScratchPool,
 };
-use crate::faults::{gather_faulted, AnyCountFaultPlan, ImageFaults};
+use crate::faults::{gather_faulted, CountFaultPlan};
 use crate::Error;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,18 +91,6 @@ pub struct ScOptions {
     pub fault: FaultModel,
     /// Seed for LFSRs, random sources and fault injection.
     pub seed: u64,
-    /// [`LaneWord`] width of the count-domain fold or sum, for either
-    /// adder. [`LaneWidth::Auto`] (every preset) picks `u64` when the
-    /// count path is available and falls back to streaming otherwise
-    /// (oversized table, 15- and 16-bit streams); an explicit width turns
-    /// that fallback into a construction error.
-    pub lane_width: LaneWidth,
-    /// Window memoization ([`WindowCache`]): `Off` in every preset;
-    /// a budgeted mode memoizes per-window fold outputs and is a
-    /// construction error on every configuration but the fault-free TFF
-    /// count-domain path (MUX adder, any fault model, oversized table —
-    /// a faulted fold is not a pure function of the window key).
-    pub window_cache: WindowCacheMode,
 }
 
 impl ScOptions {
@@ -118,8 +105,6 @@ impl ScOptions {
             soft_threshold: 0.0,
             fault: FaultModel::None,
             seed: 42,
-            lane_width: LaneWidth::Auto,
-            window_cache: WindowCacheMode::Off,
         }
     }
 
@@ -134,8 +119,6 @@ impl ScOptions {
             soft_threshold: 0.0,
             fault: FaultModel::None,
             seed: 42,
-            lane_width: LaneWidth::Auto,
-            window_cache: WindowCacheMode::Off,
         }
     }
 }
@@ -207,27 +190,21 @@ pub struct StochasticConvLayer {
     weight_neg: Vec<bool>,
     /// Select streams for the MUX trees (2·(padded−1) streams), empty for TFF.
     select_streams: StreamArena,
-    /// Level-indexed AND-count table of the configured [`LaneWidth`],
-    /// over route-masked weights for the MUX adder; `None` when the
-    /// streaming path must run (oversized table, 15- and 16-bit streams).
-    lut: Option<AnyLevelCountTable>,
+    /// Level-indexed AND-count table, over route-masked weights for the
+    /// MUX adder; `None` when the streaming path must run (oversized
+    /// table, 15- and 16-bit streams).
+    lut: Option<LevelCountTable>,
     /// Count-domain bit-error plan, built when the table is live and
     /// [`ScOptions::fault`] carries a positive bit-error rate; per image
     /// it samples the flip set from `(seed, image_index, pixel)` and
     /// perturbs the gathered counts exactly as literal stream flips would.
-    fault_plan: Option<AnyCountFaultPlan>,
+    fault_plan: Option<CountFaultPlan>,
     /// Per-distinct-level comparator conversion cache for the streaming
     /// paths, hoisted out of `pixel_streams` so repeated streaming
     /// forwards reuse one conversion per level across images. Shared by
     /// clones and worker threads (the stream is a pure function of the
     /// level against the fixed `pixel_seq`).
     level_streams: Arc<Mutex<LevelStreamCache>>,
-    /// Window memoization over the count-domain fold (`None` when
-    /// [`ScOptions::window_cache`] is `Off`). Shared by clones and worker
-    /// threads — the memoized values are pure functions of the window key
-    /// against this engine's table, so dataset evaluation and retraining
-    /// sweeps hit a warm cache from any thread.
-    window_cache: Option<Arc<WindowCache>>,
 }
 
 impl StochasticConvLayer {
@@ -336,31 +313,19 @@ impl StochasticConvLayer {
 
         // Level-indexed AND-count table (see the type-level docs).
         // `table_fits` gates the memory budget and the 16-bit lane
-        // arithmetic shared by every width; one MUX tree's route masks
-        // partition the N cycles, so its root sums stay ≤ N as well. Fault
-        // injection does not force streaming: bit errors become count
-        // deltas (the plan below) and stuck-at sites become gather/fold
-        // overrides.
-        let count_path =
-            table_fits(n, ksq, bank.kernels) && options.lane_width.supports_counts_to(n);
-        let lut = if count_path {
+        // arithmetic; one MUX tree's route masks partition the N cycles,
+        // so its root sums stay ≤ N as well. Fault injection does not
+        // force streaming: bit errors become count deltas (the plan below)
+        // and stuck-at sites become gather/fold overrides.
+        let lut = if table_fits(n, ksq, bank.kernels) {
             let _build = scnn_obs::span("conv/lut_build");
-            Some(AnyLevelCountTable::build(
-                options.lane_width,
+            Some(LevelCountTable::build(
                 &pixel_seq,
                 counted_weights,
                 &weight_neg,
                 ksq,
                 bank.kernels,
             )?)
-        } else if options.lane_width != LaneWidth::Auto {
-            // An explicit width pins the count-domain fold; the silent
-            // streaming fallback would ignore it.
-            return Err(Error::config(format!(
-                "lane width {} requires the count-domain path (table within budget, stream \
-                 counts within the 16-bit lane ceiling)",
-                options.lane_width
-            )));
         } else {
             None
         };
@@ -369,8 +334,7 @@ impl StochasticConvLayer {
         // planes of the counted (for MUX, route-masked) weights, sampled
         // per (image index, pixel) at forward time.
         let fault_plan = match (&lut, options.fault.bit_error_rate()) {
-            (Some(table), ber) if ber > 0.0 => Some(AnyCountFaultPlan::build(
-                table.width(),
+            (Some(_), ber) if ber > 0.0 => Some(CountFaultPlan::build(
                 ber,
                 options.seed,
                 &pixel_seq,
@@ -380,30 +344,6 @@ impl StochasticConvLayer {
                 bank.kernels,
             )),
             _ => None,
-        };
-
-        // Window memoization rides on the TFF count table: the memoized
-        // value is the fold of table gathers, so without the table there
-        // is nothing sound to key on — and a faulted fold is not a pure
-        // function of the window key (bit-error deltas vary per image and
-        // pixel position). Requesting it on any other configuration is an
-        // error, mirroring the explicit lane-width contract above.
-        options.window_cache.validate()?;
-        let window_cache = match options.window_cache.entries() {
-            Some(entries)
-                if lut.is_some() && options.adder == AdderKind::Tff && options.fault.is_none() =>
-            {
-                Some(Arc::new(WindowCache::new(entries, 2 * ksq, 2 * bank.kernels)?))
-            }
-            Some(_) => {
-                return Err(Error::config(format!(
-                    "window_cache ({}) requires the fault-free count-domain path (TFF adder, \
-                     no fault injection, table within budget, stream counts within the 16-bit \
-                     lane ceiling)",
-                    options.window_cache
-                )));
-            }
-            None => None,
         };
 
         let level_streams = Arc::new(Mutex::new(LevelStreamCache::new(&pixel_seq)?));
@@ -420,7 +360,6 @@ impl StochasticConvLayer {
             lut,
             fault_plan,
             level_streams,
-            window_cache,
         })
     }
 
@@ -532,77 +471,16 @@ impl StochasticConvLayer {
         self.lut.is_some()
     }
 
-    /// The concrete [`LaneWidth`] of the count-domain fold or MUX sum
-    /// (never `Auto`), or `None` when the engine runs the streaming path.
-    pub fn lane_width(&self) -> Option<LaneWidth> {
-        self.lut.as_ref().map(AnyLevelCountTable::width)
-    }
-
-    /// Whether window memoization is active
-    /// ([`ScOptions::window_cache`] non-`Off`; implies
-    /// [`uses_count_table`](Self::uses_count_table)).
-    pub fn uses_window_cache(&self) -> bool {
-        self.window_cache.is_some()
-    }
-
-    /// The engine's [`WindowCache`], when memoization is on. Clones share
-    /// the same cache (they share the identical count table), so a warm
-    /// cache serves every image, batch and retraining epoch.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use scnn_core::counts::WindowCacheMode;
-    /// use scnn_core::{FirstLayer, ScOptions, StochasticConvLayer};
-    /// use scnn_bitstream::Precision;
-    /// use scnn_nn::layers::{Conv2d, Padding};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let conv = Conv2d::new(1, 8, 5, Padding::Same, 42)?;
-    /// let opts = ScOptions { window_cache: WindowCacheMode::on(), ..ScOptions::this_work() };
-    /// let engine = StochasticConvLayer::from_conv(&conv, Precision::new(4)?, opts)?;
-    /// engine.forward_image(&vec![0.5f32; 784])?;
-    /// let stats = engine.window_cache().unwrap().stats();
-    /// // A uniform image folds one interior window and hits on the rest.
-    /// assert_eq!(stats.hits + stats.misses, 784);
-    /// assert!(stats.hits > 700);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn window_cache(&self) -> Option<&WindowCache> {
-        self.window_cache.as_deref()
-    }
-
-    /// Snapshot of the window-memoization counters, when memoization is
-    /// on (shorthand for [`window_cache`](Self::window_cache)`.stats()`).
-    pub fn window_cache_stats(&self) -> Option<WindowCacheStats> {
-        self.window_cache.as_deref().map(WindowCache::stats)
-    }
-
-    /// The count-domain fast path: dispatches the configured lane width
-    /// into the monomorphized fold. `image_index` seeds the bit-error
-    /// flip set (ignored when the engine is fault-free), keeping faulted
-    /// results byte-identical for any thread count or batch order.
-    fn forward_image_lut(&self, image: &[f32], image_index: u64) -> Result<Vec<f32>, Error> {
-        match self.lut.as_ref().expect("caller checked uses_count_table") {
-            AnyLevelCountTable::U16(lut) => self.forward_image_lut_typed(lut, image, image_index),
-            AnyLevelCountTable::U32(lut) => self.forward_image_lut_typed(lut, image, image_index),
-            AnyLevelCountTable::U64(lut) => self.forward_image_lut_typed(lut, image, image_index),
-            AnyLevelCountTable::U128(lut) => self.forward_image_lut_typed(lut, image, image_index),
-        }
-    }
-
-    /// The count-domain fast path over one [`LaneWord`]: quantize each
-    /// pixel once, gather per-tap AND counts for all kernels from the
-    /// level-indexed table, and reduce both trees in packed kernel lanes
-    /// on pooled scratch — a TFF fold, or a plain sum of the route-masked
-    /// MUX counts. With window memoization on, the fold runs only for
-    /// windows whose level pattern has not been seen — a hit copies the
-    /// memoized root counts, skipping the gathers, the fold and (on a
-    /// fully-hit image) the [`ScratchPool`] checkout entirely.
-    fn forward_image_lut_typed<W: LaneWord>(
+    /// The count-domain fast path: quantize each pixel once, gather
+    /// per-tap AND counts for all kernels from the level-indexed table,
+    /// and reduce both trees in kernel lanes on pooled scratch — a TFF
+    /// fold, or a plain sum of the route-masked MUX counts. `image_index`
+    /// seeds the bit-error flip set (ignored when the engine is
+    /// fault-free), keeping faulted results byte-identical for any thread
+    /// count or batch order.
+    fn forward_image_lut(
         &self,
-        lut: &LevelCountTable<W>,
+        lut: &LevelCountTable,
         image: &[f32],
         image_index: u64,
     ) -> Result<Vec<f32>, Error> {
@@ -623,8 +501,7 @@ impl StochasticConvLayer {
         // Per-image fault state: the sampled flip lists (bit errors,
         // seeded from the image index) and the stuck-at site, applied on
         // top of the healthy gathers and folds below.
-        let faults: Option<ImageFaults<'_, W>> =
-            self.fault_plan.as_ref().map(|p| p.typed::<W>().image_faults(&levels, image_index));
+        let faults = self.fault_plan.as_ref().map(|p| p.image_faults(&levels, image_index));
         let stuck = self.options.fault.stuck();
         // MUX trees sum their route-masked counts; TFF trees fold.
         let mux = self.options.adder == AdderKind::Mux;
@@ -639,45 +516,11 @@ impl StochasticConvLayer {
         let mut out = vec![0.0f32; lanes * n_out];
         let ksq = self.bank.ksize * self.bank.ksize;
         let policy = self.options.s0_policy;
-        let cache = self.window_cache.as_deref();
-        // Window key: the ksize² pixel levels as little-endian u16 tags
-        // (level + 1; 0 marks an out-of-image tap). Count-path precisions
-        // are ≤ 14 bit, so level + 1 ≤ 16385 always fits.
-        let mut key = vec![0u8; 2 * ksq];
-        // Fold output per window: positive roots then negative, per kernel
-        // — exactly the WindowCache value layout.
-        let mut roots = vec![0u16; 2 * lanes];
-        let emit = |roots: &[u16], base: usize, out: &mut [f32]| {
-            for k in 0..lanes {
-                let diff = f32::from(roots[k]) - f32::from(roots[lanes + k]);
-                let v = diff * scale / n_f + self.bank.offsets[k];
-                out[k * n_out + base] = ternary(v, self.options.soft_threshold);
-            }
-        };
-        // Checked out lazily on the first miss, so a fully-hit image never
-        // touches the pool.
-        let mut trees: Option<(PooledTree<W>, PooledTree<W>)> = None;
+        let mut pos = ScratchPool::checkout(ksq, lanes, policy, self.n)?;
+        let mut neg = ScratchPool::checkout(ksq, lanes, policy, self.n)?;
         let _fold = scnn_obs::span("conv/fold");
         for oy in 0..IMAGE_SIDE {
             for ox in 0..IMAGE_SIDE {
-                let base = oy * IMAGE_SIDE + ox;
-                if let Some(cache) = cache {
-                    for (t, px) in window_taps(self.bank.ksize, oy, ox) {
-                        let tag = px.map_or(0u16, |p| levels[p] as u16 + 1);
-                        key[2 * t..2 * t + 2].copy_from_slice(&tag.to_le_bytes());
-                    }
-                    if cache.get_into(&key, &mut roots) {
-                        emit(&roots, base, &mut out);
-                        continue;
-                    }
-                }
-                if trees.is_none() {
-                    trees = Some((
-                        ScratchPool::checkout::<W>(ksq, lanes, policy, self.n)?,
-                        ScratchPool::checkout::<W>(ksq, lanes, policy, self.n)?,
-                    ));
-                }
-                let (pos, neg) = trees.as_mut().expect("just checked out");
                 // Every tap's lanes are rewritten per window, which is the
                 // LaneTree reuse contract.
                 for (t, px) in window_taps(self.bank.ksize, oy, ox) {
@@ -697,8 +540,8 @@ impl StochasticConvLayer {
                             }
                         }
                     } else {
-                        pos.tap_lanes_mut(t).fill(W::ZERO);
-                        neg.tap_lanes_mut(t).fill(W::ZERO);
+                        pos.tap_lanes_mut(t).fill(0);
+                        neg.tap_lanes_mut(t).fill(0);
                     }
                 }
                 // A stuck AND-gate line overrides whatever the gather (and
@@ -716,8 +559,8 @@ impl StochasticConvLayer {
                             neg.tap_lanes_mut(t),
                         );
                     } else {
-                        pos.tap_lanes_mut(t).fill(W::ZERO);
-                        neg.tap_lanes_mut(t).fill(W::ZERO);
+                        pos.tap_lanes_mut(t).fill(0);
+                        neg.tap_lanes_mut(t).fill(0);
                     }
                 }
                 match stuck {
@@ -737,14 +580,12 @@ impl StochasticConvLayer {
                         neg.fold();
                     }
                 }
+                let base = oy * IMAGE_SIDE + ox;
                 for k in 0..lanes {
-                    roots[k] = pos.root_lane(k);
-                    roots[lanes + k] = neg.root_lane(k);
+                    let diff = f32::from(pos.root_lane(k)) - f32::from(neg.root_lane(k));
+                    let v = diff * scale / n_f + self.bank.offsets[k];
+                    out[k * n_out + base] = ternary(v, self.options.soft_threshold);
                 }
-                if let Some(cache) = cache {
-                    cache.insert(&key, &roots);
-                }
-                emit(&roots, base, &mut out);
             }
         }
         Ok(out)
@@ -923,12 +764,11 @@ impl FirstLayer for StochasticConvLayer {
     }
 
     fn forward_image_indexed(&self, image: &[f32], image_index: u64) -> Result<Vec<f32>, Error> {
-        if self.uses_count_table() {
-            self.forward_image_lut(image, image_index)
-        } else {
+        match &self.lut {
+            Some(lut) => self.forward_image_lut(lut, image, image_index),
             // The streaming fault realization is seeded by image content,
             // so the index is irrelevant here.
-            self.forward_image_streaming(image)
+            None => self.forward_image_streaming(image),
         }
     }
 
@@ -1202,57 +1042,25 @@ mod tests {
         let noisy = ScOptions { fault: FaultModel::BitError(0.01), ..ScOptions::this_work() };
         let engine = StochasticConvLayer::from_conv(&conv(), precision(4), noisy).unwrap();
         assert!(engine.uses_count_table());
-        assert_eq!(engine.lane_width(), Some(LaneWidth::U64));
         // The MUX tree counts too, faulted or not.
         for fault in [FaultModel::None, FaultModel::BitError(0.01)] {
             let opts = ScOptions { fault, ..ScOptions::old_sc() };
             let mux = StochasticConvLayer::from_conv(&conv(), precision(4), opts).unwrap();
             assert!(mux.uses_count_table(), "{fault:?}");
-            assert_eq!(mux.lane_width(), Some(LaneWidth::U64));
         }
     }
 
     #[test]
-    fn auto_width_resolves_to_u64_by_default() {
-        let engine =
-            StochasticConvLayer::from_conv(&conv(), precision(6), ScOptions::this_work()).unwrap();
-        assert_eq!(engine.lane_width(), Some(LaneWidth::U64));
-    }
-
-    #[test]
-    fn every_lane_width_is_bit_exact_with_streaming() {
-        let img = test_image(29);
-        let reference =
-            StochasticConvLayer::from_conv(&conv(), precision(6), ScOptions::this_work())
-                .unwrap()
-                .forward_image_streaming(&img)
-                .unwrap();
-        for width in [LaneWidth::U16, LaneWidth::U32, LaneWidth::U64, LaneWidth::U128] {
-            let opts = ScOptions { lane_width: width, ..ScOptions::this_work() };
-            let engine = StochasticConvLayer::from_conv(&conv(), precision(6), opts).unwrap();
-            assert_eq!(engine.lane_width(), Some(width));
-            assert_eq!(engine.forward_image(&img).unwrap(), reference, "width={width}");
-        }
-    }
-
-    #[test]
-    fn explicit_width_rejects_streaming_only_configurations() {
+    fn counts_beyond_the_lane_ceiling_run_the_streaming_path() {
         // 15-bit stream counts overflow the 16-bit lanes.
-        let wide = ScOptions { lane_width: LaneWidth::U64, ..ScOptions::old_sc() };
-        assert!(StochasticConvLayer::from_conv(&conv(), precision(15), wide).is_err());
-        // Otherwise the MUX tree has the count path, so a width pins its sum.
-        let mux = ScOptions { lane_width: LaneWidth::U16, ..ScOptions::old_sc() };
-        let engine = StochasticConvLayer::from_conv(&conv(), precision(4), mux).unwrap();
-        assert_eq!(engine.lane_width(), Some(LaneWidth::U16));
-        // A faulted TFF engine keeps the count path, so an explicit width
-        // now compiles (it used to force streaming and error out).
-        let noisy = ScOptions {
-            lane_width: LaneWidth::U32,
-            fault: FaultModel::BitError(0.01),
-            ..ScOptions::this_work()
-        };
-        let engine = StochasticConvLayer::from_conv(&conv(), precision(4), noisy).unwrap();
-        assert_eq!(engine.lane_width(), Some(LaneWidth::U32));
+        for (options, bits, counts) in [
+            (ScOptions::this_work(), 12, true),
+            (ScOptions::this_work(), 15, false),
+            (ScOptions::old_sc(), 15, false),
+        ] {
+            let engine = StochasticConvLayer::from_conv(&conv(), precision(bits), options).unwrap();
+            assert_eq!(engine.uses_count_table(), counts, "{:?} bits={bits}", options.adder);
+        }
     }
 
     #[test]
@@ -1270,85 +1078,6 @@ mod tests {
             direct.write_from_levels(p, &seq, pixel_level(v, bits));
         }
         assert_eq!(streams, direct);
-    }
-
-    #[test]
-    fn window_cache_forward_is_bit_exact_and_counts_lookups() {
-        for bits in [4u32, 6] {
-            let plain =
-                StochasticConvLayer::from_conv(&conv(), precision(bits), ScOptions::this_work())
-                    .unwrap();
-            let opts = ScOptions { window_cache: WindowCacheMode::on(), ..ScOptions::this_work() };
-            let cached = StochasticConvLayer::from_conv(&conv(), precision(bits), opts).unwrap();
-            assert!(cached.uses_window_cache());
-            assert!(!plain.uses_window_cache());
-            assert!(plain.window_cache_stats().is_none());
-            let img = test_image(u64::from(bits) * 3 + 1);
-            let expect = plain.forward_image(&img).unwrap();
-            assert_eq!(cached.forward_image(&img).unwrap(), expect, "bits={bits}");
-            let first = cached.window_cache_stats().unwrap();
-            assert_eq!(first.hits + first.misses, 784, "bits={bits}");
-            assert!(first.misses >= 1);
-            // The same image again hits on every window (budget is ample).
-            assert_eq!(cached.forward_image(&img).unwrap(), expect, "bits={bits}");
-            let second = cached.window_cache_stats().unwrap();
-            assert_eq!(second.misses, first.misses, "bits={bits}");
-            assert_eq!(second.hits, first.hits + 784, "bits={bits}");
-            assert_eq!(second.evictions, 0);
-        }
-    }
-
-    #[test]
-    fn window_cache_is_bit_exact_under_eviction_churn() {
-        // A budget far below the distinct-window count forces eviction in
-        // the middle of the image; outputs must not change.
-        let plain =
-            StochasticConvLayer::from_conv(&conv(), precision(6), ScOptions::this_work()).unwrap();
-        let opts =
-            ScOptions { window_cache: WindowCacheMode::Entries(3), ..ScOptions::this_work() };
-        let tiny = StochasticConvLayer::from_conv(&conv(), precision(6), opts).unwrap();
-        let img = test_image(31);
-        assert_eq!(tiny.forward_image(&img).unwrap(), plain.forward_image(&img).unwrap());
-        let stats = tiny.window_cache_stats().unwrap();
-        assert!(stats.evictions > 0, "expected churn, got {stats:?}");
-        assert!(tiny.window_cache().unwrap().len() <= 3);
-    }
-
-    #[test]
-    fn window_cache_requires_the_count_path() {
-        let mux = ScOptions { window_cache: WindowCacheMode::on(), ..ScOptions::old_sc() };
-        let err = StochasticConvLayer::from_conv(&conv(), precision(4), mux).unwrap_err();
-        assert!(err.to_string().contains("count-domain"), "{err}");
-        let noisy = ScOptions {
-            window_cache: WindowCacheMode::on(),
-            fault: FaultModel::BitError(0.01),
-            ..ScOptions::this_work()
-        };
-        assert!(StochasticConvLayer::from_conv(&conv(), precision(4), noisy).is_err());
-        let stuck = ScOptions {
-            window_cache: WindowCacheMode::on(),
-            fault: FaultModel::StuckAt { site: FaultSite::LutTap { tap: 0 }, value: true },
-            ..ScOptions::this_work()
-        };
-        assert!(StochasticConvLayer::from_conv(&conv(), precision(4), stuck).is_err());
-        let zero =
-            ScOptions { window_cache: WindowCacheMode::Entries(0), ..ScOptions::this_work() };
-        assert!(StochasticConvLayer::from_conv(&conv(), precision(4), zero).is_err());
-    }
-
-    #[test]
-    fn clones_share_one_window_cache() {
-        let opts = ScOptions { window_cache: WindowCacheMode::on(), ..ScOptions::this_work() };
-        let engine = StochasticConvLayer::from_conv(&conv(), precision(4), opts).unwrap();
-        let clone = engine.clone();
-        let img = test_image(7);
-        engine.forward_image(&img).unwrap();
-        let warm = engine.window_cache_stats().unwrap();
-        // The clone sees the warm cache: same image, all hits.
-        clone.forward_image(&img).unwrap();
-        let after = clone.window_cache_stats().unwrap();
-        assert_eq!(after.misses, warm.misses);
-        assert_eq!(after.hits, warm.hits + 784);
     }
 
     #[test]
@@ -1508,7 +1237,7 @@ mod tests {
                 let img = test_image(i * 17 + 3);
                 let levels: Vec<usize> =
                     img.iter().map(|&v| pixel_level(v, bits) as usize).collect();
-                lut_flips.push(plan.typed::<u64>().image_faults(&levels, i).flips as f64);
+                lut_flips.push(plan.image_faults(&levels, i).flips as f64);
                 let noisy = engine.pixel_streams(&img).unwrap();
                 let base_streams = clean.pixel_streams(&img).unwrap();
                 let flips: u64 = (0..img.len())

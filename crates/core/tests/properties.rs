@@ -2,11 +2,10 @@
 
 use proptest::prelude::*;
 use scnn_bitstream::Precision;
-use scnn_core::counts::LaneTree;
+use scnn_core::counts::{fold_tree_counts_wide_stuck, live_fold_node, LaneTree};
 use scnn_core::{
-    and_count, BinaryConvLayer, DenseInput, FirstLayer, FloatConvLayer, HybridLenet, LaneWidth,
-    LaneWord, ScOptions, ScenarioSpec, SourceKind, StochasticConvLayer, StochasticDenseLayer,
-    StreamArena, WindowCacheMode,
+    and_count, BinaryConvLayer, DenseInput, FirstLayer, FloatConvLayer, HybridLenet, ScOptions,
+    ScenarioSpec, SourceKind, StochasticConvLayer, StochasticDenseLayer, StreamArena,
 };
 use scnn_nn::data::BatchSource;
 use scnn_nn::layers::{Conv2d, Dense, Padding};
@@ -24,46 +23,6 @@ fn image_from_seed(seed: u64) -> Vec<f32> {
             ((state >> 40) & 0xff) as f32 / 255.0
         })
         .collect()
-}
-
-/// Packs pseudo-random per-lane counts (≤ the `n`-bit stream length) into a
-/// `LaneTree<W>`, folds it, and checks every lane against
-/// `scnn_sim::TffAdderTree::fold_counts` — the generic-fold bit-exactness
-/// core of the `LaneWord` redesign.
-fn packed_tree_matches_reference<W: LaneWord>(
-    taps: usize,
-    lanes: usize,
-    policy: S0Policy,
-    n: usize,
-    seed: u64,
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    let mut tree = LaneTree::<W>::new(taps, lanes, policy, n).unwrap();
-    let reference = TffAdderTree::new(taps, policy).unwrap();
-    let mut per_lane = vec![vec![0u64; taps]; lanes];
-    let mut state = seed | 1;
-    for t in 0..taps {
-        let row = tree.tap_lanes_mut(t);
-        for (lane, counts) in per_lane.iter_mut().enumerate() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let c = (state >> 33) as usize % (n + 1);
-            row[lane / W::LANES].set_lane(lane % W::LANES, c as u16);
-            counts[t] = c as u64;
-        }
-    }
-    tree.fold();
-    for (lane, counts) in per_lane.iter().enumerate() {
-        prop_assert_eq!(
-            u64::from(tree.root_lane(lane)),
-            reference.fold_counts(counts),
-            "taps={} lanes={} lane={} n={} width={}",
-            taps,
-            lanes,
-            lane,
-            n,
-            W::WIDTH
-        );
-    }
-    Ok(())
 }
 
 proptest! {
@@ -352,15 +311,18 @@ proptest! {
         prop_assert_eq!(materialized.loss.to_bits(), streamed.loss.to_bits());
     }
 
-    /// The generic fold is bit-exact with `scnn_sim::TffAdderTree` for
-    /// every `LaneWord` impl, across precisions 4–8 bit and all S0
-    /// policies (the tentpole invariant of the lane-word redesign).
+    /// `LaneTree::fold` is bit-exact per lane with `scnn_sim::TffAdderTree`
+    /// across precisions 4–8 bit and all S0 policies, and `fold_stuck`
+    /// with the scalar stuck-at fold; a stuck site off the live prefix
+    /// leaves the reference result unchanged.
     #[test]
-    fn generic_fold_matches_sim_reference_every_width(
+    fn lane_tree_folds_match_sim_reference_per_lane(
         taps in 1usize..40,
         lanes in 1usize..12,
         bits in 4u32..=8,
         seed in any::<u64>(),
+        node in 0usize..64,
+        value_is_n in any::<bool>(),
         policy in prop_oneof![
             Just(S0Policy::AllZero),
             Just(S0Policy::AllOne),
@@ -368,137 +330,40 @@ proptest! {
         ],
     ) {
         let n = 1usize << bits;
-        packed_tree_matches_reference::<u16>(taps, lanes, policy, n, seed)?;
-        packed_tree_matches_reference::<u32>(taps, lanes, policy, n, seed)?;
-        packed_tree_matches_reference::<u64>(taps, lanes, policy, n, seed)?;
-        packed_tree_matches_reference::<u128>(taps, lanes, policy, n, seed)?;
-    }
-
-    /// The conv engine produces identical features for every explicit
-    /// lane width — each wide word agrees with the retained `u16` path
-    /// and with the streaming reference.
-    #[test]
-    fn conv_engine_lane_widths_agree(
-        seed in 0u64..2_000,
-        bits in prop_oneof![Just(4u32), Just(6), Just(8)],
-        policy in prop_oneof![
-            Just(S0Policy::AllZero),
-            Just(S0Policy::AllOne),
-            Just(S0Policy::Alternating)
-        ],
-    ) {
-        let conv = small_conv(seed % 31 + 1);
-        let image = image_from_seed(seed ^ 0xBEEF);
-        let precision = Precision::new(bits).unwrap();
-        let opts = |width| ScOptions {
-            s0_policy: policy,
-            lane_width: width,
-            seed,
-            ..ScOptions::this_work()
-        };
-        let baseline = StochasticConvLayer::from_conv(&conv, precision, opts(LaneWidth::U16))
-            .unwrap();
-        let reference = baseline.forward_image(&image).unwrap();
-        prop_assert_eq!(&reference, &baseline.forward_image_streaming(&image).unwrap());
-        for width in [LaneWidth::U32, LaneWidth::U64, LaneWidth::U128] {
-            let engine = StochasticConvLayer::from_conv(&conv, precision, opts(width)).unwrap();
-            prop_assert_eq!(engine.lane_width(), Some(width));
-            prop_assert_eq!(
-                &reference,
-                &engine.forward_image(&image).unwrap(),
-                "bits={} width={}",
-                bits,
-                width
-            );
-        }
-    }
-
-    /// The dense engine produces bit-identical outputs for every explicit
-    /// lane width — each wide word agrees with the retained `u16` path
-    /// and with the streaming reference.
-    #[test]
-    fn dense_engine_lane_widths_agree(
-        seed in 0u64..2_000,
-        bits in 4u32..=8,
-        in_features in 1usize..30,
-        out_features in 1usize..6,
-    ) {
-        let dense = Dense::new(in_features, out_features, seed % 97);
-        let precision = Precision::new(bits).unwrap();
-        let build = |width| {
-            StochasticDenseLayer::from_dense_with_width(
-                &dense,
-                precision,
-                DenseInput::Unipolar,
-                width,
-                seed ^ 0x5eed,
-            )
-            .unwrap()
-        };
-        let input: Vec<f32> = (0..in_features)
-            .map(|i| (((i as u64 + 1).wrapping_mul(seed | 1) >> 16) % 101) as f32 / 100.0)
-            .collect();
-        let baseline = build(LaneWidth::U16);
-        let reference: Vec<u32> =
-            baseline.forward(&input).unwrap().iter().map(|v| v.to_bits()).collect();
-        let streaming: Vec<u32> =
-            baseline.forward_streaming(&input).unwrap().iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(&reference, &streaming);
-        for width in [LaneWidth::U32, LaneWidth::U64, LaneWidth::U128] {
-            let got: Vec<u32> =
-                build(width).forward(&input).unwrap().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(&reference, &got, "bits={} width={}", bits, width);
-        }
-    }
-
-    /// Window memoization is bit-exact with the uncached fold for every
-    /// precision, lane width, and entry budget — including budgets tiny
-    /// enough to evict on nearly every insert. Three images flow through
-    /// one cached engine so hits from earlier images influence later ones,
-    /// and the cached output is also checked against the streaming
-    /// reference (the tentpole invariant of window memoization).
-    #[test]
-    fn window_cache_forward_is_bit_exact(
-        seed in 0u64..2_000,
-        bits in prop_oneof![Just(4u32), Just(6), Just(8)],
-        width in prop_oneof![
-            Just(LaneWidth::Auto),
-            Just(LaneWidth::U16),
-            Just(LaneWidth::U32),
-            Just(LaneWidth::U64),
-            Just(LaneWidth::U128)
-        ],
-        budget in prop_oneof![Just(1usize), Just(7), Just(64), Just(4096)],
-    ) {
-        let conv = small_conv(seed % 31 + 1);
-        let precision = Precision::new(bits).unwrap();
-        let opts = |cache| ScOptions { lane_width: width, window_cache: cache, seed, ..ScOptions::this_work() };
-        let plain =
-            StochasticConvLayer::from_conv(&conv, precision, opts(WindowCacheMode::Off)).unwrap();
-        let cached = StochasticConvLayer::from_conv(
-            &conv,
-            precision,
-            opts(WindowCacheMode::Entries(budget)),
-        )
-        .unwrap();
-        prop_assert!(cached.uses_window_cache());
-        for i in 0..3u64 {
-            let image = image_from_seed(seed ^ (0xACE0 + i));
-            let expected = plain.forward_image(&image).unwrap();
-            let got = cached.forward_image(&image).unwrap();
-            prop_assert_eq!(&expected, &got, "image {} budget {}", i, budget);
-            if i == 0 {
-                prop_assert_eq!(
-                    &expected,
-                    &cached.forward_image_streaming(&image).unwrap(),
-                    "streaming reference"
-                );
+        let mut tree = LaneTree::new(taps, lanes, policy, n).unwrap();
+        let reference = TffAdderTree::new(taps, policy).unwrap();
+        let mut per_lane = vec![vec![0u64; taps.next_power_of_two()]; lanes];
+        let mut state = seed | 1;
+        for t in 0..taps {
+            let row = tree.tap_lanes_mut(t);
+            for (lane, counts) in per_lane.iter_mut().enumerate() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let c = (state >> 33) as usize % (n + 1);
+                row[lane] = c as u16;
+                counts[t] = c as u64;
             }
         }
-        let stats = cached.window_cache_stats().unwrap();
-        prop_assert_eq!(stats.hits + stats.misses, 3 * 784);
-        let cache = cached.window_cache().unwrap();
-        prop_assert!(cache.len() <= budget, "len {} > budget {}", cache.len(), budget);
+        let mut stuck = tree.clone();
+        tree.fold();
+        let value = if value_is_n { n as u16 } else { 0 };
+        stuck.fold_stuck(node, value);
+        for (lane, counts) in per_lane.iter().enumerate() {
+            let want = reference.fold_counts(&counts[..taps]);
+            prop_assert_eq!(u64::from(tree.root_lane(lane)), want, "taps={} lane={}", taps, lane);
+            let want_stuck = if live_fold_node(taps, node) {
+                fold_tree_counts_wide_stuck(policy, &mut counts.clone(), node, u64::from(value))
+            } else {
+                want
+            };
+            prop_assert_eq!(
+                u64::from(stuck.root_lane(lane)),
+                want_stuck,
+                "taps={} lane={} node={}",
+                taps,
+                lane,
+                node
+            );
+        }
     }
 
     /// All S0 policies and source pairings produce valid engines.

@@ -106,7 +106,7 @@ impl fmt::Display for FaultSite {
 /// The configured fault of a whole datapath.
 ///
 /// Carried on `scnn-core`'s `ScOptions`/`ScenarioSpec` and validated at
-/// engine construction, like the `lane_width` knob. `Copy` on purpose —
+/// engine construction. `Copy` on purpose —
 /// scenario specs stay plain literals.
 ///
 /// # Example

@@ -128,59 +128,6 @@ proptest! {
         prop_assert_eq!(stream_count, tree.fold_counts(&counts));
     }
 
-    /// The SWAR lane-packing identity behind `scnn-core`'s generic
-    /// `LaneWord` fold: four 16-bit count lanes packed in one `u64` word,
-    /// folded with `((x + y + s0·ONES) >> 1) & HALF` per node, agree with
-    /// this crate's reference tree applied to each lane separately —
-    /// because with every leaf count ≤ 32767 the per-lane transient
-    /// `x + y + s0` fits 16 bits (no cross-lane carry) and the true
-    /// result fits 15 bits (the mask removes only shifted-in neighbours).
-    #[test]
-    fn packed_lane_fold_matches_reference_tree(
-        n_inputs in 1usize..24,
-        seed in any::<u64>(),
-        policy in prop_oneof![
-            Just(S0Policy::AllZero),
-            Just(S0Policy::AllOne),
-            Just(S0Policy::Alternating)
-        ],
-    ) {
-        const ONES: u64 = u64::MAX / 0xFFFF; // 0x0001_0001_0001_0001
-        const HALF: u64 = ONES * 0x7FFF;
-        let tree = TffAdderTree::new(n_inputs, policy).unwrap();
-        let padded = n_inputs.next_power_of_two();
-        let mut lanes = vec![vec![0u64; n_inputs]; 4];
-        let mut packed = vec![0u64; padded];
-        let mut state = seed | 1;
-        for t in 0..n_inputs {
-            for (lane, counts) in lanes.iter_mut().enumerate() {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let c = (state >> 30) % 32768; // ≤ the 16-bit lane ceiling
-                counts[t] = c;
-                packed[t] |= c << (16 * lane);
-            }
-        }
-        let mut width = padded;
-        let mut node = 0usize;
-        while width > 1 {
-            for i in 0..width / 2 {
-                let carry = if policy.state_for(node) { ONES } else { 0 };
-                node += 1;
-                packed[i] =
-                    (packed[2 * i].wrapping_add(packed[2 * i + 1]).wrapping_add(carry) >> 1) & HALF;
-            }
-            width /= 2;
-        }
-        for (lane, counts) in lanes.iter().enumerate() {
-            prop_assert_eq!(
-                (packed[0] >> (16 * lane)) & 0xFFFF,
-                tree.fold_counts(counts),
-                "lane {} of {:?}",
-                lane,
-                policy
-            );
-        }
-    }
 
     /// Tree result is within depth LSBs of the exact scaled sum.
     #[test]
