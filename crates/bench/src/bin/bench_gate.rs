@@ -12,10 +12,9 @@
 //! trajectory becomes a gate only once a baseline exists. A missing or
 //! empty *current* record is a hard failure — it means the recording path
 //! is broken, and silently passing would disable the gate forever.
-//! Derived ratio entries (speedups, cache hit rates), raw cache counters
-//! (hits/misses/evictions), the whole `resilience/` namespace (accuracy
-//! points, not timings) and benchmarks present in only one record are
-//! skipped — see [`scnn_bench::report::regressions`] and
+//! Derived ratio entries (speedups, overheads), `obs/` counters, the
+//! whole `resilience/` namespace (accuracy points, not timings) and
+//! benchmarks present in only one record are skipped — see [`scnn_bench::report::regressions`] and
 //! [`scnn_bench::report::NON_TIMING_MARKERS`].
 
 use scnn_bench::report::{regressions, BenchJson};

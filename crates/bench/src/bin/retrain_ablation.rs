@@ -3,18 +3,11 @@
 //! The paper reports up to 6.85 % misclassification at 4 bits without
 //! retraining, recovering to below 1 % with it.
 //!
-//! Doubles as the performance harness for the retraining hot paths:
-//!
-//! * **feature-cache sweep** — retrain the same stochastic engine at two
-//!   epoch budgets, once streaming (features recomputed per pass) and
-//!   once through a [`FeatureCache`] (extracted once, reused), recording
-//!   both sweep wall clocks, the derived speedup, and the cache's
-//!   hit/miss counters;
-//! * **thread scaling** — one tail-training epoch over materialized
-//!   features at 1 worker vs the configured pool, recording the derived
-//!   `train_epoch/speedup_threads_x` (trained weights are byte-identical
-//!   either way — the shard fan-out is fixed, only its execution width
-//!   changes).
+//! Doubles as the thread-scaling harness for tail training: one
+//! tail-training epoch over materialized features at 1 worker vs the
+//! configured pool, recording the derived `train_epoch/speedup_threads_x`
+//! (trained weights are byte-identical either way — the shard fan-out is
+//! fixed, only its execution width changes).
 //!
 //! ```text
 //! cargo run -p scnn-bench --release --bin retrain_ablation [-- --full]
@@ -22,10 +15,7 @@
 
 use scnn_bench::report::{pct, record_run_ns, Stopwatch, Table};
 use scnn_bench::setup::{prepare, Effort, Workbench};
-use scnn_core::{
-    retrain, retrain_with_cache, FeatureCache, RetrainConfig, ScenarioSpec,
-    DEFAULT_FEATURE_CACHE_ENTRIES,
-};
+use scnn_core::{RetrainConfig, ScenarioSpec};
 use scnn_nn::optim::Adam;
 
 fn main() {
@@ -63,68 +53,7 @@ fn run() {
     println!("{}", table.render());
     println!("(paper: binary @4-bit reaches 6.85% without retraining, 0.79% with)");
 
-    feature_cache_sweep(&bench, effort);
     thread_scaling(&bench);
-}
-
-/// Retrains one stochastic engine at two epoch budgets — the smallest
-/// realistic "sweep revisiting the same scenario" — first streaming, then
-/// through a shared [`FeatureCache`], and records both wall clocks plus
-/// the cache counters. The second cached scenario must hit (its feature
-/// sets were materialized by the first); that invariant is asserted here
-/// so the CI cache-on rerun exercises it every time.
-fn feature_cache_sweep(bench: &Workbench, effort: Effort) {
-    let spec = ScenarioSpec::this_work(4);
-    let budgets = [1, effort.retrain_epochs()];
-
-    let uncached = Stopwatch::start();
-    for (i, &epochs) in budgets.iter().enumerate() {
-        let cfg = RetrainConfig { epochs, ..RetrainConfig::default() };
-        retrain(bench.first_layer(&spec), bench.base.tail_clone(), &bench.train, &bench.test, &cfg)
-            .expect("streaming retrain failed");
-        eprintln!("[sweep] uncached scenario {} ({} epochs) done", i + 1, epochs);
-    }
-    let uncached_ns = uncached.elapsed_ns();
-
-    // The workbench cache when SCNN_FEATURE_CACHE is on (so the CI rerun
-    // measures the shared cache end-to-end), else a sweep-local one — the
-    // cached pass is measured either way.
-    let local = FeatureCache::with_capacity(DEFAULT_FEATURE_CACHE_ENTRIES);
-    let cache = bench.feature_cache().unwrap_or(&local);
-    let before = cache.stats();
-    let cached = Stopwatch::start();
-    for (i, &epochs) in budgets.iter().enumerate() {
-        let cfg = RetrainConfig { epochs, ..RetrainConfig::default() };
-        retrain_with_cache(
-            bench.first_layer(&spec),
-            bench.base.tail_clone(),
-            &bench.train,
-            &bench.test,
-            &cfg,
-            Some((cache, &spec)),
-        )
-        .expect("cached retrain failed");
-        eprintln!("[sweep] cached scenario {} ({} epochs) done", i + 1, epochs);
-    }
-    let cached_ns = cached.elapsed_ns();
-    let stats = cache.stats();
-    let (hits, misses) = (stats.hits - before.hits, stats.misses - before.misses);
-    // Scenario 1 materializes the train and test feature sets; scenario 2
-    // revisits the same spec and must be served from the cache.
-    assert!(hits >= 1, "second sweep scenario must hit the feature cache (hits={hits})");
-
-    let speedup = uncached_ns / cached_ns;
-    println!("\n## Feature-cache sweep ({} epoch budgets over {})\n", budgets.len(), spec.label());
-    println!("- streaming (uncached): {:.2} ms", uncached_ns / 1e6);
-    println!(
-        "- feature cache:        {:.2} ms ({speedup:.2}× ; {hits} hits, {misses} misses)",
-        cached_ns / 1e6
-    );
-    record_run_ns("retrain_ablation/sweep_uncached_ns", uncached_ns);
-    record_run_ns("retrain_ablation/sweep_cached_ns", cached_ns);
-    record_run_ns("retrain_ablation/speedup_feature_cache_x", speedup);
-    record_run_ns("retrain_ablation/feature_cache/hits", hits as f64);
-    record_run_ns("retrain_ablation/feature_cache/misses", misses as f64);
 }
 
 /// Times one tail-training epoch over materialized stochastic features at

@@ -8,38 +8,19 @@ use std::time::Instant;
 /// The one documented home of the `BENCH.json` key-naming conventions.
 ///
 /// Every bin and bench builds its record names through these helpers, so
-/// the conventions — the `bin/<name>` prefix, the `+feature_cache` rerun
-/// suffix, per-precision `/<bits>` suffixes, and the `obs/` observability
-/// namespace — live in one place instead of being re-`format!`ed per
-/// harness.
+/// the conventions — the `bin/<name>` prefix, per-precision `/<bits>`
+/// suffixes, and the `obs/` observability namespace — live in one place
+/// instead of being re-`format!`ed per harness.
 pub mod key {
-    /// The cache-rerun key: `bin/<name>`, with a `+feature_cache` suffix
-    /// when the feature cache is on, so a cache-on rerun never overwrites
-    /// the cache-off baseline the perf gate diffs against.
+    /// A harness binary's whole-run wall clock: `bin/<name>`.
     ///
     /// ```
     /// use scnn_bench::report::key;
     ///
-    /// assert_eq!(key::bin_with("retrain_ablation", false), "bin/retrain_ablation");
-    /// assert_eq!(key::bin_with("retrain_ablation", true), "bin/retrain_ablation+feature_cache");
+    /// assert_eq!(key::bin("retrain_ablation"), "bin/retrain_ablation");
     /// ```
-    pub fn bin_with(name: &str, feature_cache_on: bool) -> String {
-        if feature_cache_on {
-            format!("bin/{name}+feature_cache")
-        } else {
-            format!("bin/{name}")
-        }
-    }
-
-    /// [`bin_with`] with the suffix decided by the live
-    /// `SCNN_FEATURE_CACHE` environment setting (an unparseable value
-    /// counts as off — the harness setup already failed fast on it).
     pub fn bin(name: &str) -> String {
-        let feature_on = std::env::var(scnn_core::FEATURE_CACHE_ENV)
-            .ok()
-            .and_then(|v| scnn_core::FeatureCacheMode::from_env_value(&v).ok())
-            .is_some_and(|mode| mode.is_on());
-        bin_with(name, feature_on)
+        format!("bin/{name}")
     }
 
     /// Per-precision measurement: `<group>/<metric>/<bits>`, e.g.
@@ -56,7 +37,7 @@ pub mod key {
 
     /// An observability export: `obs/<metric>`, where `<metric>` is a
     /// [`scnn_obs::MetricsRegistry::snapshot`] key (so counters come out as
-    /// `obs/feature_cache/hits` and stage latencies as
+    /// `obs/nn/images_evaluated` and stage latencies as
     /// `obs/stage/conv/forward/p50`). The perf gate skips everything under
     /// `obs/` except the `p50`/`p90`/`p99`/`max` stage-latency entries.
     ///
@@ -105,9 +86,8 @@ pub mod key {
 
 /// A flat, machine-readable record of benchmark measurements, written as a
 /// single JSON object mapping benchmark names to numbers (nanoseconds for
-/// timings; plain ratios for derived entries like speedups and hit rates;
-/// raw event counts for cache counters — see [`NON_TIMING_MARKERS`] for
-/// how the perf gate tells them apart).
+/// timings; plain ratios for derived entries like speedups and overheads —
+/// see [`NON_TIMING_MARKERS`] for how the perf gate tells them apart).
 ///
 /// Every bench bin loads the existing file, overwrites its own entries, and
 /// rewrites the whole file, so one CI run accumulates all harness timings
@@ -261,9 +241,7 @@ pub const METRICS_OUT_ENV: &str = "SCNN_METRICS_OUT";
 
 /// Runs a whole harness under a stopwatch and records its wall-clock time
 /// as [`key::bin`]`(name)` in `BENCH.json` — the one-line `main` wrapper
-/// every table/ablation binary uses. (Cache-on reruns land under a
-/// `+feature_cache` suffix so they never overwrite the cache-off baseline
-/// the perf gate diffs against; see [`key::bin_with`].)
+/// every table/ablation binary uses.
 ///
 /// Observability hooks:
 ///
@@ -340,14 +318,12 @@ impl Regression {
 }
 
 /// Name markers of `BENCH.json` entries that are *not* timings: derived
-/// ratios where higher is better (`speedup`, `hit_rate`), raw event
-/// counters (`hits`, `misses`, `evictions`), and overhead ratios
+/// ratios where higher is better (`speedup`) and overhead ratios
 /// (`overhead`, pinned near 1.0 by their own acceptance checks rather
 /// than the growth gate). The perf gate skips any entry whose name
-/// contains one of these — growing a hit counter or a speedup is
-/// progress, not a regression.
-pub const NON_TIMING_MARKERS: [&str; 6] =
-    ["speedup", "hit_rate", "hits", "misses", "evictions", "overhead"];
+/// contains one of these — growing a speedup is progress, not a
+/// regression. Counters live under `obs/`, which has its own rule.
+pub const NON_TIMING_MARKERS: [&str; 2] = ["speedup", "overhead"];
 
 /// '/'-separated name segments that mark an `obs/` entry as a stage
 /// *latency* the perf gate does treat as a timing.
@@ -370,7 +346,7 @@ const OBS_TIMING_SEGMENTS: [&str; 4] = ["p50", "p90", "p99", "max"];
 /// use scnn_bench::report::is_non_timing;
 ///
 /// // obs counters/gauges/tallies: skipped.
-/// assert!(is_non_timing("obs/feature_cache/hits"));
+/// assert!(is_non_timing("obs/nn/images_evaluated"));
 /// assert!(is_non_timing("obs/stage/conv/forward/count"));
 /// // obs stage latencies: gated like timings.
 /// assert!(!is_non_timing("obs/stage/conv/forward/p50"));
@@ -394,11 +370,11 @@ pub fn is_non_timing(name: &str) -> bool {
 /// Compares two timing records and returns every entry whose current value
 /// exceeds `factor ×` its baseline — the CI perf gate's core.
 ///
-/// Only timings are gated: ratio and counter entries (names containing a
-/// [`NON_TIMING_MARKERS`] marker, where growth is neutral or *good*) and
-/// entries missing from either record are skipped, so adding or removing
-/// benchmarks never fails the gate. Non-positive baselines are skipped
-/// too (a zero timing carries no signal).
+/// Only timings are gated: every name [`is_non_timing`] accepts (ratio
+/// entries, `obs/` counters, `resilience/` accuracies) and entries missing
+/// from either record are skipped, so adding or removing benchmarks never
+/// fails the gate. Non-positive baselines are skipped too (a zero timing
+/// carries no signal).
 ///
 /// # Example
 ///
@@ -408,13 +384,13 @@ pub fn is_non_timing(name: &str) -> bool {
 /// let mut baseline = BenchJson::new();
 /// baseline.record("bin/table1", 1e9);
 /// baseline.record("forward_image/speedup_tff_lut_x/8", 12.0);
-/// baseline.record("retrain_ablation/feature_cache/hit_rate", 0.3);
+/// baseline.record("obs/nn/images_evaluated", 80.0);
 /// let mut current = BenchJson::new();
 /// current.record("bin/table1", 2.5e9);
 /// current.record("forward_image/speedup_tff_lut_x/8", 30.0);
-/// current.record("retrain_ablation/feature_cache/hit_rate", 0.9);
+/// current.record("obs/nn/images_evaluated", 800.0);
 /// let found = regressions(&baseline, &current, 2.0);
-/// assert_eq!(found.len(), 1); // ratios and hit rates are not timings
+/// assert_eq!(found.len(), 1); // ratios and counters are not timings
 /// assert_eq!(found[0].name, "bin/table1");
 /// assert!((found[0].ratio() - 2.5).abs() < 1e-9);
 /// ```
@@ -573,48 +549,31 @@ mod tests {
         baseline.record("bin/b", 100.0);
         baseline.record("bin/gone", 100.0);
         baseline.record("x/speedup_y/8", 10.0);
-        baseline.record("x/feature_cache/hit_rate/8", 0.4);
-        baseline.record("x/feature_cache/hits/8", 100.0);
-        baseline.record("x/feature_cache/misses/8", 25.0);
-        baseline.record("x/feature_cache/evictions/8", 3.0);
+        baseline.record("train_epoch/speedup_threads_x", 1.5);
+        baseline.record("x/hits_pass_ns", 100.0);
         baseline.record("bin/zero", 0.0);
         let mut current = BenchJson::new();
         current.record("bin/a", 199.0); // < 2× — fine
         current.record("bin/b", 201.0); // > 2× — regression
         current.record("bin/new", 1e12); // no baseline — skipped
         current.record("x/speedup_y/8", 100.0); // ratio entry — skipped
-        current.record("x/feature_cache/hit_rate/8", 0.95); // ratio — skipped
-        current.record("x/feature_cache/hits/8", 9e5); // counter — skipped
-        current.record("x/feature_cache/misses/8", 7e4); // counter — skipped
-        current.record("x/feature_cache/evictions/8", 5e3); // counter — skipped
+        current.record("train_epoch/speedup_threads_x", 0.5); // ratio — skipped
+        current.record("x/hits_pass_ns", 250.0); // a timing named "hits" — gated
         current.record("bin/zero", 50.0); // zero baseline — skipped
         let found = regressions(&baseline, &current, 2.0);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].name, "bin/b");
+        let names: Vec<&str> = found.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["bin/b", "x/hits_pass_ns"]);
         assert_eq!(found[0].baseline, 100.0);
         assert_eq!(found[0].current, 201.0);
         assert!(regressions(&baseline, &current, 3.0).is_empty());
-    }
-
-    #[test]
-    fn feature_cache_counter_keys_are_skipped_by_the_gate() {
-        // The retrain_ablation feature-cache exports are counters and a
-        // derived speedup — all non-timing; the sweep wall clocks gate.
-        assert!(is_non_timing("retrain_ablation/feature_cache/hits"));
-        assert!(is_non_timing("retrain_ablation/feature_cache/misses"));
-        assert!(is_non_timing("retrain_ablation/speedup_feature_cache_x"));
-        assert!(is_non_timing("obs/feature_cache/hits"));
-        assert!(is_non_timing("obs/feature_cache/evictions"));
-        assert!(is_non_timing("train_epoch/speedup_threads_x"));
-        assert!(!is_non_timing("retrain_ablation/sweep_uncached_ns"));
-        assert!(!is_non_timing("retrain_ablation/sweep_cached_ns"));
+        // The thread-scaling epoch timings gate; their derived ratio does not.
         assert!(!is_non_timing("train_epoch/epoch_1thread_ns"));
+        assert!(!is_non_timing("train_epoch/epoch_nthreads_ns"));
     }
 
     #[test]
     fn key_helpers_build_the_documented_conventions() {
-        assert_eq!(key::bin_with("table1_mse", false), "bin/table1_mse");
-        assert_eq!(key::bin_with("retrain_ablation", true), "bin/retrain_ablation+feature_cache");
+        assert_eq!(key::bin("table1_mse"), "bin/table1_mse");
         assert_eq!(key::per_bits("forward_image", "tff_lut", 23), "forward_image/tff_lut/23");
         assert_eq!(key::obs("nn/images_evaluated"), "obs/nn/images_evaluated");
         assert_eq!(key::obs_bits("stage/dense/fold/p50", 8), "obs/stage/dense/fold/p50/8");
@@ -623,7 +582,7 @@ mod tests {
     #[test]
     fn obs_counters_and_gauges_are_skipped_by_the_gate() {
         // One assertion per non-timing class under obs/.
-        assert!(is_non_timing("obs/feature_cache/hits")); // counter
+        assert!(is_non_timing("obs/nn/images_evaluated")); // counter
         assert!(is_non_timing("obs/parallel/threads")); // gauge
         assert!(is_non_timing("obs/stage/conv/forward/count")); // span tally
         assert!(is_non_timing("obs/stage/conv/forward/total_ns")); // span total
@@ -679,10 +638,10 @@ mod tests {
     #[test]
     fn regressions_skip_obs_counters_but_gate_obs_latencies() {
         let mut baseline = BenchJson::new();
-        baseline.record("obs/feature_cache/hits", 10.0);
+        baseline.record("obs/nn/images_evaluated", 10.0);
         baseline.record("obs/stage/conv/forward/p99", 100.0);
         let mut current = BenchJson::new();
-        current.record("obs/feature_cache/hits", 1e6); // counter growth: fine
+        current.record("obs/nn/images_evaluated", 1e6); // counter growth: fine
         current.record("obs/stage/conv/forward/p99", 500.0); // latency growth: gated
         let found = regressions(&baseline, &current, 2.0);
         assert_eq!(found.len(), 1);

@@ -1,54 +1,11 @@
 //! Dataset and base-model preparation shared by the table harnesses.
 
 use scnn_core::{
-    retrain_with_cache, train_base, BaseModel, FeatureCache, FeatureCacheMode, FirstLayer,
-    HybridLenet, RetrainConfig, RetrainReport, ScenarioSpec, TrainConfig, FEATURE_CACHE_ENV,
+    retrain, train_base, BaseModel, FirstLayer, HybridLenet, RetrainConfig, RetrainReport,
+    ScenarioSpec, TrainConfig,
 };
 use scnn_nn::data::{load_or_synthesize, DataSource, Dataset};
 use std::path::Path;
-
-/// Pure parsing core behind [`feature_cache_env_mode`]: `None` (variable
-/// unset) means off; any set value goes through
-/// [`FeatureCacheMode::from_env_value`]. The error message always names
-/// the variable, echoes the offending value, and spells out the accepted
-/// grammar, so a typo'd override tells the operator exactly what to fix.
-///
-/// # Errors
-///
-/// Returns the harness-facing message for an unparseable value.
-///
-/// ```
-/// use scnn_bench::setup::parse_feature_cache_env;
-///
-/// assert!(parse_feature_cache_env(Some("on")).unwrap().is_on());
-/// let msg = parse_feature_cache_env(Some("bananas")).unwrap_err();
-/// assert!(msg.contains("SCNN_FEATURE_CACHE"));
-/// assert!(msg.contains("\"bananas\""));
-/// assert!(msg.contains("off/0"));
-/// ```
-pub fn parse_feature_cache_env(value: Option<&str>) -> Result<FeatureCacheMode, String> {
-    let Some(value) = value else { return Ok(FeatureCacheMode::Off) };
-    FeatureCacheMode::from_env_value(value).map_err(|_| {
-        format!(
-            "invalid {FEATURE_CACHE_ENV}={value:?}: accepted values are off/0 (disable), \
-             on/1 (enable at the default budget), or a positive integer entry budget"
-        )
-    })
-}
-
-/// The scenario-feature-cache mode requested through the
-/// `SCNN_FEATURE_CACHE` environment variable ([`FEATURE_CACHE_ENV`]), for
-/// harness binaries: `off`/`0`/unset disable it, `on`/`1` select the
-/// default entry budget, a positive integer sets the budget.
-///
-/// # Panics
-///
-/// Panics on an unparseable value — harnesses are top-level binaries and
-/// a typo'd override must fail loudly, not silently run uncached.
-pub fn feature_cache_env_mode() -> FeatureCacheMode {
-    let value = std::env::var(FEATURE_CACHE_ENV).ok();
-    parse_feature_cache_env(value.as_deref()).unwrap_or_else(|msg| panic!("{msg}"))
-}
 
 /// Validates the `SCNN_METRICS`/`SCNN_TRACE` observability toggles once,
 /// up front, so a typo'd value fails the harness at startup with the
@@ -220,9 +177,6 @@ pub struct Workbench {
     pub base: BaseModel,
     /// The effort level used.
     pub effort: Effort,
-    /// Scenario-feature cache shared across this workbench's retraining
-    /// runs, enabled through `SCNN_FEATURE_CACHE` (`None` when off).
-    feature_cache: Option<FeatureCache>,
 }
 
 impl Workbench {
@@ -238,14 +192,8 @@ impl Workbench {
 
     /// Runs the §V-B retraining pipeline for one scenario: compile the
     /// engine, freeze it, retrain the base tail on its features, and
-    /// report before/after accuracy.
-    ///
-    /// With `SCNN_FEATURE_CACHE` on, the extracted feature sets are served
-    /// from the workbench-wide [`FeatureCache`] keyed by the
-    /// feature-determining spec fields — repeated retraining of the same
-    /// scenario (epoch sweeps, fault-free reruns) skips the first-layer
-    /// simulation entirely. Off (the default), retraining streams features
-    /// batch-by-batch and never materializes the feature tensor.
+    /// report before/after accuracy. Features stream batch by batch and
+    /// the feature tensor is never materialized.
     ///
     /// # Panics
     ///
@@ -255,21 +203,8 @@ impl Workbench {
         spec: &ScenarioSpec,
         config: &RetrainConfig,
     ) -> (HybridLenet, RetrainReport) {
-        retrain_with_cache(
-            self.first_layer(spec),
-            self.base.tail_clone(),
-            &self.train,
-            &self.test,
-            config,
-            self.feature_cache.as_ref().map(|cache| (cache, spec)),
-        )
-        .expect("scenario retraining failed")
-    }
-
-    /// The shared scenario-feature cache, when `SCNN_FEATURE_CACHE`
-    /// enabled one (for harnesses that report its hit/miss counters).
-    pub fn feature_cache(&self) -> Option<&FeatureCache> {
-        self.feature_cache.as_ref()
+        retrain(self.first_layer(spec), self.base.tail_clone(), &self.train, &self.test, config)
+            .expect("scenario retraining failed")
     }
 }
 
@@ -295,14 +230,6 @@ pub fn prepare(effort: Effort) -> Workbench {
         scnn_core::parallel::thread_count(),
         scnn_core::parallel::THREADS_ENV,
     );
-    let feature_cache = FeatureCache::from_mode(feature_cache_env_mode());
-    if let Some(fc) = &feature_cache {
-        eprintln!(
-            "[setup] scenario feature cache: on ({} entries; override with {}=off/N)",
-            fc.capacity(),
-            FEATURE_CACHE_ENV,
-        );
-    }
     let config = TrainConfig { epochs: effort.base_epochs(), ..TrainConfig::default() };
     let cache = Path::new("target/scnn-cache").join(format!("base-{source}-{effort:?}.bin"));
     if let Ok(Some(base)) = BaseModel::load(&cache, &config) {
@@ -311,7 +238,7 @@ pub fn prepare(effort: Effort) -> Workbench {
             cache.display(),
             base.evaluation.misclassification_rate() * 100.0
         );
-        return Workbench { train, test, source, base, effort, feature_cache };
+        return Workbench { train, test, source, base, effort };
     }
     eprintln!("[setup] training float base model ({} epochs)…", config.epochs);
     let mut base = train_base(&train, &test, &config).expect("base training failed");
@@ -322,7 +249,7 @@ pub fn prepare(effort: Effort) -> Workbench {
     if let Err(e) = base.save(&cache) {
         eprintln!("[setup] note: could not cache base model: {e}");
     }
-    Workbench { train, test, source, base, effort, feature_cache }
+    Workbench { train, test, source, base, effort }
 }
 
 #[cfg(test)]
@@ -356,23 +283,6 @@ mod tests {
         assert_eq!(Effort::Smoke.trials(400), 50);
         assert_eq!(Effort::Smoke.trials(16), 8);
         assert_eq!(Effort::Full.trials(200), 400);
-    }
-
-    #[test]
-    fn feature_cache_env_parse_reports_value_and_grammar() {
-        assert_eq!(parse_feature_cache_env(None).unwrap(), FeatureCacheMode::Off);
-        assert_eq!(parse_feature_cache_env(Some("off")).unwrap(), FeatureCacheMode::Off);
-        assert_eq!(parse_feature_cache_env(Some("on")).unwrap(), FeatureCacheMode::on());
-        assert_eq!(parse_feature_cache_env(Some("16")).unwrap(), FeatureCacheMode::Entries(16));
-        for bad in ["bananas", "-3", "1.5"] {
-            let msg = parse_feature_cache_env(Some(bad)).unwrap_err();
-            assert!(msg.contains(FEATURE_CACHE_ENV), "message must name the variable: {msg}");
-            assert!(msg.contains(&format!("{bad:?}")), "message must echo the value: {msg}");
-            assert!(
-                msg.contains("off/0") && msg.contains("on/1") && msg.contains("entry budget"),
-                "message must spell out the grammar: {msg}"
-            );
-        }
     }
 
     #[test]

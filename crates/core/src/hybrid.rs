@@ -72,10 +72,9 @@ impl HybridLenet {
     /// producing the `[32, 14, 14]` feature dataset the binary tail
     /// consumes.
     ///
-    /// This is the expensive, cacheable step of the retraining pipeline
-    /// (§V-B): the frozen first layer's outputs are computed once per
-    /// dataset and reused for every retraining epoch — when features are
-    /// needed only once (plain evaluation), use [`features`](Self::features)
+    /// This materializes the whole feature tensor, for callers that train
+    /// or time the tail on fixed features; [`retrain`](crate::retrain) and
+    /// plain evaluation stream through [`features`](Self::features)
     /// instead, which never materializes them. Images are distributed over
     /// the [`parallel`](crate::parallel) worker threads (the engine is
     /// immutable and shared); item order is preserved, so the features are

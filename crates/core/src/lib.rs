@@ -59,7 +59,6 @@ pub mod counts;
 mod dense;
 mod error;
 mod faults;
-mod featcache;
 mod hybrid;
 pub mod parallel;
 mod retrain;
@@ -71,14 +70,8 @@ pub use baseline::{BinaryConvLayer, FirstLayer, FloatConvLayer};
 pub use counts::{PooledTree, ScratchPool};
 pub use dense::{DenseInput, StochasticDenseLayer};
 pub use error::Error;
-pub use featcache::{
-    FeatureCache, FeatureCacheMode, FeatureCacheStats, FeatureKey, DEFAULT_FEATURE_CACHE_ENTRIES,
-    FEATURE_CACHE_ENV,
-};
 pub use hybrid::{FeatureSource, HybridLenet};
-pub use retrain::{
-    retrain, retrain_with_cache, train_base, BaseModel, RetrainConfig, RetrainReport, TrainConfig,
-};
+pub use retrain::{retrain, train_base, BaseModel, RetrainConfig, RetrainReport, TrainConfig};
 pub use scenario::{HeadKind, ScenarioBuilder, ScenarioSpec};
 pub use scnn_sim::{FaultError, FaultModel, FaultSite};
 pub use stochastic::{AdderKind, ScOptions, SourceKind, StochasticConvLayer};

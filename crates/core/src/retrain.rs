@@ -7,17 +7,15 @@
 //!    TensorFlow/Keras step.
 //! 2. Build a hardware engine ([`StochasticConvLayer`] /
 //!    [`BinaryConvLayer`]) from the trained first-layer convolution.
-//! 3. [`retrain`] — freeze the engine, extract its feature maps over the
-//!    training set once, and retrain the binary tail on them, recovering
-//!    the accuracy lost to quantization and stochastic noise.
+//! 3. [`retrain`] — freeze the engine and retrain the binary tail on its
+//!    feature maps, streamed batch by batch and recomputed every epoch,
+//!    recovering the accuracy lost to quantization and stochastic noise.
 //!
 //! [`StochasticConvLayer`]: crate::StochasticConvLayer
 //! [`BinaryConvLayer`]: crate::BinaryConvLayer
 
 use crate::baseline::FirstLayer;
-use crate::featcache::{FeatureCache, FeatureKey};
 use crate::hybrid::HybridLenet;
-use crate::scenario::ScenarioSpec;
 use crate::Error;
 use scnn_nn::data::Dataset;
 use scnn_nn::layers::Conv2d;
@@ -202,9 +200,8 @@ impl RetrainReport {
 /// [`FeatureSource`](crate::FeatureSource), and both tail evaluations run
 /// from one streamed pass
 /// ([`Network::evaluate_pair`]), so the full feature tensor is never
-/// materialized for either dataset. For many-scenario sweeps that revisit
-/// the same engine, use [`retrain_with_cache`], which materializes each
-/// distinct feature set once into a shared [`FeatureCache`] instead.
+/// materialized for either dataset. The price is that every training epoch
+/// recomputes the engine's training-set features.
 ///
 /// # Errors
 ///
@@ -235,53 +232,6 @@ pub fn retrain(
     }
     let (tail, test_features) = hybrid.tail_and_features(test);
     let (before, after) = Network::evaluate_pair(&base_tail, tail, &test_features, 64)?;
-    Ok((hybrid, RetrainReport { before, after }))
-}
-
-/// [`retrain`] backed by a shared [`FeatureCache`]: the engine's train and
-/// test feature sets are looked up under `spec`'s
-/// [`FeatureKey`]s and extracted (materialized, once) only on a miss, so a
-/// sweep that revisits an engine — same spec under different retraining
-/// configs, or scenarios differing only in bit-exact knobs — pays for
-/// feature extraction once instead of per scenario.
-///
-/// With `cache` = `None` this is exactly [`retrain`] (the streaming path).
-/// Both paths produce byte-identical reports and tails: training gathers
-/// the same batches whether features come from the streamed source or the
-/// cached tensor (property-tested at the `BatchSource` level), and the
-/// cached before/after evaluations reduce in the same fixed order as the
-/// paired streamed one.
-///
-/// # Errors
-///
-/// Propagates engine and training errors.
-pub fn retrain_with_cache(
-    engine: Box<dyn FirstLayer>,
-    base_tail: Network,
-    train: &Dataset,
-    test: &Dataset,
-    config: &RetrainConfig,
-    cache: Option<(&FeatureCache, &ScenarioSpec)>,
-) -> Result<(HybridLenet, RetrainReport), Error> {
-    let Some((cache, spec)) = cache else {
-        return retrain(engine, base_tail, train, test, config);
-    };
-    let mut hybrid = HybridLenet::new(engine, base_tail);
-    let train_features =
-        cache.get_or_extract(&FeatureKey::new(spec, train), || hybrid.extract_features(train))?;
-    let test_features =
-        cache.get_or_extract(&FeatureKey::new(spec, test), || hybrid.extract_features(test))?;
-    let before = hybrid.tail_mut().evaluate(&*test_features, 64)?;
-    let mut opt = Adam::new(config.learning_rate);
-    for epoch in 0..config.epochs {
-        hybrid.tail_mut().train_epoch(
-            &*train_features,
-            config.batch_size,
-            &mut opt,
-            config.seed ^ epoch as u64,
-        )?;
-    }
-    let after = hybrid.tail_mut().evaluate(&*test_features, 64)?;
     Ok((hybrid, RetrainReport { before, after }))
 }
 
@@ -365,60 +315,6 @@ mod tests {
         let _ = &mut loaded;
         std::fs::remove_dir_all(&dir).unwrap();
         assert!(BaseModel::load(&path, &config).unwrap().is_none());
-    }
-
-    #[test]
-    fn cached_and_streaming_retrain_are_byte_identical() {
-        use crate::{FeatureCache, ScenarioSpec};
-
-        let train = synthetic::generate(80, 21);
-        let test = synthetic::generate(40, 22);
-        let base = train_base(&train, &test, &tiny_config()).unwrap();
-        let spec = ScenarioSpec::binary(4);
-        let config = RetrainConfig { epochs: 2, ..RetrainConfig::default() };
-        let engine = || spec.first_layer(base.conv1()).unwrap();
-
-        let (mut streamed, streamed_report) =
-            retrain(engine(), base.tail_clone(), &train, &test, &config).unwrap();
-        let cache = FeatureCache::with_capacity(4);
-        let (mut cached, cached_report) = retrain_with_cache(
-            engine(),
-            base.tail_clone(),
-            &train,
-            &test,
-            &config,
-            Some((&cache, &spec)),
-        )
-        .unwrap();
-
-        // Identical reports and identical trained weights, bit for bit.
-        assert_eq!(streamed_report, cached_report);
-        let mut wa = Vec::new();
-        let mut wb = Vec::new();
-        streamed.tail_mut().visit_all_params(&mut |p, _| {
-            wa.extend(p.data().iter().map(|v| v.to_bits()));
-        });
-        cached.tail_mut().visit_all_params(&mut |p, _| {
-            wb.extend(p.data().iter().map(|v| v.to_bits()));
-        });
-        assert_eq!(wa, wb);
-
-        // First cached run: two extractions (train + test), no hits.
-        let first = cache.stats();
-        assert_eq!((first.hits, first.misses), (0, 2));
-        // A second scenario over the same engine hits both feature sets.
-        let (_, again) = retrain_with_cache(
-            engine(),
-            base.tail_clone(),
-            &train,
-            &test,
-            &RetrainConfig { epochs: 1, ..config },
-            Some((&cache, &spec)),
-        )
-        .unwrap();
-        assert_eq!(again.before, cached_report.before);
-        let second = cache.stats();
-        assert_eq!((second.hits, second.misses), (2, 2));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Thread-count invariance of the batch-parallel evaluation pipeline.
+//! Thread-count invariance of the batch-parallel evaluation and retraining
+//! pipelines.
 //!
 //! This test mutates the `SCNN_THREADS` environment variable, so it lives
 //! in its own integration-test binary (its own process): no other test can
@@ -102,6 +103,43 @@ fn faulted_lut_features_identical_for_any_thread_count() {
                 );
             }
         }
+    }
+}
+
+/// The composed streaming retrain — faulted feature gathers, sharded
+/// `train_epoch`, then the paired before/after evaluation — must produce
+/// the same report and the same trained tail, bit for bit, for every
+/// `SCNN_THREADS` value. Bit errors make the absolute-index fault seeding
+/// of the gathered batches matter.
+#[test]
+fn retrain_identical_for_any_thread_count() {
+    use scnn_core::{retrain, RetrainConfig, ScenarioSpec};
+    use scnn_nn::data::synthetic;
+    use scnn_nn::lenet::{lenet5_tail, LenetConfig};
+
+    let _env = ENV_LOCK.lock().unwrap();
+    let tail = lenet5_tail(&LenetConfig::default()).unwrap();
+    let conv = Conv2d::new(1, 32, 5, Padding::Same, 29).unwrap();
+    let spec = ScenarioSpec::this_work(4).customize().bit_error_rate(1e-2).build();
+    let (train, test) = (synthetic::generate(24, 13), synthetic::generate(12, 14));
+    let config = RetrainConfig { epochs: 2, batch_size: 8, ..RetrainConfig::default() };
+
+    let run = |threads: &str| {
+        std::env::set_var(scnn_core::parallel::THREADS_ENV, threads);
+        let engine = spec.first_layer(&conv).unwrap();
+        let (mut hybrid, report) = retrain(engine, tail.clone(), &train, &test, &config).unwrap();
+        std::env::remove_var(scnn_core::parallel::THREADS_ENV);
+        let mut weights = Vec::new();
+        hybrid.tail_mut().visit_all_params(&mut |p, _| {
+            weights.extend(p.data().iter().map(|v| v.to_bits()));
+        });
+        (report, weights)
+    };
+    let (reference, reference_weights) = run("1");
+    for threads in ["2", "8"] {
+        let (report, weights) = run(threads);
+        assert_eq!(report, reference, "report differs with {threads} threads");
+        assert!(weights == reference_weights, "tail weights differ with {threads} threads");
     }
 }
 

@@ -336,7 +336,7 @@ impl MetricsRegistry {
     ///
     /// Key shapes (the `BENCH.json` merge prefixes each with `obs/`):
     ///
-    /// * counters — `<name>` (e.g. `feature_cache/hits`),
+    /// * counters — `<name>` (e.g. `nn/images_evaluated`),
     /// * gauges — `<name>`,
     /// * histograms — `<name>/count`, `<name>/total_ns`, and, when
     ///   non-empty, `<name>/p50`, `<name>/p90`, `<name>/p99`, `<name>/max`.
