@@ -39,7 +39,7 @@ pub mod key {
     /// [`scnn_obs::MetricsRegistry::snapshot`] key (so counters come out as
     /// `obs/nn/images_evaluated` and stage latencies as
     /// `obs/stage/conv/forward/p50`). The perf gate skips everything under
-    /// `obs/` except the `p50`/`p90`/`p99`/`max` stage-latency entries.
+    /// `obs/` (see [`is_non_timing`](super::is_non_timing)).
     ///
     /// ```
     /// use scnn_bench::report::key;
@@ -322,34 +322,28 @@ impl Regression {
 /// (`overhead`, pinned near 1.0 by their own acceptance checks rather
 /// than the growth gate). The perf gate skips any entry whose name
 /// contains one of these — growing a speedup is progress, not a
-/// regression. Counters live under `obs/`, which has its own rule.
+/// regression. The `obs/` and `resilience/` namespaces are skipped whole.
 pub const NON_TIMING_MARKERS: [&str; 2] = ["speedup", "overhead"];
-
-/// '/'-separated name segments that mark an `obs/` entry as a stage
-/// *latency* the perf gate does treat as a timing.
-const OBS_TIMING_SEGMENTS: [&str; 4] = ["p50", "p90", "p99", "max"];
 
 /// Whether a recorded name denotes a non-timing entry that the perf gate
 /// must skip.
 ///
-/// Entries under the `obs/` namespace get their own rule: they are
-/// registry exports, mostly counters, gauges, and span call/total
-/// tallies that scale with workload, *except* the stage-latency
-/// percentiles — an `obs/` name is a timing if and only if one of its
-/// `/`-separated segments is `p50`/`p90`/`p99`/`max`. The `resilience/`
-/// namespace is non-timing wholesale: every entry is an accuracy point,
-/// derived ratio, or curve flag from the fault campaign (the campaign's
-/// wall clock gates separately under `bin/fault_campaign`). Everything
-/// else falls back to the [`NON_TIMING_MARKERS`] substring rule.
+/// Two namespaces are non-timing wholesale. `obs/` entries are registry
+/// exports: counters, gauges and span tallies that scale with workload,
+/// and stage-latency percentiles read off log2-bucket histograms, whose 2×
+/// resolution makes a 1% shift across a bucket boundary read as a 2×
+/// regression. `resilience/` entries are accuracy points, derived ratios
+/// and curve flags from the fault campaign (the campaign's wall clock
+/// gates separately under `bin/fault_campaign`). Everything else falls
+/// back to the [`NON_TIMING_MARKERS`] substring rule.
 ///
 /// ```
 /// use scnn_bench::report::is_non_timing;
 ///
-/// // obs counters/gauges/tallies: skipped.
+/// // obs counters, tallies and log2-bucket percentiles: skipped.
 /// assert!(is_non_timing("obs/nn/images_evaluated"));
 /// assert!(is_non_timing("obs/stage/conv/forward/count"));
-/// // obs stage latencies: gated like timings.
-/// assert!(!is_non_timing("obs/stage/conv/forward/p50"));
+/// assert!(is_non_timing("obs/stage/conv/forward/p50"));
 /// // resilience accuracies and ratios: skipped wholesale.
 /// assert!(is_non_timing("resilience/accuracy/this-work/6/ber-0.01"));
 /// // overhead ratios: skipped.
@@ -358,20 +352,15 @@ const OBS_TIMING_SEGMENTS: [&str; 4] = ["p50", "p90", "p99", "max"];
 /// assert!(!is_non_timing("bin/table3_accuracy"));
 /// ```
 pub fn is_non_timing(name: &str) -> bool {
-    if name == "obs" || name.starts_with("obs/") {
-        return !name.split('/').any(|segment| OBS_TIMING_SEGMENTS.contains(&segment));
-    }
-    if name == "resilience" || name.starts_with("resilience/") {
-        return true;
-    }
-    NON_TIMING_MARKERS.iter().any(|marker| name.contains(marker))
+    matches!(name.split('/').next(), Some("obs" | "resilience"))
+        || NON_TIMING_MARKERS.iter().any(|marker| name.contains(marker))
 }
 
 /// Compares two timing records and returns every entry whose current value
 /// exceeds `factor ×` its baseline — the CI perf gate's core.
 ///
 /// Only timings are gated: every name [`is_non_timing`] accepts (ratio
-/// entries, `obs/` counters, `resilience/` accuracies) and entries missing
+/// entries, `obs/` exports, `resilience/` accuracies) and entries missing
 /// from either record are skipped, so adding or removing benchmarks never
 /// fails the gate. Non-positive baselines are skipped too (a zero timing
 /// carries no signal).
@@ -590,19 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn obs_stage_latencies_are_gated_like_timings() {
-        for q in ["p50", "p90", "p99", "max"] {
-            assert!(!is_non_timing(&format!("obs/stage/conv/forward/{q}")), "{q} must gate");
-            // Per-precision variants keep the quantile as its own segment.
-            assert!(!is_non_timing(&format!("obs/stage/dense/fold/{q}/8")), "{q}/8 must gate");
-        }
-        // The segment rule is exact: "p50" inside a longer segment is not a
-        // quantile, and non-obs names are unaffected by the segment rule.
-        assert!(is_non_timing("obs/stage/p50ish/count"));
-        assert!(!is_non_timing("bin/table3_accuracy"));
-    }
-
-    #[test]
     fn resilience_entries_are_skipped_wholesale_by_the_gate() {
         // Accuracy points, derived ratios, and curve flags alike.
         assert!(is_non_timing("resilience/accuracy/this-work/6/ber-0.01"));
@@ -636,16 +612,21 @@ mod tests {
     }
 
     #[test]
-    fn regressions_skip_obs_counters_but_gate_obs_latencies() {
+    fn regressions_skip_every_obs_entry() {
         let mut baseline = BenchJson::new();
         baseline.record("obs/nn/images_evaluated", 10.0);
-        baseline.record("obs/stage/conv/forward/p99", 100.0);
+        baseline.record("obs/stage/dense/forward/p50/8", 32767.0);
+        baseline.record("bin/table3_accuracy", 100.0);
         let mut current = BenchJson::new();
-        current.record("obs/nn/images_evaluated", 1e6); // counter growth: fine
-        current.record("obs/stage/conv/forward/p99", 500.0); // latency growth: gated
+        current.record("obs/nn/images_evaluated", 1e6); // counter growth: skipped
+                                                        // One log2 bucket up: a 2× reading from a tiny shift, skipped.
+        current.record("obs/stage/dense/forward/p50/8", 65535.0);
+        current.record("bin/table3_accuracy", 500.0); // a real timing: gated
         let found = regressions(&baseline, &current, 2.0);
         assert_eq!(found.len(), 1);
-        assert_eq!(found[0].name, "obs/stage/conv/forward/p99");
+        assert_eq!(found[0].name, "bin/table3_accuracy");
+        // Only a whole `obs` first segment opts out of the gate.
+        assert!(!is_non_timing("bin/obs_export"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   against a fixed source sequence a stream takes at most `2^b + 1`
 //!   distinct patterns; pre-counting `count(stream(level) ∧ weight)` for
 //!   every (level, weight) pair turns a whole multiply-and-count datapath
-//!   into a table gather. Used by the convolution engine (PR 2) and the
+//!   into a table gather. Used by the convolution engine and the
 //!   dense engine's unipolar mode (the same counting identity Hirtzlin
 //!   et al. apply to fully-connected SC layers).
 //! * [`LaneTree`] — folds one TFF adder tree for many output lanes at once
@@ -39,9 +39,8 @@
 //!
 //! [`LaneTree::fold`] walks only the **live prefix** of each tree level
 //! (the padded tail above `taps` is all-zero by construction — ~20 % of
-//! the nodes at 784 taps), and the per-call `entry`/`scratch` buffers are
-//! checked out of a per-thread [`ScratchPool`] instead of being
-//! reallocated by every `forward`.
+//! the nodes at 784 taps). A forward allocates its trees once per call and
+//! reuses them across windows.
 //!
 //! # Example: count a dot product through the table
 //!
@@ -75,8 +74,6 @@
 use crate::arena::{and_count, StreamArena};
 use crate::Error;
 use scnn_sim::S0Policy;
-use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 
 /// Upper bound on AND-count table entries (`(2^b + 1) · taps · lanes`);
 /// configurations above it fall back to the streaming engines.
@@ -86,10 +83,6 @@ pub const MAX_LUT_ENTRIES: usize = 1 << 24;
 /// `2·count + 1` overflowing the 16-bit lane: `(2¹⁶ − 1 − 1) / 2 = 32767`,
 /// i.e. streams of 14-bit precision and under.
 pub const MAX_LEAF_COUNT: u16 = (u16::MAX - 1) / 2;
-
-/// Trees kept in each thread's [`ScratchPool`]; checkouts beyond the cap
-/// simply allocate and are dropped on return.
-const POOL_CAP: usize = 8;
 
 /// One TFF adder node on one lane: `(x + y + S0) >> 1` — exactly
 /// [`scnn_sim::TffAdder::add_count`] for both rounding directions. With
@@ -265,8 +258,7 @@ impl LevelCountTable {
 /// trees; a caller that rewrites **every** tap's lanes (via
 /// [`tap_lanes_mut`](Self::tap_lanes_mut)) before each fold keeps the
 /// zero rows beyond the live prefix intact and may reuse one tree across
-/// windows. [`ScratchPool::checkout`] hands out exactly such reusable
-/// trees.
+/// windows.
 ///
 /// Count ceiling: the per-node transient `x + y + S0` lives in a 16-bit
 /// lane, so every leaf count must satisfy `2·count + 1 ≤ u16::MAX`
@@ -304,28 +296,6 @@ impl LaneTree {
         policy: S0Policy,
         max_leaf_count: usize,
     ) -> Result<Self, Error> {
-        let mut tree = Self {
-            taps: 0,
-            lanes: 0,
-            padded: 1,
-            policy,
-            entry: Vec::new(),
-            scratch: Vec::new(),
-            root: Vec::new(),
-        };
-        tree.reconfigure(taps, lanes, policy, max_leaf_count)?;
-        Ok(tree)
-    }
-
-    /// Reshapes a tree in place, reusing its allocations. The buffers are
-    /// re-zeroed so the live-prefix invariant holds afresh.
-    fn reconfigure(
-        &mut self,
-        taps: usize,
-        lanes: usize,
-        policy: S0Policy,
-        max_leaf_count: usize,
-    ) -> Result<(), Error> {
         if taps == 0 || lanes == 0 {
             return Err(Error::config("LaneTree needs at least one tap and lane"));
         }
@@ -335,17 +305,15 @@ impl LaneTree {
                  (ceiling {MAX_LEAF_COUNT})"
             )));
         }
-        self.taps = taps;
-        self.lanes = lanes;
-        self.padded = taps.next_power_of_two();
-        self.policy = policy;
-        self.entry.clear();
-        self.entry.resize(round_even(taps) * lanes, 0);
-        self.scratch.clear();
-        self.scratch.resize(round_even(taps.div_ceil(2)).max(1) * lanes, 0);
-        self.root.clear();
-        self.root.resize(lanes, 0);
-        Ok(())
+        Ok(Self {
+            taps,
+            lanes,
+            padded: taps.next_power_of_two(),
+            policy,
+            entry: vec![0; round_even(taps) * lanes],
+            scratch: vec![0; round_even(taps.div_ceil(2)).max(1) * lanes],
+            root: vec![0; lanes],
+        })
     }
 
     /// The padded tree width (the scale factor of the scaled sum).
@@ -472,54 +440,36 @@ impl LaneTree {
 
 /// The wide scalar TFF tree fold used by the bit-level streaming engines:
 /// each element is one `u64` count, so counts beyond the 16-bit lane
-/// ceiling (15- and 16-bit streams) fold exactly. Node
-/// numbering matches [`scnn_sim::TffAdderTree`].
+/// ceiling (15- and 16-bit streams) fold exactly. Node numbering matches
+/// [`scnn_sim::TffAdderTree`].
+///
+/// `stuck = Some((node, value))` is a stuck-at fault: node `node` emits
+/// `value` instead of its computed output — the scalar twin of
+/// [`LaneTree::fold_stuck`], so the streaming and count-domain engines
+/// share one defect semantics.
 ///
 /// # Panics
 ///
 /// Debug-panics if `counts.len()` is not a power of two.
-pub fn fold_tree_counts_wide(policy: S0Policy, counts: &mut [u64]) -> u64 {
-    debug_assert!(counts.len().is_power_of_two(), "fold needs the padded tree width");
-    let mut width = counts.len();
-    let mut node = 0usize;
-    while width > 1 {
-        for i in 0..width / 2 {
-            let sum = counts[2 * i] + counts[2 * i + 1];
-            counts[i] = if policy.state_for(node) { sum.div_ceil(2) } else { sum / 2 };
-            node += 1;
-        }
-        width /= 2;
-    }
-    counts[0]
-}
-
-/// [`fold_tree_counts_wide`] with a stuck-at fault: node `stuck_node`
-/// emits `value` instead of its computed output — the scalar twin of
-/// [`LaneTree::fold_stuck`], used by the streaming engine so both paths
-/// share one defect semantics (bit-exactness is property-tested).
-///
-/// # Panics
-///
-/// Debug-panics if `counts.len()` is not a power of two.
-pub fn fold_tree_counts_wide_stuck(
+pub fn fold_tree_counts_wide(
     policy: S0Policy,
     counts: &mut [u64],
-    stuck_node: usize,
-    value: u64,
+    stuck: Option<(usize, u64)>,
 ) -> u64 {
     debug_assert!(counts.len().is_power_of_two(), "fold needs the padded tree width");
     let mut width = counts.len();
     let mut node = 0usize;
     while width > 1 {
         for i in 0..width / 2 {
-            counts[i] = if node == stuck_node {
-                value
-            } else {
-                let sum = counts[2 * i] + counts[2 * i + 1];
-                if policy.state_for(node) {
-                    sum.div_ceil(2)
-                } else {
-                    sum / 2
+            counts[i] = match stuck {
+                Some((stuck_node, value)) if stuck_node == node => value,
+                _ => {
+                    let sum = counts[2 * i] + counts[2 * i + 1];
+                    if policy.state_for(node) {
+                        sum.div_ceil(2)
+                    } else {
+                        sum / 2
+                    }
                 }
             };
             node += 1;
@@ -631,141 +581,14 @@ pub fn mux_route_masks(
     Ok(masks)
 }
 
-/// A per-thread pool of reusable [`LaneTree`] scratch.
-///
-/// The count-domain forwards of
-/// [`StochasticConvLayer`](crate::StochasticConvLayer) and
-/// [`StochasticDenseLayer`](crate::StochasticDenseLayer)
-/// [`checkout`](Self::checkout) their trees from the calling thread's pool
-/// and return them on drop, so steady-state inference does no per-forward
-/// allocation on any worker thread. Recycled trees are reshaped (and
-/// re-zeroed) in place, growing their buffers only when a larger shape
-/// comes along.
-///
-/// # Example
-///
-/// ```
-/// use scnn_core::counts::ScratchPool;
-/// use scnn_sim::S0Policy;
-///
-/// # fn main() -> Result<(), scnn_core::Error> {
-/// let mut tree = ScratchPool::checkout(25, 32, S0Policy::Alternating, 64)?;
-/// for tap in 0..25 {
-///     tree.tap_lanes_mut(tap).fill(7);
-/// }
-/// tree.fold();
-/// // All 32 lanes fold the same taps, so every root lane agrees.
-/// assert_eq!(tree.root_lane(0), tree.root_lane(31));
-/// drop(tree); // returns the buffers to this thread's pool
-/// assert!(ScratchPool::thread_pooled() >= 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    trees: Vec<LaneTree>,
-}
-
-thread_local! {
-    static THREAD_POOL: RefCell<ScratchPool> = RefCell::new(ScratchPool::default());
-}
-
-impl ScratchPool {
-    /// Checks a tree of the requested shape out of the calling thread's
-    /// pool, recycling a previous tree's buffers when one is available.
-    /// The guard returns the tree on drop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Config`] for shapes [`LaneTree::new`] rejects.
-    pub fn checkout(
-        taps: usize,
-        lanes: usize,
-        policy: S0Policy,
-        max_leaf_count: usize,
-    ) -> Result<PooledTree, Error> {
-        let recycled = THREAD_POOL.try_with(|pool| pool.borrow_mut().trees.pop()).ok().flatten();
-        if scnn_obs::metrics_enabled() {
-            // Handles are resolved once per process; a checkout that finds
-            // the thread pool empty pays a fresh tree allocation.
-            static HANDLES: std::sync::OnceLock<(
-                &'static scnn_obs::Counter,
-                &'static scnn_obs::Counter,
-            )> = std::sync::OnceLock::new();
-            let (checkouts, allocs) = HANDLES.get_or_init(|| {
-                let registry = scnn_obs::registry();
-                (
-                    registry.counter("scratch_pool/checkouts"),
-                    registry.counter("scratch_pool/allocs"),
-                )
-            });
-            checkouts.add(1);
-            if recycled.is_none() {
-                allocs.add(1);
-            }
-        }
-        let tree = match recycled {
-            Some(mut tree) => {
-                tree.reconfigure(taps, lanes, policy, max_leaf_count)?;
-                tree
-            }
-            None => LaneTree::new(taps, lanes, policy, max_leaf_count)?,
-        };
-        Ok(PooledTree { tree: Some(tree) })
-    }
-
-    /// How many trees the calling thread's pool currently holds
-    /// (diagnostics and tests).
-    pub fn thread_pooled() -> usize {
-        THREAD_POOL.try_with(|pool| pool.borrow().trees.len()).unwrap_or(0)
-    }
-}
-
-/// A [`LaneTree`] checked out of the calling thread's [`ScratchPool`];
-/// dereferences to the tree and returns it to the pool on drop.
-#[derive(Debug)]
-pub struct PooledTree {
-    tree: Option<LaneTree>,
-}
-
-impl Deref for PooledTree {
-    type Target = LaneTree;
-
-    fn deref(&self) -> &LaneTree {
-        self.tree.as_ref().expect("tree present until drop")
-    }
-}
-
-impl DerefMut for PooledTree {
-    fn deref_mut(&mut self) -> &mut LaneTree {
-        self.tree.as_mut().expect("tree present until drop")
-    }
-}
-
-impl Drop for PooledTree {
-    fn drop(&mut self) {
-        if let Some(tree) = self.tree.take() {
-            // During thread teardown the pool may already be gone; the
-            // tree is then simply dropped.
-            let _ = THREAD_POOL.try_with(|pool| {
-                let trees = &mut pool.borrow_mut().trees;
-                if trees.len() < POOL_CAP {
-                    trees.push(tree);
-                }
-            });
-        }
-    }
-}
-
 /// One comparator-SNG conversion per *distinct* level.
 ///
 /// Against a fixed source sequence the comparator stream is a pure function
 /// of the level, so equal-level inputs share bit patterns; the cache
-/// converts on first sight and hands out word slices afterwards. This is
-/// the stream-arena dedup the conv engine's `pixel_streams` has used since
-/// PR 2, now shared with the dense engine's input bank. The cache owns a
-/// copy of its source sequence, so an engine can keep one instance warm
-/// across calls instead of rebuilding it per image.
+/// converts on first sight and hands out word slices afterwards. Both
+/// streaming references build one per call: the conv engine's
+/// `pixel_streams` and the dense engine's input bank, so a call converts
+/// at most `2^b + 1` levels.
 #[derive(Debug)]
 pub struct LevelStreamCache {
     seq: Vec<u64>,
@@ -786,11 +609,6 @@ impl LevelStreamCache {
             scratch: StreamArena::new(1, seq.len())?,
             cache: vec![None; seq.len() + 1],
         })
-    }
-
-    /// The source sequence this cache converts against.
-    pub fn seq(&self) -> &[u64] {
-        &self.seq
     }
 
     /// The packed words of the level-`level` comparator stream, converting
@@ -879,7 +697,7 @@ mod tests {
             for (lane, counts) in scalar.iter_mut().enumerate() {
                 assert_eq!(
                     u64::from(tree.root_lane(lane)),
-                    fold_tree_counts_wide(policy, counts),
+                    fold_tree_counts_wide(policy, counts, None),
                     "lane={lane} policy={policy:?}"
                 );
             }
@@ -962,30 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_pool_recycles_buffers() {
-        let tree = ScratchPool::checkout(25, 9, S0Policy::Alternating, 64).unwrap();
-        let while_out = ScratchPool::thread_pooled();
-        drop(tree);
-        assert_eq!(ScratchPool::thread_pooled(), while_out + 1);
-        // A recycled checkout must behave like a fresh tree even after the
-        // previous user dirtied it with a different shape.
-        let mut a = ScratchPool::checkout(7, 3, S0Policy::AllOne, 64).unwrap();
-        for t in 0..7 {
-            a.tap_lanes_mut(t).fill(9);
-        }
-        let dirty_roots = a.fold().to_vec();
-        drop(a);
-        let mut b = ScratchPool::checkout(7, 3, S0Policy::AllOne, 64).unwrap();
-        for t in 0..7 {
-            b.tap_lanes_mut(t).fill(9);
-        }
-        assert_eq!(dirty_roots, b.fold());
-        // And invalid shapes are rejected at checkout.
-        assert!(ScratchPool::checkout(0, 3, S0Policy::AllOne, 64).is_err());
-        assert!(ScratchPool::checkout(7, 3, S0Policy::AllOne, 1 << 15).is_err());
-    }
-
-    #[test]
     fn level_stream_cache_matches_direct_conversion() {
         let n = 48;
         let s = seq(6, n);
@@ -1044,12 +838,8 @@ mod tests {
                     }
                     tree.fold_stuck(node, value);
                     for (lane, counts) in scalar.iter().enumerate() {
-                        let want = fold_tree_counts_wide_stuck(
-                            policy,
-                            &mut counts.clone(),
-                            node,
-                            u64::from(value),
-                        );
+                        let stuck = Some((node, u64::from(value)));
+                        let want = fold_tree_counts_wide(policy, &mut counts.clone(), stuck);
                         assert_eq!(
                             u64::from(tree.root_lane(lane)),
                             want,

@@ -1,5 +1,5 @@
 use crate::arena::{and_count, StreamArena};
-use crate::counts::{table_fits, LevelCountTable, LevelStreamCache, ScratchPool};
+use crate::counts::{table_fits, LaneTree, LevelCountTable, LevelStreamCache};
 use crate::Error;
 use scnn_bitstream::Precision;
 use scnn_nn::layers::Dense;
@@ -44,7 +44,8 @@ pub enum DenseInput {
 /// with all neurons folded in parallel
 /// [`LaneTree`](crate::counts::LaneTree) lanes.
 /// [`forward_streaming`](Self::forward_streaming) remains the bit-level
-/// reference — bit-exact with the fast path (property-tested).
+/// reference — bit-exact with the fast path (checked by the oracle harness
+/// in `tests/oracle.rs`).
 ///
 /// # Example
 ///
@@ -228,7 +229,7 @@ impl StochasticDenseLayer {
 
     /// The count-domain fast path: quantize each input once, gather its
     /// AND counts for all neurons from the level-indexed table, and fold
-    /// both trees in neuron lanes on pooled scratch.
+    /// both trees in neuron lanes.
     fn forward_lut(&self, lut: &LevelCountTable, input: &[f32]) -> Result<Vec<f32>, Error> {
         self.check_input(input)?;
         let _forward = scnn_obs::span("dense/forward");
@@ -239,9 +240,9 @@ impl StochasticDenseLayer {
         let n = self.precision.stream_len() as f32;
         let max_leaf = self.precision.stream_len();
         let mut pos =
-            ScratchPool::checkout(self.in_features, self.out_features, DENSE_S0_POLICY, max_leaf)?;
+            LaneTree::new(self.in_features, self.out_features, DENSE_S0_POLICY, max_leaf)?;
         let mut neg =
-            ScratchPool::checkout(self.in_features, self.out_features, DENSE_S0_POLICY, max_leaf)?;
+            LaneTree::new(self.in_features, self.out_features, DENSE_S0_POLICY, max_leaf)?;
         let _fold = scnn_obs::span("dense/fold");
         for (i, &v) in input.iter().enumerate() {
             let level = pixel_level(v, bits) as usize;
@@ -262,8 +263,9 @@ impl StochasticDenseLayer {
     }
 
     /// The bit-level streaming engine — the hardware reference model,
-    /// kept public so benches and property tests can compare it against
-    /// the count-domain path on any configuration (they are bit-exact).
+    /// kept public so benches and the oracle harness can compare it
+    /// against the count-domain path on any configuration (they are
+    /// bit-exact).
     ///
     /// # Errors
     ///
@@ -423,47 +425,6 @@ mod tests {
         assert_eq!(layer.in_features(), 8);
         assert_eq!(layer.out_features(), 2);
         assert_eq!(layer.precision().bits(), 4);
-    }
-
-    #[test]
-    fn unipolar_lut_matches_streaming_reference() {
-        // The count-domain fast path must be bit-exact with the streaming
-        // engine across precisions and shapes.
-        for (in_f, out_f, bits, seed) in
-            [(16usize, 4usize, 4u32, 1u64), (32, 6, 8, 9), (25, 3, 6, 5), (1, 2, 4, 3)]
-        {
-            let dense = Dense::new(in_f, out_f, seed);
-            let layer = StochasticDenseLayer::from_dense(
-                &dense,
-                Precision::new(bits).unwrap(),
-                DenseInput::Unipolar,
-                seed ^ 0xC0,
-            )
-            .unwrap();
-            assert!(layer.uses_count_table(), "in={in_f} out={out_f} bits={bits}");
-            let input: Vec<f32> =
-                (0..in_f).map(|i| ((i as u64 * 29 + seed) % 101) as f32 / 100.0).collect();
-            let fast = layer.forward(&input).unwrap();
-            let reference = layer.forward_streaming(&input).unwrap();
-            assert_eq!(
-                fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "in={in_f} out={out_f} bits={bits}"
-            );
-        }
-    }
-
-    #[test]
-    fn ternary_mode_skips_the_table() {
-        let dense = Dense::new(8, 2, 0);
-        let layer = StochasticDenseLayer::from_dense(
-            &dense,
-            Precision::new(6).unwrap(),
-            DenseInput::Ternary,
-            1,
-        )
-        .unwrap();
-        assert!(!layer.uses_count_table());
     }
 
     #[test]

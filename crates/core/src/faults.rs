@@ -26,8 +26,8 @@
 //! memory for exactly one use per entry. The faulted count is distributed
 //! exactly as `count(flipped_stream ∧ weight)`: the LUT path is
 //! statistically indistinguishable from the streaming reference
-//! (property-tested moments), it just draws a different deterministic
-//! realization.
+//! (moment-matched in `tests/oracle.rs`), it just draws a different
+//! deterministic realization.
 //!
 //! Lane safety: [`ImageFaults::apply`] accumulates a pixel's `0→1` flips
 //! (count grows) before its `1→0` flips (count shrinks). Each add keeps a
@@ -348,20 +348,28 @@ mod tests {
 
     #[test]
     fn sampled_flip_rate_concentrates_near_ber() {
+        // Per image the flip count is Binomial(pixels · N, ber): its mean
+        // rate must sit near ber and its variance within [0.3, 3]× the
+        // binomial variance.
         let (bits, taps, lanes) = (8u32, 2usize, 1usize);
         let n = 1usize << bits;
         let (pixel_seq, weights, neg, _table) = fixture(bits, taps, lanes);
         for ber in [0.02f64, 0.1, 0.5] {
             let plan = CountFaultPlan::build(ber, 11, &pixel_seq, &weights, &neg, taps, lanes);
             let levels = vec![7usize; 64]; // 64 "pixels" per image
-            let mut flips = 0u64;
-            let images = 40u64;
-            for image in 0..images {
-                flips += plan.image_faults(&levels, image).flips;
-            }
-            let total = (images as usize * levels.len() * n) as f64;
-            let rate = flips as f64 / total;
+            let flips: Vec<f64> =
+                (0..40u64).map(|image| plan.image_faults(&levels, image).flips as f64).collect();
+            let images = flips.len() as f64;
+            let mean = flips.iter().sum::<f64>() / images;
+            let var = flips.iter().map(|f| (f - mean) * (f - mean)).sum::<f64>() / (images - 1.0);
+            let stream_bits = (levels.len() * n) as f64;
+            let rate = mean / stream_bits;
             assert!((rate - ber).abs() < 0.15 * ber + 0.002, "ber={ber} observed {rate}");
+            let expect_var = stream_bits * ber * (1.0 - ber);
+            assert!(
+                var > 0.3 * expect_var && var < 3.0 * expect_var,
+                "ber={ber} flip variance {var} vs binomial {expect_var}"
+            );
         }
     }
 

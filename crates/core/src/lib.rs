@@ -67,7 +67,6 @@ mod stochastic;
 
 pub use arena::{and_count, mux_words, StreamArena};
 pub use baseline::{BinaryConvLayer, FirstLayer, FloatConvLayer};
-pub use counts::{PooledTree, ScratchPool};
 pub use dense::{DenseInput, StochasticDenseLayer};
 pub use error::Error;
 pub use hybrid::{FeatureSource, HybridLenet};

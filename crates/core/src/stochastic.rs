@@ -1,8 +1,8 @@
 use crate::arena::{and_count, mux_words, StreamArena};
 use crate::baseline::{ternary, window_taps, FirstLayer, KernelBank, IMAGE_SIDE};
 use crate::counts::{
-    fold_tree_counts_wide, fold_tree_counts_wide_stuck, live_fold_node, mux_route_masks,
-    table_fits, LevelCountTable, LevelStreamCache, ScratchPool,
+    fold_tree_counts_wide, live_fold_node, mux_route_masks, table_fits, LaneTree, LevelCountTable,
+    LevelStreamCache,
 };
 use crate::faults::{gather_faulted, CountFaultPlan};
 use crate::Error;
@@ -13,7 +13,6 @@ use scnn_nn::layers::Conv2d;
 use scnn_nn::quant::{pixel_level, weight_level};
 use scnn_rng::{Lfsr, NumberSource, Ramp, Sobol2, TrueRandom, VanDerCorput};
 use scnn_sim::{FaultModel, FaultSite, S0Policy};
-use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which number source drives a comparator SNG bank in the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -163,10 +162,11 @@ impl Default for ScOptions {
 /// quantizes each pixel once and folds counts for all `K` kernels in
 /// parallel [`LaneTree`](crate::counts::LaneTree) lanes — zero bitstream
 /// traffic, bit-exact with
-/// [`forward_image_streaming`](Self::forward_image_streaming) (property
-/// tested). Fault injection stays on the fast path: bit errors are lifted
-/// into per-(pixel, tap) count deltas and stuck-at sites into gather/fold
-/// overrides, so faulted sweeps run at LUT speed (see
+/// [`forward_image_streaming`](Self::forward_image_streaming) (checked by
+/// the oracle harness in `tests/oracle.rs`). Fault injection stays on the
+/// fast path: bit errors are lifted into per-(pixel, tap) count deltas and
+/// stuck-at sites into gather/fold overrides, so faulted sweeps run at LUT
+/// speed (see
 /// [`ScOptions::fault`]). For the MUX tree the table is built over
 /// route-masked weight streams and the trees reduce by a plain lane sum
 /// instead of the fold. The streaming simulation remains the reference
@@ -188,6 +188,9 @@ pub struct StochasticConvLayer {
     weight_streams: StreamArena,
     /// Sign of each (kernel, tap) weight.
     weight_neg: Vec<bool>,
+    /// Pixel SNG sequence (the hardware's global ramp / shared LFSR),
+    /// converted per distinct level on the streaming paths.
+    pixel_seq: Vec<u64>,
     /// Select streams for the MUX trees (2·(padded−1) streams), empty for TFF.
     select_streams: StreamArena,
     /// Level-indexed AND-count table, over route-masked weights for the
@@ -199,12 +202,6 @@ pub struct StochasticConvLayer {
     /// it samples the flip set from `(seed, image_index, pixel)` and
     /// perturbs the gathered counts exactly as literal stream flips would.
     fault_plan: Option<CountFaultPlan>,
-    /// Per-distinct-level comparator conversion cache for the streaming
-    /// paths, hoisted out of `pixel_streams` so repeated streaming
-    /// forwards reuse one conversion per level across images. Shared by
-    /// clones and worker threads (the stream is a pure function of the
-    /// level against the fixed `pixel_seq`).
-    level_streams: Arc<Mutex<LevelStreamCache>>,
 }
 
 impl StochasticConvLayer {
@@ -346,8 +343,6 @@ impl StochasticConvLayer {
             _ => None,
         };
 
-        let level_streams = Arc::new(Mutex::new(LevelStreamCache::new(&pixel_seq)?));
-
         Ok(Self {
             bank,
             precision,
@@ -356,10 +351,10 @@ impl StochasticConvLayer {
             padded,
             weight_streams,
             weight_neg,
+            pixel_seq,
             select_streams,
             lut,
             fault_plan,
-            level_streams,
         })
     }
 
@@ -409,28 +404,18 @@ impl StochasticConvLayer {
     ///
     /// Returns [`Error::Config`] if the image has the wrong size.
     pub fn pixel_streams(&self, image: &[f32]) -> Result<StreamArena, Error> {
-        if image.len() != IMAGE_SIDE * IMAGE_SIDE {
-            return Err(Error::config(format!(
-                "expected {} pixels, got {}",
-                IMAGE_SIDE * IMAGE_SIDE,
-                image.len()
-            )));
-        }
+        check_image(image)?;
         let _convert = scnn_obs::span("conv/sng_convert");
         let bits = self.precision.bits();
         let mut arena = StreamArena::new(image.len(), self.n)?;
         // One comparator-SNG conversion per *distinct* level (≤ 2^b + 1)
         // instead of one per pixel: against the fixed shared `pixel_seq`
         // the stream is a pure function of the level, so equal-level pixels
-        // share bit patterns and the rest is a word copy. The cache is
-        // engine-owned, so repeated streaming forwards (and clones) reuse
-        // conversions across images instead of redoing them per call.
-        {
-            let mut level_words = self.level_streams.lock().unwrap_or_else(PoisonError::into_inner);
-            for (p, &v) in image.iter().enumerate() {
-                let level = pixel_level(v, bits) as usize;
-                arena.stream_mut(p).copy_from_slice(level_words.words(level));
-            }
+        // share bit patterns and the rest is a word copy.
+        let mut levels = LevelStreamCache::new(&self.pixel_seq)?;
+        for (p, &v) in image.iter().enumerate() {
+            let level = pixel_level(v, bits) as usize;
+            arena.stream_mut(p).copy_from_slice(levels.words(level));
         }
         let ber = self.options.fault.bit_error_rate();
         if ber > 0.0 {
@@ -473,24 +458,17 @@ impl StochasticConvLayer {
 
     /// The count-domain fast path: quantize each pixel once, gather
     /// per-tap AND counts for all kernels from the level-indexed table,
-    /// and reduce both trees in kernel lanes on pooled scratch — a TFF
-    /// fold, or a plain sum of the route-masked MUX counts. `image_index`
-    /// seeds the bit-error flip set (ignored when the engine is
-    /// fault-free), keeping faulted results byte-identical for any thread
-    /// count or batch order.
+    /// and reduce both trees in kernel lanes — a TFF fold, or a plain sum
+    /// of the route-masked MUX counts. `image_index` seeds the bit-error
+    /// flip set (ignored when the engine is fault-free), keeping faulted
+    /// results byte-identical for any thread count or batch order.
     fn forward_image_lut(
         &self,
         lut: &LevelCountTable,
         image: &[f32],
         image_index: u64,
     ) -> Result<Vec<f32>, Error> {
-        if image.len() != IMAGE_SIDE * IMAGE_SIDE {
-            return Err(Error::config(format!(
-                "expected {} pixels, got {}",
-                IMAGE_SIDE * IMAGE_SIDE,
-                image.len()
-            )));
-        }
+        check_image(image)?;
         let _forward = scnn_obs::span("conv/forward");
         if scnn_obs::metrics_enabled() {
             scnn_obs::registry().counter("conv/images").add(1);
@@ -516,8 +494,8 @@ impl StochasticConvLayer {
         let mut out = vec![0.0f32; lanes * n_out];
         let ksq = self.bank.ksize * self.bank.ksize;
         let policy = self.options.s0_policy;
-        let mut pos = ScratchPool::checkout(ksq, lanes, policy, self.n)?;
-        let mut neg = ScratchPool::checkout(ksq, lanes, policy, self.n)?;
+        let mut pos = LaneTree::new(ksq, lanes, policy, self.n)?;
+        let mut neg = LaneTree::new(ksq, lanes, policy, self.n)?;
         let _fold = scnn_obs::span("conv/fold");
         for oy in 0..IMAGE_SIDE {
             for ox in 0..IMAGE_SIDE {
@@ -595,9 +573,9 @@ impl StochasticConvLayer {
     ///
     /// [`forward_image`](FirstLayer::forward_image) dispatches here
     /// whenever the count-domain table is unavailable (oversized table,
-    /// 15- and 16-bit streams); it stays public so benches and property
-    /// tests can compare the two paths on any configuration (bit-exact for
-    /// the fault-free TFF and MUX engines and the stuck-at TFF engine). For
+    /// 15- and 16-bit streams); it stays public so benches and the oracle
+    /// harness can compare the two paths on any configuration (bit-exact
+    /// for the fault-free TFF and MUX engines and the stuck-at TFF engine). For
     /// the MUX adder it ANDs every window's taps directly and folds the
     /// select streams over the products. Under
     /// [`FaultModel::BitError`] this path flips literal stream bits seeded
@@ -608,13 +586,7 @@ impl StochasticConvLayer {
     ///
     /// Returns [`Error::Config`] if the image has the wrong size.
     pub fn forward_image_streaming(&self, image: &[f32]) -> Result<Vec<f32>, Error> {
-        if image.len() != IMAGE_SIDE * IMAGE_SIDE {
-            return Err(Error::config(format!(
-                "expected {} pixels, got {}",
-                IMAGE_SIDE * IMAGE_SIDE,
-                image.len()
-            )));
-        }
+        check_image(image)?;
         let _forward = scnn_obs::span("conv/forward_streaming");
         if scnn_obs::metrics_enabled() {
             scnn_obs::registry().counter("conv/images").add(1);
@@ -626,7 +598,14 @@ impl StochasticConvLayer {
         let policy = self.options.s0_policy;
         // Stuck-at site, mirrored from the LUT path (construction already
         // rejected stuck-at on the MUX adder, so only the TFF arm reads it).
+        // A stuck TFF column pins one node of the positive tree.
         let stuck = self.options.fault.stuck();
+        let stuck_node = match stuck {
+            Some((FaultSite::AdderNode { node }, value)) => {
+                Some((node as usize, if value { self.n as u64 } else { 0 }))
+            }
+            _ => None,
+        };
         let mut out = vec![0.0f32; self.bank.kernels * n_out];
         let w = self.weight_streams.words_per_stream();
         let mut scratch = vec![0u64; self.padded * w];
@@ -670,22 +649,10 @@ impl StochasticConvLayer {
                                     }
                                 }
                             }
-                            match stuck {
-                                // Stuck TFF column in the positive tree.
-                                Some((FaultSite::AdderNode { node }, value)) => (
-                                    fold_tree_counts_wide_stuck(
-                                        policy,
-                                        &mut pos_counts,
-                                        node as usize,
-                                        if value { self.n as u64 } else { 0 },
-                                    ),
-                                    fold_tree_counts_wide(policy, &mut neg_counts),
-                                ),
-                                _ => (
-                                    fold_tree_counts_wide(policy, &mut pos_counts),
-                                    fold_tree_counts_wide(policy, &mut neg_counts),
-                                ),
-                            }
+                            (
+                                fold_tree_counts_wide(policy, &mut pos_counts, stuck_node),
+                                fold_tree_counts_wide(policy, &mut neg_counts, None),
+                            )
                         }
                         AdderKind::Mux => {
                             let mut window = |tree| {
@@ -758,6 +725,18 @@ impl StochasticConvLayer {
     }
 }
 
+/// Rejects images that are not 28×28.
+fn check_image(image: &[f32]) -> Result<(), Error> {
+    if image.len() != IMAGE_SIDE * IMAGE_SIDE {
+        return Err(Error::config(format!(
+            "expected {} pixels, got {}",
+            IMAGE_SIDE * IMAGE_SIDE,
+            image.len()
+        )));
+    }
+    Ok(())
+}
+
 impl FirstLayer for StochasticConvLayer {
     fn forward_image(&self, image: &[f32]) -> Result<Vec<f32>, Error> {
         self.forward_image_indexed(image, 0)
@@ -805,16 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn outputs_ternary_and_sized() {
-        for options in [ScOptions::this_work(), ScOptions::old_sc()] {
-            let engine = StochasticConvLayer::from_conv(&conv(), precision(4), options).unwrap();
-            let out = engine.forward_image(&test_image(1)).unwrap();
-            assert_eq!(out.len(), 8 * 784);
-            assert!(out.iter().all(|&v| v == -1.0 || v == 0.0 || v == 1.0));
-        }
-    }
-
-    #[test]
     fn tff_fold_matches_sim_reference_tree() {
         // The inline fold must agree with scnn-sim's TffAdderTree for every
         // policy and count pattern.
@@ -825,7 +794,7 @@ mod tests {
                     (0..32).map(|i| (seed.wrapping_mul(31 + i) ^ i) % 65).collect();
                 let mut scratch = counts.clone();
                 assert_eq!(
-                    fold_tree_counts_wide(policy, &mut scratch),
+                    fold_tree_counts_wide(policy, &mut scratch, None),
                     tree.fold_counts(&counts),
                     "policy {policy:?} seed {seed}"
                 );
@@ -882,36 +851,8 @@ mod tests {
             }
         }
         let policy = engine.options().s0_policy;
-        assert_eq!(fold_tree_counts_wide(policy, &mut pos_counts), pos_ref);
-        assert_eq!(fold_tree_counts_wide(policy, &mut neg_counts), neg_ref);
-    }
-
-    #[test]
-    fn mux_count_path_matches_streaming_oracle() {
-        // The route-masked table plus lane sum must reproduce the streamed
-        // MUX trees bit for bit, across precisions, SNG sources and seeds
-        // (the seed also draws the select streams).
-        let sources =
-            [(SourceKind::Lfsr, SourceKind::Lfsr), (SourceKind::Ramp, SourceKind::Sobol2)];
-        for bits in [2u32, 3, 4, 6, 8] {
-            for (pixel_source, weight_source) in sources {
-                for seed in [1u64, 42, 977] {
-                    let opts =
-                        ScOptions { pixel_source, weight_source, seed, ..ScOptions::old_sc() };
-                    let engine =
-                        StochasticConvLayer::from_conv(&conv(), precision(bits), opts).unwrap();
-                    let case =
-                        format!("bits={bits} {pixel_source:?}/{weight_source:?} seed={seed}");
-                    assert!(engine.uses_count_table(), "{case}");
-                    let img = test_image(seed + u64::from(bits));
-                    assert_eq!(
-                        engine.forward_image(&img).unwrap(),
-                        engine.forward_image_streaming(&img).unwrap(),
-                        "{case}"
-                    );
-                }
-            }
-        }
+        assert_eq!(fold_tree_counts_wide(policy, &mut pos_counts, None), pos_ref);
+        assert_eq!(fold_tree_counts_wide(policy, &mut neg_counts, None), neg_ref);
     }
 
     #[test]
@@ -1018,52 +959,6 @@ mod tests {
     }
 
     #[test]
-    fn lut_and_streaming_paths_are_bit_exact() {
-        for bits in [2u32, 4, 6, 8] {
-            for policy in [S0Policy::AllZero, S0Policy::AllOne, S0Policy::Alternating] {
-                let opts = ScOptions { s0_policy: policy, ..ScOptions::this_work() };
-                let engine =
-                    StochasticConvLayer::from_conv(&conv(), precision(bits), opts).unwrap();
-                assert!(engine.uses_count_table(), "bits={bits}");
-                let img = test_image(u64::from(bits) * 11 + 1);
-                assert_eq!(
-                    engine.forward_image(&img).unwrap(),
-                    engine.forward_image_streaming(&img).unwrap(),
-                    "bits={bits} policy={policy:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn faulted_tff_configurations_keep_the_table() {
-        // Fault injection no longer forfeits the count path: bit errors
-        // run as count deltas at LUT speed.
-        let noisy = ScOptions { fault: FaultModel::BitError(0.01), ..ScOptions::this_work() };
-        let engine = StochasticConvLayer::from_conv(&conv(), precision(4), noisy).unwrap();
-        assert!(engine.uses_count_table());
-        // The MUX tree counts too, faulted or not.
-        for fault in [FaultModel::None, FaultModel::BitError(0.01)] {
-            let opts = ScOptions { fault, ..ScOptions::old_sc() };
-            let mux = StochasticConvLayer::from_conv(&conv(), precision(4), opts).unwrap();
-            assert!(mux.uses_count_table(), "{fault:?}");
-        }
-    }
-
-    #[test]
-    fn counts_beyond_the_lane_ceiling_run_the_streaming_path() {
-        // 15-bit stream counts overflow the 16-bit lanes.
-        for (options, bits, counts) in [
-            (ScOptions::this_work(), 12, true),
-            (ScOptions::this_work(), 15, false),
-            (ScOptions::old_sc(), 15, false),
-        ] {
-            let engine = StochasticConvLayer::from_conv(&conv(), precision(bits), options).unwrap();
-            assert_eq!(engine.uses_count_table(), counts, "{:?} bits={bits}", options.adder);
-        }
-    }
-
-    #[test]
     fn deduped_pixel_streams_match_direct_conversion() {
         // The per-distinct-level cache must reproduce exactly what one
         // comparator conversion per pixel used to produce.
@@ -1072,10 +967,9 @@ mod tests {
         let img = test_image(21);
         let streams = engine.pixel_streams(&img).unwrap();
         let bits = engine.precision().bits();
-        let seq = engine.level_streams.lock().unwrap().seq().to_vec();
         let mut direct = StreamArena::new(img.len(), engine.stream_len()).unwrap();
         for (p, &v) in img.iter().enumerate() {
-            direct.write_from_levels(p, &seq, pixel_level(v, bits));
+            direct.write_from_levels(p, &engine.pixel_seq, pixel_level(v, bits));
         }
         assert_eq!(streams, direct);
     }
@@ -1103,63 +997,6 @@ mod tests {
         let total = (img.len() * engine.stream_len()) as f64;
         let rate = flips as f64 / total;
         assert!((rate - 0.05).abs() < 0.01, "observed flip rate {rate}");
-    }
-
-    #[test]
-    fn zero_rate_bit_error_model_is_bit_exact_with_fault_free() {
-        let c = conv();
-        let zero = ScOptions { fault: FaultModel::BitError(0.0), ..ScOptions::this_work() };
-        let engine = StochasticConvLayer::from_conv(&c, precision(6), zero).unwrap();
-        let clean =
-            StochasticConvLayer::from_conv(&c, precision(6), ScOptions::this_work()).unwrap();
-        assert!(engine.uses_count_table());
-        let img = test_image(23);
-        let expect = clean.forward_image(&img).unwrap();
-        assert_eq!(engine.forward_image(&img).unwrap(), expect);
-        // Index-independent too: no plan exists to sample from.
-        assert_eq!(engine.forward_image_indexed(&img, 7).unwrap(), expect);
-    }
-
-    #[test]
-    fn faulted_lut_forward_is_a_function_of_the_image_index() {
-        let opts = ScOptions { fault: FaultModel::BitError(0.05), ..ScOptions::this_work() };
-        let engine = StochasticConvLayer::from_conv(&conv(), precision(6), opts).unwrap();
-        assert!(engine.uses_count_table(), "faulted TFF should stay on the LUT path");
-        let img = test_image(11);
-        let a = engine.forward_image_indexed(&img, 4).unwrap();
-        // Same index → byte-identical realization.
-        assert_eq!(a, engine.forward_image_indexed(&img, 4).unwrap());
-        // Another index draws another flip set.
-        assert_ne!(a, engine.forward_image_indexed(&img, 5).unwrap());
-    }
-
-    #[test]
-    fn stuck_at_faults_are_bit_exact_across_paths() {
-        // Stuck-at faults are deterministic, so the count-domain overrides
-        // must reproduce the streaming datapath defect bit for bit.
-        let c = conv();
-        let img = test_image(19);
-        for site in [
-            FaultSite::LutTap { tap: 7 },
-            FaultSite::LutTap { tap: 24 },
-            FaultSite::AdderNode { node: 0 },
-            FaultSite::AdderNode { node: 16 },
-            FaultSite::AdderNode { node: 30 },
-        ] {
-            for value in [false, true] {
-                let opts = ScOptions {
-                    fault: FaultModel::StuckAt { site, value },
-                    ..ScOptions::this_work()
-                };
-                let engine = StochasticConvLayer::from_conv(&c, precision(6), opts).unwrap();
-                assert!(engine.uses_count_table());
-                assert_eq!(
-                    engine.forward_image(&img).unwrap(),
-                    engine.forward_image_streaming(&img).unwrap(),
-                    "{site} value={value}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1210,97 +1047,5 @@ mod tests {
             value: false,
         };
         assert!(StochasticConvLayer::from_conv(&c, precision(4), make(compound)).is_ok());
-    }
-
-    #[test]
-    fn count_domain_faults_match_streaming_statistics() {
-        // Both fault paths sample Bernoulli(p) per stream bit — flip-count
-        // moments must match the Binomial(784·N, p) law, and the ternary
-        // feature perturbation rate must agree across paths (the two
-        // realizations differ; their statistics must not).
-        let c = conv();
-        for (preset, bits, ber) in [
-            (ScOptions::this_work(), 4u32, 0.1f64),
-            (ScOptions::this_work(), 6, 0.05),
-            (ScOptions::old_sc(), 4, 0.1),
-            (ScOptions::old_sc(), 6, 0.05),
-        ] {
-            let clean = StochasticConvLayer::from_conv(&c, precision(bits), preset).unwrap();
-            let opts = ScOptions { fault: FaultModel::BitError(ber), ..preset };
-            let engine = StochasticConvLayer::from_conv(&c, precision(bits), opts).unwrap();
-            let plan = engine.fault_plan.as_ref().expect("ber > 0 builds a plan");
-            let n = engine.stream_len();
-            let images = 24u64;
-            let (mut lut_flips, mut str_flips) = (Vec::new(), Vec::new());
-            let (mut lut_frac, mut str_frac) = (0.0f64, 0.0f64);
-            for i in 0..images {
-                let img = test_image(i * 17 + 3);
-                let levels: Vec<usize> =
-                    img.iter().map(|&v| pixel_level(v, bits) as usize).collect();
-                lut_flips.push(plan.image_faults(&levels, i).flips as f64);
-                let noisy = engine.pixel_streams(&img).unwrap();
-                let base_streams = clean.pixel_streams(&img).unwrap();
-                let flips: u64 = (0..img.len())
-                    .map(|p| {
-                        noisy
-                            .stream(p)
-                            .iter()
-                            .zip(base_streams.stream(p))
-                            .map(|(a, b)| u64::from((a ^ b).count_ones()))
-                            .sum::<u64>()
-                    })
-                    .sum();
-                str_flips.push(flips as f64);
-                let base = clean.forward_image(&img).unwrap();
-                let frac = |out: &[f32]| {
-                    out.iter().zip(&base).filter(|(a, b)| (**a - **b).abs() > 0.5).count() as f64
-                        / base.len() as f64
-                };
-                lut_frac += frac(&engine.forward_image_indexed(&img, i).unwrap());
-                str_frac += frac(&engine.forward_image_streaming(&img).unwrap());
-            }
-            let stats = |v: &[f64]| {
-                let m = v.iter().sum::<f64>() / v.len() as f64;
-                let var = v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() - 1) as f64;
-                (m, var)
-            };
-            let case = format!("{:?} bits={bits}", preset.adder);
-            let (lm, lv) = stats(&lut_flips);
-            let (sm, sv) = stats(&str_flips);
-            let expect_mean = 784.0 * n as f64 * ber;
-            let expect_var = expect_mean * (1.0 - ber);
-            assert!((lm - expect_mean).abs() < 0.05 * expect_mean, "{case} lut mean {lm}");
-            assert!((sm - expect_mean).abs() < 0.05 * expect_mean, "{case} str mean {sm}");
-            assert!(lv > 0.3 * expect_var && lv < 3.0 * expect_var, "{case} lut var {lv}");
-            assert!(sv > 0.3 * expect_var && sv < 3.0 * expect_var, "{case} str var {sv}");
-            let (lf, sf) = (lut_frac / images as f64, str_frac / images as f64);
-            assert!(lf > 0.0 && sf > 0.0, "{case} lut {lf} streaming {sf}");
-            assert!(
-                (lf - sf).abs() < 0.25 * lf.max(sf) + 0.01,
-                "{case} perturbation rates diverge: lut {lf} vs streaming {sf}"
-            );
-        }
-    }
-
-    #[test]
-    fn level_stream_cache_recovers_from_poison() {
-        // A worker panicking mid-conversion must not wedge every later
-        // pixel conversion: the cache holds only recomputable streams.
-        let engine =
-            StochasticConvLayer::from_conv(&conv(), precision(4), ScOptions::old_sc()).unwrap();
-        let cache = Arc::clone(&engine.level_streams);
-        let _ = std::thread::spawn(move || {
-            let _guard = cache.lock().unwrap();
-            panic!("poison the level stream cache");
-        })
-        .join();
-        assert!(engine.level_streams.lock().is_err(), "lock should be poisoned");
-        let img = test_image(3);
-        let streams = engine.pixel_streams(&img).unwrap();
-        assert_eq!(streams.len(), 784);
-        // Still correct, not just non-panicking.
-        let clean =
-            StochasticConvLayer::from_conv(&conv(), precision(4), ScOptions::old_sc()).unwrap();
-        assert_eq!(streams, clean.pixel_streams(&img).unwrap());
     }
 }
