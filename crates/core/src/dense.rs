@@ -428,6 +428,47 @@ mod tests {
     }
 
     #[test]
+    fn unipolar_lut_matches_streaming_reference() {
+        // The count-domain fast path must be bit-exact with the streaming
+        // engine across precisions and shapes.
+        for (in_f, out_f, bits, seed) in
+            [(16usize, 4usize, 4u32, 1u64), (32, 6, 8, 9), (25, 3, 6, 5), (1, 2, 4, 3)]
+        {
+            let dense = Dense::new(in_f, out_f, seed);
+            let layer = StochasticDenseLayer::from_dense(
+                &dense,
+                Precision::new(bits).unwrap(),
+                DenseInput::Unipolar,
+                seed ^ 0xC0,
+            )
+            .unwrap();
+            assert!(layer.uses_count_table(), "in={in_f} out={out_f} bits={bits}");
+            let input: Vec<f32> =
+                (0..in_f).map(|i| ((i as u64 * 29 + seed) % 101) as f32 / 100.0).collect();
+            let fast = layer.forward(&input).unwrap();
+            let reference = layer.forward_streaming(&input).unwrap();
+            assert_eq!(
+                fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "in={in_f} out={out_f} bits={bits}"
+            );
+        }
+    }
+
+    #[test]
+    fn ternary_mode_skips_the_table() {
+        let dense = Dense::new(8, 2, 0);
+        let layer = StochasticDenseLayer::from_dense(
+            &dense,
+            Precision::new(6).unwrap(),
+            DenseInput::Ternary,
+            1,
+        )
+        .unwrap();
+        assert!(!layer.uses_count_table());
+    }
+
+    #[test]
     fn zero_input_gives_bias_only() {
         let dense = Dense::new(8, 3, 5);
         let layer = StochasticDenseLayer::from_dense(

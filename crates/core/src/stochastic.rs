@@ -784,6 +784,16 @@ mod tests {
     }
 
     #[test]
+    fn outputs_ternary_and_sized() {
+        for options in [ScOptions::this_work(), ScOptions::old_sc()] {
+            let engine = StochasticConvLayer::from_conv(&conv(), precision(4), options).unwrap();
+            let out = engine.forward_image(&test_image(1)).unwrap();
+            assert_eq!(out.len(), 8 * 784);
+            assert!(out.iter().all(|&v| v == -1.0 || v == 0.0 || v == 1.0));
+        }
+    }
+
+    #[test]
     fn tff_fold_matches_sim_reference_tree() {
         // The inline fold must agree with scnn-sim's TffAdderTree for every
         // policy and count pattern.
@@ -853,6 +863,34 @@ mod tests {
         let policy = engine.options().s0_policy;
         assert_eq!(fold_tree_counts_wide(policy, &mut pos_counts, None), pos_ref);
         assert_eq!(fold_tree_counts_wide(policy, &mut neg_counts, None), neg_ref);
+    }
+
+    #[test]
+    fn mux_count_path_matches_streaming_oracle() {
+        // The route-masked table plus lane sum must reproduce the streamed
+        // MUX trees bit for bit, across precisions, SNG sources and seeds
+        // (the seed also draws the select streams).
+        let sources =
+            [(SourceKind::Lfsr, SourceKind::Lfsr), (SourceKind::Ramp, SourceKind::Sobol2)];
+        for bits in [2u32, 3, 4, 6, 8] {
+            for (pixel_source, weight_source) in sources {
+                for seed in [1u64, 42, 977] {
+                    let opts =
+                        ScOptions { pixel_source, weight_source, seed, ..ScOptions::old_sc() };
+                    let engine =
+                        StochasticConvLayer::from_conv(&conv(), precision(bits), opts).unwrap();
+                    let case =
+                        format!("bits={bits} {pixel_source:?}/{weight_source:?} seed={seed}");
+                    assert!(engine.uses_count_table(), "{case}");
+                    let img = test_image(seed + u64::from(bits));
+                    assert_eq!(
+                        engine.forward_image(&img).unwrap(),
+                        engine.forward_image_streaming(&img).unwrap(),
+                        "{case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -959,6 +997,52 @@ mod tests {
     }
 
     #[test]
+    fn lut_and_streaming_paths_are_bit_exact() {
+        for bits in [2u32, 4, 6, 8] {
+            for policy in [S0Policy::AllZero, S0Policy::AllOne, S0Policy::Alternating] {
+                let opts = ScOptions { s0_policy: policy, ..ScOptions::this_work() };
+                let engine =
+                    StochasticConvLayer::from_conv(&conv(), precision(bits), opts).unwrap();
+                assert!(engine.uses_count_table(), "bits={bits}");
+                let img = test_image(u64::from(bits) * 11 + 1);
+                assert_eq!(
+                    engine.forward_image(&img).unwrap(),
+                    engine.forward_image_streaming(&img).unwrap(),
+                    "bits={bits} policy={policy:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn faulted_tff_configurations_keep_the_table() {
+        // Fault injection no longer forfeits the count path: bit errors
+        // run as count deltas at LUT speed.
+        let noisy = ScOptions { fault: FaultModel::BitError(0.01), ..ScOptions::this_work() };
+        let engine = StochasticConvLayer::from_conv(&conv(), precision(4), noisy).unwrap();
+        assert!(engine.uses_count_table());
+        // The MUX tree counts too, faulted or not.
+        for fault in [FaultModel::None, FaultModel::BitError(0.01)] {
+            let opts = ScOptions { fault, ..ScOptions::old_sc() };
+            let mux = StochasticConvLayer::from_conv(&conv(), precision(4), opts).unwrap();
+            assert!(mux.uses_count_table(), "{fault:?}");
+        }
+    }
+
+    #[test]
+    fn counts_beyond_the_lane_ceiling_run_the_streaming_path() {
+        // 15-bit stream counts overflow the 16-bit lanes.
+        for (options, bits, counts) in [
+            (ScOptions::this_work(), 12, true),
+            (ScOptions::this_work(), 15, false),
+            (ScOptions::old_sc(), 15, false),
+        ] {
+            let engine = StochasticConvLayer::from_conv(&conv(), precision(bits), options).unwrap();
+            assert_eq!(engine.uses_count_table(), counts, "{:?} bits={bits}", options.adder);
+        }
+    }
+
+    #[test]
     fn deduped_pixel_streams_match_direct_conversion() {
         // The per-distinct-level cache must reproduce exactly what one
         // comparator conversion per pixel used to produce.
@@ -997,6 +1081,63 @@ mod tests {
         let total = (img.len() * engine.stream_len()) as f64;
         let rate = flips as f64 / total;
         assert!((rate - 0.05).abs() < 0.01, "observed flip rate {rate}");
+    }
+
+    #[test]
+    fn zero_rate_bit_error_model_is_bit_exact_with_fault_free() {
+        let c = conv();
+        let zero = ScOptions { fault: FaultModel::BitError(0.0), ..ScOptions::this_work() };
+        let engine = StochasticConvLayer::from_conv(&c, precision(6), zero).unwrap();
+        let clean =
+            StochasticConvLayer::from_conv(&c, precision(6), ScOptions::this_work()).unwrap();
+        assert!(engine.uses_count_table());
+        let img = test_image(23);
+        let expect = clean.forward_image(&img).unwrap();
+        assert_eq!(engine.forward_image(&img).unwrap(), expect);
+        // Index-independent too: no plan exists to sample from.
+        assert_eq!(engine.forward_image_indexed(&img, 7).unwrap(), expect);
+    }
+
+    #[test]
+    fn faulted_lut_forward_is_a_function_of_the_image_index() {
+        let opts = ScOptions { fault: FaultModel::BitError(0.05), ..ScOptions::this_work() };
+        let engine = StochasticConvLayer::from_conv(&conv(), precision(6), opts).unwrap();
+        assert!(engine.uses_count_table(), "faulted TFF should stay on the LUT path");
+        let img = test_image(11);
+        let a = engine.forward_image_indexed(&img, 4).unwrap();
+        // Same index → byte-identical realization.
+        assert_eq!(a, engine.forward_image_indexed(&img, 4).unwrap());
+        // Another index draws another flip set.
+        assert_ne!(a, engine.forward_image_indexed(&img, 5).unwrap());
+    }
+
+    #[test]
+    fn stuck_at_faults_are_bit_exact_across_paths() {
+        // Stuck-at faults are deterministic, so the count-domain overrides
+        // must reproduce the streaming datapath defect bit for bit.
+        let c = conv();
+        let img = test_image(19);
+        for site in [
+            FaultSite::LutTap { tap: 7 },
+            FaultSite::LutTap { tap: 24 },
+            FaultSite::AdderNode { node: 0 },
+            FaultSite::AdderNode { node: 16 },
+            FaultSite::AdderNode { node: 30 },
+        ] {
+            for value in [false, true] {
+                let opts = ScOptions {
+                    fault: FaultModel::StuckAt { site, value },
+                    ..ScOptions::this_work()
+                };
+                let engine = StochasticConvLayer::from_conv(&c, precision(6), opts).unwrap();
+                assert!(engine.uses_count_table());
+                assert_eq!(
+                    engine.forward_image(&img).unwrap(),
+                    engine.forward_image_streaming(&img).unwrap(),
+                    "{site} value={value}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1047,5 +1188,75 @@ mod tests {
             value: false,
         };
         assert!(StochasticConvLayer::from_conv(&c, precision(4), make(compound)).is_ok());
+    }
+
+    #[test]
+    fn count_domain_faults_match_streaming_statistics() {
+        // Both fault paths sample Bernoulli(p) per stream bit — flip-count
+        // moments must match the Binomial(784·N, p) law, and the ternary
+        // feature perturbation rate must agree across paths (the two
+        // realizations differ; their statistics must not).
+        let c = conv();
+        for (preset, bits, ber) in [
+            (ScOptions::this_work(), 4u32, 0.1f64),
+            (ScOptions::this_work(), 6, 0.05),
+            (ScOptions::old_sc(), 4, 0.1),
+            (ScOptions::old_sc(), 6, 0.05),
+        ] {
+            let clean = StochasticConvLayer::from_conv(&c, precision(bits), preset).unwrap();
+            let opts = ScOptions { fault: FaultModel::BitError(ber), ..preset };
+            let engine = StochasticConvLayer::from_conv(&c, precision(bits), opts).unwrap();
+            let plan = engine.fault_plan.as_ref().expect("ber > 0 builds a plan");
+            let n = engine.stream_len();
+            let images = 24u64;
+            let (mut lut_flips, mut str_flips) = (Vec::new(), Vec::new());
+            let (mut lut_frac, mut str_frac) = (0.0f64, 0.0f64);
+            for i in 0..images {
+                let img = test_image(i * 17 + 3);
+                let levels: Vec<usize> =
+                    img.iter().map(|&v| pixel_level(v, bits) as usize).collect();
+                lut_flips.push(plan.image_faults(&levels, i).flips as f64);
+                let noisy = engine.pixel_streams(&img).unwrap();
+                let base_streams = clean.pixel_streams(&img).unwrap();
+                let flips: u64 = (0..img.len())
+                    .map(|p| {
+                        noisy
+                            .stream(p)
+                            .iter()
+                            .zip(base_streams.stream(p))
+                            .map(|(a, b)| u64::from((a ^ b).count_ones()))
+                            .sum::<u64>()
+                    })
+                    .sum();
+                str_flips.push(flips as f64);
+                let base = clean.forward_image(&img).unwrap();
+                let frac = |out: &[f32]| {
+                    out.iter().zip(&base).filter(|(a, b)| (**a - **b).abs() > 0.5).count() as f64
+                        / base.len() as f64
+                };
+                lut_frac += frac(&engine.forward_image_indexed(&img, i).unwrap());
+                str_frac += frac(&engine.forward_image_streaming(&img).unwrap());
+            }
+            let stats = |v: &[f64]| {
+                let m = v.iter().sum::<f64>() / v.len() as f64;
+                let var = v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() - 1) as f64;
+                (m, var)
+            };
+            let case = format!("{:?} bits={bits}", preset.adder);
+            let (lm, lv) = stats(&lut_flips);
+            let (sm, sv) = stats(&str_flips);
+            let expect_mean = 784.0 * n as f64 * ber;
+            let expect_var = expect_mean * (1.0 - ber);
+            assert!((lm - expect_mean).abs() < 0.05 * expect_mean, "{case} lut mean {lm}");
+            assert!((sm - expect_mean).abs() < 0.05 * expect_mean, "{case} str mean {sm}");
+            assert!(lv > 0.3 * expect_var && lv < 3.0 * expect_var, "{case} lut var {lv}");
+            assert!(sv > 0.3 * expect_var && sv < 3.0 * expect_var, "{case} str var {sv}");
+            let (lf, sf) = (lut_frac / images as f64, str_frac / images as f64);
+            assert!(lf > 0.0 && sf > 0.0, "{case} lut {lf} streaming {sf}");
+            assert!(
+                (lf - sf).abs() < 0.25 * lf.max(sf) + 0.01,
+                "{case} perturbation rates diverge: lut {lf} vs streaming {sf}"
+            );
+        }
     }
 }

@@ -1,15 +1,14 @@
-//! Property-based tests for the hybrid-engine invariants. The count-path
-//! oracle checks live in the table-driven harness in `oracle.rs`.
+//! Property-based tests for the hybrid-engine invariants.
 
 use proptest::prelude::*;
 use scnn_bitstream::Precision;
 use scnn_core::counts::{fold_tree_counts_wide, live_fold_node, LaneTree};
 use scnn_core::{
-    and_count, FirstLayer, FloatConvLayer, HybridLenet, ScOptions, ScenarioSpec,
-    StochasticConvLayer, StreamArena,
+    and_count, BinaryConvLayer, DenseInput, FirstLayer, FloatConvLayer, HybridLenet, ScOptions,
+    ScenarioSpec, SourceKind, StochasticConvLayer, StochasticDenseLayer, StreamArena,
 };
 use scnn_nn::data::BatchSource;
-use scnn_nn::layers::{Conv2d, Padding};
+use scnn_nn::layers::{Conv2d, Dense, Padding};
 use scnn_sim::{S0Policy, TffAdderTree};
 
 fn small_conv(seed: u64) -> Conv2d {
@@ -28,6 +27,44 @@ fn image_from_seed(seed: u64) -> Vec<f32> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every engine produces ternary outputs of the right size for any image.
+    #[test]
+    fn engines_always_ternary(seed in 0u64..1000, bits in 2u32..=8) {
+        let conv = small_conv(seed);
+        let image = image_from_seed(seed ^ 0xDEAD);
+        let precision = Precision::new(bits).unwrap();
+        let engines: Vec<Box<dyn FirstLayer>> = vec![
+            Box::new(FloatConvLayer::from_conv(&conv, 0.0).unwrap()),
+            Box::new(BinaryConvLayer::from_conv(&conv, precision, 0.0).unwrap()),
+            Box::new(
+                StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work()).unwrap(),
+            ),
+        ];
+        for engine in engines {
+            let out = engine.forward_image(&image).unwrap();
+            prop_assert_eq!(out.len(), 4 * 784);
+            prop_assert!(out.iter().all(|&v| v == -1.0 || v == 0.0 || v == 1.0));
+        }
+    }
+
+    /// The stochastic engine is deterministic: same configuration and image
+    /// → identical features.
+    #[test]
+    fn stochastic_engine_deterministic(seed in 0u64..500, bits in 3u32..=7) {
+        let conv = small_conv(seed);
+        let image = image_from_seed(seed);
+        let precision = Precision::new(bits).unwrap();
+        let a = StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work())
+            .unwrap()
+            .forward_image(&image)
+            .unwrap();
+        let b = StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work())
+            .unwrap()
+            .forward_image(&image)
+            .unwrap();
+        prop_assert_eq!(a, b);
+    }
 
     /// Raising the soft threshold can only move features toward zero.
     #[test]
@@ -106,6 +143,50 @@ proptest! {
         prop_assert!(m8 <= m4 + reference.len() / 33, "m4={m4} m8={m8}");
     }
 
+    /// The level-indexed AND-count fast path is bit-exact with the
+    /// streaming engine for every precision, source pairing, S0 policy,
+    /// and seed.
+    #[test]
+    fn lut_engine_matches_streaming_engine(
+        seed in 0u64..10_000,
+        bits in prop_oneof![Just(4u32), Just(6), Just(8)],
+        pixel in prop_oneof![
+            Just(SourceKind::Ramp),
+            Just(SourceKind::VanDerCorput),
+            Just(SourceKind::Sobol2),
+            Just(SourceKind::Lfsr),
+            Just(SourceKind::Random)
+        ],
+        weight in prop_oneof![
+            Just(SourceKind::Ramp),
+            Just(SourceKind::VanDerCorput),
+            Just(SourceKind::Sobol2),
+            Just(SourceKind::Lfsr),
+            Just(SourceKind::Random)
+        ],
+        policy in prop_oneof![
+            Just(S0Policy::AllZero),
+            Just(S0Policy::AllOne),
+            Just(S0Policy::Alternating)
+        ],
+    ) {
+        let conv = small_conv(seed % 97 + 1);
+        let options = ScOptions {
+            pixel_source: pixel,
+            weight_source: weight,
+            s0_policy: policy,
+            seed,
+            ..ScOptions::this_work()
+        };
+        let engine =
+            StochasticConvLayer::from_conv(&conv, Precision::new(bits).unwrap(), options).unwrap();
+        prop_assert!(engine.uses_count_table());
+        let image = image_from_seed(seed ^ 0xABCD);
+        let fast = engine.forward_image(&image).unwrap();
+        let reference = engine.forward_image_streaming(&image).unwrap();
+        prop_assert_eq!(fast, reference);
+    }
+
     /// One window of the fast path reproduced from first principles through
     /// `scnn_sim::TffAdderTree`: per-tap AND counts from the actual pixel
     /// and weight streams, folded by the reference tree, biased and
@@ -154,6 +235,42 @@ proptest! {
         let v = diff + offset;
         let expected = if v > 0.0 { 1.0 } else if v < 0.0 { -1.0 } else { 0.0 };
         prop_assert_eq!(features[k * 784 + oy * 28 + ox], expected);
+    }
+
+    /// The dense engine's count-domain fast path is bit-exact with the
+    /// streaming reference for every precision, shape and seed, in both
+    /// input modes (ternary mode has no table and must dispatch to the
+    /// streaming path unchanged).
+    #[test]
+    fn dense_lut_forward_matches_streaming(
+        seed in 0u64..5_000,
+        bits in prop_oneof![Just(2u32), Just(4), Just(6), Just(8)],
+        in_features in 1usize..40,
+        out_features in 1usize..8,
+        unipolar in any::<bool>(),
+    ) {
+        let dense = Dense::new(in_features, out_features, seed % 97);
+        let mode = if unipolar { DenseInput::Unipolar } else { DenseInput::Ternary };
+        let layer = StochasticDenseLayer::from_dense(
+            &dense,
+            Precision::new(bits).unwrap(),
+            mode,
+            seed ^ 0x5eed,
+        )
+        .unwrap();
+        prop_assert_eq!(layer.uses_count_table(), unipolar);
+        let input: Vec<f32> = (0..in_features)
+            .map(|i| {
+                let x = ((i as u64 + 1).wrapping_mul(seed | 1) >> 16) % 101;
+                if unipolar { x as f32 / 100.0 } else { [(-1.0f32), 0.0, 1.0][(x % 3) as usize] }
+            })
+            .collect();
+        let forward = layer.forward(&input).unwrap();
+        let streaming = layer.forward_streaming(&input).unwrap();
+        prop_assert_eq!(forward.len(), streaming.len());
+        for (j, (a, b)) in forward.iter().zip(&streaming).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "neuron {} of {:?}", j, mode);
+        }
     }
 
     /// Streaming hybrid evaluation (features computed chunk by chunk,
@@ -247,5 +364,39 @@ proptest! {
                 node
             );
         }
+    }
+
+    /// All S0 policies and source pairings produce valid engines.
+    #[test]
+    fn all_option_combinations_work(
+        policy in prop_oneof![
+            Just(S0Policy::AllZero),
+            Just(S0Policy::AllOne),
+            Just(S0Policy::Alternating)
+        ],
+        pixel in prop_oneof![
+            Just(SourceKind::Ramp),
+            Just(SourceKind::VanDerCorput),
+            Just(SourceKind::Lfsr),
+            Just(SourceKind::Random)
+        ],
+        weight in prop_oneof![
+            Just(SourceKind::Sobol2),
+            Just(SourceKind::VanDerCorput),
+            Just(SourceKind::Lfsr)
+        ],
+        bits in 2u32..=6,
+    ) {
+        let conv = small_conv(1);
+        let options = ScOptions {
+            s0_policy: policy,
+            pixel_source: pixel,
+            weight_source: weight,
+            ..ScOptions::this_work()
+        };
+        let engine =
+            StochasticConvLayer::from_conv(&conv, Precision::new(bits).unwrap(), options).unwrap();
+        let out = engine.forward_image(&image_from_seed(9)).unwrap();
+        prop_assert!(out.iter().all(|&v| v == -1.0 || v == 0.0 || v == 1.0));
     }
 }

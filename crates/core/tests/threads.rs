@@ -1,5 +1,4 @@
-//! Thread-count invariance of the batch-parallel evaluation and retraining
-//! pipelines.
+//! Thread-count invariance of the batch-parallel evaluation pipeline.
 //!
 //! This test mutates the `SCNN_THREADS` environment variable, so it lives
 //! in its own integration-test binary (its own process): no other test can
@@ -104,79 +103,4 @@ fn faulted_lut_features_identical_for_any_thread_count() {
             }
         }
     }
-}
-
-/// The composed streaming retrain — faulted feature gathers, sharded
-/// `train_epoch`, then the paired before/after evaluation — must produce
-/// the same report and the same trained tail, bit for bit, for every
-/// `SCNN_THREADS` value. Bit errors make the absolute-index fault seeding
-/// of the gathered batches matter.
-#[test]
-fn retrain_identical_for_any_thread_count() {
-    use scnn_core::{retrain, RetrainConfig, ScenarioSpec};
-    use scnn_nn::data::synthetic;
-    use scnn_nn::lenet::{lenet5_tail, LenetConfig};
-
-    let _env = ENV_LOCK.lock().unwrap();
-    let tail = lenet5_tail(&LenetConfig::default()).unwrap();
-    let conv = Conv2d::new(1, 32, 5, Padding::Same, 29).unwrap();
-    let spec = ScenarioSpec::this_work(4).customize().bit_error_rate(1e-2).build();
-    let (train, test) = (synthetic::generate(24, 13), synthetic::generate(12, 14));
-    let config = RetrainConfig { epochs: 2, batch_size: 8, ..RetrainConfig::default() };
-
-    let run = |threads: &str| {
-        std::env::set_var(scnn_core::parallel::THREADS_ENV, threads);
-        let engine = spec.first_layer(&conv).unwrap();
-        let (mut hybrid, report) = retrain(engine, tail.clone(), &train, &test, &config).unwrap();
-        std::env::remove_var(scnn_core::parallel::THREADS_ENV);
-        let mut weights = Vec::new();
-        hybrid.tail_mut().visit_all_params(&mut |p, _| {
-            weights.extend(p.data().iter().map(|v| v.to_bits()));
-        });
-        (report, weights)
-    };
-    let (reference, reference_weights) = run("1");
-    for threads in ["2", "8"] {
-        let (report, weights) = run(threads);
-        assert_eq!(report, reference, "report differs with {threads} threads");
-        assert!(weights == reference_weights, "tail weights differ with {threads} threads");
-    }
-}
-
-/// The per-thread `ScratchPool` behind the count-domain forwards must not
-/// perturb results across worker-thread counts: each worker checks trees
-/// out of its own thread-local pool, so recycling is invisible to the
-/// output (byte-identity already covered above) and pools actually retain
-/// buffers per thread.
-#[test]
-fn scratch_pool_is_per_thread_and_transparent() {
-    use scnn_core::ScratchPool;
-    use scnn_sim::S0Policy;
-
-    // A fresh worker thread starts with an empty pool, parks its trees on
-    // drop, and reuses them on the next checkout — all thread-locally.
-    let handle = std::thread::spawn(|| {
-        assert_eq!(ScratchPool::thread_pooled(), 0);
-        let tree = ScratchPool::checkout(25, 32, S0Policy::Alternating, 16).unwrap();
-        drop(tree);
-        let after_first = ScratchPool::thread_pooled();
-        let tree = ScratchPool::checkout(25, 32, S0Policy::Alternating, 16).unwrap();
-        let during_second = ScratchPool::thread_pooled();
-        drop(tree);
-        (after_first, during_second)
-    });
-    let (after_first, during_second) = handle.join().unwrap();
-    assert_eq!(after_first, 1);
-    assert_eq!(during_second, 0, "the second checkout must recycle the parked tree");
-
-    // And a forward on the main thread parks its trees here, not on the
-    // worker threads (the pool is thread-local, not global).
-    let conv = Conv2d::new(1, 8, 5, Padding::Same, 23).unwrap();
-    let engine =
-        StochasticConvLayer::from_conv(&conv, Precision::new(4).unwrap(), ScOptions::this_work())
-            .unwrap();
-    let image: Vec<f32> = (0..784).map(|i| (i % 100) as f32 / 99.0).collect();
-    let before = ScratchPool::thread_pooled();
-    scnn_core::FirstLayer::forward_image(&engine, &image).unwrap();
-    assert!(ScratchPool::thread_pooled() >= before.max(2).min(before + 2));
 }
