@@ -35,6 +35,18 @@ pub mod key {
         format!("{group}/{metric}/{bits}")
     }
 
+    /// Per-batch-size measurement: `<group>/<metric>/b<batch>`, e.g.
+    /// `tail/conv2_forward/b8`.
+    ///
+    /// ```
+    /// use scnn_bench::report::key;
+    ///
+    /// assert_eq!(key::per_batch("tail", "conv2_forward", 8), "tail/conv2_forward/b8");
+    /// ```
+    pub fn per_batch(group: &str, metric: &str, batch: usize) -> String {
+        format!("{group}/{metric}/b{batch}")
+    }
+
     /// An observability export: `obs/<metric>`, where `<metric>` is a
     /// [`scnn_obs::MetricsRegistry::snapshot`] key (so counters come out as
     /// `obs/nn/images_evaluated` and stage latencies as

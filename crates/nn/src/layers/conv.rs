@@ -1,5 +1,5 @@
 use super::Layer;
-use crate::{Error, Tensor};
+use crate::{matmul_into, Error, MatRef, Tensor, NN, NT, TN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
@@ -16,7 +16,10 @@ pub enum Padding {
 }
 
 /// A 2-D convolution layer over `[batch, channels, height, width]` tensors,
-/// implemented as im2col + matmul.
+/// implemented per image as im2col and one [`matmul_into`].
+///
+/// Weight gradients keep one partial product per image, added into the
+/// gradient in image order.
 ///
 /// # Example
 ///
@@ -193,7 +196,7 @@ impl Conv2d {
     }
 
     /// Scatter-add of column gradients back to image layout.
-    fn col2im(&self, dcols: &Tensor, h: usize, w: usize, oh: usize, ow: usize, dimg: &mut [f32]) {
+    fn col2im(&self, dcols: &[f32], h: usize, w: usize, oh: usize, ow: usize, dimg: &mut [f32]) {
         let k = self.kernel;
         let p = self.pad() as isize;
         let patch = oh * ow;
@@ -201,7 +204,7 @@ impl Conv2d {
             let dch = &mut dimg[c * h * w..(c + 1) * h * w];
             for ki in 0..k {
                 for kj in 0..k {
-                    let row = &dcols.data()[(c * k * k + ki * k + kj) * patch..][..patch];
+                    let row = &dcols[(c * k * k + ki * k + kj) * patch..][..patch];
                     for oy in 0..oh {
                         let iy = oy as isize + ki as isize - p;
                         if iy < 0 || iy >= h as isize {
@@ -242,15 +245,18 @@ impl Layer for Conv2d {
             self.cols_cache.clear();
             self.input_shape_cache = Some(input.shape().to_vec());
         }
+        let fan_in = c * self.kernel * self.kernel;
+        let w_mat = MatRef::new(self.w.data(), self.out_channels, fan_in);
+        let mut prod = vec![0.0f32; self.out_channels * patch];
         for bi in 0..batch {
             let img = &input.data()[bi * c * h * w..(bi + 1) * c * h * w];
             let cols = self.im2col(img, h, w, oh, ow);
-            let prod = self.w.matmul(&cols)?;
+            matmul_into(NN, w_mat, MatRef::new(cols.data(), fan_in, patch), &mut prod);
             let dst =
                 &mut out.data_mut()[bi * self.out_channels * patch..][..self.out_channels * patch];
             for oc in 0..self.out_channels {
                 let bias = self.b.data()[oc];
-                let src = &prod.data()[oc * patch..(oc + 1) * patch];
+                let src = &prod[oc * patch..(oc + 1) * patch];
                 let d = &mut dst[oc * patch..(oc + 1) * patch];
                 for (o, &v) in d.iter_mut().zip(src) {
                     *o = v + bias;
@@ -277,28 +283,22 @@ impl Layer for Conv2d {
             ));
         }
         let mut dinput = Tensor::zeros(&shape);
-        let wt = self.w.transposed();
-        for bi in 0..batch {
-            let g = Tensor::from_vec(
-                grad_output.data()[bi * self.out_channels * patch..][..self.out_channels * patch]
-                    .to_vec(),
-                &[self.out_channels, patch],
-            )?;
-            let cols = &self.cols_cache[bi];
-            self.dw.add_scaled(&g.matmul(&cols.transposed())?, 1.0);
+        let fan_in = c * self.kernel * self.kernel;
+        let w_mat = MatRef::new(self.w.data(), self.out_channels, fan_in);
+        let mut dw_image = Tensor::zeros(self.dw.shape());
+        let mut dcols = vec![0.0f32; fan_in * patch];
+        let images =
+            grad_output.data().chunks_exact(self.out_channels * patch).zip(&self.cols_cache);
+        for ((g, cols), dimg) in images.zip(dinput.data_mut().chunks_exact_mut(c * h * w)) {
+            let g_mat = MatRef::new(g, self.out_channels, patch);
+            matmul_into(NT, g_mat, MatRef::new(cols.data(), fan_in, patch), dw_image.data_mut());
+            self.dw.add_scaled(&dw_image, 1.0);
             for oc in 0..self.out_channels {
-                let s: f32 = g.data()[oc * patch..(oc + 1) * patch].iter().sum();
+                let s: f32 = g[oc * patch..(oc + 1) * patch].iter().sum();
                 self.db.data_mut()[oc] += s;
             }
-            let dcols = wt.matmul(&g)?;
-            self.col2im(
-                &dcols,
-                h,
-                w,
-                oh,
-                ow,
-                &mut dinput.data_mut()[bi * c * h * w..][..c * h * w],
-            );
+            matmul_into(TN, w_mat, g_mat, &mut dcols);
+            self.col2im(&dcols, h, w, oh, ow, dimg);
         }
         Ok(dinput)
     }
@@ -436,6 +436,83 @@ mod tests {
                 "dw[{i}]: numeric {num} vs analytic {}",
                 dw.data()[i]
             );
+        }
+    }
+
+    /// Forward output, `dx`, `dw` and `db` equal direct loops bit for bit.
+    /// The loops use the documented order: every sum ascends its index
+    /// from `+0.0`, and `dw` adds one partial product per image, in image
+    /// order. The Valid 3×3 shape sends the forward, `dw` and `dx`
+    /// products through the register tile and the leftover rows.
+    #[test]
+    fn batched_passes_match_direct_loops_bit_for_bit() {
+        let (c, oc, k, h) = (2usize, 18usize, 3usize, 7usize);
+        let (o, fan_in) = (h - k + 1, c * k * k);
+        // Exact zeros, ±1 (conv2 reads ±1 pooled features) and values whose
+        // sums round.
+        let value = |i: usize, salt: usize| match (i * 7919 + salt * 104_729) % 23 {
+            0..=3 => 0.0,
+            4..=7 => 1.0,
+            8..=11 => -1.0,
+            _ => (i % 97) as f32 / 13.0 - 3.5,
+        };
+        for batch in [1usize, 3, 4] {
+            let mut conv = Conv2d::new(c, oc, k, Padding::Valid, 5).unwrap();
+            for (i, b) in conv.bias_mut().data_mut().iter_mut().enumerate() {
+                *b = value(i, 9) / 4.0;
+            }
+            let w = conv.weights().data().to_vec();
+            let x: Vec<f32> = (0..batch * c * h * h).map(|i| value(i, 1)).collect();
+            let g: Vec<f32> = (0..batch * oc * o * o).map(|i| value(i, 2)).collect();
+            let y = conv.forward(&Tensor::from_vec(x.clone(), &[batch, c, h, h]).unwrap(), true);
+            let dx = conv.backward(&Tensor::from_vec(g.clone(), &[batch, oc, o, o]).unwrap());
+            let (y, dx) = (y.unwrap(), dx.unwrap());
+
+            let xi = |b: usize, r: usize, oy: usize, ox: usize| {
+                let (ci, ki, kj) = (r / (k * k), r / k % k, r % k);
+                x[((b * c + ci) * h + oy + ki) * h + ox + kj]
+            };
+            let gi = |b: usize, q: usize, oy: usize, ox: usize| g[((b * oc + q) * o + oy) * o + ox];
+            let mut y_ref = Vec::new();
+            let mut dx_ref = vec![0.0f32; batch * c * h * h];
+            let (mut dw_ref, mut db_ref) = (vec![0.0f32; oc * fan_in], vec![0.0f32; oc]);
+            for b in 0..batch {
+                for q in 0..oc {
+                    for (oy, ox) in (0..o * o).map(|s| (s / o, s % o)) {
+                        let mut acc = 0.0f32;
+                        for r in 0..fan_in {
+                            acc += w[q * fan_in + r] * xi(b, r, oy, ox);
+                        }
+                        y_ref.push(acc + conv.bias().data()[q]);
+                    }
+                }
+                for q in 0..oc {
+                    for r in 0..fan_in {
+                        let mut partial = 0.0f32;
+                        for (oy, ox) in (0..o * o).map(|s| (s / o, s % o)) {
+                            partial += gi(b, q, oy, ox) * xi(b, r, oy, ox);
+                        }
+                        dw_ref[q * fan_in + r] += partial;
+                    }
+                    db_ref[q] += g[(b * oc + q) * o * o..][..o * o].iter().sum::<f32>();
+                }
+                for r in 0..fan_in {
+                    let (ci, ki, kj) = (r / (k * k), r / k % k, r % k);
+                    for (oy, ox) in (0..o * o).map(|s| (s / o, s % o)) {
+                        let mut dcol = 0.0f32;
+                        for q in 0..oc {
+                            dcol += w[q * fan_in + r] * gi(b, q, oy, ox);
+                        }
+                        dx_ref[((b * c + ci) * h + oy + ki) * h + ox + kj] += dcol;
+                    }
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(y.data()), bits(&y_ref), "forward, batch {batch}");
+            assert_eq!(bits(dx.data()), bits(&dx_ref), "dx, batch {batch}");
+            let mut grads = Vec::new();
+            conv.visit_params(&mut |_, g| grads.push(bits(g.data())));
+            assert_eq!(grads, [bits(&dw_ref), bits(&db_ref)], "dw and db, batch {batch}");
         }
     }
 

@@ -1,5 +1,5 @@
 use super::Layer;
-use crate::{Error, Tensor};
+use crate::{matmul_into, Error, MatRef, Tensor, NN, NT, TN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
@@ -72,6 +72,10 @@ impl Dense {
     pub fn bias_mut(&mut self) -> &mut Tensor {
         &mut self.b
     }
+
+    fn weight_matrix(&self) -> MatRef<'_> {
+        MatRef::new(self.w.data(), self.in_features, self.out_features)
+    }
 }
 
 impl Layer for Dense {
@@ -83,9 +87,15 @@ impl Layer for Dense {
         if input.shape().len() != 2 || input.shape()[1] != self.in_features {
             return Err(Error::shape(format!("[batch, {}]", self.in_features), input.shape()));
         }
-        let mut out = input.matmul(&self.w)?;
-        let n = self.out_features;
-        for row in out.data_mut().chunks_mut(n) {
+        let batch = input.shape()[0];
+        let mut out = Tensor::zeros(&[batch, self.out_features]);
+        matmul_into(
+            NN,
+            MatRef::new(input.data(), batch, self.in_features),
+            self.weight_matrix(),
+            out.data_mut(),
+        );
+        for row in out.data_mut().chunks_mut(self.out_features) {
             for (o, &b) in row.iter_mut().zip(self.b.data()) {
                 *o += b;
             }
@@ -106,13 +116,20 @@ impl Layer for Dense {
                 grad_output.shape(),
             ));
         }
-        self.dw.add_scaled(&input.transposed().matmul(grad_output)?, 1.0);
+        let batch = input.shape()[0];
+        let x = MatRef::new(input.data(), batch, self.in_features);
+        let g = MatRef::new(grad_output.data(), batch, self.out_features);
+        let mut dw_batch = Tensor::zeros(self.dw.shape());
+        matmul_into(TN, x, g, dw_batch.data_mut());
+        self.dw.add_scaled(&dw_batch, 1.0);
         for row in grad_output.data().chunks(self.out_features) {
             for (g, &v) in self.db.data_mut().iter_mut().zip(row) {
                 *g += v;
             }
         }
-        grad_output.matmul(&self.w.transposed())
+        let mut dx = Tensor::zeros(&[batch, self.in_features]);
+        matmul_into(NT, g, self.weight_matrix(), dx.data_mut());
+        Ok(dx)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -198,6 +215,71 @@ mod tests {
             layer.weights_mut().data_mut()[i] = orig;
             let num = (lp - lm) / (2.0 * eps);
             assert!((num - dw.data()[i]).abs() < 1e-2, "dw[{i}]: num {num} vs {}", dw.data()[i]);
+        }
+    }
+
+    /// Forward output, `dx`, `dw` and `db` equal direct loops bit for bit.
+    /// The loops use the documented order: every sum ascends its index
+    /// from `+0.0`, and `dw` adds the whole batch's partial product, whose
+    /// sums run over the images in order. Batch 4 sends the forward and
+    /// `dx` products through the register tile.
+    #[test]
+    fn batched_passes_match_direct_loops_bit_for_bit() {
+        let (inputs, outputs) = (24usize, 19usize);
+        // Exact zeros (ReLU) and values whose sums round.
+        let value = |i: usize, salt: usize| match (i * 7919 + salt * 104_729) % 23 {
+            0..=5 => 0.0,
+            _ => (i % 97) as f32 / 13.0 - 3.5,
+        };
+        for batch in [1usize, 3, 4] {
+            let mut layer = Dense::new(inputs, outputs, 5);
+            for (i, b) in layer.bias_mut().data_mut().iter_mut().enumerate() {
+                *b = value(i, 9) / 4.0;
+            }
+            let w = layer.weights().data().to_vec();
+            let x: Vec<f32> = (0..batch * inputs).map(|i| value(i, 1)).collect();
+            let g: Vec<f32> = (0..batch * outputs).map(|i| value(i, 2)).collect();
+            let y = layer.forward(&Tensor::from_vec(x.clone(), &[batch, inputs]).unwrap(), true);
+            let dx = layer.backward(&Tensor::from_vec(g.clone(), &[batch, outputs]).unwrap());
+            let (y, dx) = (y.unwrap(), dx.unwrap());
+
+            let (mut y_ref, mut dx_ref) = (Vec::new(), Vec::new());
+            for b in 0..batch {
+                for o in 0..outputs {
+                    let mut acc = 0.0f32;
+                    for i in 0..inputs {
+                        acc += x[b * inputs + i] * w[i * outputs + o];
+                    }
+                    y_ref.push(acc + layer.bias().data()[o]);
+                }
+                for i in 0..inputs {
+                    let mut acc = 0.0f32;
+                    for o in 0..outputs {
+                        acc += g[b * outputs + o] * w[i * outputs + o];
+                    }
+                    dx_ref.push(acc);
+                }
+            }
+            let mut dw_ref = vec![0.0f32; inputs * outputs];
+            for (i, o) in (0..inputs * outputs).map(|s| (s / outputs, s % outputs)) {
+                let mut partial = 0.0f32;
+                for b in 0..batch {
+                    partial += x[b * inputs + i] * g[b * outputs + o];
+                }
+                dw_ref[i * outputs + o] += partial;
+            }
+            let mut db_ref = vec![0.0f32; outputs];
+            for row in g.chunks(outputs) {
+                for (d, &v) in db_ref.iter_mut().zip(row) {
+                    *d += v;
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(y.data()), bits(&y_ref), "forward, batch {batch}");
+            assert_eq!(bits(dx.data()), bits(&dx_ref), "dx, batch {batch}");
+            let mut grads = Vec::new();
+            layer.visit_params(&mut |_, g| grads.push(bits(g.data())));
+            assert_eq!(grads, [bits(&dw_ref), bits(&db_ref)], "dw and db, batch {batch}");
         }
     }
 

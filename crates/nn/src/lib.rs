@@ -6,7 +6,8 @@
 //! of it from scratch:
 //!
 //! * [`Tensor`] — a flat `f32` n-d array with the handful of kernels the
-//!   layers need (blocked matmul, transpose, elementwise ops),
+//!   layers need (elementwise ops) and [`matmul_into`], the one
+//!   register-tiled matrix product behind every layer,
 //! * [`layers`] — `Conv2d`, `MaxPool2d`, `Dense`, `Flatten`, `Relu`,
 //!   [`layers::Sign`] (the paper's ternary first-layer activation, trained
 //!   with a straight-through estimator), `Dropout`,
@@ -59,4 +60,4 @@ mod tensor;
 pub use error::Error;
 pub use loss::softmax_cross_entropy;
 pub use network::{Evaluation, Network};
-pub use tensor::Tensor;
+pub use tensor::{matmul_into, Layout, MatRef, Tensor, NN, NT, TN};

@@ -5,7 +5,7 @@ use scnn_nn::data::{parse_idx_images, parse_idx_labels, BatchSource, ChunkLoader
 use scnn_nn::layers::{Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Padding, Relu, Sign};
 use scnn_nn::optim::Adam;
 use scnn_nn::quant::{pixel_level, quantize_bipolar, scale_kernels, soft_threshold, weight_level};
-use scnn_nn::{softmax_cross_entropy, Network, Tensor};
+use scnn_nn::{matmul_into, softmax_cross_entropy, MatRef, Network, Tensor, NN, NT, TN};
 
 /// A small synthetic classification dataset: `items` 6-float items over 3
 /// classes, fully determined by `seed`.
@@ -54,6 +54,22 @@ fn train_fingerprint(
     let mut weights = Vec::new();
     net.visit_all_params(&mut |p, _| weights.extend(p.data().iter().map(|v| v.to_bits())));
     (weights, losses)
+}
+
+/// One operand entry drawn from `(seed, index)`: an exact zero with
+/// probability `zeros`, else ±1 (the values of conv2's pooled input) or a
+/// general value.
+fn gemm_entry(seed: u64, index: usize, zeros: f32) -> f32 {
+    let h = (index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed.wrapping_mul(0xbf58_476d);
+    let h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    if ((h >> 40) as f32) < zeros * (1u64 << 24) as f32 {
+        return 0.0;
+    }
+    match h & 3 {
+        0 => 1.0,
+        1 => -1.0,
+        _ => ((h >> 8) & 0xffff) as f32 / 4096.0 - 8.0,
+    }
 }
 
 proptest! {
@@ -159,6 +175,49 @@ proptest! {
         from_dataset.visit_all_params(&mut |p, _| wa.extend_from_slice(p.data()));
         from_stream.visit_all_params(&mut |p, _| wb.extend_from_slice(p.data()));
         prop_assert_eq!(wa, wb);
+    }
+
+    /// `matmul_into` equals a naive triple loop bit for bit in all three
+    /// layouts. The loop sums each output in ascending `k` from `+0.0` and
+    /// skips nothing. Cases cover row counts on both sides of the register
+    /// tile's, widths that are not a multiple of its, `k` = 0 and 1, and
+    /// dense and sparse left operands.
+    #[test]
+    fn matmul_into_matches_naive_loop_bit_for_bit(
+        m in 1usize..=9,
+        k in prop_oneof![Just(0usize), Just(1), 2usize..=40],
+        n in 1usize..=20,
+        zeros in prop_oneof![Just(0.0f32), Just(0.5), Just(0.8)],
+        seed in 0u64..1000,
+    ) {
+        let a = |i: usize, p: usize| gemm_entry(seed, i * k + p, zeros);
+        let b = |p: usize, j: usize| gemm_entry(!seed, p * n + j, 0.1);
+        let mut naive = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a(i, p) * b(p, j);
+                }
+                naive[i * n + j] = acc;
+            }
+        }
+        let naive: Vec<u32> = naive.iter().map(|v| v.to_bits()).collect();
+        let stored = |rows: usize, cols: usize, at: &dyn Fn(usize, usize) -> f32| -> Vec<f32> {
+            (0..rows * cols).map(|i| at(i / cols, i % cols)).collect()
+        };
+        let (a_n, a_t) = (stored(m, k, &a), stored(k, m, &|p, i| a(i, p)));
+        let (b_n, b_t) = (stored(k, n, &b), stored(n, k, &|j, p| b(p, j)));
+        let mut out = vec![f32::NAN; m * n];
+        let bits = |out: &[f32]| out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        matmul_into(NN, MatRef::new(&a_n, m, k), MatRef::new(&b_n, k, n), &mut out);
+        prop_assert_eq!(bits(&out), naive.clone(), "NN");
+        out.fill(f32::NAN);
+        matmul_into(NT, MatRef::new(&a_n, m, k), MatRef::new(&b_t, n, k), &mut out);
+        prop_assert_eq!(bits(&out), naive.clone(), "NT");
+        out.fill(f32::NAN);
+        matmul_into(TN, MatRef::new(&a_t, k, m), MatRef::new(&b_n, k, n), &mut out);
+        prop_assert_eq!(bits(&out), naive, "TN");
     }
 
     /// Conv2d is linear: conv(a·x) == a·conv(x) (bias removed).
