@@ -281,51 +281,6 @@ impl BitStream {
         Ok((n11, n10, n01, n00))
     }
 
-    /// The stochastic cross-correlation (SCC) of two streams
-    /// (Alaghi & Hayes): `0` for independent streams, `+1` for maximally
-    /// overlapped, `−1` for maximally anti-overlapped — the quantity whose
-    /// non-zero values ruin AND-gate multiplication and which the paper's
-    /// Table 1 schemes try to minimize.
-    ///
-    /// Returns `0` when either stream is constant (SCC is undefined there;
-    /// a constant stream is trivially uncorrelated with anything).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::LengthMismatch`] if the lengths differ.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use scnn_bitstream::BitStream;
-    ///
-    /// # fn main() -> Result<(), scnn_bitstream::Error> {
-    /// let x = BitStream::parse("1100")?;
-    /// assert_eq!(x.scc(&x)?, 1.0); // identical ⇒ maximal correlation
-    /// let y = BitStream::parse("0011")?;
-    /// assert_eq!(x.scc(&y)?, -1.0); // disjoint ⇒ maximal anti-correlation
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn scc(&self, other: &Self) -> Result<f64, Error> {
-        let (n11, _, _, _) = self.pair_counts(other)?;
-        let n = self.len as f64;
-        let (px, py) = (self.count_ones() as f64 / n, other.count_ones() as f64 / n);
-        let p11 = n11 as f64 / n;
-        let independent = px * py;
-        let delta = p11 - independent;
-        let denom = if delta > 0.0 {
-            px.min(py) - independent
-        } else {
-            independent - (px + py - 1.0).max(0.0)
-        };
-        if denom <= 0.0 {
-            Ok(0.0)
-        } else {
-            Ok(delta / denom)
-        }
-    }
-
     fn zip_words(&self, other: &Self, f: impl Fn(u64, u64) -> u64) -> Result<Self, Error> {
         if self.len != other.len {
             return Err(Error::LengthMismatch { left: self.len, right: other.len });
@@ -622,47 +577,6 @@ mod tests {
     #[should_panic(expected = "need")]
     fn from_words_validates_length() {
         let _ = BitStream::from_words(vec![0u64], 100);
-    }
-
-    #[test]
-    fn scc_known_cases() {
-        let x = BitStream::parse("1111_0000").unwrap();
-        // Identical streams: +1.
-        assert_eq!(x.scc(&x).unwrap(), 1.0);
-        // Complement: −1.
-        assert_eq!(x.scc(&x.not()).unwrap(), -1.0);
-        // Interleaved with equal densities but half overlap: closer to 0.
-        let y = BitStream::parse("1100_1100").unwrap();
-        let scc = x.scc(&y).unwrap();
-        assert!(scc.abs() < 0.5, "scc = {scc}");
-        // Constant streams: defined as 0.
-        assert_eq!(x.scc(&BitStream::ones(8)).unwrap(), 0.0);
-        assert_eq!(x.scc(&BitStream::zeros(8)).unwrap(), 0.0);
-        // Length mismatch errors.
-        assert!(x.scc(&BitStream::zeros(4)).is_err());
-    }
-
-    #[test]
-    fn scc_detects_shared_lfsr_correlation() {
-        // The Table 1 story in one assertion: a stream and its one-cycle
-        // delayed copy (the "shared generator" situation) are far more
-        // correlated than two independently generated streams.
-        let lcg = |seed: u64, steps: usize| -> bool {
-            let mut s = seed;
-            for _ in 0..=steps {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            }
-            s >> 62 < 2 // density 1/2
-        };
-        let base = BitStream::from_fn(128, |i| lcg(1, i));
-        let delayed = BitStream::from_fn(128, |i| lcg(1, i + 1));
-        let scrambled = BitStream::from_fn(128, |i| lcg(99, i));
-        let corr_delayed = base.scc(&delayed).unwrap().abs();
-        let corr_scrambled = base.scc(&scrambled).unwrap().abs();
-        assert!(
-            corr_delayed > corr_scrambled,
-            "delayed {corr_delayed} vs scrambled {corr_scrambled}"
-        );
     }
 
     #[test]

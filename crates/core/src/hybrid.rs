@@ -47,11 +47,6 @@ impl HybridLenet {
         Self { head, tail }
     }
 
-    /// The first-layer engine's report label.
-    pub fn head_label(&self) -> String {
-        self.head.label()
-    }
-
     /// Borrow of the binary tail.
     pub fn tail(&self) -> &Network {
         &self.tail
@@ -302,14 +297,13 @@ mod tests {
     #[test]
     fn debug_and_accessors() {
         let mut hybrid = make_hybrid();
-        assert_eq!(hybrid.head_label(), "float");
-        assert!(format!("{hybrid:?}").contains("float"));
+        assert!(format!("{hybrid:?}").contains(r#"head: "float""#));
         assert!(hybrid.tail().summary().contains("dense"));
         let _ = hybrid.tail_mut();
         let cfg = LenetConfig::default();
         let conv = lenet5_head(&cfg).unwrap().into_layers().remove(0);
         let conv = conv.as_any().downcast_ref::<Conv2d>().unwrap().clone();
         hybrid.set_head(Box::new(FloatConvLayer::from_conv(&conv, 0.5).unwrap()));
-        assert_eq!(hybrid.head_label(), "float");
+        assert!(format!("{hybrid:?}").contains(r#"head: "float""#));
     }
 }

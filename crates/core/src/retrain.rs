@@ -259,14 +259,20 @@ mod tests {
         assert!(base.tail.len() >= 7);
     }
 
+    fn param_bits(net: &mut Network) -> Vec<u32> {
+        let mut bits = Vec::new();
+        net.visit_all_params(&mut |p, _| bits.extend(p.data().iter().map(|v| v.to_bits())));
+        bits
+    }
+
     #[test]
     fn tail_clone_is_independent() {
         let train = synthetic::generate(40, 3);
         let test = synthetic::generate(20, 4);
-        let base = train_base(&train, &test, &tiny_config()).unwrap();
+        let mut base = train_base(&train, &test, &tiny_config()).unwrap();
         let mut a = base.tail_clone();
-        let b = base.tail_clone();
-        // Train the clone; the second clone must be unaffected.
+        let mut b = base.tail_clone();
+        // Train one clone; the other must keep the base tail's bits.
         let features = HybridLenet::new(
             Box::new(crate::FloatConvLayer::from_conv(base.conv1(), 0.0).unwrap()),
             base.tail_clone(),
@@ -275,12 +281,9 @@ mod tests {
         .unwrap();
         let mut opt = Adam::new(1e-3);
         a.train_epoch(&features, 8, &mut opt, 0).unwrap();
-        let ea = a.evaluate(&features, 32).unwrap();
-        let mut b = b;
-        let eb = b.evaluate(&features, 32).unwrap();
-        // They may coincide by luck, but the trained one must not be worse
-        // by construction of the check: just assert both evaluations ran.
-        assert_eq!(ea.total, eb.total);
+        let base_bits = param_bits(&mut base.tail);
+        assert!(param_bits(&mut b) == base_bits, "untrained clone drifted from the base tail");
+        assert!(param_bits(&mut a) != base_bits, "training left the clone unchanged");
     }
 
     #[test]

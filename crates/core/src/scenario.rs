@@ -56,11 +56,10 @@ pub enum HeadKind {
 
 /// A declarative description of one experiment scenario.
 ///
-/// Plain data (`Copy`), so scenario tables are arrays of literals; see the
-/// [module docs](self) for an example. Compile with
-/// [`first_layer`](Self::first_layer), [`hybrid`](Self::hybrid) or
-/// [`dense_layer`](Self::dense_layer); derive variants with
-/// [`customize`](Self::customize).
+/// Plain data (`Copy`), so scenario tables are arrays of literals.
+/// Compile with [`first_layer`](Self::first_layer),
+/// [`hybrid`](Self::hybrid) or [`dense_layer`](Self::dense_layer); derive
+/// variants with [`customize`](Self::customize).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioSpec {
     /// Engine family.

@@ -17,7 +17,7 @@
 //!   zero rate gives the fault-free bytes, and the streaming flip counts and
 //!   the feature-perturbation rates of both paths match their laws;
 //! * the thread-axis rows: features and evaluations are byte-identical at
-//!   `SCNN_THREADS` = 1, 2 and 8.
+//!   `SCNN_THREADS` = 1, 2, 4 and 8.
 //!
 //! Tests that change `SCNN_THREADS` or the global metrics toggle hold
 //! [`ENV_LOCK`] for writing; every other test holds it for reading, so the
@@ -489,7 +489,7 @@ fn thread_count_never_changes_the_bytes() {
             })
         };
         let reference = run("1");
-        for threads in ["2", "8"] {
+        for threads in ["2", "4", "8"] {
             assert!(run(threads) == reference, "{case:?}: bytes differ with {threads} threads");
         }
     }

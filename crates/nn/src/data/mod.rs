@@ -170,35 +170,6 @@ impl Dataset {
         }
         Dataset { data, item_shape: self.item_shape.clone(), labels }
     }
-
-    /// Builds a dataset from per-item buffers (used for cached feature
-    /// maps during retraining).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidDataset`] on length inconsistencies.
-    pub fn from_items(
-        items: Vec<Vec<f32>>,
-        item_shape: &[usize],
-        labels: Vec<u8>,
-    ) -> Result<Self, Error> {
-        if items.len() != labels.len() {
-            return Err(Error::InvalidDataset {
-                reason: format!("{} items but {} labels", items.len(), labels.len()),
-            });
-        }
-        let item_len: usize = item_shape.iter().product();
-        let mut data = Vec::with_capacity(items.len() * item_len);
-        for (i, item) in items.iter().enumerate() {
-            if item.len() != item_len {
-                return Err(Error::InvalidDataset {
-                    reason: format!("item {i} has {} values, expected {item_len}", item.len()),
-                });
-            }
-            data.extend_from_slice(item);
-        }
-        Self::new(data, item_shape, labels)
-    }
 }
 
 /// Where [`load_or_synthesize`] got its data.
@@ -286,15 +257,6 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.item(2), &[4.0, 5.0]);
         assert_eq!(ds.take(99).len(), 10);
-    }
-
-    #[test]
-    fn from_items_validates() {
-        let items = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let ds = Dataset::from_items(items, &[2], vec![0, 1]).unwrap();
-        assert_eq!(ds.item(1), &[3.0, 4.0]);
-        assert!(Dataset::from_items(vec![vec![1.0]], &[2], vec![0]).is_err());
-        assert!(Dataset::from_items(vec![vec![1.0, 2.0]], &[2], vec![0, 1]).is_err());
     }
 
     #[test]

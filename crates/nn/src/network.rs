@@ -110,11 +110,6 @@ impl Network {
         self.layers.get(index).map(AsRef::as_ref)
     }
 
-    /// Mutable borrow of layer `index`, if present.
-    pub fn layer_mut(&mut self, index: usize) -> Option<&mut (dyn Layer + 'static)> {
-        self.layers.get_mut(index).map(AsMut::as_mut)
-    }
-
     /// Runs the input through every layer.
     ///
     /// # Errors
@@ -167,25 +162,6 @@ impl Network {
                 key += 1;
             });
         }
-    }
-
-    /// One forward/backward/update on a single batch; returns the loss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the layers or the loss.
-    pub fn train_batch(
-        &mut self,
-        input: &Tensor,
-        labels: &[u8],
-        opt: &mut dyn Optimizer,
-    ) -> Result<f32, Error> {
-        self.zero_grads();
-        let logits = self.forward(input, true)?;
-        let (loss, grad) = softmax_cross_entropy(&logits, labels)?;
-        self.backward(&grad)?;
-        self.step(opt);
-        Ok(loss)
     }
 
     /// Reseeds every [`Dropout`] layer deterministically from `seed`
@@ -368,7 +344,7 @@ impl Network {
     }
 
     /// Classification accuracy and loss over a whole [`BatchSource`] —
-    /// an in-memory [`Dataset`], a streaming
+    /// an in-memory [`Dataset`](crate::data::Dataset), a streaming
     /// [`ChunkLoader`](crate::data::ChunkLoader), or any other chunked
     /// source; only one batch per worker is materialized at a time.
     ///
@@ -689,7 +665,6 @@ mod tests {
         assert_eq!(net.len(), 1);
         assert!(!net.is_empty());
         assert!(net.layer(0).is_some());
-        assert!(net.layer_mut(1).is_none());
         assert_eq!(net.layer(0).unwrap().name(), "dense");
     }
 }

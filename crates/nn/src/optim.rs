@@ -59,37 +59,6 @@ impl Optimizer for Sgd {
     }
 }
 
-/// SGD with classical momentum: `v ← μ·v − lr·g; w ← w + v`.
-#[derive(Debug, Clone)]
-pub struct Momentum {
-    lr: f32,
-    momentum: f32,
-    velocity: HashMap<usize, Vec<f32>>,
-}
-
-impl Momentum {
-    /// Creates momentum SGD.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lr > 0` and `0 <= momentum < 1`.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        assert!(lr.is_finite() && lr > 0.0, "invalid learning rate {lr}");
-        assert!((0.0..1.0).contains(&momentum), "invalid momentum {momentum}");
-        Self { lr, momentum, velocity: HashMap::new() }
-    }
-}
-
-impl Optimizer for Momentum {
-    fn update(&mut self, key: usize, param: &mut [f32], grad: &[f32]) {
-        let v = self.velocity.entry(key).or_insert_with(|| vec![0.0; param.len()]);
-        for ((p, &g), vi) in param.iter_mut().zip(grad).zip(v.iter_mut()) {
-            *vi = self.momentum * *vi - self.lr * g;
-            *p += *vi;
-        }
-    }
-}
-
 /// The Adam optimizer (Kingma & Ba) with bias correction.
 ///
 /// # Example
@@ -106,33 +75,24 @@ impl Optimizer for Momentum {
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     t: i32,
     m: HashMap<usize, Vec<f32>>,
     v: HashMap<usize, Vec<f32>>,
 }
 
 impl Adam {
+    const BETA1: f32 = 0.9;
+    const BETA2: f32 = 0.999;
+    const EPS: f32 = 1e-8;
+
     /// Creates Adam with the standard β₁ = 0.9, β₂ = 0.999, ε = 1e-8.
     ///
     /// # Panics
     ///
     /// Panics unless `lr` is positive and finite.
     pub fn new(lr: f32) -> Self {
-        Self::with_betas(lr, 0.9, 0.999)
-    }
-
-    /// Creates Adam with explicit momentum coefficients.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lr > 0` and both betas lie in `[0, 1)`.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
         assert!(lr.is_finite() && lr > 0.0, "invalid learning rate {lr}");
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2), "invalid betas");
-        Self { lr, beta1, beta2, eps: 1e-8, t: 0, m: HashMap::new(), v: HashMap::new() }
+        Self { lr, t: 0, m: HashMap::new(), v: HashMap::new() }
     }
 }
 
@@ -145,14 +105,14 @@ impl Optimizer for Adam {
         let t = self.t.max(1);
         let m = self.m.entry(key).or_insert_with(|| vec![0.0; param.len()]);
         let v = self.v.entry(key).or_insert_with(|| vec![0.0; param.len()]);
-        let bc1 = 1.0 - self.beta1.powi(t);
-        let bc2 = 1.0 - self.beta2.powi(t);
+        let bc1 = 1.0 - Self::BETA1.powi(t);
+        let bc2 = 1.0 - Self::BETA2.powi(t);
         for (((p, &g), mi), vi) in param.iter_mut().zip(grad).zip(m.iter_mut()).zip(v.iter_mut()) {
-            *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
-            *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
+            *mi = Self::BETA1 * *mi + (1.0 - Self::BETA1) * g;
+            *vi = Self::BETA2 * *vi + (1.0 - Self::BETA2) * g * g;
             let m_hat = *mi / bc1;
             let v_hat = *vi / bc2;
-            *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            *p -= self.lr * m_hat / (v_hat.sqrt() + Self::EPS);
         }
     }
 }
@@ -179,12 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn momentum_converges_on_quadratic() {
-        let w = minimize(&mut Momentum::new(0.05, 0.9), 200);
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let w = minimize(&mut Adam::new(0.3), 200);
         assert!((w - 3.0).abs() < 1e-2, "w = {w}");
@@ -192,13 +146,15 @@ mod tests {
 
     #[test]
     fn optimizer_state_is_per_key() {
-        let mut opt = Momentum::new(0.1, 0.9);
+        let mut opt = Adam::new(0.1);
+        opt.begin_step();
         let mut a = [0.0f32];
         let mut b = [0.0f32];
         opt.update(0, &mut a, &[1.0]);
         opt.update(1, &mut b, &[-1.0]);
-        // Independent velocities: opposite directions.
+        // Independent moments: opposite directions, equal first steps.
         assert!(a[0] < 0.0 && b[0] > 0.0);
+        assert_eq!(a[0], -b[0]);
     }
 
     #[test]

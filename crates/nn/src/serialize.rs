@@ -12,7 +12,6 @@
 
 use crate::{Error, Network, Tensor};
 use std::io::{Read, Write};
-use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"SCNN";
 const VERSION: u32 = 1;
@@ -22,7 +21,7 @@ fn ser_err(reason: impl Into<String>) -> Error {
 }
 
 /// Extracts every parameter tensor of the network, in visit order.
-pub fn export_params(net: &mut Network) -> Vec<Tensor> {
+fn export_params(net: &mut Network) -> Vec<Tensor> {
     let mut params = Vec::new();
     net.visit_all_params(&mut |p, _| params.push(p.clone()));
     params
@@ -34,7 +33,7 @@ pub fn export_params(net: &mut Network) -> Vec<Tensor> {
 ///
 /// Returns an error if the count or any shape differs from the network's
 /// parameters — the architecture must match the one that was saved.
-pub fn import_params(net: &mut Network, params: &[Tensor]) -> Result<(), Error> {
+fn import_params(net: &mut Network, params: &[Tensor]) -> Result<(), Error> {
     // First pass: validate without mutating.
     let mut shapes = Vec::new();
     net.visit_all_params(&mut |p, _| shapes.push(p.shape().to_vec()));
@@ -134,29 +133,6 @@ pub fn read_network_into<R: Read>(net: &mut Network, mut reader: R) -> Result<()
     import_params(net, &params)
 }
 
-/// Saves the network's parameters to a file.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn save_network(net: &mut Network, path: &Path) -> Result<(), Error> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).map_err(|e| ser_err(e.to_string()))?;
-    }
-    let file = std::fs::File::create(path).map_err(|e| ser_err(e.to_string()))?;
-    write_network(net, std::io::BufWriter::new(file))
-}
-
-/// Loads parameters from a file into an identically shaped network.
-///
-/// # Errors
-///
-/// Returns an error on I/O failure, corruption, or architecture mismatch.
-pub fn load_network(net: &mut Network, path: &Path) -> Result<(), Error> {
-    let file = std::fs::File::open(path).map_err(|e| ser_err(e.to_string()))?;
-    read_network_into(net, std::io::BufReader::new(file))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,20 +186,6 @@ mod tests {
         let mut bad = buffer.clone();
         bad[4] = 99;
         assert!(read_network_into(&mut small_net(1), bad.as_slice()).is_err());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join(format!("scnn-ser-{}", std::process::id()));
-        let path = dir.join("net.bin");
-        let mut a = small_net(7);
-        save_network(&mut a, &path).unwrap();
-        let mut b = small_net(8);
-        load_network(&mut b, &path).unwrap();
-        let x = Tensor::filled(&[1, 4], -0.5);
-        assert_eq!(a.forward(&x, false).unwrap().data(), b.forward(&x, false).unwrap().data());
-        std::fs::remove_dir_all(&dir).unwrap();
-        assert!(load_network(&mut small_net(0), &path).is_err());
     }
 
     #[test]

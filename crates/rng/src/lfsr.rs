@@ -91,15 +91,6 @@ impl Lfsr {
         Ok(Self { width, taps_mask, seed, state: seed })
     }
 
-    /// A conventional default seed (`1`) for a `width`-bit LFSR.
-    ///
-    /// # Errors
-    ///
-    /// Same width constraint as [`Lfsr::new`].
-    pub fn with_default_seed(width: u32) -> Result<Self, Error> {
-        Self::new(width, 1)
-    }
-
     /// The current register state (never zero).
     #[inline]
     pub fn state(&self) -> u64 {

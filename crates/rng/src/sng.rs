@@ -1,5 +1,5 @@
 use crate::NumberSource;
-use scnn_bitstream::{Bipolar, BitStream, Precision, Unipolar};
+use scnn_bitstream::{BitStream, Precision, Unipolar};
 
 /// A stochastic number generator: a comparator fed by a [`NumberSource`]
 /// (paper, Fig. 1c).
@@ -75,12 +75,6 @@ impl<S: NumberSource> Sng<S> {
         let level = precision.quantize_unipolar(value.get());
         self.generate_level(level, precision.stream_len())
     }
-
-    /// Generates one full period for a bipolar value via the standard
-    /// `p = (v + 1) / 2` mapping.
-    pub fn generate_bipolar(&mut self, value: Bipolar, precision: Precision) -> BitStream {
-        self.generate_unipolar(value.to_unipolar(), precision)
-    }
 }
 
 #[cfg(test)]
@@ -136,15 +130,6 @@ mod tests {
         let s = sng.generate_level(128, 1 << 14);
         let p = s.unipolar().get();
         assert!((p - 0.5).abs() < 0.02, "p = {p}");
-    }
-
-    #[test]
-    fn bipolar_mapping() {
-        let p = precision(8);
-        let mut sng = Sng::new(VanDerCorput::new(8).unwrap());
-        let s = sng.generate_bipolar(Bipolar::new(0.5).unwrap(), p);
-        // (0.5 + 1)/2 = 0.75 → 192 ones of 256.
-        assert_eq!(s.count_ones(), 192);
     }
 
     #[test]

@@ -249,13 +249,12 @@ pub fn inject_bit_errors<R: Rng>(
     Ok(inject_bit_errors_unchecked(stream, ber, rng))
 }
 
-/// [`inject_bit_errors`] without the rate check, for hot paths that
-/// validated `ber` up front.
+/// [`inject_bit_errors`] without the rate check.
 ///
 /// # Panics
 ///
 /// Panics if `ber` is not within `[0, 1]` (via `Rng::gen_bool`).
-pub fn inject_bit_errors_unchecked<R: Rng>(stream: &mut BitStream, ber: f64, rng: &mut R) -> usize {
+fn inject_bit_errors_unchecked<R: Rng>(stream: &mut BitStream, ber: f64, rng: &mut R) -> usize {
     let mut flipped = 0;
     for i in 0..stream.len() {
         if rng.gen_bool(ber) {
@@ -283,13 +282,12 @@ pub fn inject_exact_flips<R: Rng>(
     Ok(inject_exact_flips_unchecked(stream, count, rng))
 }
 
-/// [`inject_exact_flips`] without the budget check, for hot paths that
-/// validated `count` up front.
+/// [`inject_exact_flips`] without the budget check.
 ///
 /// # Panics
 ///
 /// Panics if `count > stream.len()`.
-pub fn inject_exact_flips_unchecked<R: Rng>(
+fn inject_exact_flips_unchecked<R: Rng>(
     stream: &mut BitStream,
     count: usize,
     rng: &mut R,

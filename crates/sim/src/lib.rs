@@ -12,7 +12,6 @@
 //! * [`TffHalver`] — the `p/2` circuit of Fig. 2a,
 //! * [`TffAdderTree`] / [`MuxAdderTree`] — multi-input reduction trees for
 //!   dot products,
-//! * [`AsyncCounter`] — the stochastic-to-binary ripple counter (Fig. 1d),
 //! * [`accuracy`] — the exhaustive mean-squared-error sweeps behind
 //!   Tables 1 and 2,
 //! * [`fault`] — bit-flip fault injection for the error-tolerance claims.
@@ -38,17 +37,13 @@
 
 pub mod accuracy;
 mod add;
-mod counter;
 pub mod fault;
-mod fsm;
 mod mult;
 mod tff;
 mod tree;
 
 pub use add::{MuxAdder, OrAdder, TffAdder};
-pub use counter::{AsyncCounter, UpDownCounter};
 pub use fault::{FaultError, FaultModel, FaultSite};
-pub use fsm::{Power, Stanh};
 pub use mult::Multiplier;
 pub use tff::{TFlipFlop, TffHalver};
 pub use tree::{MuxAdderTree, S0Policy, TffAdderTree};
