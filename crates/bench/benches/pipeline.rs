@@ -8,8 +8,10 @@
 //! precision-independent at the algorithmic level.
 //!
 //! The `tail` group times the LeNet tail layers that run through
-//! `scnn_nn::matmul_into`: conv2 forward and backward at batch 1 and 8,
-//! and the first dense layer's forward at batch 1 (a serial frame) and 8.
+//! `scnn_nn::matmul_into`: conv2 forward, backward and weight gradients
+//! alone (what the tail's first layer costs per training step) at batch 1
+//! and 8, and the first dense layer's forward at batch 1 (a serial frame)
+//! and 8.
 //! Its times go to `BENCH.json` as `tail/<pass>/b<batch>`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -92,6 +94,11 @@ fn bench_tail(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("conv2_backward", batch), &grad, |b, g| {
             b.iter(|| conv.backward(black_box(g)).expect("backward"));
             json.record(&key::per_batch("tail", "conv2_backward", batch), b.last_ns_per_iter);
+        });
+        // What the tail's first layer costs per training step: no dinput.
+        group.bench_with_input(BenchmarkId::new("conv2_weight_grads", batch), &grad, |b, g| {
+            b.iter(|| conv.weight_grads(black_box(g)).expect("weight grads"));
+            json.record(&key::per_batch("tail", "conv2_weight_grads", batch), b.last_ns_per_iter);
         });
         let mut dense = Dense::new(1600, 256, 7);
         let x = activations(&[batch, 1600], 1, 0.5, false);

@@ -163,6 +163,50 @@ impl Conv2d {
         }
     }
 
+    /// The parameter half of [`Layer::backward`]: accumulates `dw` and
+    /// `db` from `grad_output` and computes no input gradient.
+    /// [`Network::backward`](crate::Network::backward) calls it for a
+    /// first layer, whose input gradient nothing reads. `backward` runs
+    /// the same code, so the gradients are bit-identical either way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] if the gradient shape is
+    /// incompatible or no training forward pass was cached.
+    pub fn weight_grads(&mut self, grad_output: &Tensor) -> Result<(), Error> {
+        let (shape, oh, ow) = self.grad_dims(grad_output)?;
+        let patch = oh * ow;
+        let fan_in = shape[1] * self.kernel * self.kernel;
+        let mut dw_image = Tensor::zeros(self.dw.shape());
+        let images = grad_output.data().chunks_exact(self.out_channels * patch);
+        for (g, cols) in images.zip(&self.cols_cache) {
+            let g_mat = MatRef::new(g, self.out_channels, patch);
+            matmul_into(NT, g_mat, MatRef::new(cols.data(), fan_in, patch), dw_image.data_mut());
+            self.dw.add_scaled(&dw_image, 1.0);
+            for oc in 0..self.out_channels {
+                let s: f32 = g[oc * patch..(oc + 1) * patch].iter().sum();
+                self.db.data_mut()[oc] += s;
+            }
+        }
+        Ok(())
+    }
+
+    /// The cached input shape and output size, after checking that
+    /// `grad_output` matches them.
+    fn grad_dims(&self, grad_output: &Tensor) -> Result<(Vec<usize>, usize, usize), Error> {
+        let shape = self.input_shape_cache.clone().ok_or_else(|| {
+            Error::shape("forward(training=true) before backward", grad_output.shape())
+        })?;
+        let (oh, ow) = self.output_size(shape[2], shape[3])?;
+        if grad_output.shape() != [shape[0], self.out_channels, oh, ow] {
+            return Err(Error::shape(
+                format!("[{}, {}, {oh}, {ow}]", shape[0], self.out_channels),
+                grad_output.shape(),
+            ));
+        }
+        Ok((shape, oh, ow))
+    }
+
     /// im2col for one image `[C, H, W] → [C·k·k, oh·ow]`.
     fn im2col(&self, img: &[f32], h: usize, w: usize, oh: usize, ow: usize) -> Tensor {
         let k = self.kernel;
@@ -270,34 +314,17 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, Error> {
-        let shape = self.input_shape_cache.clone().ok_or_else(|| {
-            Error::shape("forward(training=true) before backward", grad_output.shape())
-        })?;
-        let (batch, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let (oh, ow) = self.output_size(h, w)?;
+        self.weight_grads(grad_output)?;
+        let (shape, oh, ow) = self.grad_dims(grad_output)?;
+        let (c, h, w) = (shape[1], shape[2], shape[3]);
         let patch = oh * ow;
-        if grad_output.shape() != [batch, self.out_channels, oh, ow] {
-            return Err(Error::shape(
-                format!("[{batch}, {}, {oh}, {ow}]", self.out_channels),
-                grad_output.shape(),
-            ));
-        }
-        let mut dinput = Tensor::zeros(&shape);
         let fan_in = c * self.kernel * self.kernel;
         let w_mat = MatRef::new(self.w.data(), self.out_channels, fan_in);
-        let mut dw_image = Tensor::zeros(self.dw.shape());
+        let mut dinput = Tensor::zeros(&shape);
         let mut dcols = vec![0.0f32; fan_in * patch];
-        let images =
-            grad_output.data().chunks_exact(self.out_channels * patch).zip(&self.cols_cache);
-        for ((g, cols), dimg) in images.zip(dinput.data_mut().chunks_exact_mut(c * h * w)) {
-            let g_mat = MatRef::new(g, self.out_channels, patch);
-            matmul_into(NT, g_mat, MatRef::new(cols.data(), fan_in, patch), dw_image.data_mut());
-            self.dw.add_scaled(&dw_image, 1.0);
-            for oc in 0..self.out_channels {
-                let s: f32 = g[oc * patch..(oc + 1) * patch].iter().sum();
-                self.db.data_mut()[oc] += s;
-            }
-            matmul_into(TN, w_mat, g_mat, &mut dcols);
+        let images = grad_output.data().chunks_exact(self.out_channels * patch);
+        for (g, dimg) in images.zip(dinput.data_mut().chunks_exact_mut(c * h * w)) {
+            matmul_into(TN, w_mat, MatRef::new(g, self.out_channels, patch), &mut dcols);
             self.col2im(&dcols, h, w, oh, ow, dimg);
         }
         Ok(dinput)

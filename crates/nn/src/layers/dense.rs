@@ -73,6 +73,40 @@ impl Dense {
         &mut self.b
     }
 
+    /// The parameter half of [`Layer::backward`]: accumulates `dw` and
+    /// `db` from `grad_output` and computes no input gradient.
+    /// [`Network::backward`](crate::Network::backward) calls it for a
+    /// first layer, whose input gradient nothing reads. `backward` runs
+    /// the same code, so the gradients are bit-identical either way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] if the gradient shape is
+    /// incompatible or no training forward pass was cached.
+    pub fn weight_grads(&mut self, grad_output: &Tensor) -> Result<(), Error> {
+        let input = self.input_cache.as_ref().ok_or_else(|| {
+            Error::shape("forward(training=true) before backward", grad_output.shape())
+        })?;
+        let batch = input.shape()[0];
+        if grad_output.shape() != [batch, self.out_features] {
+            return Err(Error::shape(
+                format!("[batch, {}]", self.out_features),
+                grad_output.shape(),
+            ));
+        }
+        let x = MatRef::new(input.data(), batch, self.in_features);
+        let g = MatRef::new(grad_output.data(), batch, self.out_features);
+        let mut dw_batch = Tensor::zeros(self.dw.shape());
+        matmul_into(TN, x, g, dw_batch.data_mut());
+        self.dw.add_scaled(&dw_batch, 1.0);
+        for row in grad_output.data().chunks(self.out_features) {
+            for (g, &v) in self.db.data_mut().iter_mut().zip(row) {
+                *g += v;
+            }
+        }
+        Ok(())
+    }
+
     fn weight_matrix(&self) -> MatRef<'_> {
         MatRef::new(self.w.data(), self.in_features, self.out_features)
     }
@@ -107,26 +141,9 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, Error> {
-        let input = self.input_cache.as_ref().ok_or_else(|| {
-            Error::shape("forward(training=true) before backward", grad_output.shape())
-        })?;
-        if grad_output.shape() != [input.shape()[0], self.out_features] {
-            return Err(Error::shape(
-                format!("[batch, {}]", self.out_features),
-                grad_output.shape(),
-            ));
-        }
-        let batch = input.shape()[0];
-        let x = MatRef::new(input.data(), batch, self.in_features);
+        self.weight_grads(grad_output)?;
+        let batch = grad_output.shape()[0];
         let g = MatRef::new(grad_output.data(), batch, self.out_features);
-        let mut dw_batch = Tensor::zeros(self.dw.shape());
-        matmul_into(TN, x, g, dw_batch.data_mut());
-        self.dw.add_scaled(&dw_batch, 1.0);
-        for row in grad_output.data().chunks(self.out_features) {
-            for (g, &v) in self.db.data_mut().iter_mut().zip(row) {
-                *g += v;
-            }
-        }
         let mut dx = Tensor::zeros(&[batch, self.in_features]);
         matmul_into(NT, g, self.weight_matrix(), dx.data_mut());
         Ok(dx)

@@ -44,6 +44,11 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// parameter gradients, and returns the gradient w.r.t. the input.
     ///
     /// Must be called after a `forward(…, training = true)`.
+    /// [`Network::backward`](crate::Network::backward) does not call it on
+    /// the network's first layer, whose input gradient nothing reads: a
+    /// [`Conv2d`] or [`Dense`] there runs only its `weight_grads` half,
+    /// reached through [`as_any_mut`](Layer::as_any_mut), so a wrapper
+    /// layer must delegate `as_any_mut` to the layer it wraps.
     ///
     /// # Errors
     ///

@@ -1,5 +1,5 @@
 use crate::data::BatchSource;
-use crate::layers::{Dropout, Layer};
+use crate::layers::{Conv2d, Dense, Dropout, Layer};
 use crate::optim::Optimizer;
 use crate::{softmax_cross_entropy, Error, Tensor};
 use rand::rngs::StdRng;
@@ -125,15 +125,29 @@ impl Network {
 
     /// Backpropagates a loss gradient, accumulating parameter gradients.
     ///
+    /// Layers `n − 1` down to `1` run their full [`Layer::backward`]. The
+    /// gradient w.r.t. the network input is never computed: a [`Conv2d`]
+    /// or [`Dense`] first layer runs only its `weight_grads` half, found
+    /// through [`Layer::as_any_mut`] as [`reseed_dropout`] finds dropout
+    /// layers, and a parameter-free first layer is skipped. Any other first
+    /// layer runs its full `backward`. The parameter gradients are
+    /// bit-identical to running every layer's `backward` in reverse
+    /// (tested).
+    ///
     /// # Errors
     ///
     /// Propagates layer shape errors (e.g. backward before forward).
-    pub fn backward(&mut self, grad: &Tensor) -> Result<Tensor, Error> {
+    ///
+    /// [`reseed_dropout`]: Self::reseed_dropout
+    pub fn backward(&mut self, grad: &Tensor) -> Result<(), Error> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
         let mut g = grad.clone();
-        for layer in self.layers.iter_mut().rev() {
+        for layer in rest.iter_mut().rev() {
             g = layer.backward(&g)?;
         }
-        Ok(g)
+        weight_grads_only(first.as_mut(), &g)
     }
 
     /// Visits every `(parameter, gradient)` pair across all layers, in the
@@ -482,6 +496,24 @@ impl Network {
     }
 }
 
+/// Accumulates `layer`'s parameter gradients from `grad` without its
+/// input gradient; see [`Network::backward`].
+fn weight_grads_only(layer: &mut dyn Layer, grad: &Tensor) -> Result<(), Error> {
+    let any = layer.as_any_mut();
+    if let Some(conv) = any.downcast_mut::<Conv2d>() {
+        return conv.weight_grads(grad);
+    }
+    if let Some(dense) = any.downcast_mut::<Dense>() {
+        return dense.weight_grads(grad);
+    }
+    let mut has_params = false;
+    layer.visit_params(&mut |_, _| has_params = true);
+    if has_params {
+        layer.backward(grad)?;
+    }
+    Ok(())
+}
+
 /// Argmax-vs-label count over a `[batch, classes]` logits tensor.
 fn count_correct(logits: &Tensor, labels: &[u8]) -> Result<usize, Error> {
     let &[batch, classes] = logits.shape() else {
@@ -507,8 +539,11 @@ fn count_correct(logits: &Tensor, labels: &[u8]) -> Result<usize, Error> {
 mod tests {
     use super::*;
     use crate::data::Dataset;
-    use crate::layers::{Dense, Relu};
+    use crate::layers::Relu;
     use crate::optim::{Adam, Sgd};
+    use std::any::Any;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn xor_dataset() -> Dataset {
         // The classic non-linearly-separable sanity problem.
@@ -656,6 +691,116 @@ mod tests {
         assert_ne!(first.data(), drifted.data());
         net.reseed_dropout(99);
         assert_eq!(net.forward(&x, true).unwrap().data(), first.data());
+    }
+
+    /// Delegates every method to the wrapped layer, `as_any_mut` too, as
+    /// a tracing wrapper would, and counts its `backward` calls.
+    #[derive(Debug, Clone)]
+    struct Counted {
+        inner: Box<dyn Layer>,
+        backward_calls: Arc<AtomicUsize>,
+    }
+
+    impl Layer for Counted {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn forward(&mut self, input: &Tensor, training: bool) -> Result<Tensor, Error> {
+            self.inner.forward(input, training)
+        }
+
+        fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, Error> {
+            self.backward_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.backward(grad_output)
+        }
+
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+            self.inner.visit_params(f);
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self.inner.as_any()
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self.inner.as_any_mut()
+        }
+
+        fn clone_box(&self) -> Box<dyn Layer> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Every parameter gradient, in visit order, as bits.
+    fn grad_bits(layers: &mut [Box<dyn Layer>]) -> Vec<u32> {
+        let mut bits = Vec::new();
+        for layer in layers {
+            layer.visit_params(&mut |_, g| bits.extend(g.data().iter().map(|v| v.to_bits())));
+        }
+        bits
+    }
+
+    /// Zeros, ±1 and values whose sums round, chosen by a hash of `i`.
+    fn mixed(shape: &[usize], salt: usize) -> Tensor {
+        let len: usize = shape.iter().product();
+        let data = (0..len)
+            .map(|i| match (i * 7919 + salt * 104_729) % 23 {
+                0..=4 => 0.0,
+                5..=7 => 1.0,
+                8..=10 => -1.0,
+                _ => (i % 97) as f32 / 13.0 - 3.5,
+            })
+            .collect();
+        Tensor::from_vec(data, shape).unwrap()
+    }
+
+    #[test]
+    fn backward_skips_only_the_first_layers_input_gradient() {
+        let cfg = crate::lenet::LenetConfig { dense_width: 24, ..Default::default() };
+        let mut dense_first = Network::new();
+        dense_first.push(Dense::new(12, 16, 1));
+        dense_first.push(Relu::new());
+        dense_first.push(Dropout::new(0.5, 2));
+        dense_first.push(Dense::new(16, 5, 3));
+        let mut param_free_first = Network::new();
+        param_free_first.push(crate::layers::Flatten::new());
+        param_free_first.push(Dense::new(18, 7, 4));
+        param_free_first.push(Relu::new());
+        param_free_first.push(Dense::new(7, 3, 5));
+        let cases = [
+            ("conv first", crate::lenet::lenet5_tail(&cfg).unwrap(), vec![3, 32, 14, 14]),
+            ("dense first", dense_first, vec![4, 12]),
+            ("parameter-free first", param_free_first, vec![2, 2, 3, 3]),
+        ];
+        for (what, mut net, input_shape) in cases {
+            let logits = net.forward(&mixed(&input_shape, 1), true).unwrap();
+            let grad = mixed(logits.shape(), 2);
+            // The clones carry the forward caches and dropout masks.
+            let mut reference = net.clone().into_layers();
+            let mut g = grad.clone();
+            for layer in reference.iter_mut().rev() {
+                g = layer.backward(&g).unwrap();
+            }
+            let want = grad_bits(&mut reference);
+            assert!(want.iter().any(|&b| b != 0), "{what}: gradients are all zero");
+
+            let calls: Vec<Arc<AtomicUsize>> = (0..net.len()).map(|_| Arc::default()).collect();
+            let mut wrapped = Network::new();
+            for (inner, backward_calls) in net.clone().into_layers().into_iter().zip(&calls) {
+                wrapped.push(Counted { inner, backward_calls: Arc::clone(backward_calls) });
+            }
+            net.backward(&grad).unwrap();
+            wrapped.backward(&grad).unwrap();
+            for (got, how) in [(net, "plain"), (wrapped, "wrapped")] {
+                let got = grad_bits(&mut got.into_layers());
+                let differ = got.iter().zip(&want).filter(|(a, b)| a != b).count();
+                assert!(got.len() == want.len() && differ == 0, "{what}, {how}: {differ} differ");
+            }
+            let counts: Vec<usize> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            assert_eq!(counts[0], 0, "{what}: the first layer's backward ran");
+            assert!(counts[1..].iter().all(|&c| c == 1), "{what}: backward calls {counts:?}");
+        }
     }
 
     #[test]
