@@ -1,7 +1,8 @@
 //! Criterion bench for the stochastic first layer's two TFF execution
 //! paths: the level-indexed AND-count table (the default `forward_image`)
 //! versus the packed bit-level streaming simulation
-//! (`forward_image_streaming`), across precisions.
+//! (`forward_image_streaming`), across precisions. The MUX engine's count
+//! path is timed on the same image (`forward_image/mux_lut/<bits>`).
 //!
 //! This is the repo's perf-trajectory anchor: the measured times and the
 //! derived LUT-vs-streaming speedups are written to `BENCH.json`
@@ -78,6 +79,13 @@ fn main() {
         group.bench_with_input(BenchmarkId::new("tff_streaming", bits), &engine, |b, e| {
             b.iter(|| e.forward_image_streaming(black_box(&image)).expect("forward"));
             json.record(&key::per_bits("forward_image", "tff_streaming", bits), b.last_ns_per_iter);
+        });
+        let mux =
+            StochasticConvLayer::from_conv(&conv, precision, ScOptions::old_sc()).expect("engine");
+        assert!(mux.uses_count_table(), "MUX engine at {bits}-bit must build the count table");
+        group.bench_with_input(BenchmarkId::new("mux_lut", bits), &mux, |b, e| {
+            b.iter(|| e.forward_image(black_box(&image)).expect("forward"));
+            json.record(&key::per_bits("forward_image", "mux_lut", bits), b.last_ns_per_iter);
         });
     }
     group.finish();

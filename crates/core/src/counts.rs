@@ -12,13 +12,14 @@
 //!   against a fixed source sequence a stream takes at most `2^b + 1`
 //!   distinct patterns; pre-counting `count(stream(level) ∧ weight)` for
 //!   every (level, weight) pair turns a whole multiply-and-count datapath
-//!   into a table gather. Used by the convolution engine and the
+//!   into a table lookup. Used by the convolution engine and the
 //!   dense engine's unipolar mode (the same counting identity Hirtzlin
 //!   et al. apply to fully-connected SC layers).
-//! * [`LaneTree`] — folds one TFF adder tree for many output lanes at once
-//!   (all kernels of a conv window, all neurons of a dense layer),
-//!   bit-exact with [`scnn_sim::TffAdderTree::fold_counts`] per lane; for
-//!   a MUX tree, [`LaneTree::sum`] adds up route-masked counts instead.
+//! * [`LaneTree`] — folds the positive and negative TFF adder trees of
+//!   many output lanes at once (all kernels of a conv window, all neurons
+//!   of a dense layer), bit-exact with
+//!   [`scnn_sim::TffAdderTree::fold_counts`] per lane; for a MUX tree,
+//!   [`LaneTree::sum`] adds up route-masked counts instead.
 //! * [`mux_route_masks`] — the MUX scaled-adder tree in the count domain.
 //!   Its select streams are fixed per engine, so at every cycle the root
 //!   outputs exactly one leaf's bit; masking each leaf's weight stream with
@@ -29,18 +30,27 @@
 //!
 //! # Lanes
 //!
-//! Both count structures store one `u16` count per lane — one lane per
-//! kernel or neuron — laid out tap-major, so a tap's lanes are one
-//! contiguous row. Every per-node `(x + y + S0) >> 1` is then a plain loop
-//! over a row, which the compiler can vectorize. The lane ceiling is
-//! [`MAX_LEAF_COUNT`]: with every leaf count at most 32767 the transient
-//! `x + y + S0 ≤ 65535` fits the lane, so streams of 14-bit precision and
-//! under fold exactly ([`table_fits`] is the gate).
+//! Counts are `u16` lanes, one per kernel or neuron, and every row is
+//! split by weight sign: a **split row** holds `2 · lanes` counts,
+//! `[pos lanes | neg lanes]`. A lane whose weight is positive carries its
+//! count in the positive half and `0` in the negative half, and the other
+//! way round for a negative weight. The table stores each (level, tap)
+//! row already split, so the two adder trees of every lane are one
+//! `2 · lanes`-wide tree, and every per-node `(x + y + S0) >> 1` is one
+//! plain loop over a row, which the compiler can vectorize. The lane
+//! ceiling is [`MAX_LEAF_COUNT`]: with every leaf count at most 32767 the
+//! transient `x + y + S0 ≤ 65535` fits the lane, so streams of 14-bit
+//! precision and under fold exactly ([`table_fits`] is the gate).
 //!
-//! [`LaneTree::fold`] walks only the **live prefix** of each tree level
-//! (the padded tail above `taps` is all-zero by construction — ~20 % of
-//! the nodes at 784 taps). A forward allocates its trees once per call and
-//! reuses them across windows.
+//! A [`LaneTree`] has no leaf buffer. [`fold`](LaneTree::fold),
+//! [`fold_stuck`](LaneTree::fold_stuck) and [`sum`](LaneTree::sum) take
+//! the leaves as borrowed split rows — table rows in place, a zero row for
+//! an idle tap, or a caller's perturbed copy — so the bottom level reads
+//! the table directly. The fold walks only the **live prefix** of each
+//! level (the padded tail above `taps` is all-zero by construction —
+//! ~20 % of the nodes at 784 taps) and its scratch holds only inner nodes,
+//! each written before it is read, so a forward builds one tree per call
+//! and reuses it across windows with nothing to reset.
 //!
 //! # Example: count a dot product through the table
 //!
@@ -59,14 +69,13 @@
 //! }
 //! let neg = vec![false, true, false, true, false, true];
 //! let table = LevelCountTable::build(&seq, &weights, &neg, 3, 2)?;
-//! let mut pos = LaneTree::new(3, 2, S0Policy::Alternating, n)?;
-//! let mut neg_tree = LaneTree::new(3, 2, S0Policy::Alternating, n)?;
-//! for tap in 0..3 {
-//!     table.gather(9, tap, pos.tap_lanes_mut(tap), neg_tree.tap_lanes_mut(tap));
-//! }
-//! // One scaled sum per lane.
-//! let roots = pos.fold();
-//! assert!(roots.iter().all(|&count| usize::from(count) <= n));
+//! let mut tree = LaneTree::new(3, 2, S0Policy::Alternating, n)?;
+//! // Input level 9 on every tap: the leaves are the table's rows, read in
+//! // place.
+//! let root = tree.fold(|tap| table.row(9, tap));
+//! // One scaled sum per lane and sign.
+//! let (pos, neg) = root.split_at(2);
+//! assert!(pos.iter().chain(neg).all(|&count| usize::from(count) <= n));
 //! # Ok(())
 //! # }
 //! ```
@@ -101,30 +110,24 @@ pub fn table_fits(n: usize, taps: usize, lanes: usize) -> bool {
         && (n + 1).saturating_mul(taps.saturating_mul(lanes)) <= MAX_LUT_ENTRIES
 }
 
-/// Rounds a row count up to the next even number — the fold always reads
-/// whole pairs, so every buffer keeps one zero row beyond an odd live
-/// prefix.
-fn round_even(rows: usize) -> usize {
-    rows + (rows & 1)
-}
-
-/// A level-indexed AND-count table with positive/negative lane masks.
+/// A level-indexed AND-count table of split rows.
 ///
-/// Layout: `count(stream(level) ∧ weight(lane, tap))` is stored tap-major
-/// at `[level][tap][lane]`, so one tap's [`gather`](Self::gather) reads a
-/// contiguous row shared by every lane. Weight streams and signs are
-/// supplied **lane-major** (`lane · taps + tap`), the natural layout of
-/// both the convolution engine (`kernel · ksize² + tap`) and the dense
-/// engine (`neuron · in_features + input`).
+/// Layout: one split row (`[pos lanes | neg lanes]`, see the module's
+/// *Lanes*) per (level, tap), stored at `[level][tap]`, so a tap's
+/// [`row`](Self::row) is one contiguous slice shared by every lane and a
+/// [`LaneTree`] reads it in place. Weight streams and signs are supplied
+/// **lane-major** (`lane · taps + tap`), the natural layout of both the
+/// convolution engine (`kernel · ksize² + tap`) and the dense engine
+/// (`neuron · in_features + input`).
+///
+/// Level 0's rows are all zero — a level-0 comparator stream has no ones
+/// — so they double as the zero row of a tap that reads no input.
 #[derive(Debug, Clone)]
 pub struct LevelCountTable {
     taps: usize,
     lanes: usize,
-    /// `(n + 1) × taps × lanes` counts.
-    lut: Vec<u16>,
-    /// Per-`(tap, lane)` mask: all-ones where the weight feeds the
-    /// positive tree, zero where it feeds the negative.
-    pos_mask: Vec<u16>,
+    /// `(n + 1) × taps` split rows of `2 · lanes` counts.
+    rows: Vec<u16>,
 }
 
 impl LevelCountTable {
@@ -154,136 +157,105 @@ impl LevelCountTable {
         assert_eq!(weight_streams.len(), taps * lanes, "weight stream count mismatch");
         assert_eq!(weight_neg.len(), taps * lanes, "weight sign count mismatch");
         assert!(table_fits(n, taps, lanes), "table exceeds the count-domain budget");
-        let levels = n + 1;
-        let mut lut = vec![0u16; levels * taps * lanes];
+        let width = 2 * lanes;
+        let mut rows = vec![0u16; (n + 1) * taps * width];
         let mut level_stream = StreamArena::new(1, n)?;
-        for (level, rows) in lut.chunks_exact_mut(taps * lanes).enumerate() {
+        for (level, level_rows) in rows.chunks_exact_mut(taps * width).enumerate() {
             level_stream.write_from_levels(0, seq, level as u64);
-            for (t, row) in rows.chunks_exact_mut(lanes).enumerate() {
-                for (lane, count) in row.iter_mut().enumerate() {
-                    let stream = weight_streams.stream(lane * taps + t);
-                    *count = and_count(level_stream.stream(0), stream) as u16;
+            for (t, row) in level_rows.chunks_exact_mut(width).enumerate() {
+                for lane in 0..lanes {
+                    let idx = lane * taps + t;
+                    let count = and_count(level_stream.stream(0), weight_streams.stream(idx));
+                    row[usize::from(weight_neg[idx]) * lanes + lane] = count as u16;
                 }
             }
         }
-        let mut pos_mask = vec![0u16; taps * lanes];
-        for (t, row) in pos_mask.chunks_exact_mut(lanes).enumerate() {
-            for (lane, mask) in row.iter_mut().enumerate() {
-                if !weight_neg[lane * taps + t] {
-                    *mask = u16::MAX;
-                }
-            }
-        }
-        Ok(Self { taps, lanes, lut, pos_mask })
+        Ok(Self { taps, lanes, rows })
     }
 
-    /// Lanes per tap row.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Taps per lane.
-    pub fn taps(&self) -> usize {
-        self.taps
-    }
-
-    /// One stored count (test and diagnostic access).
+    /// The split row of input level `level` on tap `tap`: `2 · lanes`
+    /// counts, positive-weight lanes first.
     ///
     /// # Panics
     ///
-    /// Panics if `level`, `tap` or `lane` is out of range.
-    pub fn count(&self, level: usize, tap: usize, lane: usize) -> u16 {
-        assert!(lane < self.lanes, "lane out of range");
-        self.lut[(level * self.taps + tap) * self.lanes + lane]
-    }
-
-    /// Splits one (level, tap) row into the positive and negative tree
-    /// inputs: lanes whose weight is positive receive the count in `pos`
-    /// (and `0` in `neg`), negative lanes the other way around.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level`/`tap` are out of range or the slices are shorter
-    /// than [`lanes`](Self::lanes).
+    /// Panics if `level` or `tap` is out of range.
     #[inline]
-    pub fn gather(&self, level: usize, tap: usize, pos: &mut [u16], neg: &mut [u16]) {
-        let row = &self.lut[(level * self.taps + tap) * self.lanes..][..self.lanes];
-        let mask = &self.pos_mask[tap * self.lanes..(tap + 1) * self.lanes];
-        for (((pd, nd), &c), &m) in pos.iter_mut().zip(neg.iter_mut()).zip(row).zip(mask) {
-            let to_pos = c & m;
-            *pd = to_pos;
-            *nd = c - to_pos;
-        }
-    }
-
-    /// Routes one uniform `count` through tap `tap`'s weight signs — the
-    /// stuck-at-1 override of the count-domain fault model: positive-
-    /// weight lanes receive `count` in `pos` (and 0 in `neg`), negative
-    /// lanes the other way around. Exactly [`gather`](Self::gather) with
-    /// every lane's stored count replaced by `count`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tap` is out of range or the slices are shorter than
-    /// [`lanes`](Self::lanes).
-    #[inline]
-    pub fn split_by_sign(&self, tap: usize, count: u16, pos: &mut [u16], neg: &mut [u16]) {
-        let mask = &self.pos_mask[tap * self.lanes..(tap + 1) * self.lanes];
-        for ((pd, nd), &m) in pos.iter_mut().zip(neg.iter_mut()).zip(mask) {
-            let to_pos = count & m;
-            *pd = to_pos;
-            *nd = count - to_pos;
-        }
+    pub fn row(&self, level: usize, tap: usize) -> &[u16] {
+        assert!(tap < self.taps, "tap out of range");
+        let width = 2 * self.lanes;
+        &self.rows[(level * self.taps + tap) * width..][..width]
     }
 }
 
-/// A multi-lane TFF adder tree folded in `u16` lanes.
+/// The split row of one uniform `count` on tap `tap` — the stuck-at-1
+/// AND line of the count-domain fault model: positive-weight lanes carry
+/// `count` in the positive half, negative-weight lanes in the negative
+/// half. Exactly a [`LevelCountTable::row`] whose every AND count is
+/// `count`.
 ///
-/// Holds the live tap rows (`lanes` counts per row) plus the fold
-/// scratch. Per node and lane the op is `(x + y + S0) >> 1` — exactly
-/// [`scnn_sim::TffAdder::add_count`] for both rounding directions — and
-/// nodes are numbered breadth-first as in [`scnn_sim::TffAdderTree`], so
-/// each lane's root equals
+/// `weight_neg` holds `lanes · taps` signs, lane-major, as for
+/// [`LevelCountTable::build`].
+///
+/// # Panics
+///
+/// Panics if `tap` is out of range or `weight_neg` is not a whole number
+/// of lanes.
+pub fn split_by_sign(weight_neg: &[bool], taps: usize, tap: usize, count: u16) -> Vec<u16> {
+    assert!(tap < taps && weight_neg.len().is_multiple_of(taps), "tap or sign layout out of range");
+    let lanes = weight_neg.len() / taps;
+    let mut row = vec![0u16; 2 * lanes];
+    for lane in 0..lanes {
+        row[usize::from(weight_neg[lane * taps + tap]) * lanes + lane] = count;
+    }
+    row
+}
+
+/// A multi-lane TFF adder tree over split rows, folded in `u16` lanes.
+///
+/// One tree carries the positive and the negative tree of every lane:
+/// its rows are `2 · lanes` wide (`[pos lanes | neg lanes]`) and its root
+/// row holds both roots of every lane. Per node and lane the op is
+/// `(x + y + S0) >> 1` — exactly [`scnn_sim::TffAdder::add_count`] for
+/// both rounding directions — and nodes are numbered breadth-first as in
+/// [`scnn_sim::TffAdderTree`], the same number for both halves, so each
+/// lane's roots equal
 /// [`TffAdderTree::fold_counts`](scnn_sim::TffAdderTree::fold_counts) on
 /// that lane's taps (property-tested in `scnn-core`).
 ///
-/// [`fold`](Self::fold) walks only the **live prefix** of each level: the
-/// padded tail above `taps` is all-zero by construction (a zero pair folds
-/// to zero under either rounding direction), so the tree never touches it
-/// — neither the ~20 % dead nodes a 784-tap tree used to fold, nor the
-/// dead entry rows it used to allocate and re-zero.
-///
-/// Reuse contract: [`fold`](Self::fold) dirties entry rows below
-/// `taps.div_ceil(4) + 1`, which is always less than `taps` for multi-tap
-/// trees; a caller that rewrites **every** tap's lanes (via
-/// [`tap_lanes_mut`](Self::tap_lanes_mut)) before each fold keeps the
-/// zero rows beyond the live prefix intact and may reuse one tree across
-/// windows.
+/// The leaves are borrowed: `leaf(tap)` returns tap `tap`'s split row,
+/// which the bottom level reads in place. [`fold`](Self::fold) walks only
+/// the **live prefix** of each level: the padded tail above `taps` is
+/// all-zero by construction (a zero pair folds to zero under either
+/// rounding direction), so an unpaired last node folds against a zero row
+/// and the tail is never touched. The scratch holds only inner nodes, each
+/// written before it is read, so one tree can be reused for any number of
+/// folds.
 ///
 /// Count ceiling: the per-node transient `x + y + S0` lives in a 16-bit
 /// lane, so every leaf count must satisfy `2·count + 1 ≤ u16::MAX`
 /// ([`MAX_LEAF_COUNT`], streams of 14-bit precision and under). The
 /// constructor **rejects** a declared `max_leaf_count` beyond the ceiling
 /// — release builds cannot wrap silently — and [`fold`](Self::fold) still
-/// debug-asserts the loaded counts.
+/// debug-asserts the leaf counts.
 #[derive(Debug, Clone)]
 pub struct LaneTree {
     taps: usize,
     lanes: usize,
     padded: usize,
     policy: S0Policy,
-    /// `round_even(taps) × lanes` tap counts; rows beyond `taps` are zero
-    /// and stay zero (the live-prefix invariant).
-    entry: Vec<u16>,
-    /// `round_even(taps.div_ceil(2)).max(1) × lanes` fold scratch.
-    scratch: Vec<u16>,
-    root: Vec<u16>,
+    /// Bottom-level nodes: `taps.div_ceil(2)` rows; the upper levels
+    /// alternate between this buffer and `upper`.
+    bottom: Vec<u16>,
+    /// `taps.div_ceil(4)` rows.
+    upper: Vec<u16>,
+    /// One all-zero row: the right child of an unpaired node.
+    zero: Vec<u16>,
 }
 
 impl LaneTree {
     /// A tree over `taps` leaves (logically padded to the next power of
-    /// two) carrying `lanes` independent sums, accepting leaf counts up to
-    /// `max_leaf_count`.
+    /// two) carrying `lanes` independent positive and negative sums,
+    /// accepting leaf counts up to `max_leaf_count`.
     ///
     /// # Errors
     ///
@@ -305,136 +277,143 @@ impl LaneTree {
                  (ceiling {MAX_LEAF_COUNT})"
             )));
         }
+        let width = 2 * lanes;
         Ok(Self {
             taps,
             lanes,
             padded: taps.next_power_of_two(),
             policy,
-            entry: vec![0; round_even(taps) * lanes],
-            scratch: vec![0; round_even(taps.div_ceil(2)).max(1) * lanes],
-            root: vec![0; lanes],
+            bottom: vec![0; taps.div_ceil(2) * width],
+            upper: vec![0; taps.div_ceil(4) * width],
+            zero: vec![0; width],
         })
     }
 
-    /// The padded tree width (the scale factor of the scaled sum).
-    pub fn scale(&self) -> usize {
-        self.padded
-    }
-
-    /// Leaves of the tree.
-    pub fn taps(&self) -> usize {
-        self.taps
-    }
-
-    /// Lanes carried per node.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Mutable lane row of tap `tap` — fill these with the leaf counts
-    /// (via [`LevelCountTable::gather`] or directly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tap` is out of range.
-    #[inline]
-    pub fn tap_lanes_mut(&mut self, tap: usize) -> &mut [u16] {
-        assert!(tap < self.taps, "tap out of range");
-        &mut self.entry[tap * self.lanes..(tap + 1) * self.lanes]
-    }
-
     /// Folds the tree bottom-up over the live prefix of each level and
-    /// returns the root row (one count per lane).
+    /// returns the root split row: each lane's positive root, then each
+    /// lane's negative root.
     ///
-    /// Debug-asserts the leaf-count ceiling the constructor declared.
-    pub fn fold(&mut self) -> &[u16] {
-        self.fold_with(None)
+    /// `leaf(tap)` is called once per tap and must return a split row of
+    /// at least `2 · lanes` counts; debug builds assert the leaf-count
+    /// ceiling the constructor declared.
+    pub fn fold<'a>(&mut self, leaf: impl Fn(usize) -> &'a [u16]) -> &[u16] {
+        self.fold_with(leaf, None)
     }
 
     /// [`fold`](Self::fold) with a stuck-at fault: node `node` (numbered
-    /// breadth-first, bottom-up, as in [`scnn_sim::TffAdderTree`]) emits
-    /// `value` in every lane instead of its computed output — the count-
-    /// domain image of a TFF column stuck at constant 0s (`value = 0`) or
-    /// 1s (`value = N`), systematic across the kernel bank.
+    /// breadth-first, bottom-up, as in [`scnn_sim::TffAdderTree`]) of the
+    /// **positive** tree emits `value` in every lane instead of its
+    /// computed output — the count-domain image of a TFF column stuck at
+    /// constant 0s (`value = 0`) or 1s (`value = N`), systematic across the
+    /// kernel bank. The negative half folds as usual.
     ///
     /// `node` must be a **live** node of this tree shape (see
     /// [`live_fold_node`]): the fold never computes the all-zero padded
     /// tail, so a defect there has no dataflow to intervene on. The
     /// engines validate sites at construction; here a dead or out-of-range
     /// node simply never matches and the fold equals [`fold`](Self::fold).
-    pub fn fold_stuck(&mut self, node: usize, value: u16) -> &[u16] {
-        self.fold_with(Some((node, value)))
+    pub fn fold_stuck<'a>(
+        &mut self,
+        leaf: impl Fn(usize) -> &'a [u16],
+        node: usize,
+        value: u16,
+    ) -> &[u16] {
+        self.fold_with(leaf, Some((node, value)))
     }
 
-    fn fold_with(&mut self, stuck: Option<(usize, u16)>) -> &[u16] {
-        debug_assert!(
-            self.entry.iter().all(|&c| c <= MAX_LEAF_COUNT),
-            "LaneTree leaf counts must satisfy 2·count + 1 ≤ u16::MAX"
-        );
-        let rw = self.lanes;
-        let mut width = self.padded;
-        let mut live = self.taps;
-        let mut node_base = 0usize;
-        let mut cur: &mut [u16] = &mut self.entry;
-        let mut nxt: &mut [u16] = &mut self.scratch;
-        while width > 1 {
-            let pairs = live.div_ceil(2);
-            for i in 0..pairs {
-                let dst = &mut nxt[i * rw..(i + 1) * rw];
-                match stuck {
-                    Some((node, value)) if node == node_base + i => dst.fill(value),
-                    _ => {
-                        let s0 = self.policy.state_for(node_base + i);
-                        let (left, right) = cur[2 * i * rw..(2 * i + 2) * rw].split_at(rw);
-                        for ((d, &x), &y) in dst.iter_mut().zip(left).zip(right) {
-                            *d = tff_node(x, y, s0);
-                        }
-                    }
-                }
-            }
-            // Dead pairs fold zeros to zero under either rounding
-            // direction, so only the node *numbering* must account for
-            // them: the next level starts `width / 2` nodes further on.
-            // An odd live prefix makes the next level read one row past
-            // the written prefix — keep that boundary row zero (in the
-            // entry buffer it may hold stale tap data from the caller).
-            if pairs % 2 == 1 && width > 2 {
-                nxt[pairs * rw..(pairs + 1) * rw].fill(0);
-            }
-            node_base += width / 2;
-            width /= 2;
-            live = pairs;
-            std::mem::swap(&mut cur, &mut nxt);
+    fn fold_with<'a>(
+        &mut self,
+        leaf: impl Fn(usize) -> &'a [u16],
+        stuck: Option<(usize, u16)>,
+    ) -> &[u16] {
+        let Self { taps, lanes, padded, policy, bottom, upper, zero } = self;
+        let width = 2 * *lanes;
+        let leaf = |tap: usize| {
+            let row = &leaf(tap)[..width];
+            debug_assert!(
+                row.iter().all(|&c| c <= MAX_LEAF_COUNT),
+                "LaneTree leaf counts must satisfy 2·count + 1 ≤ u16::MAX"
+            );
+            row
+        };
+        if *taps == 1 {
+            bottom.copy_from_slice(leaf(0));
+            return bottom;
         }
-        self.root.copy_from_slice(&cur[..rw]);
-        &self.root
+        let level = Level { width, lanes: *lanes, policy: *policy, stuck, zero: &zero[..] };
+        level.fold(bottom, *taps, 0, leaf);
+        // Dead pairs fold zeros to zero under either rounding direction,
+        // so only the node *numbering* must account for them: each level
+        // starts `level_width / 2` nodes further on.
+        let (mut live, mut level_width) = (taps.div_ceil(2), *padded / 2);
+        let mut node_base = level_width;
+        let (mut cur, mut next) = (bottom, upper);
+        while level_width > 1 {
+            let src: &[u16] = cur;
+            level.fold(next, live, node_base, |row| &src[row * width..(row + 1) * width]);
+            live = live.div_ceil(2);
+            node_base += level_width / 2;
+            level_width /= 2;
+            std::mem::swap(&mut cur, &mut next);
+        }
+        &cur[..width]
     }
 
-    /// Sums the tap rows lane-wise into the root — the MUX tree's
-    /// reduction over [`mux_route_masks`]-masked counts, where each cycle
-    /// reaches the root through exactly one tap. The caller guarantees
-    /// every lane's sum stays below `2¹⁶` (route-masked counts of one tree
-    /// add up to at most the stream length).
-    pub fn sum(&mut self) -> &[u16] {
-        let rw = self.lanes;
-        self.root.fill(0);
-        for row in self.entry[..self.taps * rw].chunks_exact(rw) {
-            for (r, &c) in self.root.iter_mut().zip(row) {
+    /// Sums the leaf rows lane-wise into the root split row — the MUX
+    /// tree's reduction over [`mux_route_masks`]-masked counts, where each
+    /// cycle reaches the root through exactly one tap. The caller
+    /// guarantees every lane's sum stays below `2¹⁶` (route-masked counts
+    /// of one tree add up to at most the stream length).
+    pub fn sum<'a>(&mut self, leaf: impl Fn(usize) -> &'a [u16]) -> &[u16] {
+        let width = 2 * self.lanes;
+        let root = &mut self.bottom[..width];
+        root.copy_from_slice(&leaf(0)[..width]);
+        for tap in 1..self.taps {
+            for (r, &c) in root.iter_mut().zip(&leaf(tap)[..width]) {
                 *r = r.wrapping_add(c);
             }
         }
-        &self.root
+        root
     }
+}
 
-    /// The root count of lane `lane` from the last [`fold`](Self::fold)
-    /// or [`sum`](Self::sum).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
+/// One level of a [`LaneTree`] fold: the per-fold constants.
+struct Level<'z> {
+    width: usize,
+    lanes: usize,
+    policy: S0Policy,
+    stuck: Option<(usize, u16)>,
+    zero: &'z [u16],
+}
+
+impl Level<'_> {
+    /// Folds `live` input rows (from `row`) pairwise into the first
+    /// `live.div_ceil(2)` rows of `dst`, nodes numbered from `node_base`.
+    /// An unpaired last row folds against zero, a stuck node pins its
+    /// positive half.
     #[inline]
-    pub fn root_lane(&self, lane: usize) -> u16 {
-        self.root[lane]
+    fn fold<'a>(
+        &self,
+        dst: &mut [u16],
+        live: usize,
+        node_base: usize,
+        row: impl Fn(usize) -> &'a [u16],
+    ) {
+        let w = self.width;
+        for (i, out) in dst.chunks_exact_mut(w).take(live.div_ceil(2)).enumerate() {
+            let node = node_base + i;
+            let x = row(2 * i);
+            let y = if 2 * i + 1 < live { row(2 * i + 1) } else { self.zero };
+            let s0 = self.policy.state_for(node);
+            for ((d, &a), &b) in out.iter_mut().zip(&x[..w]).zip(&y[..w]) {
+                *d = tff_node(a, b, s0);
+            }
+            if let Some((stuck, value)) = self.stuck {
+                if stuck == node {
+                    out[..self.lanes].fill(value);
+                }
+            }
+        }
     }
 }
 
@@ -638,6 +617,17 @@ mod tests {
 
     const POLICIES: [S0Policy; 3] = [S0Policy::AllZero, S0Policy::AllOne, S0Policy::Alternating];
 
+    /// `taps` leaf rows of `2 · lanes` counts, column `c` of tap `t` set to
+    /// `count(t, c)`.
+    fn leaves(taps: usize, lanes: usize, count: impl Fn(usize, usize) -> u16) -> Vec<Vec<u16>> {
+        (0..taps).map(|t| (0..2 * lanes).map(|c| count(t, c)).collect()).collect()
+    }
+
+    /// Column `c` of every leaf row, widened for the scalar references.
+    fn column(rows: &[Vec<u16>], c: usize) -> Vec<u64> {
+        rows.iter().map(|row| u64::from(row[c])).collect()
+    }
+
     #[test]
     fn lane_tree_matches_reference_tree_per_lane() {
         for taps in [1usize, 3, 7, 25, 30] {
@@ -645,22 +635,14 @@ mod tests {
                 let lanes = 9;
                 let mut tree = LaneTree::new(taps, lanes, policy, 64).unwrap();
                 let reference = TffAdderTree::new(taps, policy).unwrap();
-                let mut per_lane = vec![vec![0u64; taps]; lanes];
-                #[allow(clippy::needless_range_loop)]
-                for t in 0..taps {
-                    let row = tree.tap_lanes_mut(t);
-                    for lane in 0..lanes {
-                        let c = ((t * 31 + lane * 17 + 5) % 64) as u64;
-                        row[lane] = c as u16;
-                        per_lane[lane][t] = c;
-                    }
-                }
-                tree.fold();
-                for (lane, counts) in per_lane.iter().enumerate() {
+                let rows = leaves(taps, lanes, |t, c| ((t * 31 + c * 17 + 5) % 64) as u16);
+                let root = tree.fold(|t| &rows[t]).to_vec();
+                assert_eq!(root.len(), 2 * lanes);
+                for (c, &got) in root.iter().enumerate() {
                     assert_eq!(
-                        u64::from(tree.root_lane(lane)),
-                        reference.fold_counts(counts),
-                        "taps={taps} lane={lane} policy={policy:?}"
+                        u64::from(got),
+                        reference.fold_counts(&column(&rows, c)),
+                        "taps={taps} column={c} policy={policy:?}"
                     );
                 }
             }
@@ -684,21 +666,13 @@ mod tests {
         for policy in POLICIES {
             let (taps, lanes) = (32usize, 4usize);
             let mut tree = LaneTree::new(taps, lanes, policy, 32000).unwrap();
-            let mut scalar = vec![vec![0u64; taps]; lanes];
-            for t in 0..taps {
-                let row = tree.tap_lanes_mut(t);
-                for (lane, counts) in scalar.iter_mut().enumerate() {
-                    let c = ((t * 29 + lane * 1031 + 3) % 32000) as u64;
-                    row[lane] = c as u16;
-                    counts[t] = c;
-                }
-            }
-            tree.fold();
-            for (lane, counts) in scalar.iter_mut().enumerate() {
+            let rows = leaves(taps, lanes, |t, c| ((t * 29 + c * 1031 + 3) % 32000) as u16);
+            let root = tree.fold(|t| &rows[t]).to_vec();
+            for (c, &got) in root.iter().enumerate() {
                 assert_eq!(
-                    u64::from(tree.root_lane(lane)),
-                    fold_tree_counts_wide(policy, counts, None),
-                    "lane={lane} policy={policy:?}"
+                    u64::from(got),
+                    fold_tree_counts_wide(policy, &mut column(&rows, c), None),
+                    "column={c} policy={policy:?}"
                 );
             }
         }
@@ -706,25 +680,31 @@ mod tests {
 
     #[test]
     fn lane_tree_is_reusable_without_residue() {
-        // Second fold over fresh taps must equal a fresh tree's fold.
-        let fill = |tree: &mut LaneTree| {
-            for t in 0..25 {
-                let row = tree.tap_lanes_mut(t);
-                for (lane, c) in row.iter_mut().enumerate() {
-                    *c = (t + lane) as u16 % 9;
-                }
+        // A fold after a fold, a stuck fold and a sum over other leaves
+        // must equal a fresh tree's fold.
+        let (taps, lanes) = (25, 3);
+        let first = leaves(taps, lanes, |_, _| 7);
+        let second = leaves(taps, lanes, |t, c| ((t + c) % 9) as u16);
+        let mut tree = LaneTree::new(taps, lanes, S0Policy::Alternating, 16).unwrap();
+        let _ = tree.fold(|t| &first[t]);
+        let _ = tree.fold_stuck(|t| &first[t], 3, 16);
+        let _ = tree.sum(|t| &first[t]);
+        let reused = tree.fold(|t| &second[t]).to_vec();
+        let mut fresh = LaneTree::new(taps, lanes, S0Policy::Alternating, 16).unwrap();
+        assert_eq!(reused, fresh.fold(|t| &second[t]));
+    }
+
+    #[test]
+    fn lane_tree_sum_adds_the_leaf_rows_lane_wise() {
+        for taps in [1usize, 2, 25] {
+            let lanes = 5;
+            let rows = leaves(taps, lanes, |t, c| ((t * 3 + c * 7) % 11) as u16);
+            let mut tree = LaneTree::new(taps, lanes, S0Policy::AllZero, 16).unwrap();
+            let root = tree.sum(|t| &rows[t]).to_vec();
+            for (c, &got) in root.iter().enumerate() {
+                assert_eq!(u64::from(got), column(&rows, c).iter().sum::<u64>(), "column={c}");
             }
-        };
-        let mut tree = LaneTree::new(25, 3, S0Policy::Alternating, 16).unwrap();
-        for t in 0..25 {
-            tree.tap_lanes_mut(t).fill(7);
         }
-        let _ = tree.fold();
-        fill(&mut tree);
-        let second = tree.fold().to_vec();
-        let mut fresh = LaneTree::new(25, 3, S0Policy::Alternating, 16).unwrap();
-        fill(&mut fresh);
-        assert_eq!(second, fresh.fold());
     }
 
     #[test]
@@ -755,18 +735,17 @@ mod tests {
         }
         let table = LevelCountTable::build(&s, &weights, &neg, taps, lanes).unwrap();
         let mut level_stream = StreamArena::new(1, n).unwrap();
-        let mut pos = vec![0u16; lanes];
-        let mut neg_out = vec![0u16; lanes];
         for level in [0usize, 1, 16, 32] {
             level_stream.write_from_levels(0, &s, level as u64);
             for t in 0..taps {
-                table.gather(level, t, &mut pos, &mut neg_out);
+                let row = table.row(level, t);
+                assert_eq!(row.len(), 2 * lanes);
                 for lane in 0..lanes {
                     let idx = lane * taps + t;
                     let expect = and_count(level_stream.stream(0), weights.stream(idx)) as u16;
                     let want = if neg[idx] { (0, expect) } else { (expect, 0) };
-                    assert_eq!(table.count(level, t, lane), expect);
-                    assert_eq!((pos[lane], neg_out[lane]), want, "level={level} t={t} lane={lane}");
+                    let got = (row[lane], row[lanes + lane]);
+                    assert_eq!(got, want, "level={level} t={t} lane={lane}");
                 }
             }
         }
@@ -821,29 +800,23 @@ mod tests {
 
     #[test]
     fn fold_stuck_matches_the_scalar_stuck_fold_per_lane() {
+        // The stuck node pins the positive half only; the negative half
+        // folds as if healthy.
         let (taps, lanes, n) = (25usize, 5usize, 64usize);
-        for policy in [S0Policy::AllZero, S0Policy::AllOne, S0Policy::Alternating] {
+        let rows = leaves(taps, lanes, |t, c| ((t * 7 + c * 13) % (n + 1)) as u16);
+        for policy in POLICIES {
             for value in [0u16, 17, n as u16] {
                 for node in (0..31).filter(|&nd| live_fold_node(taps, nd)) {
                     let mut tree = LaneTree::new(taps, lanes, policy, n).unwrap();
-                    let mut scalar = vec![vec![0u64; taps.next_power_of_two()]; lanes];
-                    #[allow(clippy::needless_range_loop)]
-                    for t in 0..taps {
-                        let row = tree.tap_lanes_mut(t);
-                        for lane in 0..lanes {
-                            let c = ((t * 7 + lane * 13) % (n + 1)) as u16;
-                            row[lane] = c;
-                            scalar[lane][t] = u64::from(c);
-                        }
-                    }
-                    tree.fold_stuck(node, value);
-                    for (lane, counts) in scalar.iter().enumerate() {
-                        let stuck = Some((node, u64::from(value)));
-                        let want = fold_tree_counts_wide(policy, &mut counts.clone(), stuck);
+                    let root = tree.fold_stuck(|t| &rows[t], node, value).to_vec();
+                    for (c, &got) in root.iter().enumerate() {
+                        let mut counts = column(&rows, c);
+                        counts.resize(taps.next_power_of_two(), 0);
+                        let stuck = (c < lanes).then_some((node, u64::from(value)));
                         assert_eq!(
-                            u64::from(tree.root_lane(lane)),
-                            want,
-                            "policy={policy:?} node={node} value={value} lane={lane}"
+                            u64::from(got),
+                            fold_tree_counts_wide(policy, &mut counts, stuck),
+                            "policy={policy:?} node={node} value={value} column={c}"
                         );
                     }
                 }
@@ -854,39 +827,25 @@ mod tests {
     #[test]
     fn fold_stuck_without_a_matching_node_equals_fold() {
         let (taps, lanes, n) = (25usize, 3usize, 64usize);
-        let mut a = LaneTree::new(taps, lanes, S0Policy::Alternating, n).unwrap();
-        let mut b = a.clone();
-        for t in 0..taps {
-            for lane in 0..lanes {
-                let c = ((t * 11 + lane * 5) % (n + 1)) as u16;
-                a.tap_lanes_mut(t)[lane] = c;
-                b.tap_lanes_mut(t)[lane] = c;
-            }
-        }
+        let rows = leaves(taps, lanes, |t, c| ((t * 11 + c * 5) % (n + 1)) as u16);
+        let mut tree = LaneTree::new(taps, lanes, S0Policy::Alternating, n).unwrap();
+        let healthy = tree.fold(|t| &rows[t]).to_vec();
         // Node 13 is dead for a 25-tap tree; an out-of-range index too.
-        assert_eq!(a.fold().to_vec(), b.fold_stuck(13, 50).to_vec());
-        assert_eq!(a.fold().to_vec(), b.fold_stuck(1000, 50).to_vec());
+        assert_eq!(healthy, tree.fold_stuck(|t| &rows[t], 13, 50));
+        assert_eq!(healthy, tree.fold_stuck(|t| &rows[t], 1000, 50));
     }
 
     #[test]
     fn split_by_sign_routes_uniform_counts_by_weight_sign() {
-        let n = 16;
-        let seq = crate::SourceKind::Ramp.sequence(4, n, 1).unwrap();
+        let n = 16u16;
         let (taps, lanes) = (3usize, 5usize);
-        let mut weights = StreamArena::new(taps * lanes, n).unwrap();
-        let mut neg = vec![false; taps * lanes];
-        for (i, n) in neg.iter_mut().enumerate() {
-            weights.write_from_levels(i, &seq, (i as u64 * 5) % 17);
-            *n = i % 3 == 1;
-        }
-        let table = LevelCountTable::build(&seq, &weights, &neg, taps, lanes).unwrap();
-        let mut pos = vec![0u16; lanes];
-        let mut neg_row = vec![0u16; lanes];
+        let neg: Vec<bool> = (0..taps * lanes).map(|i| i % 3 == 1).collect();
         for t in 0..taps {
-            table.split_by_sign(t, n as u16, &mut pos, &mut neg_row);
+            let row = split_by_sign(&neg, taps, t, n);
+            assert_eq!(row.len(), 2 * lanes);
             for lane in 0..lanes {
-                let want = if neg[lane * taps + t] { (0, n as u16) } else { (n as u16, 0) };
-                assert_eq!((pos[lane], neg_row[lane]), want, "tap={t} lane={lane}");
+                let want = if neg[lane * taps + t] { (0, n) } else { (n, 0) };
+                assert_eq!((row[lane], row[lanes + lane]), want, "tap={t} lane={lane}");
             }
         }
     }

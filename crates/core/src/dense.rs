@@ -41,8 +41,8 @@ pub enum DenseInput {
 /// it to fully-connected SC layers) lets a
 /// [`LevelCountTable`](crate::counts::LevelCountTable) precomputed at
 /// construction replace every per-call stream regeneration and AND-count,
-/// with all neurons folded in parallel
-/// [`LaneTree`](crate::counts::LaneTree) lanes.
+/// with the positive and negative trees of all neurons folded as one
+/// [`LaneTree`](crate::counts::LaneTree) over the table's split rows.
 /// [`forward_streaming`](Self::forward_streaming) remains the bit-level
 /// reference — bit-exact with the fast path (checked by the oracle harness
 /// in `tests/oracle.rs`).
@@ -227,9 +227,9 @@ impl StochasticDenseLayer {
         Ok(())
     }
 
-    /// The count-domain fast path: quantize each input once, gather its
-    /// AND counts for all neurons from the level-indexed table, and fold
-    /// both trees in neuron lanes.
+    /// The count-domain fast path: quantize each input once and fold one
+    /// split-row tree for all neurons whose leaves are the table rows of
+    /// the inputs' levels, read in place.
     fn forward_lut(&self, lut: &LevelCountTable, input: &[f32]) -> Result<Vec<f32>, Error> {
         self.check_input(input)?;
         let _forward = scnn_obs::span("dense/forward");
@@ -239,26 +239,18 @@ impl StochasticDenseLayer {
         let bits = self.precision.bits();
         let n = self.precision.stream_len() as f32;
         let max_leaf = self.precision.stream_len();
-        let mut pos =
-            LaneTree::new(self.in_features, self.out_features, DENSE_S0_POLICY, max_leaf)?;
-        let mut neg =
+        let levels: Vec<usize> = input.iter().map(|&v| pixel_level(v, bits) as usize).collect();
+        let mut tree =
             LaneTree::new(self.in_features, self.out_features, DENSE_S0_POLICY, max_leaf)?;
         let _fold = scnn_obs::span("dense/fold");
-        for (i, &v) in input.iter().enumerate() {
-            let level = pixel_level(v, bits) as usize;
-            lut.gather(level, i, pos.tap_lanes_mut(i), neg.tap_lanes_mut(i));
-        }
+        let root = tree.fold(|i| lut.row(levels[i], i));
+        let (pos, neg) = root.split_at(self.out_features);
         let scale = self.tree.scale() as f32;
-        pos.fold();
-        neg.fold();
         Ok(self
             .offsets
             .iter()
-            .enumerate()
-            .map(|(j, &offset)| {
-                let diff = f32::from(pos.root_lane(j)) - f32::from(neg.root_lane(j));
-                diff * scale / n + offset
-            })
+            .zip(pos.iter().zip(neg))
+            .map(|(&offset, (&p, &m))| (f32::from(p) - f32::from(m)) * scale / n + offset)
             .collect())
     }
 

@@ -9,18 +9,21 @@
 //! flipping bit `j` of pixel `p`'s stream changes
 //! `count(pixel(p) ∧ weight(k, t))` by `±weight_bit(k, t, j)` — `+1` when
 //! the healthy bit was 0, `−1` when it was 1, and only where the weight
-//! stream has a 1 at `j`. So the engine can gather healthy counts from the
+//! stream has a 1 at `j`. So the engine can read healthy counts from the
 //! LUT and add the flipped bits' **weight-plane rows** instead of touching
 //! any stream bits.
 //!
 //! [`CountFaultPlan`] precomputes, per stream-bit position `j` and tap
-//! `t`, the per-kernel weight-bit indicator rows (split by weight sign,
-//! mirroring [`LevelCountTable::gather`]'s routing). Per image,
+//! `t`, the per-kernel weight-bit indicator rows as one split row
+//! (`[pos lanes | neg lanes]`, the layout of every
+//! [`LevelCountTable`](crate::counts::LevelCountTable) row). Per image,
 //! [`CountFaultPlan::image_faults`] gap-samples each pixel's flip
 //! positions — seeded from `(seed, image_index, pixel)`, so the flip set
 //! is a pure function of the image *index*, byte-identical for any
-//! `SCNN_THREADS` — into a compact flip list. Each `(pixel, tap)` gather
-//! then accumulates its flips' plane rows directly: the plane is a few
+//! `SCNN_THREADS` — into a compact flip list. A `(pixel, tap)` leaf whose
+//! pixel has flips is a copy of the table row that
+//! [`ImageFaults::apply`] perturbs by its flips' plane rows; a flip-free
+//! pixel's leaves stay the table rows themselves. The plane is a few
 //! hundred kilobytes and stays cache-hot across the whole image, where a
 //! materialized per-pixel delta block would stream megabytes through
 //! memory for exactly one use per entry. The faulted count is distributed
@@ -37,7 +40,6 @@
 //! intermediate stays `≥ 0`.
 
 use crate::arena::StreamArena;
-use crate::counts::LevelCountTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -79,7 +81,8 @@ pub(crate) struct CountFaultPlan {
 
 impl CountFaultPlan {
     /// Precomputes the weight bit planes; arguments mirror
-    /// [`LevelCountTable::build`] plus the fault parameters.
+    /// [`LevelCountTable::build`](crate::counts::LevelCountTable::build)
+    /// plus the fault parameters.
     pub(crate) fn build(
         ber: f64,
         seed: u64,
@@ -110,7 +113,7 @@ impl CountFaultPlan {
     /// pixel)`) into a per-pixel flip list, `0→1` flips first.
     ///
     /// `levels` holds one quantized comparator level per pixel — the same
-    /// values the LUT forward gathers with.
+    /// values the LUT forward reads its table rows with.
     pub(crate) fn image_faults(&self, levels: &[usize], image_index: u64) -> ImageFaults<'_> {
         let mut starts = Vec::with_capacity(levels.len() + 1);
         starts.push(0u32);
@@ -154,7 +157,7 @@ impl CountFaultPlan {
 /// One image's sampled flip set: per pixel, the flipped stream-bit
 /// positions (`0→1` flips first, then `1→0` — the order
 /// [`apply`](Self::apply)'s lane-safety argument needs), resolved against
-/// the plan's cache-hot weight planes at gather time.
+/// the plan's cache-hot weight planes per perturbed leaf.
 #[derive(Debug)]
 pub(crate) struct ImageFaults<'a> {
     plan: &'a CountFaultPlan,
@@ -169,63 +172,40 @@ pub(crate) struct ImageFaults<'a> {
 }
 
 impl ImageFaults<'_> {
-    /// Perturbs one gathered `(pixel, tap)` row pair in place. A pixel
-    /// without flips is two indexed loads — the common case at small
-    /// bit-error rates.
+    /// Whether pixel `pixel` has any flipped bit — only then do its leaves
+    /// need a perturbed copy of the table row.
     #[inline]
-    pub(crate) fn apply(&self, pixel: usize, tap: usize, pos: &mut [u16], neg: &mut [u16]) {
+    pub(crate) fn flipped(&self, pixel: usize) -> bool {
+        self.starts[pixel] != self.starts[pixel + 1]
+    }
+
+    /// Perturbs a copy of the `(pixel, tap)` split row in place by the
+    /// pixel's flips. A pixel without flips leaves it unchanged.
+    #[inline]
+    pub(crate) fn apply(&self, pixel: usize, tap: usize, row: &mut [u16]) {
         let start = self.starts[pixel] as usize;
-        let end = self.starts[pixel + 1] as usize;
-        if start == end {
-            return;
-        }
         let split = self.splits[pixel] as usize;
-        let lanes = self.plan.lanes;
-        let row = |j: u16| {
-            let row = &self.plan.plane[(j as usize * self.plan.taps + tap) * 2 * lanes..];
-            row[..2 * lanes].split_at(lanes)
-        };
+        let end = self.starts[pixel + 1] as usize;
+        let width = 2 * self.plan.lanes;
+        let plane =
+            |j: u16| &self.plan.plane[(j as usize * self.plan.taps + tap) * width..][..width];
         for &j in &self.bits[start..split] {
-            let (plus_pos, plus_neg) = row(j);
-            for (p, &d) in pos.iter_mut().zip(plus_pos) {
-                *p = p.wrapping_add(d);
-            }
-            for (m, &d) in neg.iter_mut().zip(plus_neg) {
-                *m = m.wrapping_add(d);
+            for (c, &d) in row.iter_mut().zip(plane(j)) {
+                *c = c.wrapping_add(d);
             }
         }
         for &j in &self.bits[split..end] {
-            let (minus_pos, minus_neg) = row(j);
-            for (p, &d) in pos.iter_mut().zip(minus_pos) {
-                *p = p.wrapping_sub(d);
-            }
-            for (m, &d) in neg.iter_mut().zip(minus_neg) {
-                *m = m.wrapping_sub(d);
+            for (c, &d) in row.iter_mut().zip(plane(j)) {
+                *c = c.wrapping_sub(d);
             }
         }
     }
 }
 
-/// Applies the faulted gather for one `(pixel, tap)`: healthy LUT gather
-/// plus this image's delta rows. Factored here so the engine's window loop
-/// stays one call.
-#[inline]
-pub(crate) fn gather_faulted(
-    lut: &LevelCountTable,
-    faults: &ImageFaults<'_>,
-    level: usize,
-    pixel: usize,
-    tap: usize,
-    pos: &mut [u16],
-    neg: &mut [u16],
-) {
-    lut.gather(level, tap, pos, neg);
-    faults.apply(pixel, tap, pos, neg);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counts::LevelCountTable;
     use crate::stochastic::SourceKind;
 
     /// A small conv-like fixture: `taps` weight streams per kernel lane.
@@ -287,9 +267,10 @@ mod tests {
                 for &j in &flips {
                     stream[j] = !stream[j];
                 }
-                let mut pos = vec![0u16; lanes];
-                let mut neg_row = vec![0u16; lanes];
-                gather_faulted(&table, &faults, level, p, p, &mut pos, &mut neg_row);
+                let mut row = table.row(level, p).to_vec();
+                assert_eq!(faults.flipped(p), !flips.is_empty());
+                faults.apply(p, p, &mut row);
+                let (pos, neg_row) = row.split_at(lanes);
                 for k in 0..lanes {
                     let idx = k * taps + p;
                     let words = weights.stream(idx);

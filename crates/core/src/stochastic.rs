@@ -1,10 +1,10 @@
 use crate::arena::{and_count, mux_words, StreamArena};
 use crate::baseline::{ternary, window_taps, FirstLayer, KernelBank, IMAGE_SIDE};
 use crate::counts::{
-    fold_tree_counts_wide, live_fold_node, mux_route_masks, table_fits, LaneTree, LevelCountTable,
-    LevelStreamCache,
+    fold_tree_counts_wide, live_fold_node, mux_route_masks, split_by_sign, table_fits, LaneTree,
+    LevelCountTable, LevelStreamCache,
 };
-use crate::faults::{gather_faulted, CountFaultPlan};
+use crate::faults::CountFaultPlan;
 use crate::Error;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -158,20 +158,20 @@ impl Default for ScOptions {
 /// streams *only* through `count(pixel ∧ weight)`, so the whole per-tap
 /// multiply-and-count collapses to a
 /// [`LevelCountTable`](crate::counts::LevelCountTable) precomputed at
-/// construction. [`forward_image`](FirstLayer::forward_image) then
-/// quantizes each pixel once and folds counts for all `K` kernels in
-/// parallel [`LaneTree`](crate::counts::LaneTree) lanes — zero bitstream
-/// traffic, bit-exact with
+/// construction, its rows already split by weight sign.
+/// [`forward_image`](FirstLayer::forward_image) then quantizes each pixel
+/// once and, per window, folds the positive and negative trees of all `K`
+/// kernels as one [`LaneTree`](crate::counts::LaneTree) whose leaves are
+/// the table rows, read in place — zero bitstream traffic, bit-exact with
 /// [`forward_image_streaming`](Self::forward_image_streaming) (checked by
 /// the oracle harness in `tests/oracle.rs`). Fault injection stays on the
-/// fast path: bit errors are lifted into per-(pixel, tap) count deltas and
-/// stuck-at sites into gather/fold overrides, so faulted sweeps run at LUT
-/// speed (see
-/// [`ScOptions::fault`]). For the MUX tree the table is built over
-/// route-masked weight streams and the trees reduce by a plain lane sum
-/// instead of the fold. The streaming simulation remains the reference
-/// model for both adders and the ground-truth fault reference. The shared
-/// machinery lives in
+/// fast path: bit errors are lifted into per-(pixel, tap) count deltas on
+/// a copy of the row and stuck-at sites into leaf/fold overrides, so
+/// faulted sweeps run at LUT speed (see [`ScOptions::fault`]). For the MUX
+/// tree the table is built over route-masked weight streams and the tree
+/// reduces by a plain lane sum instead of the fold. The streaming
+/// simulation remains the reference model for both adders and the
+/// ground-truth fault reference. The shared machinery lives in
 /// [`counts`](crate::counts) and also powers
 /// [`StochasticDenseLayer`](crate::StochasticDenseLayer).
 #[derive(Debug, Clone)]
@@ -200,8 +200,12 @@ pub struct StochasticConvLayer {
     /// Count-domain bit-error plan, built when the table is live and
     /// [`ScOptions::fault`] carries a positive bit-error rate; per image
     /// it samples the flip set from `(seed, image_index, pixel)` and
-    /// perturbs the gathered counts exactly as literal stream flips would.
+    /// perturbs the table rows exactly as literal stream flips would.
     fault_plan: Option<CountFaultPlan>,
+    /// A stuck AND-gate line on the count path: its tap and the split row
+    /// it drives — `N` routed by each kernel's weight sign when stuck at
+    /// 1, all zero when stuck at 0.
+    stuck_leaf: Option<(usize, Vec<u16>)>,
 }
 
 impl StochasticConvLayer {
@@ -313,7 +317,7 @@ impl StochasticConvLayer {
         // arithmetic; one MUX tree's route masks partition the N cycles,
         // so its root sums stay ≤ N as well. Fault injection does not
         // force streaming: bit errors become count deltas (the plan below)
-        // and stuck-at sites become gather/fold overrides.
+        // and stuck-at sites become leaf/fold overrides.
         let lut = if table_fits(n, ksq, bank.kernels) {
             let _build = scnn_obs::span("conv/lut_build");
             Some(LevelCountTable::build(
@@ -342,6 +346,13 @@ impl StochasticConvLayer {
             )),
             _ => None,
         };
+        let stuck_leaf = match (&lut, options.fault.stuck()) {
+            (Some(_), Some((FaultSite::LutTap { tap }, value))) => {
+                let count = if value { n as u16 } else { 0 };
+                Some((tap as usize, split_by_sign(&weight_neg, ksq, tap as usize, count)))
+            }
+            _ => None,
+        };
 
         Ok(Self {
             bank,
@@ -355,6 +366,7 @@ impl StochasticConvLayer {
             select_streams,
             lut,
             fault_plan,
+            stuck_leaf,
         })
     }
 
@@ -451,17 +463,18 @@ impl StochasticConvLayer {
     /// Whether the level-indexed AND-count fast path is active (table
     /// within budget, stream counts within the 16-bit lane ceiling) — for
     /// both adders, faulted configurations included: bit errors run as
-    /// count deltas, stuck-at sites as gather/fold overrides.
+    /// count deltas, stuck-at sites as leaf/fold overrides.
     pub fn uses_count_table(&self) -> bool {
         self.lut.is_some()
     }
 
-    /// The count-domain fast path: quantize each pixel once, gather
-    /// per-tap AND counts for all kernels from the level-indexed table,
-    /// and reduce both trees in kernel lanes — a TFF fold, or a plain sum
-    /// of the route-masked MUX counts. `image_index` seeds the bit-error
-    /// flip set (ignored when the engine is fault-free), keeping faulted
-    /// results byte-identical for any thread count or batch order.
+    /// The count-domain fast path: quantize each pixel once, then per
+    /// window reduce one split-row tree for all kernels — a TFF fold, or a
+    /// plain sum of the route-masked MUX counts — whose leaves are the
+    /// table rows of the window's pixels, read in place. `image_index`
+    /// seeds the bit-error flip set (ignored when the engine is
+    /// fault-free), keeping faulted results byte-identical for any thread
+    /// count or batch order.
     fn forward_image_lut(
         &self,
         lut: &LevelCountTable,
@@ -475,93 +488,86 @@ impl StochasticConvLayer {
         }
         let bits = self.precision.bits();
         let lanes = self.bank.kernels;
+        let n_out = IMAGE_SIDE * IMAGE_SIDE;
         let levels: Vec<usize> = image.iter().map(|&v| pixel_level(v, bits) as usize).collect();
         // Per-image fault state: the sampled flip lists (bit errors,
-        // seeded from the image index) and the stuck-at site, applied on
-        // top of the healthy gathers and folds below.
+        // seeded from the image index), applied to copies of the healthy
+        // table rows below.
         let faults = self.fault_plan.as_ref().map(|p| p.image_faults(&levels, image_index));
-        let stuck = self.options.fault.stuck();
+        // `(level, pixel)` on a padded canvas, so every window reads its
+        // taps at fixed offsets from its corner. A padding cell holds
+        // level 0, whose table rows are the zero row (a level-0 comparator
+        // stream has no ones), and pixel `n_out`, which names no pixel.
+        let ksize = self.bank.ksize;
+        let (side, pad) = (IMAGE_SIDE + ksize - 1, (ksize - 1) / 2);
+        let mut canvas = vec![(0, n_out); side * side];
+        for (iy, src) in levels.chunks_exact(IMAGE_SIDE).enumerate() {
+            let row = &mut canvas[(iy + pad) * side + pad..][..IMAGE_SIDE];
+            for ((cell, &level), p) in row.iter_mut().zip(src).zip(iy * IMAGE_SIDE..) {
+                *cell = (level, p);
+            }
+        }
+        let tap_offsets: Vec<usize> =
+            (0..ksize).flat_map(|ki| (0..ksize).map(move |kj| ki * side + kj)).collect();
         // MUX trees sum their route-masked counts; TFF trees fold.
         let mux = self.options.adder == AdderKind::Mux;
+        // A stuck TFF column pins one node of the positive tree (a
+        // systematic defect: the same physical adder in every window).
+        let stuck_node = match self.options.fault.stuck() {
+            Some((FaultSite::AdderNode { node }, value)) => {
+                Some((node as usize, if value { self.n as u16 } else { 0 }))
+            }
+            _ => None,
+        };
         if scnn_obs::metrics_enabled() {
             if let Some(f) = &faults {
                 scnn_obs::registry().counter("fault/injected").add(f.flips);
             }
         }
-        let n_out = IMAGE_SIDE * IMAGE_SIDE;
-        let scale = self.padded as f32;
-        let n_f = self.n as f32;
+        // Counter difference to scaled dot-product units. Both factors are
+        // powers of two, so the one multiplier is exact.
+        let unit = self.padded as f32 / self.n as f32;
         let mut out = vec![0.0f32; lanes * n_out];
-        let ksq = self.bank.ksize * self.bank.ksize;
-        let policy = self.options.s0_policy;
-        let mut pos = LaneTree::new(ksq, lanes, policy, self.n)?;
-        let mut neg = LaneTree::new(ksq, lanes, policy, self.n)?;
+        let ksq = ksize * ksize;
+        let width = 2 * lanes;
+        let stuck_leaf = self.stuck_leaf.as_ref().map(|(tap, row)| (*tap, row.as_slice()));
+        let mut tree = LaneTree::new(ksq, lanes, self.options.s0_policy, self.n)?;
+        // Per-window copies of the table rows of pixels with bit flips.
+        let mut perturbed = vec![false; ksq];
+        let mut fault_rows = vec![0u16; ksq * width];
         let _fold = scnn_obs::span("conv/fold");
         for oy in 0..IMAGE_SIDE {
             for ox in 0..IMAGE_SIDE {
-                // Every tap's lanes are rewritten per window, which is the
-                // LaneTree reuse contract.
-                for (t, px) in window_taps(self.bank.ksize, oy, ox) {
-                    if let Some(p) = px {
-                        match &faults {
-                            Some(f) => gather_faulted(
-                                lut,
-                                f,
-                                levels[p],
-                                p,
-                                t,
-                                pos.tap_lanes_mut(t),
-                                neg.tap_lanes_mut(t),
-                            ),
-                            None => {
-                                lut.gather(levels[p], t, pos.tap_lanes_mut(t), neg.tap_lanes_mut(t))
-                            }
+                let corner = oy * side + ox;
+                if let Some(f) = &faults {
+                    let rows = fault_rows.chunks_exact_mut(width);
+                    for (t, (&offset, row)) in tap_offsets.iter().zip(rows).enumerate() {
+                        let (level, p) = canvas[corner + offset];
+                        perturbed[t] = p < n_out && f.flipped(p);
+                        if perturbed[t] {
+                            row.copy_from_slice(lut.row(level, t));
+                            f.apply(p, t, row);
                         }
-                    } else {
-                        pos.tap_lanes_mut(t).fill(0);
-                        neg.tap_lanes_mut(t).fill(0);
                     }
                 }
-                // A stuck AND-gate line overrides whatever the gather (and
-                // any bit-error delta) produced — for out-of-image taps
-                // too: the defective gate drives its line regardless of
-                // the pixel feeding it. Stuck-at-1 counts N toward the
-                // tree each weight's sign feeds; stuck-at-0 zeroes both.
-                if let Some((FaultSite::LutTap { tap }, value)) = stuck {
-                    let t = tap as usize;
-                    if value {
-                        lut.split_by_sign(
-                            t,
-                            self.n as u16,
-                            pos.tap_lanes_mut(t),
-                            neg.tap_lanes_mut(t),
-                        );
-                    } else {
-                        pos.tap_lanes_mut(t).fill(0);
-                        neg.tap_lanes_mut(t).fill(0);
-                    }
-                }
-                match stuck {
-                    _ if mux => {
-                        pos.sum();
-                        neg.sum();
-                    }
-                    // A stuck TFF column pins one node of the positive
-                    // tree (a systematic defect: the same physical adder
-                    // in every window).
-                    Some((FaultSite::AdderNode { node }, value)) => {
-                        pos.fold_stuck(node as usize, if value { self.n as u16 } else { 0 });
-                        neg.fold();
-                    }
-                    _ => {
-                        pos.fold();
-                        neg.fold();
-                    }
-                }
+                // A stuck AND-gate line overrides whatever the table (and
+                // any bit-error delta) holds — for out-of-image taps too:
+                // the defective gate drives its line regardless of the
+                // pixel feeding it.
+                let leaf = |t: usize| match stuck_leaf {
+                    Some((tap, row)) if tap == t => row,
+                    _ if perturbed[t] => &fault_rows[t * width..(t + 1) * width],
+                    _ => lut.row(canvas[corner + tap_offsets[t]].0, t),
+                };
+                let root = match stuck_node {
+                    _ if mux => tree.sum(leaf),
+                    Some((node, value)) => tree.fold_stuck(leaf, node, value),
+                    None => tree.fold(leaf),
+                };
+                let (pos, neg) = root.split_at(lanes);
                 let base = oy * IMAGE_SIDE + ox;
                 for k in 0..lanes {
-                    let diff = f32::from(pos.root_lane(k)) - f32::from(neg.root_lane(k));
-                    let v = diff * scale / n_f + self.bank.offsets[k];
+                    let v = (f32::from(pos[k]) - f32::from(neg[k])) * unit + self.bank.offsets[k];
                     out[k * n_out + base] = ternary(v, self.options.soft_threshold);
                 }
             }
@@ -635,7 +641,7 @@ impl StochasticConvLayer {
                             // Stuck AND-gate line: override the tap's count
                             // (out-of-image taps included), routed by this
                             // kernel's weight sign — exactly the LUT path's
-                            // split_by_sign override.
+                            // split_by_sign leaf.
                             if let Some((FaultSite::LutTap { tap }, value)) = stuck {
                                 let t = tap as usize;
                                 pos_counts[t] = 0;
@@ -781,16 +787,6 @@ mod tests {
 
     fn precision(bits: u32) -> Precision {
         Precision::new(bits).unwrap()
-    }
-
-    #[test]
-    fn outputs_ternary_and_sized() {
-        for options in [ScOptions::this_work(), ScOptions::old_sc()] {
-            let engine = StochasticConvLayer::from_conv(&conv(), precision(4), options).unwrap();
-            let out = engine.forward_image(&test_image(1)).unwrap();
-            assert_eq!(out.len(), 8 * 784);
-            assert!(out.iter().all(|&v| v == -1.0 || v == 0.0 || v == 1.0));
-        }
     }
 
     #[test]
@@ -994,24 +990,6 @@ mod tests {
             StochasticConvLayer::from_conv(&conv(), precision(4), ScOptions::this_work()).unwrap();
         assert!(engine.forward_image(&[0.0; 10]).is_err());
         assert!(engine.forward_image_streaming(&[0.0; 10]).is_err());
-    }
-
-    #[test]
-    fn lut_and_streaming_paths_are_bit_exact() {
-        for bits in [2u32, 4, 6, 8] {
-            for policy in [S0Policy::AllZero, S0Policy::AllOne, S0Policy::Alternating] {
-                let opts = ScOptions { s0_policy: policy, ..ScOptions::this_work() };
-                let engine =
-                    StochasticConvLayer::from_conv(&conv(), precision(bits), opts).unwrap();
-                assert!(engine.uses_count_table(), "bits={bits}");
-                let img = test_image(u64::from(bits) * 11 + 1);
-                assert_eq!(
-                    engine.forward_image(&img).unwrap(),
-                    engine.forward_image_streaming(&img).unwrap(),
-                    "bits={bits} policy={policy:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! One table of [`ScenarioSpec`] cases ([`cases`]) spans the engine space:
 //! head (float, binary and stochastic conv, dense unipolar and ternary),
-//! adder, precision, S0 policy, SNG sources, fault model and seed. One
-//! check function per fault class runs over it:
+//! adder, precision, S0 policy, SNG sources, fault model and seed. Conv
+//! rows use 4 kernels, except a few production-width rows at the
+//! benchmarked 32. One check function per fault class runs over it:
 //!
 //! * every case: conv outputs are ternary and every output is correctly
 //!   sized, two engines built from the same spec give identical bytes, and
@@ -57,8 +58,11 @@ fn with_threads<T>(threads: &str, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Kernels of the table's conv cases.
+/// Kernels of most of the table's conv cases.
 const KERNELS: usize = 4;
+/// Kernels of the production-width rows: the benchmarked LeNet-5 first
+/// layer, so a lane-width-specific loop is checked at the measured width.
+const WIDE_KERNELS: usize = 32;
 const SEEDS: [u64; 3] = [1, 42, 977];
 const POLICIES: [S0Policy; 3] = [S0Policy::AllZero, S0Policy::AllOne, S0Policy::Alternating];
 /// (pixel, weight) sources of the full product: the paper's design and the
@@ -89,6 +93,8 @@ struct Case {
     spec: ScenarioSpec,
     /// `(inputs, outputs)` of a dense case; `None` compiles a first layer.
     dense: Option<(usize, usize)>,
+    /// Kernels of a first-layer case's convolution (unused by dense rows).
+    kernels: usize,
     /// Whether the row also runs on the thread axis.
     threads: bool,
 }
@@ -102,7 +108,12 @@ enum FaultClass {
 
 impl Case {
     fn conv(spec: ScenarioSpec) -> Self {
-        Self { spec, dense: None, threads: false }
+        Self { spec, dense: None, kernels: KERNELS, threads: false }
+    }
+
+    /// A first-layer row at the production width.
+    fn wide(spec: ScenarioSpec) -> Self {
+        Self { kernels: WIDE_KERNELS, ..Self::conv(spec) }
     }
 
     fn class(&self) -> FaultClass {
@@ -213,6 +224,19 @@ fn cases() -> Vec<Case> {
     }
     let root_stuck = FaultModel::StuckAt { site: FaultSite::AdderNode { node: 30 }, value: true };
     cases.push(Case::conv(preset(Tff, 15, root_stuck)));
+    // Production width: both adders fault-free at 8 bits, the faulted
+    // frame benchmark's compound model at 6 bits, and a stuck AND line.
+    let benchmarked =
+        FaultModel::Compound { ber: 1e-2, site: FaultSite::AdderNode { node: 3 }, value: false };
+    let stuck_line = FaultModel::StuckAt { site: FaultSite::LutTap { tap: 7 }, value: true };
+    for spec in [
+        preset(Tff, 8, FaultModel::None),
+        preset(Mux, 8, FaultModel::None),
+        preset(Tff, 6, benchmarked),
+        preset(Tff, 6, stuck_line),
+    ] {
+        cases.push(Case::wide(spec));
+    }
     // Float and binary heads: no streaming reference, but the same
     // every-case checks and index independence.
     for seed in SEEDS {
@@ -229,17 +253,13 @@ fn cases() -> Vec<Case> {
         for shape in DENSE_SHAPES {
             for bits in [2, 4, 6, 8] {
                 for seed in SEEDS {
-                    cases.push(Case {
-                        spec: dense(bits, seed),
-                        dense: Some(shape),
-                        threads: false,
-                    });
+                    cases.push(Case { dense: Some(shape), ..Case::conv(dense(bits, seed)) });
                 }
             }
         }
         for bits in [12, 15] {
             let spec = dense(bits, SEEDS[0]);
-            cases.push(Case { spec, dense: Some(DENSE_SHAPES[1]), threads: false });
+            cases.push(Case { dense: Some(DENSE_SHAPES[1]), ..Case::conv(spec) });
         }
     }
     // The thread axis: both adders fault-free and under bit errors (also
@@ -253,16 +273,16 @@ fn cases() -> Vec<Case> {
         ScenarioSpec::binary(4),
         ScenarioSpec::float(),
     ] {
-        cases.push(Case { spec, dense: None, threads: true });
+        cases.push(Case { threads: true, ..Case::conv(spec) });
     }
     cases
 }
 
-fn conv(seed: u64) -> Conv2d {
-    Conv2d::new(1, KERNELS, 5, Padding::Same, seed % 97 + 1).expect("valid conv")
+fn conv(seed: u64, kernels: usize) -> Conv2d {
+    Conv2d::new(1, kernels, 5, Padding::Same, seed % 97 + 1).expect("valid conv")
 }
 
-/// A one-layer classifier over the pooled `[KERNELS, 14, 14]` features:
+/// A one-layer classifier over the pooled `[kernels, 14, 14]` features:
 /// the tail's parallel evaluation path at a fraction of LeNet-5's cost.
 fn light_tail(kernels: usize) -> Network {
     let mut tail = Network::new();
@@ -297,8 +317,8 @@ fn assert_same(got: &[f32], want: &[f32], what: &str) {
 }
 
 #[track_caller]
-fn assert_ternary_and_sized(out: &[f32], what: &str) {
-    assert_eq!(out.len(), KERNELS * 28 * 28, "{what}: size");
+fn assert_ternary_and_sized(out: &[f32], case: &Case, what: &str) {
+    assert_eq!(out.len(), case.kernels * 28 * 28, "{what}: size");
     assert!(out.iter().all(|&v| v == -1.0 || v == 0.0 || v == 1.0), "{what}: not ternary");
 }
 
@@ -320,7 +340,7 @@ fn moments(samples: &[f64]) -> (f64, f64) {
 /// its fault class's.
 fn check_first_layer(case: &Case) {
     let spec = case.spec;
-    let conv = conv(spec.seed);
+    let conv = conv(spec.seed, case.kernels);
     let what = format!("{case:?}");
     if spec.head != HeadKind::Stochastic {
         // Float and binary heads: deterministic and index-independent.
@@ -328,7 +348,7 @@ fn check_first_layer(case: &Case) {
         for index in case.indices() {
             let img = image(index);
             let out = engine.forward_image(&img).unwrap();
-            assert_ternary_and_sized(&out, &what);
+            assert_ternary_and_sized(&out, case, &what);
             assert_same(&twin.forward_image_indexed(&img, index).unwrap(), &out, &what);
         }
         return;
@@ -346,7 +366,7 @@ fn check_first_layer(case: &Case) {
     for (i, index) in case.indices().enumerate() {
         let img = image(index);
         let out = engine.forward_image_indexed(&img, index).unwrap();
-        assert_ternary_and_sized(&out, &what);
+        assert_ternary_and_sized(&out, case, &what);
         if i == 0 {
             assert_same(&twin.forward_image_indexed(&img, index).unwrap(), &out, &what);
         }
@@ -480,7 +500,8 @@ fn thread_count_never_changes_the_bytes() {
     let _env = exclusive_env();
     let dataset = synthetic::generate(10, 11);
     for case in cases().iter().filter(|c| c.threads) {
-        let mut hybrid = case.spec.hybrid(&conv(case.spec.seed), light_tail(KERNELS)).unwrap();
+        let conv = conv(case.spec.seed, case.kernels);
+        let mut hybrid = case.spec.hybrid(&conv, light_tail(case.kernels)).unwrap();
         let mut run = |threads| {
             with_threads(threads, || {
                 let features = hybrid.extract_features(&dataset).unwrap();

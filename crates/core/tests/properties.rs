@@ -311,10 +311,11 @@ proptest! {
         prop_assert_eq!(materialized.loss.to_bits(), streamed.loss.to_bits());
     }
 
-    /// `LaneTree::fold` is bit-exact per lane with `scnn_sim::TffAdderTree`
-    /// across precisions 4–8 bit and all S0 policies, and `fold_stuck`
-    /// with the scalar stuck-at fold; a stuck site off the live prefix
-    /// leaves the reference result unchanged.
+    /// `LaneTree::fold` is bit-exact per lane and sign with
+    /// `scnn_sim::TffAdderTree` across precisions 4–8 bit and all S0
+    /// policies, and `fold_stuck` with the scalar stuck-at fold on the
+    /// positive half (the negative half folds healthy); a stuck site off
+    /// the live prefix leaves the reference result unchanged.
     #[test]
     fn lane_tree_folds_match_sim_reference_per_lane(
         taps in 1usize..40,
@@ -332,35 +333,40 @@ proptest! {
         let n = 1usize << bits;
         let mut tree = LaneTree::new(taps, lanes, policy, n).unwrap();
         let reference = TffAdderTree::new(taps, policy).unwrap();
-        let mut per_lane = vec![vec![0u64; taps.next_power_of_two()]; lanes];
+        // One split row per tap: `lanes` positive then `lanes` negative
+        // counts.
         let mut state = seed | 1;
-        for t in 0..taps {
-            let row = tree.tap_lanes_mut(t);
-            for (lane, counts) in per_lane.iter_mut().enumerate() {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let c = (state >> 33) as usize % (n + 1);
-                row[lane] = c as u16;
-                counts[t] = c as u64;
-            }
-        }
-        let mut stuck = tree.clone();
-        tree.fold();
+        let rows: Vec<Vec<u16>> = (0..taps)
+            .map(|_| {
+                (0..2 * lanes)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        ((state >> 33) as usize % (n + 1)) as u16
+                    })
+                    .collect()
+            })
+            .collect();
+        let healthy = tree.fold(|t| &rows[t]).to_vec();
         let value = if value_is_n { n as u16 } else { 0 };
-        stuck.fold_stuck(node, value);
-        for (lane, counts) in per_lane.iter().enumerate() {
-            let want = reference.fold_counts(&counts[..taps]);
-            prop_assert_eq!(u64::from(tree.root_lane(lane)), want, "taps={} lane={}", taps, lane);
-            let want_stuck = if live_fold_node(taps, node) {
-                fold_tree_counts_wide(policy, &mut counts.clone(), Some((node, u64::from(value))))
+        let stuck = tree.fold_stuck(|t| &rows[t], node, value).to_vec();
+        for column in 0..2 * lanes {
+            let mut counts: Vec<u64> = rows.iter().map(|row| u64::from(row[column])).collect();
+            let want = reference.fold_counts(&counts);
+            prop_assert_eq!(u64::from(healthy[column]), want, "taps={} column={}", taps, column);
+            let want_stuck = if column < lanes && live_fold_node(taps, node) {
+                counts.resize(taps.next_power_of_two(), 0);
+                fold_tree_counts_wide(policy, &mut counts, Some((node, u64::from(value))))
             } else {
                 want
             };
             prop_assert_eq!(
-                u64::from(stuck.root_lane(lane)),
+                u64::from(stuck[column]),
                 want_stuck,
-                "taps={} lane={} node={}",
+                "taps={} column={} node={}",
                 taps,
-                lane,
+                column,
                 node
             );
         }
