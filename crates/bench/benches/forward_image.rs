@@ -29,8 +29,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use scnn_bench::report::{key, BenchJson};
-use scnn_bitstream::Precision;
-use scnn_core::{FirstLayer, ScOptions, StochasticConvLayer};
+use scnn_core::{FirstLayer, ScenarioSpec, StochasticConvLayer};
 use scnn_nn::data::{load_or_synthesize, synthetic};
 use scnn_nn::layers::{Conv2d, Padding};
 use std::hint::black_box;
@@ -68,9 +67,7 @@ fn main() {
     let mut group = criterion.benchmark_group("forward_image");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
     for bits in PRECISIONS {
-        let precision = Precision::new(bits).expect("valid");
-        let engine = StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work())
-            .expect("engine");
+        let engine = ScenarioSpec::this_work(bits).stochastic_conv(&conv).expect("engine");
         assert!(engine.uses_count_table(), "TFF engine at {bits}-bit must build the count table");
         group.bench_with_input(BenchmarkId::new("tff_lut", bits), &engine, |b, e| {
             b.iter(|| e.forward_image(black_box(&image)).expect("forward"));
@@ -80,8 +77,7 @@ fn main() {
             b.iter(|| e.forward_image_streaming(black_box(&image)).expect("forward"));
             json.record(&key::per_bits("forward_image", "tff_streaming", bits), b.last_ns_per_iter);
         });
-        let mux =
-            StochasticConvLayer::from_conv(&conv, precision, ScOptions::old_sc()).expect("engine");
+        let mux = ScenarioSpec::old_sc(bits).stochastic_conv(&conv).expect("engine");
         assert!(mux.uses_count_table(), "MUX engine at {bits}-bit must build the count table");
         group.bench_with_input(BenchmarkId::new("mux_lut", bits), &mux, |b, e| {
             b.iter(|| e.forward_image(black_box(&image)).expect("forward"));
@@ -99,9 +95,7 @@ fn main() {
     let mut group = criterion.benchmark_group("forward_image");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
     for bits in PRECISIONS {
-        let precision = Precision::new(bits).expect("valid");
-        let engine = StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work())
-            .expect("engine");
+        let engine = ScenarioSpec::this_work(bits).stochastic_conv(&conv).expect("engine");
         let metric = format!("dataset_{source}");
         group.bench_with_input(BenchmarkId::new(&metric, bits), &engine, |b, e| {
             b.iter(|| {
@@ -161,9 +155,7 @@ fn main() {
     let iters = if quick { 3 } else { 50 };
     let (was_metrics, was_trace) = (scnn_obs::metrics_enabled(), scnn_obs::trace_enabled());
     for bits in PRECISIONS {
-        let precision = Precision::new(bits).expect("valid");
-        let engine = StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work())
-            .expect("engine");
+        let engine = ScenarioSpec::this_work(bits).stochastic_conv(&conv).expect("engine");
         scnn_obs::force(false, false);
         // Untimed warmup so the off-loop doesn't absorb cold-start costs
         // (page faults, frequency ramp) that would skew the ratio.

@@ -17,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scnn_bench::report::{key, BenchJson};
 use scnn_bitstream::Precision;
-use scnn_core::{BinaryConvLayer, FirstLayer, ScOptions, StochasticConvLayer};
+use scnn_core::{BinaryConvLayer, FirstLayer, ScenarioSpec};
 use scnn_nn::data::synthetic;
 use scnn_nn::layers::{Conv2d, Dense, Layer, Padding};
 use scnn_nn::Tensor;
@@ -31,8 +31,7 @@ fn bench_first_layers(c: &mut Criterion) {
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     for bits in [4u32, 6, 8] {
         let precision = Precision::new(bits).expect("valid");
-        let tff = StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work())
-            .expect("engine");
+        let tff = ScenarioSpec::this_work(bits).stochastic_conv(&conv).expect("engine");
         group.bench_with_input(BenchmarkId::new("this_work", bits), &tff, |b, engine| {
             b.iter(|| engine.forward_image(black_box(&image)).expect("forward"))
         });
@@ -42,12 +41,7 @@ fn bench_first_layers(c: &mut Criterion) {
         });
     }
     // The old-SC MUX engine (route-masked count sum); one point suffices.
-    let old = StochasticConvLayer::from_conv(
-        &conv,
-        Precision::new(6).expect("valid"),
-        ScOptions::old_sc(),
-    )
-    .expect("engine");
+    let old = ScenarioSpec::old_sc(6).stochastic_conv(&conv).expect("engine");
     group.bench_function("old_sc/6", |b| {
         b.iter(|| old.forward_image(black_box(&image)).expect("forward"))
     });

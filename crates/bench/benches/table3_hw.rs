@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use scnn_bitstream::Precision;
-use scnn_core::{ScOptions, StochasticConvLayer};
+use scnn_core::ScenarioSpec;
 use scnn_hw::activity::{measure_binary_activity, measure_sc_activity, BinaryActivity, ScActivity};
 use scnn_hw::table3::{compute, paper_precisions};
 use scnn_hw::CellLibrary;
@@ -25,12 +25,7 @@ fn bench_model(c: &mut Criterion) {
 fn bench_activity(c: &mut Criterion) {
     let ds = synthetic::generate(2, 1);
     let conv = Conv2d::new(1, 8, 5, Padding::Same, 42).expect("conv");
-    let engine = StochasticConvLayer::from_conv(
-        &conv,
-        Precision::new(6).expect("valid"),
-        ScOptions::this_work(),
-    )
-    .expect("engine");
+    let engine = ScenarioSpec::this_work(6).stochastic_conv(&conv).expect("engine");
     let mut group = c.benchmark_group("table3/activity_measurement");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     group.bench_function("sc_trace_2img_8win", |b| {

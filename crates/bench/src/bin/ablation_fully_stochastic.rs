@@ -87,21 +87,15 @@ fn stochastic_accuracy(
 ) -> f64 {
     // Scenario literals: layer 1 consumes unipolar pixels, layer 2 the
     // re-binarized ternary activations.
-    let l1 = ScenarioSpec::this_work(bits)
-        .customize()
-        .input_mode(DenseInput::Unipolar)
-        .seed(1)
-        .build()
-        .dense_layer(&dense_at(net, 1))
-        .expect("engine");
+    let l1 =
+        ScenarioSpec { input_mode: DenseInput::Unipolar, seed: 1, ..ScenarioSpec::this_work(bits) }
+            .dense_layer(&dense_at(net, 1))
+            .expect("engine");
     let l2_float = dense_at(net, 3);
-    let l2_sc = ScenarioSpec::this_work(bits)
-        .customize()
-        .input_mode(DenseInput::Ternary)
-        .seed(2)
-        .build()
-        .dense_layer(&l2_float)
-        .expect("engine");
+    let l2_sc =
+        ScenarioSpec { input_mode: DenseInput::Ternary, seed: 2, ..ScenarioSpec::this_work(bits) }
+            .dense_layer(&l2_float)
+            .expect("engine");
     let hits = scnn_core::parallel::par_chunk_map(test.len(), |range| {
         let mut l2_float = l2_float.clone();
         range

@@ -59,8 +59,10 @@ fn run() {
 
     // One scenario literal per table row (bits filled per column); adding
     // a pairing is adding a line here.
-    let scenario = |base: ScenarioSpec, px: SourceKind, wt: SourceKind| {
-        base.customize().pixel_source(px).weight_source(wt).build()
+    let scenario = |base: ScenarioSpec, px: SourceKind, wt: SourceKind| ScenarioSpec {
+        pixel_source: px,
+        weight_source: wt,
+        ..base
     };
     let this_work = ScenarioSpec::this_work(8);
     let old_sc = ScenarioSpec::old_sc(8);
@@ -87,7 +89,7 @@ fn run() {
     for (label, base_spec) in pairings {
         let mut cells = vec![label.to_string()];
         for bits in [4u32, 6, 8] {
-            let spec = base_spec.customize().bits(bits).build();
+            let spec = ScenarioSpec { bits, ..base_spec };
             cells.push(pct(mismatch_rate(&conv, &images, &spec)));
         }
         table.row(cells);

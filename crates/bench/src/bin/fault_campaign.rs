@@ -156,10 +156,8 @@ fn record_fault_speedup(bench: &Workbench, bits_list: &[u32], json: &mut BenchJs
     let images: Vec<&[f32]> = (0..bench.test.len().min(4)).map(|i| bench.test.item(i)).collect();
     let mut min_speedup = f64::INFINITY;
     for &bits in bits_list.iter().filter(|b| (4..=8).contains(*b)) {
-        let spec = ScenarioSpec::this_work(bits)
-            .customize()
-            .fault(FaultModel::BitError(resilience::BER_LADDER[0]))
-            .build();
+        let fault = FaultModel::BitError(resilience::BER_LADDER[0]);
+        let spec = ScenarioSpec { fault, ..ScenarioSpec::this_work(bits) };
         let engine = spec.stochastic_conv(bench.base.conv1()).expect("faulted engine");
         assert!(engine.uses_count_table(), "faulted TFF engine must stay on the LUT path");
         // One warm-up pass each, then one timed pass over the same images.

@@ -130,7 +130,7 @@ pub fn apply(clean: &ScenarioSpec, preset: &FaultPreset) -> Option<ScenarioSpec>
     if preset.model.stuck().is_some() && clean.adder != AdderKind::Tff {
         return None;
     }
-    Some(clean.customize().fault(preset.model).build())
+    Some(ScenarioSpec { fault: preset.model, ..*clean })
 }
 
 /// Whether an accuracy-vs-BER curve (ascending BER) is non-increasing

@@ -49,18 +49,14 @@ pub trait FirstLayer: Send + Sync {
     fn label(&self) -> String;
 }
 
-/// Weight/bias data shared by every engine: per-kernel scaled weights, the
-/// scale factors, and the bias folded into a comparator offset.
+/// Weight/bias data shared by every engine: per-kernel scaled weights and
+/// the bias folded into a comparator offset.
 #[derive(Debug, Clone)]
 pub(crate) struct KernelBank {
     pub kernels: usize,
     pub ksize: usize,
     /// Scaled weights in `[−1, 1]`, kernel-major (`kernels × ksize²`).
     pub weights: Vec<f32>,
-    /// Per-kernel scale factors `s` with `original = scaled × s`. Retained
-    /// for consumers that need magnitudes back (e.g. ablation reporting).
-    #[allow(dead_code)]
-    pub scales: Vec<f32>,
     /// Per-kernel activation offset `bias / s` — the sign decision of
     /// `x∘w + bias` re-expressed in scaled-weight units so engines without
     /// a bias datapath implement it as a comparator preload.
@@ -90,7 +86,7 @@ impl KernelBank {
         let mut weights = conv.weights().data().to_vec();
         let scales = scale_kernels(&mut weights, ksize * ksize);
         let offsets = conv.bias().data().iter().zip(&scales).map(|(&b, &s)| b / s).collect();
-        Ok(Self { kernels, ksize, weights, scales, offsets })
+        Ok(Self { kernels, ksize, weights, offsets })
     }
 
     /// The scaled weight of kernel `k`, tap `t`.
@@ -134,7 +130,8 @@ pub(crate) fn ternary(v: f32, tau: f32) -> f32 {
     }
 }
 
-fn check_image(image: &[f32]) -> Result<(), Error> {
+/// Rejects images that are not 28×28.
+pub(crate) fn check_image(image: &[f32]) -> Result<(), Error> {
     if image.len() != IMAGE_SIDE * IMAGE_SIDE {
         return Err(Error::config(format!(
             "expected {} pixels, got {}",

@@ -1,5 +1,6 @@
 use crate::arena::{and_count, StreamArena};
 use crate::counts::{table_fits, LaneTree, LevelCountTable, LevelStreamCache};
+use crate::stochastic::{SourceKind, INPUT_SEED_SALT, WEIGHT_SEED_SALT};
 use crate::Error;
 use scnn_bitstream::Precision;
 use scnn_nn::layers::Dense;
@@ -118,7 +119,7 @@ impl StochasticDenseLayer {
         let scales = scale_kernels(&mut per_neuron, in_features);
         let offsets = dense.bias().data().iter().zip(&scales).map(|(&b, &s)| b / s).collect();
         // Shared weight SNG bank.
-        let weight_seq = crate::SourceKind::Sobol2.sequence(bits, n, seed ^ 0x77_5eed)?;
+        let weight_seq = SourceKind::Sobol2.sequence(bits, n, seed ^ WEIGHT_SEED_SALT)?;
         let mut weight_streams = StreamArena::new(in_features * out_features, n)?;
         let mut weight_counts = vec![0u64; in_features * out_features];
         let mut weight_neg = vec![false; in_features * out_features];
@@ -128,7 +129,7 @@ impl StochasticDenseLayer {
             weight_counts[idx] = weight_streams.count(idx);
             weight_neg[idx] = neg;
         }
-        let input_seq = crate::SourceKind::Ramp.sequence(bits, n, seed ^ 0x1234)?;
+        let input_seq = SourceKind::Ramp.sequence(bits, n, seed ^ INPUT_SEED_SALT)?;
         let tree = TffAdderTree::new(in_features, DENSE_S0_POLICY)
             .map_err(|e| Error::config(e.to_string()))?;
         // The unipolar count-domain fast path: weight streams are already

@@ -24,9 +24,10 @@
 //! * [`counts`] — the shared count-domain core (level-indexed AND-count
 //!   tables, multi-lane TFF tree folds and MUX route-masked sums, and the
 //!   comparator stream cache) behind the conv and dense fast paths,
-//! * [`ScenarioSpec`] — declarative experiment scenarios that compile to
-//!   ready engines (see the presets `this_work` / `old_sc` / `binary` /
-//!   `float` and the [`ScenarioBuilder`]),
+//! * [`ScenarioSpec`] — the one engine configuration: declarative
+//!   experiment scenarios that compile to ready engines (see the presets
+//!   `this_work` / `old_sc` / `binary` / `float`; variants are
+//!   struct-update literals),
 //! * [`HybridLenet::features`] — a streaming
 //!   [`BatchSource`](scnn_nn::data::BatchSource) of first-layer features,
 //!   so dataset-scale evaluation never materializes the feature tensor.
@@ -34,14 +35,12 @@
 //! # Example: run one image through the stochastic engine
 //!
 //! ```
-//! use scnn_core::{FirstLayer, ScOptions, StochasticConvLayer};
-//! use scnn_bitstream::Precision;
+//! use scnn_core::{FirstLayer, ScenarioSpec};
 //! use scnn_nn::layers::{Conv2d, Padding};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let conv = Conv2d::new(1, 32, 5, Padding::Same, 42)?;
-//! let engine =
-//!     StochasticConvLayer::from_conv(&conv, Precision::new(8)?, ScOptions::this_work())?;
+//! let engine = ScenarioSpec::this_work(8).stochastic_conv(&conv)?;
 //! let image = vec![0.5f32; 28 * 28];
 //! let features = engine.forward_image(&image)?;
 //! assert_eq!(features.len(), 32 * 28 * 28);
@@ -73,4 +72,4 @@ pub use hybrid::{FeatureSource, HybridLenet};
 pub use retrain::{retrain, train_base, BaseModel, RetrainConfig, RetrainReport, TrainConfig};
 pub use scenario::{HeadKind, ScenarioBuilder, ScenarioSpec};
 pub use scnn_sim::{FaultError, FaultModel, FaultSite};
-pub use stochastic::{AdderKind, ScOptions, SourceKind, StochasticConvLayer};
+pub use stochastic::{AdderKind, SourceKind, StochasticConvLayer};

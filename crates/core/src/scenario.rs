@@ -1,13 +1,11 @@
 //! Declarative experiment scenarios.
 //!
-//! Every table and ablation harness used to hand-assemble its engines —
-//! pick a precision, thread `ScOptions` through, box the right
-//! [`FirstLayer`] — duplicating the same glue ten times. A
-//! [`ScenarioSpec`] is that glue as data: one literal names the head
-//! engine kind, precision, number-generation scheme, adder, fault model
-//! and input mode, and compiles to a ready [`FirstLayer`],
-//! [`HybridLenet`] or [`StochasticDenseLayer`]. Adding a new scenario to
-//! a harness is adding a spec literal to a list.
+//! A [`ScenarioSpec`] is the one engine configuration: one literal names
+//! the head engine kind, precision, number-generation scheme, adder, fault
+//! model and input mode, and compiles to a ready [`FirstLayer`],
+//! [`StochasticConvLayer`], [`HybridLenet`] or [`StochasticDenseLayer`].
+//! Adding a new scenario to a harness is adding a spec literal to a list;
+//! a variant of a preset is a struct-update literal.
 //!
 //! # Example
 //!
@@ -20,11 +18,8 @@
 //! // The paper's proposed design at 6 bits…
 //! let engine = ScenarioSpec::this_work(6).first_layer(&conv)?;
 //! assert_eq!(engine.label(), "this-work(6-bit)");
-//! // …and a variant with LFSR pixel conversion, via the builder.
-//! let lfsr = ScenarioSpec::this_work(6)
-//!     .customize()
-//!     .pixel_source(SourceKind::Lfsr)
-//!     .build();
+//! // …and a variant with LFSR pixel conversion.
+//! let lfsr = ScenarioSpec { pixel_source: SourceKind::Lfsr, ..ScenarioSpec::this_work(6) };
 //! assert_eq!(lfsr.head, HeadKind::Stochastic);
 //! assert_eq!(lfsr.pixel_source, SourceKind::Lfsr);
 //! # Ok(())
@@ -34,7 +29,7 @@
 use crate::baseline::{BinaryConvLayer, FirstLayer, FloatConvLayer};
 use crate::dense::{DenseInput, StochasticDenseLayer};
 use crate::hybrid::HybridLenet;
-use crate::stochastic::{AdderKind, ScOptions, SourceKind, StochasticConvLayer};
+use crate::stochastic::{AdderKind, SourceKind, StochasticConvLayer};
 use crate::Error;
 use scnn_bitstream::Precision;
 use scnn_nn::layers::{Conv2d, Dense};
@@ -56,10 +51,11 @@ pub enum HeadKind {
 
 /// A declarative description of one experiment scenario.
 ///
-/// Plain data (`Copy`), so scenario tables are arrays of literals.
-/// Compile with [`first_layer`](Self::first_layer),
-/// [`hybrid`](Self::hybrid) or [`dense_layer`](Self::dense_layer); derive
-/// variants with [`customize`](Self::customize).
+/// Plain data (`Copy`), so scenario tables are arrays of literals and
+/// variants are struct updates of a preset. Compile with
+/// [`first_layer`](Self::first_layer),
+/// [`stochastic_conv`](Self::stochastic_conv), [`hybrid`](Self::hybrid) or
+/// [`dense_layer`](Self::dense_layer).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioSpec {
     /// Engine family.
@@ -73,13 +69,15 @@ pub struct ScenarioSpec {
     pub pixel_source: SourceKind,
     /// Number source behind the shared weight SNG bank.
     pub weight_source: SourceKind,
-    /// Initial-state policy of the TFF trees.
+    /// Initial-state policy of the TFF trees (ignored by the MUX adder).
     pub s0_policy: S0Policy,
-    /// Soft threshold τ in scaled dot-product units.
+    /// Soft threshold τ in scaled dot-product units (Kim et al.).
     pub soft_threshold: f32,
-    /// Fault model for the resilience experiments:
-    /// [`FaultModel::None`] in every preset; bit errors, stuck-at sites
-    /// or both (see [`ScOptions::fault`]).
+    /// Fault model for the resilience experiments (paper §I / Fig. 8):
+    /// [`FaultModel::None`] (every preset) runs fault-free;
+    /// [`FaultModel::BitError`] injects per-bit stream flips — in the
+    /// count domain on the fast path (either adder), literally on the
+    /// streaming path; stuck-at models pin a datapath site (TFF only).
     pub fault: FaultModel,
     /// Input domain for dense compilations ([`dense_layer`](Self::dense_layer)).
     pub input_mode: DenseInput,
@@ -92,13 +90,29 @@ impl ScenarioSpec {
     /// ramp-compare pixel conversion, Sobol' weight generation, TFF adder
     /// trees (Table 3 "This Work" rows).
     pub fn this_work(bits: u32) -> Self {
-        Self::from_sc_options(bits, ScOptions::this_work())
+        Self {
+            head: HeadKind::Stochastic,
+            bits,
+            adder: AdderKind::Tff,
+            pixel_source: SourceKind::Ramp,
+            weight_source: SourceKind::Sobol2,
+            s0_policy: S0Policy::Alternating,
+            soft_threshold: 0.0,
+            fault: FaultModel::None,
+            input_mode: DenseInput::Unipolar,
+            seed: 42,
+        }
     }
 
     /// The prior-work configuration at `bits` precision: LFSR number
     /// generation everywhere and MUX adder trees (Table 3 "Old SC" rows).
     pub fn old_sc(bits: u32) -> Self {
-        Self::from_sc_options(bits, ScOptions::old_sc())
+        Self {
+            adder: AdderKind::Mux,
+            pixel_source: SourceKind::Lfsr,
+            weight_source: SourceKind::Lfsr,
+            ..Self::this_work(bits)
+        }
     }
 
     /// The quantized fixed-point baseline at `bits` precision (Table 3
@@ -112,23 +126,8 @@ impl ScenarioSpec {
         Self { head: HeadKind::Float, ..Self::this_work(8) }
     }
 
-    /// A stochastic scenario carrying an existing [`ScOptions`].
-    pub fn from_sc_options(bits: u32, options: ScOptions) -> Self {
-        Self {
-            head: HeadKind::Stochastic,
-            bits,
-            adder: options.adder,
-            pixel_source: options.pixel_source,
-            weight_source: options.weight_source,
-            s0_policy: options.s0_policy,
-            soft_threshold: options.soft_threshold,
-            fault: options.fault,
-            input_mode: DenseInput::Unipolar,
-            seed: options.seed,
-        }
-    }
-
-    /// Starts a [`ScenarioBuilder`] from this spec.
+    /// Starts a [`ScenarioBuilder`] from this spec (see its docs for why it
+    /// remains).
     pub fn customize(self) -> ScenarioBuilder {
         ScenarioBuilder { spec: self }
     }
@@ -140,19 +139,6 @@ impl ScenarioSpec {
     /// Returns [`Error::Config`] for unsupported bit widths.
     pub fn precision(&self) -> Result<Precision, Error> {
         Precision::new(self.bits).map_err(|e| Error::config(e.to_string()))
-    }
-
-    /// The stochastic-engine options this spec describes.
-    pub fn sc_options(&self) -> ScOptions {
-        ScOptions {
-            adder: self.adder,
-            pixel_source: self.pixel_source,
-            weight_source: self.weight_source,
-            s0_policy: self.s0_policy,
-            soft_threshold: self.soft_threshold,
-            fault: self.fault,
-            seed: self.seed,
-        }
     }
 
     /// The engine's report label (matches [`FirstLayer::label`]).
@@ -177,11 +163,7 @@ impl ScenarioSpec {
             HeadKind::Binary => {
                 Box::new(BinaryConvLayer::from_conv(conv, self.precision()?, self.soft_threshold)?)
             }
-            HeadKind::Stochastic => Box::new(StochasticConvLayer::from_conv(
-                conv,
-                self.precision()?,
-                self.sc_options(),
-            )?),
+            HeadKind::Stochastic => Box::new(self.stochastic_conv(conv)?),
         })
     }
 
@@ -195,13 +177,7 @@ impl ScenarioSpec {
     /// [`Stochastic`](HeadKind::Stochastic); propagates construction
     /// errors.
     pub fn stochastic_conv(&self, conv: &Conv2d) -> Result<StochasticConvLayer, Error> {
-        if self.head != HeadKind::Stochastic {
-            return Err(Error::config(format!(
-                "stochastic_conv needs a stochastic scenario, got {:?}",
-                self.head
-            )));
-        }
-        StochasticConvLayer::from_conv(conv, self.precision()?, self.sc_options())
+        StochasticConvLayer::from_conv(conv, self)
     }
 
     /// Compiles the spec into a ready [`HybridLenet`]: the scenario's
@@ -254,56 +230,18 @@ impl ScenarioSpec {
     }
 }
 
-/// Fluent builder over a [`ScenarioSpec`] (start from a preset via
+/// Sets the fault model of a preset (start via
 /// [`ScenarioSpec::customize`]).
+///
+/// Kept only because the frame benchmark (`framebench/`) builds its faulted
+/// scenario through it; it goes when that benchmark next changes. Other code
+/// writes the struct-update literal `ScenarioSpec { fault, ..spec }`.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioBuilder {
     spec: ScenarioSpec,
 }
 
 impl ScenarioBuilder {
-    /// Sets the engine family.
-    pub fn head(mut self, head: HeadKind) -> Self {
-        self.spec.head = head;
-        self
-    }
-
-    /// Sets the precision in bits.
-    pub fn bits(mut self, bits: u32) -> Self {
-        self.spec.bits = bits;
-        self
-    }
-
-    /// Sets the adder tree kind.
-    pub fn adder(mut self, adder: AdderKind) -> Self {
-        self.spec.adder = adder;
-        self
-    }
-
-    /// Sets the pixel/input number source.
-    pub fn pixel_source(mut self, source: SourceKind) -> Self {
-        self.spec.pixel_source = source;
-        self
-    }
-
-    /// Sets the weight number source.
-    pub fn weight_source(mut self, source: SourceKind) -> Self {
-        self.spec.weight_source = source;
-        self
-    }
-
-    /// Sets the TFF initial-state policy.
-    pub fn s0_policy(mut self, policy: S0Policy) -> Self {
-        self.spec.s0_policy = policy;
-        self
-    }
-
-    /// Sets the soft threshold τ.
-    pub fn soft_threshold(mut self, tau: f32) -> Self {
-        self.spec.soft_threshold = tau;
-        self
-    }
-
     /// Sets the full [`FaultModel`] (bit errors, stuck-at sites, or both).
     ///
     /// # Example
@@ -319,27 +257,6 @@ impl ScenarioBuilder {
     /// ```
     pub fn fault(mut self, fault: FaultModel) -> Self {
         self.spec.fault = fault;
-        self
-    }
-
-    /// Sets a pure bit-error fault model with the given per-bit flip
-    /// probability (shorthand for
-    /// [`fault`](Self::fault)`(FaultModel::BitError(rate))`; `0.0` means
-    /// fault-free).
-    pub fn bit_error_rate(mut self, rate: f64) -> Self {
-        self.spec.fault = if rate == 0.0 { FaultModel::None } else { FaultModel::BitError(rate) };
-        self
-    }
-
-    /// Sets the dense input mode.
-    pub fn input_mode(mut self, mode: DenseInput) -> Self {
-        self.spec.input_mode = mode;
-        self
-    }
-
-    /// Sets the scenario seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.spec.seed = seed;
         self
     }
 
@@ -373,6 +290,12 @@ mod tests {
             let out = engine.forward_image(&vec![0.4; 784]).unwrap();
             assert_eq!(out.len(), 4 * 784);
         }
+        // Only a stochastic head compiles to the concrete stochastic engine.
+        for spec in [ScenarioSpec::float(), ScenarioSpec::binary(4)] {
+            let err = spec.stochastic_conv(&c).unwrap_err();
+            assert!(err.to_string().contains("stochastic scenario"), "{err}");
+            assert!(StochasticConvLayer::from_conv(&c, &spec).is_err());
+        }
     }
 
     #[test]
@@ -382,7 +305,7 @@ mod tests {
         let c = conv();
         let img: Vec<f32> = (0..784).map(|i| (i % 97) as f32 / 96.0).collect();
         let precision = Precision::new(6).unwrap();
-        let by_hand = StochasticConvLayer::from_conv(&c, precision, ScOptions::this_work())
+        let by_hand = StochasticConvLayer::from_conv(&c, &ScenarioSpec::this_work(6))
             .unwrap()
             .forward_image(&img)
             .unwrap();
@@ -397,36 +320,26 @@ mod tests {
 
     #[test]
     fn builder_overrides_fields() {
-        let spec = ScenarioSpec::this_work(8)
-            .customize()
-            .bits(4)
-            .adder(AdderKind::Mux)
-            .pixel_source(SourceKind::Lfsr)
-            .weight_source(SourceKind::Lfsr)
-            .s0_policy(S0Policy::AllZero)
-            .soft_threshold(0.5)
-            .bit_error_rate(0.01)
-            .input_mode(DenseInput::Ternary)
-            .seed(99)
-            .build();
-        assert_eq!(spec.bits, 4);
-        assert_eq!(spec.adder, AdderKind::Mux);
-        assert_eq!(spec.pixel_source, SourceKind::Lfsr);
-        assert_eq!(spec.s0_policy, S0Policy::AllZero);
-        assert_eq!(spec.soft_threshold, 0.5);
-        assert_eq!(spec.fault, FaultModel::BitError(0.01));
-        assert_eq!(spec.input_mode, DenseInput::Ternary);
-        assert_eq!(spec.seed, 99);
-        // Every builder field must survive the round trip into ScOptions.
-        let opts = spec.sc_options();
-        assert_eq!(opts.adder, AdderKind::Mux);
-        assert_eq!(opts.pixel_source, SourceKind::Lfsr);
-        assert_eq!(opts.weight_source, SourceKind::Lfsr);
-        assert_eq!(opts.s0_policy, S0Policy::AllZero);
-        assert_eq!(opts.soft_threshold, 0.5);
-        assert_eq!(opts.fault, FaultModel::BitError(0.01));
-        assert_eq!(opts.seed, 99);
-        assert_eq!(spec.customize().head(HeadKind::Float).build().label(), "float");
+        let spec = ScenarioSpec {
+            bits: 4,
+            adder: AdderKind::Mux,
+            pixel_source: SourceKind::Lfsr,
+            weight_source: SourceKind::Lfsr,
+            s0_policy: S0Policy::AllZero,
+            soft_threshold: 0.5,
+            input_mode: DenseInput::Ternary,
+            seed: 99,
+            ..ScenarioSpec::this_work(8)
+        };
+        // The builder's one setter is the struct update it abbreviates.
+        let fault = FaultModel::BitError(0.01);
+        let faulted = spec.customize().fault(fault).build();
+        assert_eq!(faulted, ScenarioSpec { fault, ..spec });
+        // The engine keeps the whole spec it was built from.
+        let engine = faulted.stochastic_conv(&conv()).unwrap();
+        assert_eq!(engine.spec(), &faulted);
+        assert_eq!(engine.precision().bits(), 4);
+        assert_eq!(ScenarioSpec { head: HeadKind::Float, ..spec }.label(), "float");
     }
 
     #[test]
@@ -436,18 +349,19 @@ mod tests {
         // silently compile to "This Work" numbers under another label.
         let dense = Dense::new(8, 2, 1);
         assert!(ScenarioSpec::old_sc(4).dense_layer(&dense).is_err());
+        let base = ScenarioSpec::this_work(4);
         for spec in [
-            ScenarioSpec::this_work(4).customize().adder(AdderKind::Mux).build(),
-            ScenarioSpec::this_work(4).customize().pixel_source(SourceKind::Lfsr).build(),
-            ScenarioSpec::this_work(4).customize().weight_source(SourceKind::Lfsr).build(),
-            ScenarioSpec::this_work(4).customize().s0_policy(S0Policy::AllZero).build(),
-            ScenarioSpec::this_work(4).customize().bit_error_rate(0.01).build(),
+            ScenarioSpec { adder: AdderKind::Mux, ..base },
+            ScenarioSpec { pixel_source: SourceKind::Lfsr, ..base },
+            ScenarioSpec { weight_source: SourceKind::Lfsr, ..base },
+            ScenarioSpec { s0_policy: S0Policy::AllZero, ..base },
+            ScenarioSpec { fault: FaultModel::BitError(0.01), ..base },
         ] {
             let err = spec.dense_layer(&dense).unwrap_err();
             assert!(err.to_string().contains("dense engine"), "{err}");
         }
         // τ alone is ignored (no comparator in a dense engine).
-        let tau = ScenarioSpec::this_work(4).customize().soft_threshold(0.5).build();
+        let tau = ScenarioSpec { soft_threshold: 0.5, ..base };
         assert!(tau.dense_layer(&dense).is_ok());
     }
 
@@ -457,12 +371,10 @@ mod tests {
         assert!(ScenarioSpec::binary(4).dense_layer(&dense).is_err());
         let layer = ScenarioSpec::this_work(4).dense_layer(&dense).unwrap();
         assert_eq!(layer.in_features(), 8);
-        let ternary = ScenarioSpec::this_work(4)
-            .customize()
-            .input_mode(DenseInput::Ternary)
-            .build()
-            .dense_layer(&dense)
-            .unwrap();
+        let ternary =
+            ScenarioSpec { input_mode: DenseInput::Ternary, ..ScenarioSpec::this_work(4) }
+                .dense_layer(&dense)
+                .unwrap();
         assert!(!ternary.uses_count_table());
     }
 

@@ -1,10 +1,11 @@
 use crate::arena::{and_count, mux_words, StreamArena};
-use crate::baseline::{ternary, window_taps, FirstLayer, KernelBank, IMAGE_SIDE};
+use crate::baseline::{check_image, ternary, window_taps, FirstLayer, KernelBank, IMAGE_SIDE};
 use crate::counts::{
     fold_tree_counts_wide, live_fold_node, mux_route_masks, split_by_sign, table_fits, LaneTree,
     LevelCountTable, LevelStreamCache,
 };
 use crate::faults::CountFaultPlan;
+use crate::scenario::{HeadKind, ScenarioSpec};
 use crate::Error;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -12,7 +13,14 @@ use scnn_bitstream::Precision;
 use scnn_nn::layers::Conv2d;
 use scnn_nn::quant::{pixel_level, weight_level};
 use scnn_rng::{Lfsr, NumberSource, Ramp, Sobol2, TrueRandom, VanDerCorput};
-use scnn_sim::{FaultModel, FaultSite, S0Policy};
+use scnn_sim::FaultSite;
+
+/// Salt XORed into the scenario seed for the shared weight SNG sequence
+/// (conv and dense engines alike).
+pub(crate) const WEIGHT_SEED_SALT: u64 = 0x77_5eed;
+
+/// Salt XORed into the scenario seed for the pixel/input SNG sequence.
+pub(crate) const INPUT_SEED_SALT: u64 = 0x1234;
 
 /// Which number source drives a comparator SNG bank in the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,70 +72,6 @@ pub enum AdderKind {
     Mux,
 }
 
-/// Configuration of a [`StochasticConvLayer`].
-///
-/// The two presets mirror the designs Table 3 compares:
-/// [`this_work`](Self::this_work) (ramp-converted pixels, low-discrepancy
-/// weights, TFF adders) and [`old_sc`](Self::old_sc) (LFSR number
-/// generation, MUX adders).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScOptions {
-    /// Adder tree implementation.
-    pub adder: AdderKind,
-    /// Number source behind the pixel (sensor) SNG bank.
-    pub pixel_source: SourceKind,
-    /// Number source behind the shared weight SNG bank.
-    pub weight_source: SourceKind,
-    /// Initial-state policy of the TFF tree (ignored for MUX).
-    pub s0_policy: S0Policy,
-    /// Soft threshold τ in scaled dot-product units (Kim et al.).
-    pub soft_threshold: f32,
-    /// Fault model for the resilience experiments (paper §I / Fig. 8):
-    /// [`FaultModel::None`] (every preset) runs fault-free;
-    /// [`FaultModel::BitError`] injects per-bit stream flips — in the
-    /// count domain on the fast path (either adder), literally on the
-    /// streaming path; stuck-at models pin a datapath site (TFF only).
-    pub fault: FaultModel,
-    /// Seed for LFSRs, random sources and fault injection.
-    pub seed: u64,
-}
-
-impl ScOptions {
-    /// The paper's proposed configuration: ramp-compare pixel conversion,
-    /// Sobol' weight generation, TFF adder tree.
-    pub fn this_work() -> Self {
-        Self {
-            adder: AdderKind::Tff,
-            pixel_source: SourceKind::Ramp,
-            weight_source: SourceKind::Sobol2,
-            s0_policy: S0Policy::Alternating,
-            soft_threshold: 0.0,
-            fault: FaultModel::None,
-            seed: 42,
-        }
-    }
-
-    /// The prior-work configuration: LFSR number generation everywhere and
-    /// MUX adder trees (Table 3 "Old SC" rows).
-    pub fn old_sc() -> Self {
-        Self {
-            adder: AdderKind::Mux,
-            pixel_source: SourceKind::Lfsr,
-            weight_source: SourceKind::Lfsr,
-            s0_policy: S0Policy::Alternating,
-            soft_threshold: 0.0,
-            fault: FaultModel::None,
-            seed: 42,
-        }
-    }
-}
-
-impl Default for ScOptions {
-    fn default() -> Self {
-        Self::this_work()
-    }
-}
-
 /// The stochastic first-layer convolution engine (paper Fig. 3, §IV-B).
 ///
 /// Per image: each pixel is converted once to a stream of `N = 2^b` bits
@@ -167,7 +111,7 @@ impl Default for ScOptions {
 /// the oracle harness in `tests/oracle.rs`). Fault injection stays on the
 /// fast path: bit errors are lifted into per-(pixel, tap) count deltas on
 /// a copy of the row and stuck-at sites into leaf/fold overrides, so
-/// faulted sweeps run at LUT speed (see [`ScOptions::fault`]). For the MUX
+/// faulted sweeps run at LUT speed (see [`ScenarioSpec::fault`]). For the MUX
 /// tree the table is built over route-masked weight streams and the tree
 /// reduces by a plain lane sum instead of the fold. The streaming
 /// simulation remains the reference model for both adders and the
@@ -178,7 +122,7 @@ impl Default for ScOptions {
 pub struct StochasticConvLayer {
     bank: KernelBank,
     precision: Precision,
-    options: ScOptions,
+    spec: ScenarioSpec,
     /// Stream length N.
     n: usize,
     /// Padded tap count (next power of two ≥ ksize²) — the tree width.
@@ -198,7 +142,7 @@ pub struct StochasticConvLayer {
     /// table, 15- and 16-bit streams).
     lut: Option<LevelCountTable>,
     /// Count-domain bit-error plan, built when the table is live and
-    /// [`ScOptions::fault`] carries a positive bit-error rate; per image
+    /// [`ScenarioSpec::fault`] carries a positive bit-error rate; per image
     /// it samples the flip set from `(seed, image_index, pixel)` and
     /// perturbs the table rows exactly as literal stream flips would.
     fault_plan: Option<CountFaultPlan>,
@@ -209,17 +153,23 @@ pub struct StochasticConvLayer {
 }
 
 impl StochasticConvLayer {
-    /// Builds the engine from a trained first-layer convolution.
+    /// Builds the engine from a trained first-layer convolution, configured
+    /// by `spec` (precision, SNG sources, adder, S0 policy, τ, fault model
+    /// and seed).
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] for non-first-layer convolution shapes or
-    /// unsupported precisions.
-    pub fn from_conv(
-        conv: &Conv2d,
-        precision: Precision,
-        options: ScOptions,
-    ) -> Result<Self, Error> {
+    /// Returns [`Error::Config`] unless the head kind is
+    /// [`Stochastic`](HeadKind::Stochastic), and for non-first-layer
+    /// convolution shapes, unsupported precisions or invalid fault models.
+    pub fn from_conv(conv: &Conv2d, spec: &ScenarioSpec) -> Result<Self, Error> {
+        if spec.head != HeadKind::Stochastic {
+            return Err(Error::config(format!(
+                "a stochastic engine needs a stochastic scenario, got {:?}",
+                spec.head
+            )));
+        }
+        let (spec, precision) = (*spec, spec.precision()?);
         let bank = KernelBank::from_conv(conv)?;
         let bits = precision.bits();
         let n = precision.stream_len();
@@ -230,9 +180,9 @@ impl StochasticConvLayer {
         // and a stuck-at site must name real hardware — a window tap or a
         // live node of the TFF fold (the MUX tree has no count-domain
         // nodes to pin).
-        options.fault.validate().map_err(|e| Error::config(e.to_string()))?;
-        if let Some((site, _)) = options.fault.stuck() {
-            if options.adder != AdderKind::Tff {
+        spec.fault.validate().map_err(|e| Error::config(e.to_string()))?;
+        if let Some((site, _)) = spec.fault.stuck() {
+            if spec.adder != AdderKind::Tff {
                 return Err(Error::config("stuck-at fault models target the TFF adder datapath"));
             }
             match site {
@@ -254,9 +204,7 @@ impl StochasticConvLayer {
         }
 
         // Shared weight SNG bank: one sequence, one comparator per weight.
-        const WEIGHT_SEED_SALT: u64 = 0x77_5eed;
-        let weight_seq =
-            options.weight_source.sequence(bits, n, options.seed ^ WEIGHT_SEED_SALT)?;
+        let weight_seq = spec.weight_source.sequence(bits, n, spec.seed ^ WEIGHT_SEED_SALT)?;
         let mut weight_streams = StreamArena::new(bank.kernels * ksq, n)?;
         let mut weight_neg = vec![false; bank.kernels * ksq];
         for k in 0..bank.kernels {
@@ -269,18 +217,18 @@ impl StochasticConvLayer {
 
         // Pixel SNG sequence (regenerated identically for every image —
         // the hardware's global ramp / shared LFSR).
-        let pixel_seq = options.pixel_source.sequence(bits, n, options.seed ^ 0x1234)?;
+        let pixel_seq = spec.pixel_source.sequence(bits, n, spec.seed ^ INPUT_SEED_SALT)?;
 
         // MUX select streams: one LFSR-driven 1/2 stream per tree node,
         // shared across all 784 engines (they run in lock-step).
-        let select_streams = if options.adder == AdderKind::Mux {
+        let select_streams = if spec.adder == AdderKind::Mux {
             let nodes = 2 * (padded - 1);
             let mut arena = StreamArena::new(nodes, n)?;
             for node in 0..nodes {
                 let seq = SourceKind::Lfsr.sequence(
                     bits,
                     n,
-                    options.seed ^ (node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                    spec.seed ^ (node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
                 )?;
                 arena.write_from_levels(node, &seq, 1u64 << (bits - 1));
             }
@@ -294,7 +242,7 @@ impl StochasticConvLayer {
         // weight stream is masked with its sign tree's route mask for that
         // tap; the TFF tree counts every cycle.
         let masked;
-        let counted_weights = if options.adder == AdderKind::Mux {
+        let counted_weights = if spec.adder == AdderKind::Mux {
             let routes = [
                 mux_route_masks(&select_streams, 0, padded)?,
                 mux_route_masks(&select_streams, padded - 1, padded)?,
@@ -334,10 +282,10 @@ impl StochasticConvLayer {
         // Count-domain bit-error plan: per-(stream bit, tap) weight bit
         // planes of the counted (for MUX, route-masked) weights, sampled
         // per (image index, pixel) at forward time.
-        let fault_plan = match (&lut, options.fault.bit_error_rate()) {
+        let fault_plan = match (&lut, spec.fault.bit_error_rate()) {
             (Some(_), ber) if ber > 0.0 => Some(CountFaultPlan::build(
                 ber,
-                options.seed,
+                spec.seed,
                 &pixel_seq,
                 counted_weights,
                 &weight_neg,
@@ -346,7 +294,7 @@ impl StochasticConvLayer {
             )),
             _ => None,
         };
-        let stuck_leaf = match (&lut, options.fault.stuck()) {
+        let stuck_leaf = match (&lut, spec.fault.stuck()) {
             (Some(_), Some((FaultSite::LutTap { tap }, value))) => {
                 let count = if value { n as u16 } else { 0 };
                 Some((tap as usize, split_by_sign(&weight_neg, ksq, tap as usize, count)))
@@ -357,7 +305,7 @@ impl StochasticConvLayer {
         Ok(Self {
             bank,
             precision,
-            options,
+            spec,
             n,
             padded,
             weight_streams,
@@ -375,9 +323,9 @@ impl StochasticConvLayer {
         self.precision
     }
 
-    /// The engine configuration.
-    pub fn options(&self) -> &ScOptions {
-        &self.options
+    /// The scenario the engine was built from.
+    pub fn spec(&self) -> &ScenarioSpec {
+        &self.spec
     }
 
     /// Stream length `N = 2^b` (clock cycles per frame window).
@@ -429,12 +377,12 @@ impl StochasticConvLayer {
             let level = pixel_level(v, bits) as usize;
             arena.stream_mut(p).copy_from_slice(levels.words(level));
         }
-        let ber = self.options.fault.bit_error_rate();
+        let ber = self.spec.fault.bit_error_rate();
         if ber > 0.0 {
             // Deterministic per image content.
             let content_hash: u64 =
                 image.iter().enumerate().map(|(i, &v)| (i as u64 + 1) * (v.to_bits() as u64)).sum();
-            let mut rng = StdRng::seed_from_u64(self.options.seed ^ content_hash);
+            let mut rng = StdRng::seed_from_u64(self.spec.seed ^ content_hash);
             let total_bits = image.len() * self.n;
             // Geometric skip-sampling: draw the gap to the next flipped bit
             // directly (P(gap = g) = (1 − p)^g · p, the inverse-CDF form)
@@ -510,10 +458,10 @@ impl StochasticConvLayer {
         let tap_offsets: Vec<usize> =
             (0..ksize).flat_map(|ki| (0..ksize).map(move |kj| ki * side + kj)).collect();
         // MUX trees sum their route-masked counts; TFF trees fold.
-        let mux = self.options.adder == AdderKind::Mux;
+        let mux = self.spec.adder == AdderKind::Mux;
         // A stuck TFF column pins one node of the positive tree (a
         // systematic defect: the same physical adder in every window).
-        let stuck_node = match self.options.fault.stuck() {
+        let stuck_node = match self.spec.fault.stuck() {
             Some((FaultSite::AdderNode { node }, value)) => {
                 Some((node as usize, if value { self.n as u16 } else { 0 }))
             }
@@ -531,7 +479,7 @@ impl StochasticConvLayer {
         let ksq = ksize * ksize;
         let width = 2 * lanes;
         let stuck_leaf = self.stuck_leaf.as_ref().map(|(tap, row)| (*tap, row.as_slice()));
-        let mut tree = LaneTree::new(ksq, lanes, self.options.s0_policy, self.n)?;
+        let mut tree = LaneTree::new(ksq, lanes, self.spec.s0_policy, self.n)?;
         // Per-window copies of the table rows of pixels with bit flips.
         let mut perturbed = vec![false; ksq];
         let mut fault_rows = vec![0u16; ksq * width];
@@ -568,7 +516,7 @@ impl StochasticConvLayer {
                 let base = oy * IMAGE_SIDE + ox;
                 for k in 0..lanes {
                     let v = (f32::from(pos[k]) - f32::from(neg[k])) * unit + self.bank.offsets[k];
-                    out[k * n_out + base] = ternary(v, self.options.soft_threshold);
+                    out[k * n_out + base] = ternary(v, self.spec.soft_threshold);
                 }
             }
         }
@@ -584,7 +532,7 @@ impl StochasticConvLayer {
     /// for the fault-free TFF and MUX engines and the stuck-at TFF engine). For
     /// the MUX adder it ANDs every window's taps directly and folds the
     /// select streams over the products. Under
-    /// [`FaultModel::BitError`] this path flips literal stream bits seeded
+    /// [`FaultModel::BitError`](crate::FaultModel::BitError) this path flips literal stream bits seeded
     /// by image *content* — the ground-truth realization the count-domain
     /// deltas are statistically matched against.
     ///
@@ -601,11 +549,11 @@ impl StochasticConvLayer {
         let ksq = self.bank.ksize * self.bank.ksize;
         let scale = self.padded as f32;
         let n_f = self.n as f32;
-        let policy = self.options.s0_policy;
+        let policy = self.spec.s0_policy;
         // Stuck-at site, mirrored from the LUT path (construction already
         // rejected stuck-at on the MUX adder, so only the TFF arm reads it).
         // A stuck TFF column pins one node of the positive tree.
-        let stuck = self.options.fault.stuck();
+        let stuck = self.spec.fault.stuck();
         let stuck_node = match stuck {
             Some((FaultSite::AdderNode { node }, value)) => {
                 Some((node as usize, if value { self.n as u64 } else { 0 }))
@@ -622,7 +570,7 @@ impl StochasticConvLayer {
         for k in 0..self.bank.kernels {
             for oy in 0..IMAGE_SIDE {
                 for ox in 0..IMAGE_SIDE {
-                    let (pos, neg) = match self.options.adder {
+                    let (pos, neg) = match self.spec.adder {
                         AdderKind::Tff => {
                             pos_counts.fill(0);
                             neg_counts.fill(0);
@@ -671,7 +619,7 @@ impl StochasticConvLayer {
                     // units, plus the bias comparator offset.
                     let diff_norm = (pos as f32 - neg as f32) * scale / n_f;
                     let v = diff_norm + self.bank.offsets[k];
-                    out[k * n_out + oy * IMAGE_SIDE + ox] = ternary(v, self.options.soft_threshold);
+                    out[k * n_out + oy * IMAGE_SIDE + ox] = ternary(v, self.spec.soft_threshold);
                 }
             }
         }
@@ -731,18 +679,6 @@ impl StochasticConvLayer {
     }
 }
 
-/// Rejects images that are not 28×28.
-fn check_image(image: &[f32]) -> Result<(), Error> {
-    if image.len() != IMAGE_SIDE * IMAGE_SIDE {
-        return Err(Error::config(format!(
-            "expected {} pixels, got {}",
-            IMAGE_SIDE * IMAGE_SIDE,
-            image.len()
-        )));
-    }
-    Ok(())
-}
-
 impl FirstLayer for StochasticConvLayer {
     fn forward_image(&self, image: &[f32]) -> Result<Vec<f32>, Error> {
         self.forward_image_indexed(image, 0)
@@ -762,10 +698,7 @@ impl FirstLayer for StochasticConvLayer {
     }
 
     fn label(&self) -> String {
-        match self.options.adder {
-            AdderKind::Tff => format!("this-work({})", self.precision),
-            AdderKind::Mux => format!("old-sc({})", self.precision),
-        }
+        self.spec.label()
     }
 }
 
@@ -775,7 +708,7 @@ mod tests {
     use crate::baseline::FloatConvLayer;
     use scnn_bitstream::BitStream;
     use scnn_nn::layers::Padding;
-    use scnn_sim::TffAdderTree;
+    use scnn_sim::{FaultModel, S0Policy, TffAdderTree};
 
     fn conv() -> Conv2d {
         Conv2d::new(1, 8, 5, Padding::Same, 5).unwrap()
@@ -785,8 +718,8 @@ mod tests {
         (0..784).map(|i| (((i as u64).wrapping_mul(seed * 7 + 3) % 251) as f32) / 250.0).collect()
     }
 
-    fn precision(bits: u32) -> Precision {
-        Precision::new(bits).unwrap()
+    fn engine(spec: ScenarioSpec) -> StochasticConvLayer {
+        StochasticConvLayer::from_conv(&conv(), &spec).unwrap()
     }
 
     #[test]
@@ -812,8 +745,7 @@ mod tests {
     fn tff_engine_matches_bit_level_stream_simulation() {
         // Cross-validate one window of the packed fast path against a fully
         // sequential scnn-sim simulation built from the same streams.
-        let engine =
-            StochasticConvLayer::from_conv(&conv(), precision(6), ScOptions::this_work()).unwrap();
+        let engine = engine(ScenarioSpec::this_work(6));
         let img = test_image(3);
         let pixels = engine.pixel_streams(&img).unwrap();
         let ksq = 25;
@@ -838,7 +770,7 @@ mod tests {
                 neg_inputs.push(BitStream::zeros(engine.stream_len()));
             }
         }
-        let tree = TffAdderTree::new(25, engine.options().s0_policy).unwrap();
+        let tree = TffAdderTree::new(25, engine.spec().s0_policy).unwrap();
         let pos_ref = tree.add_streams(&pos_inputs).unwrap().count_ones();
         let neg_ref = tree.add_streams(&neg_inputs).unwrap().count_ones();
 
@@ -856,7 +788,7 @@ mod tests {
                 }
             }
         }
-        let policy = engine.options().s0_policy;
+        let policy = engine.spec().s0_policy;
         assert_eq!(fold_tree_counts_wide(policy, &mut pos_counts, None), pos_ref);
         assert_eq!(fold_tree_counts_wide(policy, &mut neg_counts, None), neg_ref);
     }
@@ -871,10 +803,12 @@ mod tests {
         for bits in [2u32, 3, 4, 6, 8] {
             for (pixel_source, weight_source) in sources {
                 for seed in [1u64, 42, 977] {
-                    let opts =
-                        ScOptions { pixel_source, weight_source, seed, ..ScOptions::old_sc() };
-                    let engine =
-                        StochasticConvLayer::from_conv(&conv(), precision(bits), opts).unwrap();
+                    let engine = engine(ScenarioSpec {
+                        pixel_source,
+                        weight_source,
+                        seed,
+                        ..ScenarioSpec::old_sc(bits)
+                    });
                     let case =
                         format!("bits={bits} {pixel_source:?}/{weight_source:?} seed={seed}");
                     assert!(engine.uses_count_table(), "{case}");
@@ -895,9 +829,7 @@ mod tests {
         // tree's masks are pairwise disjoint and OR to exactly the first N
         // bits — the bound that keeps the lane sum within N.
         for bits in [2u32, 4, 7, 8] {
-            let engine =
-                StochasticConvLayer::from_conv(&conv(), precision(bits), ScOptions::old_sc())
-                    .unwrap();
+            let engine = engine(ScenarioSpec::old_sc(bits));
             let n = engine.stream_len();
             let padded = engine.padded;
             for first_node in [0, padded - 1] {
@@ -924,8 +856,7 @@ mod tests {
         let reference = float.forward_image(&img).unwrap();
         let mismatch_at = |bits: u32| {
             let engine =
-                StochasticConvLayer::from_conv(&c, precision(bits), ScOptions::this_work())
-                    .unwrap();
+                StochasticConvLayer::from_conv(&c, &ScenarioSpec::this_work(bits)).unwrap();
             let got = engine.forward_image(&img).unwrap();
             got.iter().zip(&reference).filter(|(a, b)| (*a - *b).abs() > 0.5).count()
         };
@@ -941,30 +872,23 @@ mod tests {
         let float = FloatConvLayer::from_conv(&c, 0.0).unwrap();
         let img = test_image(13);
         let reference = float.forward_image(&img).unwrap();
-        let mismatch = |options: ScOptions| {
-            let engine = StochasticConvLayer::from_conv(&c, precision(6), options).unwrap();
+        let mismatch = |spec: ScenarioSpec| {
+            let engine = StochasticConvLayer::from_conv(&c, &spec).unwrap();
             let got = engine.forward_image(&img).unwrap();
             got.iter().zip(&reference).filter(|(a, b)| (*a - *b).abs() > 0.5).count()
         };
-        let new = mismatch(ScOptions::this_work());
-        let old = mismatch(ScOptions::old_sc());
+        let new = mismatch(ScenarioSpec::this_work(6));
+        let old = mismatch(ScenarioSpec::old_sc(6));
         assert!(new < old, "this-work {new} vs old-sc {old} feature errors");
     }
 
     #[test]
     fn bit_errors_degrade_gracefully() {
-        let c = conv();
-        let clean_opts = ScOptions::this_work();
-        let noisy_opts = ScOptions { fault: FaultModel::BitError(0.02), ..clean_opts };
+        let clean_spec = ScenarioSpec::this_work(6);
+        let noisy_spec = ScenarioSpec { fault: FaultModel::BitError(0.02), ..clean_spec };
         let img = test_image(17);
-        let clean = StochasticConvLayer::from_conv(&c, precision(6), clean_opts)
-            .unwrap()
-            .forward_image(&img)
-            .unwrap();
-        let noisy = StochasticConvLayer::from_conv(&c, precision(6), noisy_opts)
-            .unwrap()
-            .forward_image(&img)
-            .unwrap();
+        let clean = engine(clean_spec).forward_image(&img).unwrap();
+        let noisy = engine(noisy_spec).forward_image(&img).unwrap();
         let flipped = clean.iter().zip(&noisy).filter(|(a, b)| (*a - *b).abs() > 0.5).count();
         // 2% stream bit errors should flip only a small fraction of the
         // ternary features — SC's graceful degradation (paper §I).
@@ -973,21 +897,17 @@ mod tests {
 
     #[test]
     fn label_and_accessors() {
-        let engine =
-            StochasticConvLayer::from_conv(&conv(), precision(4), ScOptions::this_work()).unwrap();
+        let engine = engine(ScenarioSpec::this_work(4));
         assert_eq!(engine.label(), "this-work(4-bit)");
         assert_eq!(engine.stream_len(), 16);
         assert_eq!(engine.kernels(), 8);
         assert_eq!(engine.precision().bits(), 4);
-        let old =
-            StochasticConvLayer::from_conv(&conv(), precision(4), ScOptions::old_sc()).unwrap();
-        assert_eq!(old.label(), "old-sc(4-bit)");
+        assert_eq!(self::engine(ScenarioSpec::old_sc(4)).label(), "old-sc(4-bit)");
     }
 
     #[test]
     fn rejects_wrong_image() {
-        let engine =
-            StochasticConvLayer::from_conv(&conv(), precision(4), ScOptions::this_work()).unwrap();
+        let engine = engine(ScenarioSpec::this_work(4));
         assert!(engine.forward_image(&[0.0; 10]).is_err());
         assert!(engine.forward_image_streaming(&[0.0; 10]).is_err());
     }
@@ -996,13 +916,12 @@ mod tests {
     fn faulted_tff_configurations_keep_the_table() {
         // Fault injection no longer forfeits the count path: bit errors
         // run as count deltas at LUT speed.
-        let noisy = ScOptions { fault: FaultModel::BitError(0.01), ..ScOptions::this_work() };
-        let engine = StochasticConvLayer::from_conv(&conv(), precision(4), noisy).unwrap();
-        assert!(engine.uses_count_table());
+        let noisy =
+            ScenarioSpec { fault: FaultModel::BitError(0.01), ..ScenarioSpec::this_work(4) };
+        assert!(engine(noisy).uses_count_table());
         // The MUX tree counts too, faulted or not.
         for fault in [FaultModel::None, FaultModel::BitError(0.01)] {
-            let opts = ScOptions { fault, ..ScOptions::old_sc() };
-            let mux = StochasticConvLayer::from_conv(&conv(), precision(4), opts).unwrap();
+            let mux = engine(ScenarioSpec { fault, ..ScenarioSpec::old_sc(4) });
             assert!(mux.uses_count_table(), "{fault:?}");
         }
     }
@@ -1010,13 +929,12 @@ mod tests {
     #[test]
     fn counts_beyond_the_lane_ceiling_run_the_streaming_path() {
         // 15-bit stream counts overflow the 16-bit lanes.
-        for (options, bits, counts) in [
-            (ScOptions::this_work(), 12, true),
-            (ScOptions::this_work(), 15, false),
-            (ScOptions::old_sc(), 15, false),
+        for (spec, counts) in [
+            (ScenarioSpec::this_work(12), true),
+            (ScenarioSpec::this_work(15), false),
+            (ScenarioSpec::old_sc(15), false),
         ] {
-            let engine = StochasticConvLayer::from_conv(&conv(), precision(bits), options).unwrap();
-            assert_eq!(engine.uses_count_table(), counts, "{:?} bits={bits}", options.adder);
+            assert_eq!(engine(spec).uses_count_table(), counts, "{}", spec.label());
         }
     }
 
@@ -1024,8 +942,7 @@ mod tests {
     fn deduped_pixel_streams_match_direct_conversion() {
         // The per-distinct-level cache must reproduce exactly what one
         // comparator conversion per pixel used to produce.
-        let engine =
-            StochasticConvLayer::from_conv(&conv(), precision(6), ScOptions::this_work()).unwrap();
+        let engine = engine(ScenarioSpec::this_work(6));
         let img = test_image(21);
         let streams = engine.pixel_streams(&img).unwrap();
         let bits = engine.precision().bits();
@@ -1039,11 +956,9 @@ mod tests {
     #[test]
     fn geometric_fault_injection_hits_expected_rate() {
         // Flip count over many stream bits should concentrate near p.
-        let opts = ScOptions { fault: FaultModel::BitError(0.05), ..ScOptions::this_work() };
-        let engine = StochasticConvLayer::from_conv(&conv(), precision(8), opts).unwrap();
-        let clean_opts = ScOptions::this_work();
-        let clean_engine =
-            StochasticConvLayer::from_conv(&conv(), precision(8), clean_opts).unwrap();
+        let clean_engine = engine(ScenarioSpec::this_work(8));
+        let engine =
+            engine(ScenarioSpec { fault: FaultModel::BitError(0.05), ..*clean_engine.spec() });
         let img = test_image(5);
         let noisy = engine.pixel_streams(&img).unwrap();
         let clean = clean_engine.pixel_streams(&img).unwrap();
@@ -1062,38 +977,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_rate_bit_error_model_is_bit_exact_with_fault_free() {
-        let c = conv();
-        let zero = ScOptions { fault: FaultModel::BitError(0.0), ..ScOptions::this_work() };
-        let engine = StochasticConvLayer::from_conv(&c, precision(6), zero).unwrap();
-        let clean =
-            StochasticConvLayer::from_conv(&c, precision(6), ScOptions::this_work()).unwrap();
-        assert!(engine.uses_count_table());
-        let img = test_image(23);
-        let expect = clean.forward_image(&img).unwrap();
-        assert_eq!(engine.forward_image(&img).unwrap(), expect);
-        // Index-independent too: no plan exists to sample from.
-        assert_eq!(engine.forward_image_indexed(&img, 7).unwrap(), expect);
-    }
-
-    #[test]
-    fn faulted_lut_forward_is_a_function_of_the_image_index() {
-        let opts = ScOptions { fault: FaultModel::BitError(0.05), ..ScOptions::this_work() };
-        let engine = StochasticConvLayer::from_conv(&conv(), precision(6), opts).unwrap();
-        assert!(engine.uses_count_table(), "faulted TFF should stay on the LUT path");
-        let img = test_image(11);
-        let a = engine.forward_image_indexed(&img, 4).unwrap();
-        // Same index → byte-identical realization.
-        assert_eq!(a, engine.forward_image_indexed(&img, 4).unwrap());
-        // Another index draws another flip set.
-        assert_ne!(a, engine.forward_image_indexed(&img, 5).unwrap());
-    }
-
-    #[test]
     fn stuck_at_faults_are_bit_exact_across_paths() {
         // Stuck-at faults are deterministic, so the count-domain overrides
         // must reproduce the streaming datapath defect bit for bit.
-        let c = conv();
         let img = test_image(19);
         for site in [
             FaultSite::LutTap { tap: 7 },
@@ -1103,11 +989,8 @@ mod tests {
             FaultSite::AdderNode { node: 30 },
         ] {
             for value in [false, true] {
-                let opts = ScOptions {
-                    fault: FaultModel::StuckAt { site, value },
-                    ..ScOptions::this_work()
-                };
-                let engine = StochasticConvLayer::from_conv(&c, precision(6), opts).unwrap();
+                let fault = FaultModel::StuckAt { site, value };
+                let engine = engine(ScenarioSpec { fault, ..ScenarioSpec::this_work(6) });
                 assert!(engine.uses_count_table());
                 assert_eq!(
                     engine.forward_image(&img).unwrap(),
@@ -1122,50 +1005,31 @@ mod tests {
     fn stuck_at_validation_rejects_bad_sites() {
         let c = conv();
         let stuck_at = |site| FaultModel::StuckAt { site, value: true };
-        let make = |fault| ScOptions { fault, ..ScOptions::this_work() };
+        let build = |fault, preset: ScenarioSpec| {
+            StochasticConvLayer::from_conv(&c, &ScenarioSpec { fault, ..preset })
+        };
+        let make = |fault| build(fault, ScenarioSpec::this_work(4));
         // Tap out of the 25-tap window.
-        let err = StochasticConvLayer::from_conv(
-            &c,
-            precision(4),
-            make(stuck_at(FaultSite::LutTap { tap: 25 })),
-        )
-        .unwrap_err();
+        let err = make(stuck_at(FaultSite::LutTap { tap: 25 })).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
         // Dead node of the 25-tap fold (the padded tail never folds).
-        let err = StochasticConvLayer::from_conv(
-            &c,
-            precision(4),
-            make(stuck_at(FaultSite::AdderNode { node: 13 })),
-        )
-        .unwrap_err();
+        let err = make(stuck_at(FaultSite::AdderNode { node: 13 })).unwrap_err();
         assert!(err.to_string().contains("live"), "{err}");
-        assert!(StochasticConvLayer::from_conv(
-            &c,
-            precision(4),
-            make(stuck_at(FaultSite::AdderNode { node: 31 })),
-        )
-        .is_err());
+        assert!(make(stuck_at(FaultSite::AdderNode { node: 31 })).is_err());
         // The MUX tree has no count-domain site to pin.
-        let mux =
-            ScOptions { fault: stuck_at(FaultSite::LutTap { tap: 0 }), ..ScOptions::old_sc() };
-        let err = StochasticConvLayer::from_conv(&c, precision(4), mux).unwrap_err();
+        let err =
+            build(stuck_at(FaultSite::LutTap { tap: 0 }), ScenarioSpec::old_sc(4)).unwrap_err();
         assert!(err.to_string().contains("TFF"), "{err}");
         // Malformed rates are rejected up front, NaN included.
-        assert!(StochasticConvLayer::from_conv(
-            &c,
-            precision(4),
-            make(FaultModel::BitError(f64::NAN)),
-        )
-        .is_err());
-        assert!(StochasticConvLayer::from_conv(&c, precision(4), make(FaultModel::BitError(1.5)))
-            .is_err());
+        assert!(make(FaultModel::BitError(f64::NAN)).is_err());
+        assert!(make(FaultModel::BitError(1.5)).is_err());
         // A well-formed compound model compiles.
         let compound = FaultModel::Compound {
             ber: 0.01,
             site: FaultSite::AdderNode { node: 30 },
             value: false,
         };
-        assert!(StochasticConvLayer::from_conv(&c, precision(4), make(compound)).is_ok());
+        assert!(make(compound).is_ok());
     }
 
     #[test]
@@ -1174,16 +1038,15 @@ mod tests {
         // moments must match the Binomial(784·N, p) law, and the ternary
         // feature perturbation rate must agree across paths (the two
         // realizations differ; their statistics must not).
-        let c = conv();
-        for (preset, bits, ber) in [
-            (ScOptions::this_work(), 4u32, 0.1f64),
-            (ScOptions::this_work(), 6, 0.05),
-            (ScOptions::old_sc(), 4, 0.1),
-            (ScOptions::old_sc(), 6, 0.05),
+        for (preset, ber) in [
+            (ScenarioSpec::this_work(4), 0.1f64),
+            (ScenarioSpec::this_work(6), 0.05),
+            (ScenarioSpec::old_sc(4), 0.1),
+            (ScenarioSpec::old_sc(6), 0.05),
         ] {
-            let clean = StochasticConvLayer::from_conv(&c, precision(bits), preset).unwrap();
-            let opts = ScOptions { fault: FaultModel::BitError(ber), ..preset };
-            let engine = StochasticConvLayer::from_conv(&c, precision(bits), opts).unwrap();
+            let bits = preset.bits;
+            let clean = engine(preset);
+            let engine = engine(ScenarioSpec { fault: FaultModel::BitError(ber), ..preset });
             let plan = engine.fault_plan.as_ref().expect("ber > 0 builds a plan");
             let n = engine.stream_len();
             let images = 24u64;
@@ -1220,7 +1083,7 @@ mod tests {
                 let var = v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() - 1) as f64;
                 (m, var)
             };
-            let case = format!("{:?} bits={bits}", preset.adder);
+            let case = preset.label();
             let (lm, lv) = stats(&lut_flips);
             let (sm, sv) = stats(&str_flips);
             let expect_mean = 784.0 * n as f64 * ber;

@@ -144,15 +144,15 @@ fn stochastic(
     fault: FaultModel,
     seed: u64,
 ) -> ScenarioSpec {
-    ScenarioSpec::this_work(bits)
-        .customize()
-        .adder(adder)
-        .pixel_source(pixel)
-        .weight_source(weight)
-        .s0_policy(policy)
-        .fault(fault)
-        .seed(seed)
-        .build()
+    ScenarioSpec {
+        adder,
+        pixel_source: pixel,
+        weight_source: weight,
+        s0_policy: policy,
+        fault,
+        seed,
+        ..ScenarioSpec::this_work(bits)
+    }
 }
 
 /// The adder's Table 3 preset (`this_work` or `old_sc`) with a fault model.
@@ -161,7 +161,7 @@ fn preset(adder: AdderKind, bits: u32, fault: FaultModel) -> ScenarioSpec {
         AdderKind::Tff => ScenarioSpec::this_work(bits),
         AdderKind::Mux => ScenarioSpec::old_sc(bits),
     };
-    spec.customize().fault(fault).build()
+    ScenarioSpec { fault, ..spec }
 }
 
 /// The oracle table: a curated product of the axes, not the full cross.
@@ -240,16 +240,15 @@ fn cases() -> Vec<Case> {
     // Float and binary heads: no streaming reference, but the same
     // every-case checks and index independence.
     for seed in SEEDS {
-        cases.push(Case::conv(ScenarioSpec::float().customize().seed(seed).build()));
+        cases.push(Case::conv(ScenarioSpec { seed, ..ScenarioSpec::float() }));
         for bits in [2, 4, 6, 8] {
-            cases.push(Case::conv(ScenarioSpec::binary(bits).customize().seed(seed).build()));
+            cases.push(Case::conv(ScenarioSpec { seed, ..ScenarioSpec::binary(bits) }));
         }
     }
     // Dense engines in both input modes; one shape checks path selection.
     for mode in [DenseInput::Unipolar, DenseInput::Ternary] {
-        let dense = |bits, seed| {
-            ScenarioSpec::this_work(bits).customize().input_mode(mode).seed(seed).build()
-        };
+        let dense =
+            |bits, seed| ScenarioSpec { input_mode: mode, seed, ..ScenarioSpec::this_work(bits) };
         for shape in DENSE_SHAPES {
             for bits in [2, 4, 6, 8] {
                 for seed in SEEDS {
@@ -362,7 +361,7 @@ fn check_first_layer(case: &Case) {
     let ber = spec.fault.bit_error_rate();
     // A zero rate is the fault-free engine.
     let fault_free = matches!(spec.fault, FaultModel::BitError(_) if ber == 0.0)
-        .then(|| spec.customize().fault(FaultModel::None).build().stochastic_conv(&conv).unwrap());
+        .then(|| ScenarioSpec { fault: FaultModel::None, ..spec }.stochastic_conv(&conv).unwrap());
     for (i, index) in case.indices().enumerate() {
         let img = image(index);
         let out = engine.forward_image_indexed(&img, index).unwrap();
@@ -402,7 +401,7 @@ fn check_bit_error_statistics(case: &Case, engine: &StochasticConvLayer, conv: &
         .fault
         .stuck()
         .map_or(FaultModel::None, |(site, value)| FaultModel::StuckAt { site, value });
-    let clean = spec.customize().fault(healthy_fault).build().stochastic_conv(conv).unwrap();
+    let clean = ScenarioSpec { fault: healthy_fault, ..spec }.stochastic_conv(conv).unwrap();
     let (mut flips, mut lut_rate, mut streaming_rate) = (Vec::new(), 0.0, 0.0);
     for i in 0..STAT_IMAGES {
         let img = image(spec.seed ^ (i * 17 + 3));
@@ -535,7 +534,7 @@ fn retrain_identical_for_any_thread_count() {
     let _env = exclusive_env();
     let tail = lenet5_tail(&LenetConfig::default()).unwrap();
     let conv = Conv2d::new(1, 32, 5, Padding::Same, 29).unwrap();
-    let spec = ScenarioSpec::this_work(4).customize().bit_error_rate(1e-2).build();
+    let spec = ScenarioSpec { fault: FaultModel::BitError(1e-2), ..ScenarioSpec::this_work(4) };
     let (train, test) = (synthetic::generate(24, 13), synthetic::generate(12, 14));
     let config = RetrainConfig { epochs: 2, batch_size: 8, ..RetrainConfig::default() };
 

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use scnn_bitstream::Precision;
 use scnn_core::counts::{fold_tree_counts_wide, live_fold_node, LaneTree};
 use scnn_core::{
-    and_count, BinaryConvLayer, DenseInput, FirstLayer, FloatConvLayer, HybridLenet, ScOptions,
-    ScenarioSpec, SourceKind, StochasticConvLayer, StochasticDenseLayer, StreamArena,
+    and_count, BinaryConvLayer, DenseInput, FirstLayer, FloatConvLayer, HybridLenet, ScenarioSpec,
+    SourceKind, StochasticConvLayer, StochasticDenseLayer, StreamArena,
 };
 use scnn_nn::data::BatchSource;
 use scnn_nn::layers::{Conv2d, Dense, Padding};
@@ -37,9 +37,7 @@ proptest! {
         let engines: Vec<Box<dyn FirstLayer>> = vec![
             Box::new(FloatConvLayer::from_conv(&conv, 0.0).unwrap()),
             Box::new(BinaryConvLayer::from_conv(&conv, precision, 0.0).unwrap()),
-            Box::new(
-                StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work()).unwrap(),
-            ),
+            Box::new(ScenarioSpec::this_work(bits).stochastic_conv(&conv).unwrap()),
         ];
         for engine in engines {
             let out = engine.forward_image(&image).unwrap();
@@ -54,15 +52,9 @@ proptest! {
     fn stochastic_engine_deterministic(seed in 0u64..500, bits in 3u32..=7) {
         let conv = small_conv(seed);
         let image = image_from_seed(seed);
-        let precision = Precision::new(bits).unwrap();
-        let a = StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work())
-            .unwrap()
-            .forward_image(&image)
-            .unwrap();
-        let b = StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work())
-            .unwrap()
-            .forward_image(&image)
-            .unwrap();
+        let spec = ScenarioSpec::this_work(bits);
+        let a = spec.stochastic_conv(&conv).unwrap().forward_image(&image).unwrap();
+        let b = spec.stochastic_conv(&conv).unwrap().forward_image(&image).unwrap();
         prop_assert_eq!(a, b);
     }
 
@@ -84,9 +76,7 @@ proptest! {
     #[test]
     fn ramp_pixel_streams_exact(seed in 0u64..500, bits in 2u32..=8) {
         let conv = small_conv(3);
-        let precision = Precision::new(bits).unwrap();
-        let engine =
-            StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work()).unwrap();
+        let engine = ScenarioSpec::this_work(bits).stochastic_conv(&conv).unwrap();
         let image = image_from_seed(seed);
         let streams = engine.pixel_streams(&image).unwrap();
         for (p, &v) in image.iter().enumerate().step_by(37) {
@@ -128,12 +118,7 @@ proptest! {
         let float = FloatConvLayer::from_conv(&conv, 0.0).unwrap();
         let reference = float.forward_image(&image).unwrap();
         let mismatch = |bits: u32| {
-            let engine = StochasticConvLayer::from_conv(
-                &conv,
-                Precision::new(bits).unwrap(),
-                ScOptions::this_work(),
-            )
-            .unwrap();
+            let engine = ScenarioSpec::this_work(bits).stochastic_conv(&conv).unwrap();
             let got = engine.forward_image(&image).unwrap();
             got.iter().zip(&reference).filter(|(a, b)| (*a - *b).abs() > 0.5).count()
         };
@@ -171,15 +156,14 @@ proptest! {
         ],
     ) {
         let conv = small_conv(seed % 97 + 1);
-        let options = ScOptions {
+        let spec = ScenarioSpec {
             pixel_source: pixel,
             weight_source: weight,
             s0_policy: policy,
             seed,
-            ..ScOptions::this_work()
+            ..ScenarioSpec::this_work(bits)
         };
-        let engine =
-            StochasticConvLayer::from_conv(&conv, Precision::new(bits).unwrap(), options).unwrap();
+        let engine = StochasticConvLayer::from_conv(&conv, &spec).unwrap();
         prop_assert!(engine.uses_count_table());
         let image = image_from_seed(seed ^ 0xABCD);
         let fast = engine.forward_image(&image).unwrap();
@@ -199,9 +183,7 @@ proptest! {
         k in 0usize..4,
     ) {
         let conv = small_conv(seed % 31 + 1);
-        let options = ScOptions::this_work();
-        let precision = Precision::new(6).unwrap();
-        let engine = StochasticConvLayer::from_conv(&conv, precision, options).unwrap();
+        let engine = ScenarioSpec::this_work(6).stochastic_conv(&conv).unwrap();
         let image = image_from_seed(seed ^ 0x51D3);
         let features = engine.forward_image(&image).unwrap();
 
@@ -224,7 +206,7 @@ proptest! {
                 }
             }
         }
-        let tree = TffAdderTree::new(ksq, engine.options().s0_policy).unwrap();
+        let tree = TffAdderTree::new(ksq, engine.spec().s0_policy).unwrap();
         let (pos_root, neg_root) = (tree.fold_counts(&pos), tree.fold_counts(&neg));
         // Reconstruct the comparator offset exactly as KernelBank does.
         let mut weights = conv.weights().data().to_vec();
@@ -286,12 +268,8 @@ proptest! {
         use scnn_nn::lenet::{lenet5_tail, LenetConfig};
 
         let conv = Conv2d::new(1, 32, 5, Padding::Same, seed % 31 + 1).unwrap();
-        let engine = ScenarioSpec::this_work(4)
-            .customize()
-            .seed(seed)
-            .build()
-            .first_layer(&conv)
-            .unwrap();
+        let engine =
+            ScenarioSpec { seed, ..ScenarioSpec::this_work(4) }.first_layer(&conv).unwrap();
         let mut hybrid = HybridLenet::new(engine, lenet5_tail(&LenetConfig::default()).unwrap());
         let dataset = synthetic::generate(images, seed ^ 0xD1);
 
@@ -394,14 +372,13 @@ proptest! {
         bits in 2u32..=6,
     ) {
         let conv = small_conv(1);
-        let options = ScOptions {
+        let spec = ScenarioSpec {
             s0_policy: policy,
             pixel_source: pixel,
             weight_source: weight,
-            ..ScOptions::this_work()
+            ..ScenarioSpec::this_work(bits)
         };
-        let engine =
-            StochasticConvLayer::from_conv(&conv, Precision::new(bits).unwrap(), options).unwrap();
+        let engine = StochasticConvLayer::from_conv(&conv, &spec).unwrap();
         let out = engine.forward_image(&image_from_seed(9)).unwrap();
         prop_assert!(out.iter().all(|&v| v == -1.0 || v == 0.0 || v == 1.0));
     }

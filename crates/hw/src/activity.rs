@@ -208,7 +208,7 @@ pub fn measure_binary_activity(
 mod tests {
     use super::*;
     use scnn_bitstream::Precision;
-    use scnn_core::ScOptions;
+    use scnn_core::ScenarioSpec;
     use scnn_nn::data::synthetic;
     use scnn_nn::layers::{Conv2d, Padding};
 
@@ -237,12 +237,7 @@ mod tests {
     #[test]
     fn sc_activity_measured_on_sparse_images_is_low() {
         let conv = Conv2d::new(1, 8, 5, Padding::Same, 3).unwrap();
-        let engine = StochasticConvLayer::from_conv(
-            &conv,
-            Precision::new(6).unwrap(),
-            ScOptions::this_work(),
-        )
-        .unwrap();
+        let engine = ScenarioSpec::this_work(6).stochastic_conv(&conv).unwrap();
         let ds = synthetic::generate(3, 1);
         let act = measure_sc_activity(&engine, &ds, 2, 8).unwrap();
         // Mostly-black digit images → sparse products → low activity.

@@ -105,9 +105,8 @@ impl fmt::Display for FaultSite {
 
 /// The configured fault of a whole datapath.
 ///
-/// Carried on `scnn-core`'s `ScOptions`/`ScenarioSpec` and validated at
-/// engine construction. `Copy` on purpose —
-/// scenario specs stay plain literals.
+/// Carried on `scnn-core`'s `ScenarioSpec` and validated at engine
+/// construction. `Copy` on purpose — scenario specs stay plain literals.
 ///
 /// # Example
 ///

@@ -12,9 +12,7 @@
 //! ```
 
 use scnn::bitstream::Precision;
-use scnn::core::{
-    retrain, train_base, FirstLayer, RetrainConfig, ScOptions, StochasticConvLayer, TrainConfig,
-};
+use scnn::core::{retrain, train_base, FirstLayer, RetrainConfig, ScenarioSpec, TrainConfig};
 use scnn::nn::data::load_or_synthesize;
 use std::path::Path;
 
@@ -35,8 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "\n[2/3] building the stochastic first layer at {precision} (N = {} cycles)…",
             precision.stream_len()
         );
-        let engine =
-            StochasticConvLayer::from_conv(base.conv1(), precision, ScOptions::this_work())?;
+        let engine = ScenarioSpec::this_work(bits).stochastic_conv(base.conv1())?;
         println!("      engine: {}", engine.label());
 
         println!("[3/3] retraining the binary tail on frozen stochastic features (§V-B)…");

@@ -6,11 +6,7 @@
 //! cargo run --release --example retraining
 //! ```
 
-use scnn::bitstream::Precision;
-use scnn::core::{
-    retrain, train_base, BinaryConvLayer, FirstLayer, RetrainConfig, ScOptions,
-    StochasticConvLayer, TrainConfig,
-};
+use scnn::core::{retrain, train_base, RetrainConfig, ScenarioSpec, TrainConfig};
 use scnn::nn::data::load_or_synthesize;
 use std::path::Path;
 
@@ -27,16 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "engine", "no retraining", "after retraining", "recovered"
     );
     for bits in [8u32, 4, 3, 2] {
-        let precision = Precision::new(bits)?;
-        let engines: Vec<Box<dyn FirstLayer>> = vec![
-            Box::new(BinaryConvLayer::from_conv(base.conv1(), precision, 0.0)?),
-            Box::new(StochasticConvLayer::from_conv(
-                base.conv1(),
-                precision,
-                ScOptions::this_work(),
-            )?),
-        ];
-        for engine in engines {
+        for spec in [ScenarioSpec::binary(bits), ScenarioSpec::this_work(bits)] {
+            let engine = spec.first_layer(base.conv1())?;
             let label = engine.label();
             let (_, report) = retrain(
                 engine,

@@ -3,10 +3,8 @@
 //! exactly 1/N), so the hybrid classifier survives substantial stream
 //! noise, unlike a binary word where one MSB flip halves the range.
 
-use scnn::bitstream::{BitStream, Precision};
-use scnn::core::{
-    train_base, FaultModel, HybridLenet, ScOptions, StochasticConvLayer, TrainConfig,
-};
+use scnn::bitstream::BitStream;
+use scnn::core::{train_base, FaultModel, HybridLenet, ScenarioSpec, TrainConfig};
 use scnn::nn::data::synthetic;
 use scnn::sim::fault::{inject_exact_flips, max_value_perturbation};
 
@@ -30,12 +28,11 @@ fn hybrid_classifier_survives_stream_bit_errors() {
     let test = synthetic::generate(120, 22);
     let base = train_base(&train, &test, &TrainConfig { epochs: 4, ..TrainConfig::default() })
         .expect("base");
-    let precision = Precision::new(6).expect("valid");
+    let this_work = ScenarioSpec::this_work(6);
 
     let accuracy_at = |ber: f64| {
-        let options = ScOptions { fault: FaultModel::BitError(ber), ..ScOptions::this_work() };
-        let engine =
-            StochasticConvLayer::from_conv(base.conv1(), precision, options).expect("engine");
+        let spec = ScenarioSpec { fault: FaultModel::BitError(ber), ..this_work };
+        let engine = spec.stochastic_conv(base.conv1()).expect("engine");
         // Bit errors ride the count-domain fast path now — the whole sweep
         // runs at LUT speed.
         assert!(engine.uses_count_table(), "faulted TFF engine left the LUT path");
@@ -62,10 +59,8 @@ fn hybrid_classifier_survives_stream_bit_errors() {
         let mean: f64 = seeds
             .iter()
             .map(|&seed| {
-                let options =
-                    ScOptions { fault: FaultModel::BitError(ber), seed, ..ScOptions::this_work() };
-                let engine = StochasticConvLayer::from_conv(base.conv1(), precision, options)
-                    .expect("engine");
+                let spec = ScenarioSpec { fault: FaultModel::BitError(ber), seed, ..this_work };
+                let engine = spec.stochastic_conv(base.conv1()).expect("engine");
                 let mut hybrid = HybridLenet::new(Box::new(engine), base.tail_clone());
                 hybrid.evaluate(&test, 64).expect("evaluate").accuracy
             })

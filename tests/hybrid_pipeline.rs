@@ -5,7 +5,7 @@
 use scnn::bitstream::Precision;
 use scnn::core::{
     retrain, train_base, BinaryConvLayer, FirstLayer, FloatConvLayer, HybridLenet, RetrainConfig,
-    ScOptions, StochasticConvLayer, TrainConfig,
+    ScenarioSpec, TrainConfig,
 };
 use scnn::nn::data::synthetic;
 
@@ -32,12 +32,7 @@ fn float_engine_hybrid_matches_base_model_accuracy() {
 fn stochastic_engine_at_8bit_tracks_float_accuracy() {
     let (base, train, test) = quick_base();
     let cfg = RetrainConfig { epochs: 2, ..RetrainConfig::default() };
-    let engine = StochasticConvLayer::from_conv(
-        base.conv1(),
-        Precision::new(8).expect("valid"),
-        ScOptions::this_work(),
-    )
-    .expect("engine");
+    let engine = ScenarioSpec::this_work(8).stochastic_conv(base.conv1()).expect("engine");
     let (_, report) =
         retrain(Box::new(engine), base.tail_clone(), &train, &test, &cfg).expect("retrain");
     // Paper: within 0.05% of binary at 8 bits. With our reduced protocol we
@@ -55,11 +50,9 @@ fn stochastic_engine_at_8bit_tracks_float_accuracy() {
 fn this_work_beats_old_sc_after_retraining() {
     let (base, train, test) = quick_base();
     let cfg = RetrainConfig { epochs: 2, ..RetrainConfig::default() };
-    let precision = Precision::new(6).expect("valid");
     let mut rates = Vec::new();
-    for options in [ScOptions::this_work(), ScOptions::old_sc()] {
-        let engine =
-            StochasticConvLayer::from_conv(base.conv1(), precision, options).expect("engine");
+    for spec in [ScenarioSpec::this_work(6), ScenarioSpec::old_sc(6)] {
+        let engine = spec.stochastic_conv(base.conv1()).expect("engine");
         let (_, report) =
             retrain(Box::new(engine), base.tail_clone(), &train, &test, &cfg).expect("retrain");
         rates.push(report.after.misclassification_rate());
@@ -99,14 +92,7 @@ fn feature_shapes_and_types_flow_through_the_whole_stack() {
     for engine in [
         Box::new(FloatConvLayer::from_conv(base.conv1(), 0.0).expect("engine"))
             as Box<dyn FirstLayer>,
-        Box::new(
-            StochasticConvLayer::from_conv(
-                base.conv1(),
-                Precision::new(4).expect("valid"),
-                ScOptions::this_work(),
-            )
-            .expect("engine"),
-        ),
+        Box::new(ScenarioSpec::this_work(4).stochastic_conv(base.conv1()).expect("engine")),
         Box::new(
             BinaryConvLayer::from_conv(base.conv1(), Precision::new(4).expect("valid"), 0.0)
                 .expect("engine"),
@@ -126,12 +112,7 @@ fn feature_shapes_and_types_flow_through_the_whole_stack() {
 fn classification_is_deterministic() {
     let (base, _train, test) = quick_base();
     let make = || {
-        let engine = StochasticConvLayer::from_conv(
-            base.conv1(),
-            Precision::new(5).expect("valid"),
-            ScOptions::this_work(),
-        )
-        .expect("engine");
+        let engine = ScenarioSpec::this_work(5).stochastic_conv(base.conv1()).expect("engine");
         HybridLenet::new(Box::new(engine), base.tail_clone())
     };
     let mut a = make();

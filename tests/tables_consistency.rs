@@ -77,19 +77,14 @@ fn table3_hw_shape_matches_paper() {
 
 #[test]
 fn measured_activities_drive_the_model_sanely() {
-    use scnn::core::{ScOptions, StochasticConvLayer};
+    use scnn::core::ScenarioSpec;
     use scnn::hw::activity::{measure_binary_activity, measure_sc_activity};
     use scnn::nn::data::synthetic;
     use scnn::nn::layers::{Conv2d, Padding};
 
     let ds = synthetic::generate(3, 9);
     let conv = Conv2d::new(1, 8, 5, Padding::Same, 1).expect("conv");
-    let engine = StochasticConvLayer::from_conv(
-        &conv,
-        Precision::new(6).expect("valid"),
-        ScOptions::this_work(),
-    )
-    .expect("engine");
+    let engine = ScenarioSpec::this_work(6).stochastic_conv(&conv).expect("engine");
     let sc = measure_sc_activity(&engine, &ds, 2, 8).expect("activity");
     let bin = measure_binary_activity(&ds, Precision::new(8).expect("valid"), 3);
     let t = compute(&paper_precisions(), &sc, &bin, &CellLibrary::tsmc65_typical());

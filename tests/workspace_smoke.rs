@@ -4,7 +4,7 @@
 //! suites still pass.
 
 use scnn::bitstream::{BitStream, Precision, Unipolar};
-use scnn::core::{FirstLayer, ScOptions, StochasticConvLayer};
+use scnn::core::{FirstLayer, ScenarioSpec};
 use scnn::hw::activity::{BinaryActivity, ScActivity};
 use scnn::hw::table3::{compute, paper_precisions};
 use scnn::hw::CellLibrary;
@@ -44,9 +44,7 @@ fn sng_feeds_tff_adder() {
 #[test]
 fn hybrid_first_layer_forward() {
     let conv = Conv2d::new(1, 8, 5, Padding::Same, 42).expect("conv definition");
-    let precision = Precision::new(4).expect("4-bit precision");
-    let engine = StochasticConvLayer::from_conv(&conv, precision, ScOptions::this_work())
-        .expect("engine construction");
+    let engine = ScenarioSpec::this_work(4).stochastic_conv(&conv).expect("engine construction");
 
     let image = synthetic::single(7, 1);
     assert_eq!(image.len(), 28 * 28);
