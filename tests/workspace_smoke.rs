@@ -87,3 +87,13 @@ fn energy_model_reports_paper_structure() {
     let gain_low = table.efficiency_gain(2).expect("2-bit point");
     assert!(gain_low > 1.0, "SC should beat binary at 2 bits, gain {gain_low}");
 }
+
+/// `.cargo/config.toml` builds x86-64 Linux for x86-64-v3, so the tail's
+/// `f32` products run 8 lanes wide. This fails if that file is dropped or
+/// stops applying; a deliberate baseline build (`RUSTFLAGS="-C
+/// target-cpu=x86-64"`) does not run this test binary.
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+#[test]
+fn build_targets_avx2() {
+    assert!(cfg!(target_feature = "avx2"), "built without AVX2: is .cargo/config.toml applied?");
+}
