@@ -1,8 +1,10 @@
 use super::Layer;
-use crate::{matmul_into, Error, MatRef, Tensor, NN, NT, TN};
+use crate::tensor::Rhs;
+use crate::{matmul_into, Error, MatRef, PackedA, Tensor, NN, TN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
+use std::borrow::Cow;
 
 /// Spatial padding mode for [`Conv2d`] (stride is always 1, as in the
 /// paper's first layer where all 784 windows are evaluated in parallel).
@@ -16,10 +18,15 @@ pub enum Padding {
 }
 
 /// A 2-D convolution layer over `[batch, channels, height, width]` tensors,
-/// implemented per image as im2col and one [`matmul_into`].
+/// implemented as one matrix product per image: the filter bank, packed
+/// once per [`forward`](Layer::forward) call as a [`PackedA`], times the
+/// image's `[C·k·k, oh·ow]` patch matrix. That matrix is never built: the
+/// product gathers its column panels straight from the (zero-padded)
+/// image.
 ///
-/// Weight gradients keep one partial product per image, added into the
-/// gradient in image order.
+/// Weight gradients gather the same patches from the cached input, keep
+/// one partial product per image and add them into the gradient in image
+/// order.
 ///
 /// # Example
 ///
@@ -46,8 +53,8 @@ pub struct Conv2d {
     b: Tensor,
     dw: Tensor,
     db: Tensor,
-    cols_cache: Vec<Tensor>,
-    input_shape_cache: Option<Vec<usize>>,
+    /// The last training input, zero-padded: `[batch, c, h + 2p, w + 2p]`.
+    input_cache: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -95,8 +102,7 @@ impl Conv2d {
             b: Tensor::zeros(&[out_channels]),
             dw: Tensor::zeros(&[out_channels, fan_in]),
             db: Tensor::zeros(&[out_channels]),
-            cols_cache: Vec::new(),
-            input_shape_cache: None,
+            input_cache: None,
         })
     }
 
@@ -174,14 +180,19 @@ impl Conv2d {
     /// Returns [`Error::ShapeMismatch`] if the gradient shape is
     /// incompatible or no training forward pass was cached.
     pub fn weight_grads(&mut self, grad_output: &Tensor) -> Result<(), Error> {
-        let (shape, oh, ow) = self.grad_dims(grad_output)?;
+        let (_, oh, ow) = self.grad_dims(grad_output)?;
+        let x = self.input_cache.as_ref().expect("grad_dims checked the cache");
+        let (c, hp, wp) = (x.shape()[1], x.shape()[2], x.shape()[3]);
         let patch = oh * ow;
-        let fan_in = shape[1] * self.kernel * self.kernel;
+        // The image's patch matrix, transposed: entry (s, r) is
+        // image[cols[s] + rows[r]].
+        let (rows, cols) = self.patch_offsets(hp, wp, oh, ow);
         let mut dw_image = Tensor::zeros(self.dw.shape());
         let images = grad_output.data().chunks_exact(self.out_channels * patch);
-        for (g, cols) in images.zip(&self.cols_cache) {
-            let g_mat = MatRef::new(g, self.out_channels, patch);
-            matmul_into(NT, g_mat, MatRef::new(cols.data(), fan_in, patch), dw_image.data_mut());
+        for (g, img) in images.zip(x.data().chunks_exact(c * hp * wp)) {
+            let g_mat = PackedA::new(NN, MatRef::new(g, self.out_channels, patch));
+            let patches = Rhs::Gather { data: img, p_off: &cols, j_off: &rows };
+            g_mat.product(patches, dw_image.data_mut());
             self.dw.add_scaled(&dw_image, 1.0);
             for oc in 0..self.out_channels {
                 let s: f32 = g[oc * patch..(oc + 1) * patch].iter().sum();
@@ -191,12 +202,14 @@ impl Conv2d {
         Ok(())
     }
 
-    /// The cached input shape and output size, after checking that
-    /// `grad_output` matches them.
+    /// The cached input's unpadded shape and the output size, after
+    /// checking that `grad_output` matches them.
     fn grad_dims(&self, grad_output: &Tensor) -> Result<(Vec<usize>, usize, usize), Error> {
-        let shape = self.input_shape_cache.clone().ok_or_else(|| {
+        let x = self.input_cache.as_ref().ok_or_else(|| {
             Error::shape("forward(training=true) before backward", grad_output.shape())
         })?;
+        let p = 2 * self.pad();
+        let shape = vec![x.shape()[0], x.shape()[1], x.shape()[2] - p, x.shape()[3] - p];
         let (oh, ow) = self.output_size(shape[2], shape[3])?;
         if grad_output.shape() != [shape[0], self.out_channels, oh, ow] {
             return Err(Error::shape(
@@ -207,36 +220,44 @@ impl Conv2d {
         Ok((shape, oh, ow))
     }
 
-    /// im2col for one image `[C, H, W] → [C·k·k, oh·ow]`.
-    fn im2col(&self, img: &[f32], h: usize, w: usize, oh: usize, ow: usize) -> Tensor {
-        let k = self.kernel;
-        let p = self.pad() as isize;
-        let mut cols = vec![0.0f32; self.in_channels * k * k * oh * ow];
-        let patch = oh * ow;
-        for c in 0..self.in_channels {
-            let ch = &img[c * h * w..(c + 1) * h * w];
-            for ki in 0..k {
-                for kj in 0..k {
-                    let row = &mut cols[(c * k * k + ki * k + kj) * patch..][..patch];
-                    for oy in 0..oh {
-                        let iy = oy as isize + ki as isize - p;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let src = &ch[iy as usize * w..(iy as usize + 1) * w];
-                        let dst = &mut row[oy * ow..(oy + 1) * ow];
-                        for (ox, d) in dst.iter_mut().enumerate() {
-                            let ix = ox as isize + kj as isize - p;
-                            if ix >= 0 && ix < w as isize {
-                                *d = src[ix as usize];
-                            }
-                        }
-                    }
-                }
+    /// `input` with `pad` zeros around every channel; borrowed when the
+    /// padding is zero.
+    fn padded<'t>(&self, input: &'t Tensor) -> Cow<'t, Tensor> {
+        let p = self.pad();
+        let &[batch, c, h, w] = input.shape() else {
+            unreachable!("forward checked the rank");
+        };
+        if p == 0 {
+            return Cow::Borrowed(input);
+        }
+        let (hp, wp) = (h + 2 * p, w + 2 * p);
+        let mut x = Tensor::zeros(&[batch, c, hp, wp]);
+        let channels = input.data().chunks_exact(h * w).zip(x.data_mut().chunks_exact_mut(hp * wp));
+        for (src, dst) in channels {
+            for (src_row, dst_row) in src.chunks_exact(w).zip(dst[p * wp..].chunks_exact_mut(wp)) {
+                dst_row[p..p + w].copy_from_slice(src_row);
             }
         }
-        Tensor::from_vec(cols, &[self.in_channels * k * k, patch])
-            .expect("constructed with matching length")
+        Cow::Owned(x)
+    }
+
+    /// Offsets into one padded `[C, hp, wp]` image such that entry
+    /// `(r, s)` of its `[C·k·k, oh·ow]` patch matrix, with
+    /// `r = (c·k + ki)·k + kj` and `s = oy·ow + ox`, is
+    /// `image[rows[r] + cols[s]]`.
+    fn patch_offsets(
+        &self,
+        hp: usize,
+        wp: usize,
+        oh: usize,
+        ow: usize,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let k = self.kernel;
+        let rows = (0..self.in_channels * k * k)
+            .map(|r| (r / (k * k) * hp + r / k % k) * wp + r % k)
+            .collect();
+        let cols = (0..oh * ow).map(|s| s / ow * wp + s % ow).collect();
+        (rows, cols)
     }
 
     /// Scatter-add of column gradients back to image layout.
@@ -284,31 +305,23 @@ impl Layer for Conv2d {
         }
         let (oh, ow) = self.output_size(h, w)?;
         let patch = oh * ow;
-        let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
-        if training {
-            self.cols_cache.clear();
-            self.input_shape_cache = Some(input.shape().to_vec());
-        }
+        let x = self.padded(input);
+        let (hp, wp) = (x.shape()[2], x.shape()[3]);
+        let (rows, cols) = self.patch_offsets(hp, wp, oh, ow);
         let fan_in = c * self.kernel * self.kernel;
-        let w_mat = MatRef::new(self.w.data(), self.out_channels, fan_in);
-        let mut prod = vec![0.0f32; self.out_channels * patch];
-        for bi in 0..batch {
-            let img = &input.data()[bi * c * h * w..(bi + 1) * c * h * w];
-            let cols = self.im2col(img, h, w, oh, ow);
-            matmul_into(NN, w_mat, MatRef::new(cols.data(), fan_in, patch), &mut prod);
-            let dst =
-                &mut out.data_mut()[bi * self.out_channels * patch..][..self.out_channels * patch];
-            for oc in 0..self.out_channels {
-                let bias = self.b.data()[oc];
-                let src = &prod[oc * patch..(oc + 1) * patch];
-                let d = &mut dst[oc * patch..(oc + 1) * patch];
-                for (o, &v) in d.iter_mut().zip(src) {
-                    *o = v + bias;
+        let w_mat = PackedA::new(NN, MatRef::new(self.w.data(), self.out_channels, fan_in));
+        let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
+        let images = x.data().chunks_exact(c * hp * wp);
+        for (img, dst) in images.zip(out.data_mut().chunks_exact_mut(self.out_channels * patch)) {
+            w_mat.product(Rhs::Gather { data: img, p_off: &rows, j_off: &cols }, dst);
+            for (d, &bias) in dst.chunks_exact_mut(patch).zip(self.b.data()) {
+                for o in d {
+                    *o += bias;
                 }
             }
-            if training {
-                self.cols_cache.push(cols);
-            }
+        }
+        if training {
+            self.input_cache = Some(x.into_owned());
         }
         Ok(out)
     }
@@ -469,12 +482,15 @@ mod tests {
     /// Forward output, `dx`, `dw` and `db` equal direct loops bit for bit.
     /// The loops use the documented order: every sum ascends its index
     /// from `+0.0`, and `dw` adds one partial product per image, in image
-    /// order. The Valid 3×3 shape sends the forward, `dw` and `dx`
-    /// products through the register tile and the leftover rows.
+    /// order. Both shapes send the forward, `dw` and `dx` products through
+    /// the register tile and the leftover rows, with 25 and 81 outputs per
+    /// map (neither a multiple of the tile's 16 columns); the Same case
+    /// gathers zero padding into the patch panels, as conv1 does in base
+    /// training.
     #[test]
     fn batched_passes_match_direct_loops_bit_for_bit() {
-        let (c, oc, k, h) = (2usize, 18usize, 3usize, 7usize);
-        let (o, fan_in) = (h - k + 1, c * k * k);
+        let (c, oc, k) = (2usize, 18usize, 3usize);
+        let fan_in = c * k * k;
         // Exact zeros, ±1 (conv2 reads ±1 pooled features) and values whose
         // sums round.
         let value = |i: usize, salt: usize| match (i * 7919 + salt * 104_729) % 23 {
@@ -483,63 +499,77 @@ mod tests {
             8..=11 => -1.0,
             _ => (i % 97) as f32 / 13.0 - 3.5,
         };
-        for batch in [1usize, 3, 4] {
-            let mut conv = Conv2d::new(c, oc, k, Padding::Valid, 5).unwrap();
-            for (i, b) in conv.bias_mut().data_mut().iter_mut().enumerate() {
-                *b = value(i, 9) / 4.0;
-            }
-            let w = conv.weights().data().to_vec();
-            let x: Vec<f32> = (0..batch * c * h * h).map(|i| value(i, 1)).collect();
-            let g: Vec<f32> = (0..batch * oc * o * o).map(|i| value(i, 2)).collect();
-            let y = conv.forward(&Tensor::from_vec(x.clone(), &[batch, c, h, h]).unwrap(), true);
-            let dx = conv.backward(&Tensor::from_vec(g.clone(), &[batch, oc, o, o]).unwrap());
-            let (y, dx) = (y.unwrap(), dx.unwrap());
+        for (padding, h) in [(Padding::Valid, 7usize), (Padding::Same, 9)] {
+            let pad = if padding == Padding::Same { (k - 1) / 2 } else { 0 };
+            let o = h + 2 * pad - k + 1;
+            for batch in [1usize, 3, 4] {
+                let mut conv = Conv2d::new(c, oc, k, padding, 5).unwrap();
+                for (i, b) in conv.bias_mut().data_mut().iter_mut().enumerate() {
+                    *b = value(i, 9) / 4.0;
+                }
+                let w = conv.weights().data().to_vec();
+                let x: Vec<f32> = (0..batch * c * h * h).map(|i| value(i, 1)).collect();
+                let g: Vec<f32> = (0..batch * oc * o * o).map(|i| value(i, 2)).collect();
+                let input = Tensor::from_vec(x.clone(), &[batch, c, h, h]).unwrap();
+                let y = conv.forward(&input, true);
+                let dx = conv.backward(&Tensor::from_vec(g.clone(), &[batch, oc, o, o]).unwrap());
+                let (y, dx) = (y.unwrap(), dx.unwrap());
 
-            let xi = |b: usize, r: usize, oy: usize, ox: usize| {
-                let (ci, ki, kj) = (r / (k * k), r / k % k, r % k);
-                x[((b * c + ci) * h + oy + ki) * h + ox + kj]
-            };
-            let gi = |b: usize, q: usize, oy: usize, ox: usize| g[((b * oc + q) * o + oy) * o + ox];
-            let mut y_ref = Vec::new();
-            let mut dx_ref = vec![0.0f32; batch * c * h * h];
-            let (mut dw_ref, mut db_ref) = (vec![0.0f32; oc * fan_in], vec![0.0f32; oc]);
-            for b in 0..batch {
-                for q in 0..oc {
-                    for (oy, ox) in (0..o * o).map(|s| (s / o, s % o)) {
-                        let mut acc = 0.0f32;
-                        for r in 0..fan_in {
-                            acc += w[q * fan_in + r] * xi(b, r, oy, ox);
-                        }
-                        y_ref.push(acc + conv.bias().data()[q]);
-                    }
-                }
-                for q in 0..oc {
-                    for r in 0..fan_in {
-                        let mut partial = 0.0f32;
-                        for (oy, ox) in (0..o * o).map(|s| (s / o, s % o)) {
-                            partial += gi(b, q, oy, ox) * xi(b, r, oy, ox);
-                        }
-                        dw_ref[q * fan_in + r] += partial;
-                    }
-                    db_ref[q] += g[(b * oc + q) * o * o..][..o * o].iter().sum::<f32>();
-                }
-                for r in 0..fan_in {
+                // The input index under window entry `r` at output (oy, ox),
+                // or None in the padding.
+                let at = |b: usize, r: usize, oy: usize, ox: usize| {
                     let (ci, ki, kj) = (r / (k * k), r / k % k, r % k);
-                    for (oy, ox) in (0..o * o).map(|s| (s / o, s % o)) {
-                        let mut dcol = 0.0f32;
-                        for q in 0..oc {
-                            dcol += w[q * fan_in + r] * gi(b, q, oy, ox);
+                    let (iy, ix) = ((oy + ki).checked_sub(pad)?, (ox + kj).checked_sub(pad)?);
+                    (iy < h && ix < h).then(|| ((b * c + ci) * h + iy) * h + ix)
+                };
+                let xi = |b: usize, r: usize, oy: usize, ox: usize| {
+                    at(b, r, oy, ox).map_or(0.0, |i| x[i])
+                };
+                let gi =
+                    |b: usize, q: usize, oy: usize, ox: usize| g[((b * oc + q) * o + oy) * o + ox];
+                let mut y_ref = Vec::new();
+                let mut dx_ref = vec![0.0f32; batch * c * h * h];
+                let (mut dw_ref, mut db_ref) = (vec![0.0f32; oc * fan_in], vec![0.0f32; oc]);
+                for b in 0..batch {
+                    for q in 0..oc {
+                        for (oy, ox) in (0..o * o).map(|s| (s / o, s % o)) {
+                            let mut acc = 0.0f32;
+                            for r in 0..fan_in {
+                                acc += w[q * fan_in + r] * xi(b, r, oy, ox);
+                            }
+                            y_ref.push(acc + conv.bias().data()[q]);
                         }
-                        dx_ref[((b * c + ci) * h + oy + ki) * h + ox + kj] += dcol;
+                    }
+                    for q in 0..oc {
+                        for r in 0..fan_in {
+                            let mut partial = 0.0f32;
+                            for (oy, ox) in (0..o * o).map(|s| (s / o, s % o)) {
+                                partial += gi(b, q, oy, ox) * xi(b, r, oy, ox);
+                            }
+                            dw_ref[q * fan_in + r] += partial;
+                        }
+                        db_ref[q] += g[(b * oc + q) * o * o..][..o * o].iter().sum::<f32>();
+                    }
+                    for r in 0..fan_in {
+                        for (oy, ox) in (0..o * o).map(|s| (s / o, s % o)) {
+                            let mut dcol = 0.0f32;
+                            for q in 0..oc {
+                                dcol += w[q * fan_in + r] * gi(b, q, oy, ox);
+                            }
+                            if let Some(i) = at(b, r, oy, ox) {
+                                dx_ref[i] += dcol;
+                            }
+                        }
                     }
                 }
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                let case = format!("{padding:?}, batch {batch}");
+                assert_eq!(bits(y.data()), bits(&y_ref), "forward, {case}");
+                assert_eq!(bits(dx.data()), bits(&dx_ref), "dx, {case}");
+                let mut grads = Vec::new();
+                conv.visit_params(&mut |_, g| grads.push(bits(g.data())));
+                assert_eq!(grads, [bits(&dw_ref), bits(&db_ref)], "dw and db, {case}");
             }
-            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(y.data()), bits(&y_ref), "forward, batch {batch}");
-            assert_eq!(bits(dx.data()), bits(&dx_ref), "dx, batch {batch}");
-            let mut grads = Vec::new();
-            conv.visit_params(&mut |_, g| grads.push(bits(g.data())));
-            assert_eq!(grads, [bits(&dw_ref), bits(&db_ref)], "dw and db, batch {batch}");
         }
     }
 

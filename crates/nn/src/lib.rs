@@ -60,4 +60,4 @@ mod tensor;
 pub use error::Error;
 pub use loss::softmax_cross_entropy;
 pub use network::{Evaluation, Network};
-pub use tensor::{matmul_into, Layout, MatRef, Tensor, NN, NT, TN};
+pub use tensor::{matmul_into, Layout, MatRef, PackedA, Tensor, NN, NT, TN};

@@ -168,8 +168,10 @@ impl fmt::Debug for Tensor {
 
 /// Rows of the left operand in one register tile of [`matmul_into`].
 const MR: usize = 4;
-/// Columns of the right operand in one register tile of [`matmul_into`].
-const NR: usize = 8;
+/// Columns of the right operand in one register tile of [`matmul_into`]:
+/// two 8-lane AVX2 registers per row, so a tile keeps 8 independent sums
+/// in flight, enough to hide the add latency.
+const NR: usize = 16;
 /// Fewest `k` steps worth a register tile: below it the tile's fixed cost
 /// per `NR` columns outweighs its sums, and rows stream instead.
 const MIN_TILE_K: usize = 16;
@@ -237,31 +239,16 @@ impl<'a> MatRef<'a> {
     fn at(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.cols + c]
     }
-
-    #[inline]
-    fn row(&self, r: usize) -> &'a [f32] {
-        &self.data[r * self.cols..][..self.cols]
-    }
 }
 
 /// The matrix product `out = op(a) · op(b)` for the [`Layout`] `L`, where
 /// `op` reads an operand as stored (`N`) or transposed (`T`); `out` is
-/// `[m, n]`, row-major, and is overwritten.
+/// `[m, n]`, row-major, and is overwritten. It packs `a` and runs
+/// [`PackedA::matmul_into`], which has the details.
 ///
 /// Every output element is the sum of its `k` products in ascending `k`,
 /// starting from `+0.0`, so the result is bit-identical to a naive triple
 /// loop for every layout and shape (for finite operands).
-///
-/// Groups of `MR` = 4 rows with at least a third of their left-hand
-/// entries non-zero run through a register tile: each group is packed
-/// `k`-major once, then swept across the right operand `NR` = 8 columns
-/// at a time, one L2-sized column block after another. Every other row
-/// (the `m mod MR` left over, `k` < 16, or a sparse group such as a
-/// max-pooled gradient) streams the right operand row by row and skips
-/// zero left-hand entries, which cannot change a sum that starts at
-/// `+0.0`. A transposed right operand is packed `k`-major, one column
-/// block at a time, when at least `MR` rows read it, so a single row (a
-/// serial frame's dense layer) never pays for packing.
 ///
 /// # Example
 ///
@@ -277,121 +264,197 @@ impl<'a> MatRef<'a> {
 /// # Panics
 ///
 /// Panics if the inner dimensions differ or `out.len() != m · n`.
-pub fn matmul_into<L: Layout>(_layout: L, a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32]) {
-    let (m, k) = if L::A_T { (a.cols, a.rows) } else { (a.rows, a.cols) };
-    let (kb, n) = if L::B_T { (b.cols, b.rows) } else { (b.rows, b.cols) };
-    assert_eq!(k, kb, "matmul_into inner dimensions");
-    assert_eq!(out.len(), m * n, "matmul_into output of {m}×{n}");
-    if k == 0 || n == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let a_at = |i: usize, p: usize| if L::A_T { a.at(p, i) } else { a.at(i, p) };
+pub fn matmul_into<L: Layout>(layout: L, a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32]) {
+    PackedA::new(layout, a).matmul_into(layout, b, out);
+}
 
-    // Pack each group of MR rows at least a third non-zero: sparser groups
-    // (a max-pooled gradient) do less work streaming.
-    let mut panel_rows = Vec::new();
-    let mut a_packed = Vec::new();
-    if k >= MIN_TILE_K {
-        a_packed.reserve_exact((m - m % MR) * k);
-        for i0 in (0..m - m % MR).step_by(MR) {
-            let start = a_packed.len();
-            for p in 0..k {
-                a_packed.extend((i0..i0 + MR).map(|i| a_at(i, p)));
-            }
-            let nonzero = a_packed[start..].iter().filter(|&&v| v != 0.0).count();
-            if 3 * nonzero >= MR * k {
-                panel_rows.push(i0);
+/// The left operand of a matrix product, packed once for the register
+/// tile so that several products can share it: a convolution packs its
+/// weights once per batch, not once per image.
+///
+/// Each group of `MR` = 4 rows with at least a third of its entries
+/// non-zero is packed `k`-major when `k` ≥ 16; every other row (the
+/// `m mod MR` left over, a short `k`, or a sparse group such as a
+/// max-pooled gradient) is read in place when the product runs.
+#[derive(Debug, Clone)]
+pub struct PackedA<'a> {
+    a: MatRef<'a>,
+    transposed: bool,
+    m: usize,
+    k: usize,
+    /// First row of each packed group, ascending.
+    panel_rows: Vec<usize>,
+    /// The packed groups, `MR · k` values each.
+    panels: Vec<f32>,
+}
+
+/// The right operand of [`PackedA::product`], `k × n`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rhs<'a> {
+    /// Stored `[k, n]` and read in place.
+    Rows(MatRef<'a>),
+    /// Entry `(p, j)` is `data[p_off[p] + j_off[j]]`: a transposed stored
+    /// operand, or a convolution's patch matrix read from its image.
+    Gather { data: &'a [f32], p_off: &'a [usize], j_off: &'a [usize] },
+}
+
+impl<'a> PackedA<'a> {
+    /// Packs `a` as the left operand of an `L` product.
+    pub fn new<L: Layout>(_layout: L, a: MatRef<'a>) -> Self {
+        let (m, k) = if L::A_T { (a.cols, a.rows) } else { (a.rows, a.cols) };
+        let groups = if k < MIN_TILE_K { 0 } else { m / MR };
+        let mut panels = vec![0.0f32; groups * MR * k];
+        let mut panel_rows = Vec::with_capacity(groups);
+        for i0 in (0..groups * MR).step_by(MR) {
+            let panel = &mut panels[panel_rows.len() * MR * k..][..MR * k];
+            if L::A_T {
+                for (p, dst) in panel.chunks_exact_mut(MR).enumerate() {
+                    dst.copy_from_slice(&a.data[p * m + i0..][..MR]);
+                }
             } else {
-                a_packed.truncate(start);
-            }
-        }
-    }
-
-    // Tiles and packing walk the right operand one L2-sized block of
-    // columns at a time. A transposed right operand is packed `k`-major
-    // per block when MR or more rows read it; otherwise its rows are read
-    // in place, and rows that only stream take them whole.
-    let pack = L::B_T && m >= MR;
-    let block = if pack || !panel_rows.is_empty() {
-        (B_BLOCK / k).clamp(NR, n.next_multiple_of(NR)).next_multiple_of(NR)
-    } else {
-        n
-    };
-    let mut packed = vec![0.0f32; if pack { k * block.min(n) } else { 0 }];
-    let mut edge = Vec::new();
-    for j_block in (0..n).step_by(block) {
-        let width = block.min(n - j_block);
-        // Row `p` of the block is `b_data[b_off + p · b_stride..][..width]`.
-        let (b_data, b_off, b_stride) = if pack {
-            for p0 in (0..k).step_by(NR) {
-                // NR steps at a time, so reads and writes stay on few lines.
-                for j in 0..width {
-                    for (p, &v) in (p0..).zip(&b.row(j_block + j)[p0..k.min(p0 + NR)]) {
-                        packed[p * width + j] = v;
+                let rows: [&[f32]; MR] = std::array::from_fn(|r| &a.data[(i0 + r) * k..][..k]);
+                for (p, dst) in panel.chunks_exact_mut(MR).enumerate() {
+                    for (d, row) in dst.iter_mut().zip(&rows) {
+                        *d = row[p];
                     }
                 }
             }
-            (&packed[..], 0, width)
-        } else {
-            (b.data, j_block, n)
-        };
-
-        if !panel_rows.is_empty() {
-            // The last column panel, if narrower than NR, zero-padded.
-            let edge_start = width - width % NR;
-            if edge_start < width {
-                edge.resize(k * NR, 0.0);
-                for (p, dst) in edge.chunks_exact_mut(NR).enumerate() {
-                    let src = &b_data[b_off + p * b_stride..][edge_start..width];
-                    dst[..src.len()].copy_from_slice(src);
-                }
+            // Sparser groups (a max-pooled gradient) do less work streaming.
+            let nonzero = panel.iter().filter(|&&v| v != 0.0).count();
+            if 3 * nonzero >= MR * k {
+                panel_rows.push(i0);
             }
-            for (a_panel, &i0) in a_packed.chunks_exact(MR * k).zip(&panel_rows) {
-                for j0 in (0..width).step_by(NR) {
-                    let acc = if j0 < edge_start {
-                        register_tile(a_panel, &b_data[b_off + j0..], b_stride)
-                    } else {
-                        register_tile(a_panel, &edge, NR)
-                    };
-                    let cols = NR.min(width - j0);
-                    for (r, acc_row) in acc.iter().enumerate() {
-                        let dst = &mut out[(i0 + r) * n + j_block + j0..];
-                        if cols == NR {
-                            dst[..NR].copy_from_slice(acc_row);
+        }
+        panels.truncate(panel_rows.len() * MR * k);
+        Self { a, transposed: L::A_T, m, k, panel_rows, panels }
+    }
+
+    /// Entry `(i, p)` of the left operand as the product reads it.
+    #[inline]
+    fn at(&self, i: usize, p: usize) -> f32 {
+        if self.transposed {
+            self.a.at(p, i)
+        } else {
+            self.a.at(i, p)
+        }
+    }
+
+    /// [`matmul_into`] with this packed left operand: `out = op(a) · op(b)`
+    /// for the layout `L` it was packed for.
+    ///
+    /// Packed row groups run through a 4×16 register tile, swept across
+    /// the right operand one L2-sized column block after another. The
+    /// other rows stream the right operand row by row and skip zero
+    /// left-hand entries, which cannot change a sum that starts at `+0.0`.
+    /// A transposed right operand is packed `k`-major, one column block at
+    /// a time, when at least `MR` rows read it, so a single row (a serial
+    /// frame's dense layer) never pays for packing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `L` transposes the left operand differently from the
+    /// packing, if the inner dimensions differ or if `out.len() != m · n`.
+    pub fn matmul_into<L: Layout>(&self, _layout: L, b: MatRef<'_>, out: &mut [f32]) {
+        assert_eq!(self.transposed, L::A_T, "PackedA used with another layout");
+        if !L::B_T {
+            return self.product(Rhs::Rows(b), out);
+        }
+        let p_off: Vec<usize> = (0..b.cols).collect();
+        let j_off: Vec<usize> = (0..b.rows).map(|j| j * b.cols).collect();
+        self.product(Rhs::Gather { data: b.data, p_off: &p_off, j_off: &j_off }, out);
+    }
+
+    /// `out = A · b`, the one kernel behind every product (see
+    /// [`matmul_into`](Self::matmul_into)). A gathered right operand is
+    /// packed `k`-major per column block when `MR` or more rows read it;
+    /// otherwise it is read in place.
+    pub(crate) fn product(&self, b: Rhs<'_>, out: &mut [f32]) {
+        let (m, k) = (self.m, self.k);
+        let (kb, n) = match b {
+            Rhs::Rows(b) => (b.rows, b.cols),
+            Rhs::Gather { p_off, j_off, .. } => (p_off.len(), j_off.len()),
+        };
+        assert_eq!(k, kb, "matmul_into inner dimensions");
+        assert_eq!(out.len(), m * n, "matmul_into output of {m}×{n}");
+        if k == 0 || n == 0 {
+            out.fill(0.0);
+            return;
+        }
+
+        let gathered = matches!(b, Rhs::Gather { .. });
+        let block = if gathered || !self.panel_rows.is_empty() {
+            (B_BLOCK / k).clamp(NR, n.next_multiple_of(NR)).next_multiple_of(NR)
+        } else {
+            n
+        };
+        let mut packed = vec![0.0f32; if gathered { k * block.min(n) } else { 0 }];
+        let mut edge = Vec::new();
+        for j_block in (0..n).step_by(block) {
+            let width = block.min(n - j_block);
+            // Row `p` of the block is `b_data[b_off + p · b_stride..][..width]`.
+            let (b_data, b_off, b_stride) = match b {
+                Rhs::Rows(b) => (b.data, j_block, n),
+                Rhs::Gather { data, p_off, j_off } => {
+                    let j_off = &j_off[j_block..][..width];
+                    // NR rows at a time, so reads and writes stay on few lines.
+                    for (rows, p_off) in packed.chunks_mut(NR * width).zip(p_off.chunks(NR)) {
+                        for (j, &jo) in j_off.iter().enumerate() {
+                            for (p, &po) in p_off.iter().enumerate() {
+                                rows[p * width + j] = data[po + jo];
+                            }
+                        }
+                    }
+                    (&packed[..], 0, width)
+                }
+            };
+
+            if !self.panel_rows.is_empty() {
+                // The last column panel, if narrower than NR, zero-padded.
+                let edge_start = width - width % NR;
+                if edge_start < width {
+                    edge.resize(k * NR, 0.0);
+                    for (p, dst) in edge.chunks_exact_mut(NR).enumerate() {
+                        let src = &b_data[b_off + p * b_stride..][edge_start..width];
+                        dst[..src.len()].copy_from_slice(src);
+                    }
+                }
+                for (a_panel, &i0) in self.panels.chunks_exact(MR * k).zip(&self.panel_rows) {
+                    for j0 in (0..width).step_by(NR) {
+                        let acc = if j0 < edge_start {
+                            register_tile(a_panel, &b_data[b_off + j0..], b_stride)
                         } else {
+                            register_tile(a_panel, &edge, NR)
+                        };
+                        let cols = NR.min(width - j0);
+                        for (r, acc_row) in acc.iter().enumerate() {
+                            let dst = &mut out[(i0 + r) * n + j_block + j0..];
                             dst[..cols].copy_from_slice(&acc_row[..cols]);
                         }
                     }
                 }
             }
-        }
 
-        let mut panels = panel_rows.iter().peekable();
-        let mut i = 0;
-        while i < m {
-            if panels.next_if(|&&i0| i0 == i).is_some() {
-                i += MR;
-                continue;
-            }
-            let o_row = &mut out[i * n + j_block..][..width];
-            o_row.fill(0.0);
-            for p in 0..k {
-                let av = a_at(i, p);
-                if av == 0.0 {
+            let mut panels = self.panel_rows.iter().peekable();
+            let mut i = 0;
+            while i < m {
+                if panels.next_if(|&&i0| i0 == i).is_some() {
+                    i += MR;
                     continue;
                 }
-                if L::B_T && !pack {
-                    for (o, j) in o_row.iter_mut().zip(j_block..) {
-                        *o += av * b.at(j, p);
+                let o_row = &mut out[i * n + j_block..][..width];
+                o_row.fill(0.0);
+                for p in 0..k {
+                    let av = self.at(i, p);
+                    if av == 0.0 {
+                        continue;
                     }
-                } else {
-                    for (o, &bv) in o_row.iter_mut().zip(&b_data[b_off + p * b_stride..][..width]) {
+                    let b_row = &b_data[b_off + p * b_stride..][..width];
+                    for (o, &bv) in o_row.iter_mut().zip(b_row) {
                         *o += av * bv;
                     }
                 }
+                i += 1;
             }
-            i += 1;
         }
     }
 }

@@ -5,7 +5,7 @@ use scnn_nn::data::{parse_idx_images, parse_idx_labels, BatchSource, ChunkLoader
 use scnn_nn::layers::{Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Padding, Relu, Sign};
 use scnn_nn::optim::Adam;
 use scnn_nn::quant::{pixel_level, quantize_bipolar, scale_kernels, soft_threshold, weight_level};
-use scnn_nn::{matmul_into, softmax_cross_entropy, MatRef, Network, Tensor, NN, NT, TN};
+use scnn_nn::{matmul_into, softmax_cross_entropy, MatRef, Network, PackedA, Tensor, NN, NT, TN};
 
 /// A small synthetic classification dataset: `items` 6-float items over 3
 /// classes, fully determined by `seed`.
@@ -177,16 +177,17 @@ proptest! {
         prop_assert_eq!(wa, wb);
     }
 
-    /// `matmul_into` equals a naive triple loop bit for bit in all three
-    /// layouts. The loop sums each output in ascending `k` from `+0.0` and
-    /// skips nothing. Cases cover row counts on both sides of the register
-    /// tile's, widths that are not a multiple of its, `k` = 0 and 1, and
-    /// dense and sparse left operands.
+    /// `matmul_into` and `PackedA::matmul_into` equal a naive triple loop
+    /// bit for bit in all three layouts. The loop sums each output in
+    /// ascending `k` from `+0.0` and skips nothing. Cases cover row counts
+    /// on both sides of the register tile's, widths below one 16-wide
+    /// panel, up to two panels plus a ragged edge, `k` = 0 and 1, and dense
+    /// and sparse left operands.
     #[test]
     fn matmul_into_matches_naive_loop_bit_for_bit(
         m in 1usize..=9,
         k in prop_oneof![Just(0usize), Just(1), 2usize..=40],
-        n in 1usize..=20,
+        n in 1usize..=40,
         zeros in prop_oneof![Just(0.0f32), Just(0.5), Just(0.8)],
         seed in 0u64..1000,
     ) {
@@ -217,7 +218,22 @@ proptest! {
         prop_assert_eq!(bits(&out), naive.clone(), "NT");
         out.fill(f32::NAN);
         matmul_into(TN, MatRef::new(&a_t, k, m), MatRef::new(&b_n, k, n), &mut out);
-        prop_assert_eq!(bits(&out), naive, "TN");
+        prop_assert_eq!(bits(&out), naive.clone(), "TN");
+        // Packed once, each left operand serves two rounds of products,
+        // and the untransposed packing serves both NN and NT.
+        let a_packed = PackedA::new(NN, MatRef::new(&a_n, m, k));
+        let a_t_packed = PackedA::new(TN, MatRef::new(&a_t, k, m));
+        for _ in 0..2 {
+            out.fill(f32::NAN);
+            a_packed.matmul_into(NN, MatRef::new(&b_n, k, n), &mut out);
+            prop_assert_eq!(bits(&out), naive.clone(), "packed NN");
+            out.fill(f32::NAN);
+            a_packed.matmul_into(NT, MatRef::new(&b_t, n, k), &mut out);
+            prop_assert_eq!(bits(&out), naive.clone(), "packed NT");
+            out.fill(f32::NAN);
+            a_t_packed.matmul_into(TN, MatRef::new(&b_n, k, n), &mut out);
+            prop_assert_eq!(bits(&out), naive.clone(), "packed TN");
+        }
     }
 
     /// Conv2d is linear: conv(a·x) == a·conv(x) (bias removed).
