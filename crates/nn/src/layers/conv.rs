@@ -253,10 +253,10 @@ impl Conv2d {
         ow: usize,
     ) -> (Vec<usize>, Vec<usize>) {
         let k = self.kernel;
-        let rows = (0..self.in_channels * k * k)
-            .map(|r| (r / (k * k) * hp + r / k % k) * wp + r % k)
+        let rows = (0..self.in_channels)
+            .flat_map(|c| (0..k).flat_map(move |ki| (0..k).map(move |kj| (c * hp + ki) * wp + kj)))
             .collect();
-        let cols = (0..oh * ow).map(|s| s / ow * wp + s % ow).collect();
+        let cols = (0..oh).flat_map(|oy| (0..ow).map(move |ox| oy * wp + ox)).collect();
         (rows, cols)
     }
 

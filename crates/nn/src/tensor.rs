@@ -239,6 +239,11 @@ impl<'a> MatRef<'a> {
     fn at(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.cols + c]
     }
+
+    #[inline]
+    fn row(&self, r: usize) -> &'a [f32] {
+        &self.data[r * self.cols..][..self.cols]
+    }
 }
 
 /// The matrix product `out = op(a) · op(b)` for the [`Layout`] `L`, where
@@ -293,8 +298,10 @@ pub struct PackedA<'a> {
 pub(crate) enum Rhs<'a> {
     /// Stored `[k, n]` and read in place.
     Rows(MatRef<'a>),
-    /// Entry `(p, j)` is `data[p_off[p] + j_off[j]]`: a transposed stored
-    /// operand, or a convolution's patch matrix read from its image.
+    /// Stored `[n, k]` and read as its transpose.
+    Cols(MatRef<'a>),
+    /// Entry `(p, j)` is `data[p_off[p] + j_off[j]]`: a convolution's patch
+    /// matrix, read from its image.
     Gather { data: &'a [f32], p_off: &'a [usize], j_off: &'a [usize] },
 }
 
@@ -356,22 +363,17 @@ impl<'a> PackedA<'a> {
     /// packing, if the inner dimensions differ or if `out.len() != m · n`.
     pub fn matmul_into<L: Layout>(&self, _layout: L, b: MatRef<'_>, out: &mut [f32]) {
         assert_eq!(self.transposed, L::A_T, "PackedA used with another layout");
-        if !L::B_T {
-            return self.product(Rhs::Rows(b), out);
-        }
-        let p_off: Vec<usize> = (0..b.cols).collect();
-        let j_off: Vec<usize> = (0..b.rows).map(|j| j * b.cols).collect();
-        self.product(Rhs::Gather { data: b.data, p_off: &p_off, j_off: &j_off }, out);
+        self.product(if L::B_T { Rhs::Cols(b) } else { Rhs::Rows(b) }, out);
     }
 
     /// `out = A · b`, the one kernel behind every product (see
-    /// [`matmul_into`](Self::matmul_into)). A gathered right operand is
-    /// packed `k`-major per column block when `MR` or more rows read it;
-    /// otherwise it is read in place.
+    /// [`matmul_into`](Self::matmul_into)). A right operand that is not
+    /// stored `[k, n]` is packed `k`-major, one column block at a time.
     pub(crate) fn product(&self, b: Rhs<'_>, out: &mut [f32]) {
         let (m, k) = (self.m, self.k);
         let (kb, n) = match b {
             Rhs::Rows(b) => (b.rows, b.cols),
+            Rhs::Cols(b) => (b.cols, b.rows),
             Rhs::Gather { p_off, j_off, .. } => (p_off.len(), j_off.len()),
         };
         assert_eq!(k, kb, "matmul_into inner dimensions");
@@ -381,31 +383,41 @@ impl<'a> PackedA<'a> {
             return;
         }
 
-        let gathered = matches!(b, Rhs::Gather { .. });
-        let block = if gathered || !self.panel_rows.is_empty() {
+        let pack = !matches!(b, Rhs::Rows(_));
+        let block = if pack || !self.panel_rows.is_empty() {
             (B_BLOCK / k).clamp(NR, n.next_multiple_of(NR)).next_multiple_of(NR)
         } else {
             n
         };
-        let mut packed = vec![0.0f32; if gathered { k * block.min(n) } else { 0 }];
+        let mut packed = vec![0.0f32; if pack { k * block.min(n) } else { 0 }];
         let mut edge = Vec::new();
         for j_block in (0..n).step_by(block) {
             let width = block.min(n - j_block);
             // Row `p` of the block is `b_data[b_off + p · b_stride..][..width]`.
-            let (b_data, b_off, b_stride) = match b {
-                Rhs::Rows(b) => (b.data, j_block, n),
-                Rhs::Gather { data, p_off, j_off } => {
-                    let j_off = &j_off[j_block..][..width];
-                    // NR rows at a time, so reads and writes stay on few lines.
-                    for (rows, p_off) in packed.chunks_mut(NR * width).zip(p_off.chunks(NR)) {
-                        for (j, &jo) in j_off.iter().enumerate() {
-                            for (p, &po) in p_off.iter().enumerate() {
-                                rows[p * width + j] = data[po + jo];
+            match b {
+                Rhs::Rows(_) => {}
+                Rhs::Cols(b) => {
+                    for p0 in (0..k).step_by(NR) {
+                        // NR steps at a time, so reads and writes stay on few lines.
+                        for j in 0..width {
+                            for (p, &v) in (p0..).zip(&b.row(j_block + j)[p0..k.min(p0 + NR)]) {
+                                packed[p * width + j] = v;
                             }
                         }
                     }
-                    (&packed[..], 0, width)
                 }
+                Rhs::Gather { data, p_off, j_off } => {
+                    let j_off = &j_off[j_block..][..width];
+                    for (row, &po) in packed.chunks_exact_mut(width).zip(p_off) {
+                        for (dst, &jo) in row.iter_mut().zip(j_off) {
+                            *dst = data[po + jo];
+                        }
+                    }
+                }
+            }
+            let (b_data, b_off, b_stride) = match b {
+                Rhs::Rows(b) => (b.data, j_block, n),
+                _ => (&packed[..], 0, width),
             };
 
             if !self.panel_rows.is_empty() {

@@ -89,11 +89,13 @@ fn energy_model_reports_paper_structure() {
 }
 
 /// `.cargo/config.toml` builds x86-64 Linux for x86-64-v3, so the tail's
-/// `f32` products run 8 lanes wide. This fails if that file is dropped or
-/// stops applying; a deliberate baseline build (`RUSTFLAGS="-C
-/// target-cpu=x86-64"`) does not run this test binary.
+/// `f32` products run 8 lanes wide. This test stops compiling if that file
+/// is dropped or stops applying; the deliberate baseline build in CI
+/// (`RUSTFLAGS="-C target-cpu=x86-64"`) builds only the golden-digest test.
 #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
 #[test]
 fn build_targets_avx2() {
-    assert!(cfg!(target_feature = "avx2"), "built without AVX2: is .cargo/config.toml applied?");
+    const {
+        assert!(cfg!(target_feature = "avx2"), "built without AVX2: is .cargo/config.toml applied?")
+    };
 }
