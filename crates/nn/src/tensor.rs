@@ -354,8 +354,7 @@ impl<'a> PackedA<'a> {
     /// other rows stream the right operand row by row and skip zero
     /// left-hand entries, which cannot change a sum that starts at `+0.0`.
     /// A transposed right operand is packed `k`-major, one column block at
-    /// a time, when at least `MR` rows read it, so a single row (a serial
-    /// frame's dense layer) never pays for packing.
+    /// a time; an untransposed one is read in place.
     ///
     /// # Panics
     ///
@@ -394,8 +393,8 @@ impl<'a> PackedA<'a> {
         for j_block in (0..n).step_by(block) {
             let width = block.min(n - j_block);
             // Row `p` of the block is `b_data[b_off + p · b_stride..][..width]`.
-            match b {
-                Rhs::Rows(_) => {}
+            let (b_data, b_off, b_stride) = match b {
+                Rhs::Rows(b) => (b.data, j_block, n),
                 Rhs::Cols(b) => {
                     for p0 in (0..k).step_by(NR) {
                         // NR steps at a time, so reads and writes stay on few lines.
@@ -405,6 +404,7 @@ impl<'a> PackedA<'a> {
                             }
                         }
                     }
+                    (&packed[..], 0, width)
                 }
                 Rhs::Gather { data, p_off, j_off } => {
                     let j_off = &j_off[j_block..][..width];
@@ -413,11 +413,8 @@ impl<'a> PackedA<'a> {
                             *dst = data[po + jo];
                         }
                     }
+                    (&packed[..], 0, width)
                 }
-            }
-            let (b_data, b_off, b_stride) = match b {
-                Rhs::Rows(b) => (b.data, j_block, n),
-                _ => (&packed[..], 0, width),
             };
 
             if !self.panel_rows.is_empty() {
