@@ -68,10 +68,11 @@ impl HybridLenet {
     /// consumes.
     ///
     /// This materializes the whole feature tensor, for callers that train
-    /// or time the tail on fixed features; [`retrain`](crate::retrain) and
-    /// plain evaluation stream through [`features`](Self::features)
-    /// instead, which never materializes them. Images are distributed over
-    /// the [`parallel`](crate::parallel) worker threads (the engine is
+    /// the tail on fixed features, as [`retrain`](crate::retrain) does;
+    /// plain evaluation streams through [`features`](Self::features)
+    /// instead, which never materializes them. Faults are seeded by each
+    /// image's absolute index, never by its chunk. Images are distributed
+    /// over the [`parallel`](crate::parallel) worker threads (the engine is
     /// immutable and shared); item order is preserved, so the features are
     /// identical for every `SCNN_THREADS` setting.
     ///
@@ -113,20 +114,6 @@ impl HybridLenet {
     /// [`extract_features`](Self::extract_features) (property-tested).
     pub fn features<'a, S: BatchSource + ?Sized>(&'a self, source: &'a S) -> FeatureSource<'a, S> {
         FeatureSource::new(self.head.as_ref(), source)
-    }
-
-    /// Splits the network into its mutable tail and a streaming
-    /// [`FeatureSource`] over `source` — the split borrow the streaming
-    /// retrain loop needs: the frozen head computes feature chunks on
-    /// demand while the tail trains on them, with no materialized feature
-    /// tensor and no second `self` borrow.
-    pub fn tail_and_features<'a, S: BatchSource + ?Sized>(
-        &'a mut self,
-        source: &'a S,
-    ) -> (&'a mut Network, FeatureSource<'a, S>) {
-        let Self { head, tail } = self;
-        let head: &'a dyn FirstLayer = &**head;
-        (tail, FeatureSource::new(head, source))
     }
 
     /// Classifies one image end to end.

@@ -15,9 +15,9 @@
 //!   base model and validate the engines.
 //!
 //! [`HybridLenet`] combines any first layer with the binary LeNet-5 tail,
-//! and [`retrain`] implements §V-B: freeze the first layer, recompute its
-//! feature maps over the training set, and retrain the binary remainder to
-//! absorb the precision loss.
+//! and [`retrain`] implements §V-B: freeze the first layer, extract its
+//! feature maps over the training set once, and retrain the binary
+//! remainder on them to absorb the precision loss.
 //!
 //! Three crosscutting facilities support the engines:
 //!

@@ -8,8 +8,8 @@
 //! 2. Build a hardware engine ([`StochasticConvLayer`] /
 //!    [`BinaryConvLayer`]) from the trained first-layer convolution.
 //! 3. [`retrain`] — freeze the engine and retrain the binary tail on its
-//!    feature maps, streamed batch by batch and recomputed every epoch,
-//!    recovering the accuracy lost to quantization and stochastic noise.
+//!    feature maps, extracted once per dataset, recovering the accuracy
+//!    lost to quantization and stochastic noise.
 //!
 //! [`StochasticConvLayer`]: crate::StochasticConvLayer
 //! [`BinaryConvLayer`]: crate::BinaryConvLayer
@@ -138,12 +138,14 @@ impl BaseModel {
 ///
 /// # Errors
 ///
-/// Propagates training errors.
+/// Returns [`Error::Config`] for a zero batch size; propagates training
+/// errors.
 pub fn train_base(
     train: &Dataset,
     test: &Dataset,
     config: &TrainConfig,
 ) -> Result<BaseModel, Error> {
+    check_batch_size(config.batch_size)?;
     let mut net = lenet5(&config.lenet)?;
     let mut opt = Adam::new(config.learning_rate);
     for epoch in 0..config.epochs {
@@ -195,17 +197,16 @@ impl RetrainReport {
 /// again. Returns the hybrid network (with the retrained tail) and the
 /// report.
 ///
-/// This path **streams**: training gathers its shuffled shard batches
-/// straight from the hybrid's
-/// [`FeatureSource`](crate::FeatureSource), and both tail evaluations run
-/// from one streamed pass
-/// ([`Network::evaluate_pair`]), so the full feature tensor is never
-/// materialized for either dataset. The price is that every training epoch
-/// recomputes the engine's training-set features.
+/// The frozen engine runs once per image: the training features are
+/// extracted once ([`HybridLenet::extract_features`]) and every epoch
+/// trains on them, then they are dropped before the test features are
+/// extracted for both evaluations. Peak memory is one dataset's features,
+/// `kernels × 14 × 14` floats per image (25 KB at LeNet-5's 32 kernels).
 ///
 /// # Errors
 ///
-/// Propagates engine and training errors.
+/// Returns [`Error::Config`] for a zero batch size; propagates engine and
+/// training errors.
 pub fn retrain(
     engine: Box<dyn FirstLayer>,
     base_tail: Network,
@@ -213,26 +214,33 @@ pub fn retrain(
     test: &Dataset,
     config: &RetrainConfig,
 ) -> Result<(HybridLenet, RetrainReport), Error> {
+    check_batch_size(config.batch_size)?;
     let mut hybrid = HybridLenet::new(engine, base_tail);
-    // A pre-training copy of the tail: the "no retraining" ablation row,
-    // evaluated side by side with the retrained tail after training so the
-    // test features are computed exactly once.
-    let base_tail = hybrid.tail().clone();
+    // A pre-training copy of the tail: the "no retraining" ablation row.
+    let mut base_tail = hybrid.tail().clone();
     let mut opt = Adam::new(config.learning_rate);
-    {
-        let (tail, train_features) = hybrid.tail_and_features(train);
-        for epoch in 0..config.epochs {
-            tail.train_epoch(
-                &train_features,
-                config.batch_size,
-                &mut opt,
-                config.seed ^ epoch as u64,
-            )?;
-        }
+    let train_features = hybrid.extract_features(train)?;
+    for epoch in 0..config.epochs {
+        hybrid.tail_mut().train_epoch(
+            &train_features,
+            config.batch_size,
+            &mut opt,
+            config.seed ^ epoch as u64,
+        )?;
     }
-    let (tail, test_features) = hybrid.tail_and_features(test);
-    let (before, after) = Network::evaluate_pair(&base_tail, tail, &test_features, 64)?;
+    drop(train_features);
+    let test_features = hybrid.extract_features(test)?;
+    let before = base_tail.evaluate(&test_features, 64)?;
+    let after = hybrid.tail_mut().evaluate(&test_features, 64)?;
     Ok((hybrid, RetrainReport { before, after }))
+}
+
+/// Rejects a zero batch size before any training work starts.
+fn check_batch_size(batch_size: usize) -> Result<(), Error> {
+    if batch_size == 0 {
+        return Err(Error::config("batch size must be positive"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -318,6 +326,20 @@ mod tests {
         let _ = &mut loaded;
         std::fs::remove_dir_all(&dir).unwrap();
         assert!(BaseModel::load(&path, &config).unwrap().is_none());
+    }
+
+    #[test]
+    fn zero_batch_size_is_a_config_error() {
+        let train = synthetic::generate(8, 9);
+        let test = synthetic::generate(4, 10);
+        let config = TrainConfig { batch_size: 0, ..tiny_config() };
+        assert!(matches!(train_base(&train, &test, &config), Err(Error::Config { .. })));
+        let conv = Conv2d::new(1, 32, 5, scnn_nn::layers::Padding::Same, 1).unwrap();
+        let engine = crate::FloatConvLayer::from_conv(&conv, 0.0).unwrap();
+        let tail = scnn_nn::lenet::lenet5_tail(&LenetConfig::default()).unwrap();
+        let config = RetrainConfig { batch_size: 0, ..RetrainConfig::default() };
+        let result = retrain(Box::new(engine), tail, &train, &test, &config);
+        assert!(matches!(result, Err(Error::Config { .. })));
     }
 
     #[test]

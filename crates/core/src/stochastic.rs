@@ -913,32 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn faulted_tff_configurations_keep_the_table() {
-        // Fault injection no longer forfeits the count path: bit errors
-        // run as count deltas at LUT speed.
-        let noisy =
-            ScenarioSpec { fault: FaultModel::BitError(0.01), ..ScenarioSpec::this_work(4) };
-        assert!(engine(noisy).uses_count_table());
-        // The MUX tree counts too, faulted or not.
-        for fault in [FaultModel::None, FaultModel::BitError(0.01)] {
-            let mux = engine(ScenarioSpec { fault, ..ScenarioSpec::old_sc(4) });
-            assert!(mux.uses_count_table(), "{fault:?}");
-        }
-    }
-
-    #[test]
-    fn counts_beyond_the_lane_ceiling_run_the_streaming_path() {
-        // 15-bit stream counts overflow the 16-bit lanes.
-        for (spec, counts) in [
-            (ScenarioSpec::this_work(12), true),
-            (ScenarioSpec::this_work(15), false),
-            (ScenarioSpec::old_sc(15), false),
-        ] {
-            assert_eq!(engine(spec).uses_count_table(), counts, "{}", spec.label());
-        }
-    }
-
-    #[test]
     fn deduped_pixel_streams_match_direct_conversion() {
         // The per-distinct-level cache must reproduce exactly what one
         // comparator conversion per pixel used to produce.
@@ -977,31 +951,6 @@ mod tests {
     }
 
     #[test]
-    fn stuck_at_faults_are_bit_exact_across_paths() {
-        // Stuck-at faults are deterministic, so the count-domain overrides
-        // must reproduce the streaming datapath defect bit for bit.
-        let img = test_image(19);
-        for site in [
-            FaultSite::LutTap { tap: 7 },
-            FaultSite::LutTap { tap: 24 },
-            FaultSite::AdderNode { node: 0 },
-            FaultSite::AdderNode { node: 16 },
-            FaultSite::AdderNode { node: 30 },
-        ] {
-            for value in [false, true] {
-                let fault = FaultModel::StuckAt { site, value };
-                let engine = engine(ScenarioSpec { fault, ..ScenarioSpec::this_work(6) });
-                assert!(engine.uses_count_table());
-                assert_eq!(
-                    engine.forward_image(&img).unwrap(),
-                    engine.forward_image_streaming(&img).unwrap(),
-                    "{site} value={value}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn stuck_at_validation_rejects_bad_sites() {
         let c = conv();
         let stuck_at = |site| FaultModel::StuckAt { site, value: true };
@@ -1030,74 +979,5 @@ mod tests {
             value: false,
         };
         assert!(make(compound).is_ok());
-    }
-
-    #[test]
-    fn count_domain_faults_match_streaming_statistics() {
-        // Both fault paths sample Bernoulli(p) per stream bit — flip-count
-        // moments must match the Binomial(784·N, p) law, and the ternary
-        // feature perturbation rate must agree across paths (the two
-        // realizations differ; their statistics must not).
-        for (preset, ber) in [
-            (ScenarioSpec::this_work(4), 0.1f64),
-            (ScenarioSpec::this_work(6), 0.05),
-            (ScenarioSpec::old_sc(4), 0.1),
-            (ScenarioSpec::old_sc(6), 0.05),
-        ] {
-            let bits = preset.bits;
-            let clean = engine(preset);
-            let engine = engine(ScenarioSpec { fault: FaultModel::BitError(ber), ..preset });
-            let plan = engine.fault_plan.as_ref().expect("ber > 0 builds a plan");
-            let n = engine.stream_len();
-            let images = 24u64;
-            let (mut lut_flips, mut str_flips) = (Vec::new(), Vec::new());
-            let (mut lut_frac, mut str_frac) = (0.0f64, 0.0f64);
-            for i in 0..images {
-                let img = test_image(i * 17 + 3);
-                let levels: Vec<usize> =
-                    img.iter().map(|&v| pixel_level(v, bits) as usize).collect();
-                lut_flips.push(plan.image_faults(&levels, i).flips as f64);
-                let noisy = engine.pixel_streams(&img).unwrap();
-                let base_streams = clean.pixel_streams(&img).unwrap();
-                let flips: u64 = (0..img.len())
-                    .map(|p| {
-                        noisy
-                            .stream(p)
-                            .iter()
-                            .zip(base_streams.stream(p))
-                            .map(|(a, b)| u64::from((a ^ b).count_ones()))
-                            .sum::<u64>()
-                    })
-                    .sum();
-                str_flips.push(flips as f64);
-                let base = clean.forward_image(&img).unwrap();
-                let frac = |out: &[f32]| {
-                    out.iter().zip(&base).filter(|(a, b)| (**a - **b).abs() > 0.5).count() as f64
-                        / base.len() as f64
-                };
-                lut_frac += frac(&engine.forward_image_indexed(&img, i).unwrap());
-                str_frac += frac(&engine.forward_image_streaming(&img).unwrap());
-            }
-            let stats = |v: &[f64]| {
-                let m = v.iter().sum::<f64>() / v.len() as f64;
-                let var = v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() - 1) as f64;
-                (m, var)
-            };
-            let case = preset.label();
-            let (lm, lv) = stats(&lut_flips);
-            let (sm, sv) = stats(&str_flips);
-            let expect_mean = 784.0 * n as f64 * ber;
-            let expect_var = expect_mean * (1.0 - ber);
-            assert!((lm - expect_mean).abs() < 0.05 * expect_mean, "{case} lut mean {lm}");
-            assert!((sm - expect_mean).abs() < 0.05 * expect_mean, "{case} str mean {sm}");
-            assert!(lv > 0.3 * expect_var && lv < 3.0 * expect_var, "{case} lut var {lv}");
-            assert!(sv > 0.3 * expect_var && sv < 3.0 * expect_var, "{case} str var {sv}");
-            let (lf, sf) = (lut_frac / images as f64, str_frac / images as f64);
-            assert!(lf > 0.0 && sf > 0.0, "{case} lut {lf} streaming {sf}");
-            assert!(
-                (lf - sf).abs() < 0.25 * lf.max(sf) + 0.01,
-                "{case} perturbation rates diverge: lut {lf} vs streaming {sf}"
-            );
-        }
     }
 }

@@ -522,11 +522,13 @@ fn feature_bits(features: &Dataset) -> Vec<u32> {
     (0..features.len()).flat_map(|i| features.item(i).iter().map(|v| v.to_bits())).collect()
 }
 
-/// The composed streaming retrain — faulted feature gathers, sharded
-/// `train_epoch`, then the paired before/after evaluation — must produce
+/// The composed retrain — faulted feature extraction, sharded
+/// `train_epoch` over the extracted training features, then the
+/// before/after evaluations on the extracted test features — must produce
 /// the same report and the same trained tail, bit for bit, for every
 /// `SCNN_THREADS` value. Bit errors make the absolute-index fault seeding
-/// of the gathered batches matter.
+/// of the extracted images matter. With metrics on, the head counts one
+/// forward per distinct image.
 #[test]
 fn retrain_identical_for_any_thread_count() {
     use scnn_core::{retrain, RetrainConfig};
@@ -549,7 +551,13 @@ fn retrain_identical_for_any_thread_count() {
         });
         (report, weights)
     };
+    scnn_obs::force(true, false);
+    let head_images = scnn_obs::registry().counter("conv/images");
+    head_images.reset();
     let (reference, reference_weights) = run("1");
+    scnn_obs::force(false, false);
+    let distinct = (train.len() + test.len()) as u64;
+    assert_eq!(head_images.get(), distinct, "head forwards in one retrain");
     for threads in ["2", "8"] {
         let (report, weights) = run(threads);
         assert_eq!(report, reference, "report differs with {threads} threads");

@@ -46,18 +46,6 @@ proptest! {
         }
     }
 
-    /// The stochastic engine is deterministic: same configuration and image
-    /// → identical features.
-    #[test]
-    fn stochastic_engine_deterministic(seed in 0u64..500, bits in 3u32..=7) {
-        let conv = small_conv(seed);
-        let image = image_from_seed(seed);
-        let spec = ScenarioSpec::this_work(bits);
-        let a = spec.stochastic_conv(&conv).unwrap().forward_image(&image).unwrap();
-        let b = spec.stochastic_conv(&conv).unwrap().forward_image(&image).unwrap();
-        prop_assert_eq!(a, b);
-    }
-
     /// Raising the soft threshold can only move features toward zero.
     #[test]
     fn soft_threshold_monotone(seed in 0u64..500, tau in 0.0f32..2.0) {

@@ -6,8 +6,10 @@
 //! trivially a `BatchSource`; a [`ChunkLoader`] produces chunks on demand
 //! from a closure (decode a file chunk, synthesize items, compute
 //! features); and `scnn-core`'s `FeatureSource` streams a hybrid
-//! network's first-layer features without ever materializing the full
-//! feature tensor.
+//! network's first-layer features for one evaluation pass without
+//! materializing the full feature tensor. Training reads every item once
+//! per epoch, so `scnn-core`'s retraining extracts the features into a
+//! [`Dataset`] once instead of streaming them.
 //!
 //! Evaluation pipelines ([`Network::evaluate`](crate::Network::evaluate))
 //! consume any `BatchSource` through the [`parallel`](crate::parallel)

@@ -227,8 +227,7 @@ impl Network {
     ///
     /// Data parallelism is *within* each batch: the shuffled batch is cut
     /// into a fixed number of shards (eight, or the batch size when
-    /// smaller), each shard gathers its items
-    /// (so streaming sources compute their chunks concurrently too), runs
+    /// smaller), each shard gathers its items on its worker thread, runs
     /// forward/backward on a clone of the current parameters with a
     /// `(batch, shard)`-seeded dropout stream, and the shard gradients are
     /// reduced in shard order on the calling thread before the single
@@ -418,63 +417,6 @@ impl Network {
         Ok((count_correct(&logits, &labels)?, f64::from(loss)))
     }
 
-    /// Evaluates two networks — e.g. an un-retrained and a retrained tail —
-    /// over **one** pass of a [`BatchSource`], returning their evaluations
-    /// in argument order. Each batch is materialized once and forwarded
-    /// through both networks, so a streaming source (feature extraction,
-    /// chunk decoding) pays its per-batch cost once instead of per network.
-    /// Batches are distributed and reduced exactly like
-    /// [`evaluate`](Self::evaluate), so each result is byte-identical with
-    /// evaluating that network alone, for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer shape and source errors.
-    pub fn evaluate_pair<S: BatchSource + ?Sized>(
-        a: &Network,
-        b: &Network,
-        source: &S,
-        batch_size: usize,
-    ) -> Result<(Evaluation, Evaluation), Error> {
-        assert!(batch_size > 0, "batch size must be positive");
-        let _pass = scnn_obs::span("nn/evaluate_pair");
-        let total = source.len();
-        let batches: Vec<std::ops::Range<usize>> =
-            (0..total).step_by(batch_size).map(|s| s..(s + batch_size).min(total)).collect();
-        type PairResult = Result<[(usize, f64); 2], Error>;
-        let per_batch: Vec<PairResult> = crate::parallel::par_chunk_map(batches.len(), |range| {
-            let mut workers = [a.clone(), b.clone()];
-            range
-                .map(|bi| {
-                    let (x, labels) = source.batch_range(batches[bi].clone())?;
-                    let mut out = [(0usize, 0.0f64); 2];
-                    for (worker, slot) in workers.iter_mut().zip(&mut out) {
-                        let logits = worker.forward(&x, false)?;
-                        let (loss, _) = softmax_cross_entropy(&logits, &labels)?;
-                        *slot = (count_correct(&logits, &labels)?, f64::from(loss));
-                    }
-                    Ok(out)
-                })
-                .collect()
-        });
-        let mut correct = [0usize; 2];
-        let mut loss_total = [0.0f64; 2];
-        for result in per_batch {
-            let pair = result?;
-            for (i, (batch_correct, batch_loss)) in pair.into_iter().enumerate() {
-                correct[i] += batch_correct;
-                loss_total[i] += batch_loss;
-            }
-        }
-        let evaluation = |i: usize| Evaluation {
-            accuracy: correct[i] as f64 / total as f64,
-            loss: (loss_total[i] / batches.len().max(1) as f64) as f32,
-            correct: correct[i],
-            total,
-        };
-        Ok((evaluation(0), evaluation(1)))
-    }
-
     /// Decomposes the network into its boxed layers (for recomposing heads
     /// and tails, as the retraining pipeline does).
     pub fn into_layers(self) -> Vec<Box<dyn Layer>> {
@@ -658,25 +600,6 @@ mod tests {
         // Single-item batches too.
         let b = net.train_epoch_threads(&ds, 1, &mut opt, 1, 4).unwrap();
         assert!(b.is_finite());
-    }
-
-    #[test]
-    fn evaluate_pair_matches_individual_evaluations() {
-        let ds = xor_dataset();
-        let mut a = Network::new();
-        a.push(Dense::new(2, 8, 11));
-        a.push(Relu::new());
-        a.push(Dense::new(8, 2, 12));
-        let mut b = a.clone();
-        let mut opt = Sgd::new(0.4);
-        for epoch in 0..10 {
-            b.train_epoch(&ds, 16, &mut opt, epoch).unwrap();
-        }
-        let (pa, pb) = Network::evaluate_pair(&a, &b, &ds, 13).unwrap();
-        let ea = a.evaluate(&ds, 13).unwrap();
-        let eb = b.evaluate(&ds, 13).unwrap();
-        assert_eq!(pa, ea);
-        assert_eq!(pb, eb);
     }
 
     #[test]
