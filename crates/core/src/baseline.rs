@@ -1,7 +1,7 @@
 use crate::Error;
 use scnn_bitstream::Precision;
 use scnn_nn::layers::{Conv2d, Padding};
-use scnn_nn::quant::{pixel_level, quantize_bipolar, scale_kernels, soft_threshold};
+use scnn_nn::quant::{pixel_level, quantize_bipolar, scale_kernels};
 
 /// Side length of the input images all first-layer engines process.
 pub const IMAGE_SIDE: usize = 28;
@@ -117,17 +117,12 @@ pub(crate) fn window_taps(
     })
 }
 
-/// The ternary activation: `sign(v)` with soft threshold `tau`.
+/// The ternary activation `sign(soft_threshold(v, tau))` (`+0.0` for a zero
+/// or NaN result), branch-free so that a loop over outputs vectorizes.
 #[inline]
 pub(crate) fn ternary(v: f32, tau: f32) -> f32 {
-    let v = soft_threshold(v, tau);
-    if v > 0.0 {
-        1.0
-    } else if v < 0.0 {
-        -1.0
-    } else {
-        0.0
-    }
+    let sign = i8::from(v > 0.0) - i8::from(v < 0.0);
+    f32::from(if v.abs() <= tau { 0 } else { sign })
 }
 
 /// Rejects images that are not 28×28.
@@ -299,6 +294,7 @@ impl FirstLayer for BinaryConvLayer {
 mod tests {
     use super::*;
     use scnn_nn::lenet::{lenet5_head, LenetConfig};
+    use scnn_nn::quant::soft_threshold;
     use scnn_nn::Tensor;
 
     fn test_image(seed: u64) -> Vec<f32> {
@@ -391,6 +387,26 @@ mod tests {
         // Corner window: only the inner 3×3 of the 5×5 remains.
         let corner: Vec<_> = window_taps(5, 0, 0).filter(|(_, p)| p.is_some()).collect();
         assert_eq!(corner.len(), 9);
+    }
+
+    #[test]
+    fn ternary_is_the_sign_of_the_soft_threshold() {
+        let sign = |v: f32| {
+            if v > 0.0 {
+                1.0
+            } else if v < 0.0 {
+                -1.0
+            } else {
+                0.0
+            }
+        };
+        let values = [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 3.0, -3.0, f32::INFINITY, f32::NAN];
+        for tau in [0.0, 0.25, 1.0, -1.0, f32::NAN] {
+            for v in values {
+                let want: f32 = sign(soft_threshold(v, tau));
+                assert_eq!(ternary(v, tau).to_bits(), want.to_bits(), "v={v} tau={tau}");
+            }
+        }
     }
 
     #[test]

@@ -37,20 +37,16 @@
 //! way round for a negative weight. The table stores each (level, tap)
 //! row already split, so the two adder trees of every lane are one
 //! `2 · lanes`-wide tree, and every per-node `(x + y + S0) >> 1` is one
-//! plain loop over a row, which the compiler can vectorize. The lane
+//! pass over fixed 64-lane blocks, which the compiler vectorizes. The lane
 //! ceiling is [`MAX_LEAF_COUNT`]: with every leaf count at most 32767 the
 //! transient `x + y + S0 ≤ 65535` fits the lane, so streams of 14-bit
 //! precision and under fold exactly ([`table_fits`] is the gate).
 //!
-//! A [`LaneTree`] has no leaf buffer. [`fold`](LaneTree::fold),
-//! [`fold_stuck`](LaneTree::fold_stuck) and [`sum`](LaneTree::sum) take
-//! the leaves as borrowed split rows — table rows in place, a zero row for
-//! an idle tap, or a caller's perturbed copy — so the bottom level reads
-//! the table directly. The fold walks only the **live prefix** of each
-//! level (the padded tail above `taps` is all-zero by construction —
-//! ~20 % of the nodes at 784 taps) and its scratch holds only inner nodes,
-//! each written before it is read, so a forward builds one tree per call
-//! and reuses it across windows with nothing to reset.
+//! A [`LaneTree`] has no leaf buffer: its folds take the leaves as one
+//! slice of borrowed split rows — table rows in place, or a caller's
+//! perturbed copy — and fold only the **live prefix** of each level (~20 %
+//! of the nodes at 784 taps are padding), so a forward builds one tree per
+//! call and reuses it across windows with nothing to reset.
 //!
 //! # Example: count a dot product through the table
 //!
@@ -72,7 +68,8 @@
 //! let mut tree = LaneTree::new(3, 2, S0Policy::Alternating, n)?;
 //! // Input level 9 on every tap: the leaves are the table's rows, read in
 //! // place.
-//! let root = tree.fold(|tap| table.row(9, tap));
+//! let rows: Vec<&[u16]> = (0..3).map(|tap| table.row(9, tap)).collect();
+//! let root = tree.fold(&rows);
 //! // One scaled sum per lane and sign.
 //! let (pos, neg) = root.split_at(2);
 //! assert!(pos.iter().chain(neg).all(|&count| usize::from(count) <= n));
@@ -92,15 +89,6 @@ pub const MAX_LUT_ENTRIES: usize = 1 << 24;
 /// `2·count + 1` overflowing the 16-bit lane: `(2¹⁶ − 1 − 1) / 2 = 32767`,
 /// i.e. streams of 14-bit precision and under.
 pub const MAX_LEAF_COUNT: u16 = (u16::MAX - 1) / 2;
-
-/// One TFF adder node on one lane: `(x + y + S0) >> 1` — exactly
-/// [`scnn_sim::TffAdder::add_count`] for both rounding directions. With
-/// both inputs within [`MAX_LEAF_COUNT`] the sum never wraps and the mask
-/// is a no-op; it bounds the result to 15 bits all the same.
-#[inline]
-fn tff_node(x: u16, y: u16, s0: bool) -> u16 {
-    (x.wrapping_add(y).wrapping_add(u16::from(s0)) >> 1) & 0x7FFF
-}
 
 /// Whether a level table for `n`-bit streams over `taps × lanes` weights
 /// fits the memory budget *and* the 16-bit lane arithmetic (the fold's
@@ -210,6 +198,19 @@ pub fn split_by_sign(weight_neg: &[bool], taps: usize, tap: usize, count: u16) -
     row
 }
 
+/// Lanes per fold block: four AVX2 (eight SSE2) registers of `u16`, so a
+/// node folds with no per-lane bounds checks. The production head's 32
+/// kernels are exactly one block.
+const BLOCK: usize = 64;
+type Block = [u16; BLOCK];
+/// The right child of an unpaired node.
+const ZERO: Block = [0; BLOCK];
+
+/// An inner node's block, cache-line aligned so no load straddles lines.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct Node(Block);
+
 /// A multi-lane TFF adder tree over split rows, folded in `u16` lanes.
 ///
 /// One tree carries the positive and the negative tree of every lane:
@@ -222,14 +223,14 @@ pub fn split_by_sign(weight_neg: &[bool], taps: usize, tap: usize, count: u16) -
 /// [`TffAdderTree::fold_counts`](scnn_sim::TffAdderTree::fold_counts) on
 /// that lane's taps (property-tested in `scnn-core`).
 ///
-/// The leaves are borrowed: `leaf(tap)` returns tap `tap`'s split row,
-/// which the bottom level reads in place. [`fold`](Self::fold) walks only
-/// the **live prefix** of each level: the padded tail above `taps` is
-/// all-zero by construction (a zero pair folds to zero under either
-/// rounding direction), so an unpaired last node folds against a zero row
-/// and the tail is never touched. The scratch holds only inner nodes, each
-/// written before it is read, so one tree can be reused for any number of
-/// folds.
+/// A fold takes one borrowed split row per tap and reads them in place. It
+/// runs block by block: each node folds a fixed array of 64 lanes, its S0
+/// read from a table built in [`new`](Self::new). Lanes past the last
+/// whole block are first copied into zero-padded blocks. Only the **live
+/// prefix** of each level is folded: the padded tail above `taps` is
+/// all-zero (a zero pair folds to zero either way), so an unpaired node
+/// folds against a zero block. Every inner node is written before it is
+/// read, so one tree serves any number of folds.
 ///
 /// Count ceiling: the per-node transient `x + y + S0` lives in a 16-bit
 /// lane, so every leaf count must satisfy `2·count + 1 ≤ u16::MAX`
@@ -241,15 +242,16 @@ pub fn split_by_sign(weight_neg: &[bool], taps: usize, tap: usize, count: u16) -
 pub struct LaneTree {
     taps: usize,
     lanes: usize,
-    padded: usize,
-    policy: S0Policy,
-    /// Bottom-level nodes: `taps.div_ceil(2)` rows; the upper levels
-    /// alternate between this buffer and `upper`.
-    bottom: Vec<u16>,
-    /// `taps.div_ceil(4)` rows.
-    upper: Vec<u16>,
-    /// One all-zero row: the right child of an unpaired node.
-    zero: Vec<u16>,
+    /// Breadth-first number of each live node, in fold order.
+    numbers: Vec<usize>,
+    /// S0 (`0` or `1`) of each live node, in fold order.
+    s0: Vec<u16>,
+    /// One block per live node, in fold order; the last one is the root.
+    nodes: Vec<Node>,
+    /// Each tap's lanes past the last whole block, zero-padded, if any.
+    partial: Vec<Block>,
+    /// The root split row.
+    root: Vec<u16>,
 }
 
 impl LaneTree {
@@ -277,27 +279,24 @@ impl LaneTree {
                  (ceiling {MAX_LEAF_COUNT})"
             )));
         }
-        let width = 2 * lanes;
+        let numbers = live_nodes(taps);
         Ok(Self {
             taps,
             lanes,
-            padded: taps.next_power_of_two(),
-            policy,
-            bottom: vec![0; taps.div_ceil(2) * width],
-            upper: vec![0; taps.div_ceil(4) * width],
-            zero: vec![0; width],
+            s0: numbers.iter().map(|&node| u16::from(policy.state_for(node))).collect(),
+            nodes: vec![Node(ZERO); numbers.len()],
+            numbers,
+            partial: vec![ZERO; if (2 * lanes).is_multiple_of(BLOCK) { 0 } else { taps }],
+            root: vec![0; 2 * lanes],
         })
     }
 
     /// Folds the tree bottom-up over the live prefix of each level and
     /// returns the root split row: each lane's positive root, then each
-    /// lane's negative root.
-    ///
-    /// `leaf(tap)` is called once per tap and must return a split row of
-    /// at least `2 · lanes` counts; debug builds assert the leaf-count
-    /// ceiling the constructor declared.
-    pub fn fold<'a>(&mut self, leaf: impl Fn(usize) -> &'a [u16]) -> &[u16] {
-        self.fold_with(leaf, None)
+    /// lane's negative root. `rows` holds one split row per tap, at least
+    /// `2 · lanes` long; debug builds assert the declared count ceiling.
+    pub fn fold(&mut self, rows: &[&[u16]]) -> &[u16] {
+        self.fold_pinned(rows, usize::MAX, 0)
     }
 
     /// [`fold`](Self::fold) with a stuck-at fault: node `node` (numbered
@@ -312,51 +311,52 @@ impl LaneTree {
     /// tail, so a defect there has no dataflow to intervene on. The
     /// engines validate sites at construction; here a dead or out-of-range
     /// node simply never matches and the fold equals [`fold`](Self::fold).
-    pub fn fold_stuck<'a>(
-        &mut self,
-        leaf: impl Fn(usize) -> &'a [u16],
-        node: usize,
-        value: u16,
-    ) -> &[u16] {
-        self.fold_with(leaf, Some((node, value)))
+    pub fn fold_stuck(&mut self, rows: &[&[u16]], node: usize, value: u16) -> &[u16] {
+        let at = self.numbers.iter().position(|&n| n == node).unwrap_or(usize::MAX);
+        self.fold_pinned(rows, at, value)
     }
 
-    fn fold_with<'a>(
-        &mut self,
-        leaf: impl Fn(usize) -> &'a [u16],
-        stuck: Option<(usize, u16)>,
-    ) -> &[u16] {
-        let Self { taps, lanes, padded, policy, bottom, upper, zero } = self;
-        let width = 2 * *lanes;
-        let leaf = |tap: usize| {
-            let row = &leaf(tap)[..width];
-            debug_assert!(
-                row.iter().all(|&c| c <= MAX_LEAF_COUNT),
-                "LaneTree leaf counts must satisfy 2·count + 1 ≤ u16::MAX"
-            );
-            row
-        };
-        if *taps == 1 {
-            bottom.copy_from_slice(leaf(0));
-            return bottom;
+    /// The fold, with the live node at fold position `pin_at` (if any)
+    /// emitting `pin_value` on its positive half.
+    fn fold_pinned(&mut self, rows: &[&[u16]], pin_at: usize, pin_value: u16) -> &[u16] {
+        let width = self.stage(rows);
+        let Self { lanes, s0, nodes, partial, root, .. } = self;
+        let (s0, nodes, partial): (&[u16], &mut [Node], &[Block]) = (s0, nodes, partial);
+        if rows.len() == 1 {
+            root.copy_from_slice(&rows[0][..width]);
+            return root;
         }
-        let level = Level { width, lanes: *lanes, policy: *policy, stuck, zero: &zero[..] };
-        level.fold(bottom, *taps, 0, leaf);
-        // Dead pairs fold zeros to zero under either rounding direction,
-        // so only the node *numbering* must account for them: each level
-        // starts `level_width / 2` nodes further on.
-        let (mut live, mut level_width) = (taps.div_ceil(2), *padded / 2);
-        let mut node_base = level_width;
-        let (mut cur, mut next) = (bottom, upper);
-        while level_width > 1 {
-            let src: &[u16] = cur;
-            level.fold(next, live, node_base, |row| &src[row * width..(row + 1) * width]);
-            live = live.div_ceil(2);
-            node_base += level_width / 2;
-            level_width /= 2;
-            std::mem::swap(&mut cur, &mut next);
+        for (b, root) in root.chunks_mut(BLOCK).enumerate() {
+            let positive = lanes.saturating_sub(b * BLOCK).min(BLOCK);
+            // The bottom level reads the leaf rows in place.
+            let pairs = nodes.iter_mut().zip(s0).zip(rows.chunks(2));
+            for (i, ((node, &s0), pair)) in pairs.enumerate() {
+                let x = leaf_block(pair[0], partial, 2 * i, b, width);
+                let y = match pair.get(1) {
+                    Some(row) => leaf_block(row, partial, 2 * i + 1, b, width),
+                    None => &ZERO,
+                };
+                node.0 = tff_block(x, y, s0);
+                if i == pin_at {
+                    node.0[..positive].fill(pin_value);
+                }
+            }
+            // Each upper level reads the level below it.
+            let (mut start, mut live) = (0, rows.len().div_ceil(2));
+            while live > 1 {
+                let (below, above) = nodes.split_at_mut(start + live);
+                let pairs = above.iter_mut().zip(&s0[start + live..]).zip(below[start..].chunks(2));
+                for (i, ((node, &s0), pair)) in pairs.enumerate() {
+                    node.0 = tff_block(&pair[0].0, pair.get(1).map_or(&ZERO, |y| &y.0), s0);
+                    if start + live + i == pin_at {
+                        node.0[..positive].fill(pin_value);
+                    }
+                }
+                (start, live) = (start + live, live.div_ceil(2));
+            }
+            root.copy_from_slice(&nodes[start].0[..root.len()]);
         }
-        &cur[..width]
+        root
     }
 
     /// Sums the leaf rows lane-wise into the root split row — the MUX
@@ -364,57 +364,55 @@ impl LaneTree {
     /// cycle reaches the root through exactly one tap. The caller
     /// guarantees every lane's sum stays below `2¹⁶` (route-masked counts
     /// of one tree add up to at most the stream length).
-    pub fn sum<'a>(&mut self, leaf: impl Fn(usize) -> &'a [u16]) -> &[u16] {
-        let width = 2 * self.lanes;
-        let root = &mut self.bottom[..width];
-        root.copy_from_slice(&leaf(0)[..width]);
-        for tap in 1..self.taps {
-            for (r, &c) in root.iter_mut().zip(&leaf(tap)[..width]) {
-                *r = r.wrapping_add(c);
-            }
-        }
-        root
-    }
-}
-
-/// One level of a [`LaneTree`] fold: the per-fold constants.
-struct Level<'z> {
-    width: usize,
-    lanes: usize,
-    policy: S0Policy,
-    stuck: Option<(usize, u16)>,
-    zero: &'z [u16],
-}
-
-impl Level<'_> {
-    /// Folds `live` input rows (from `row`) pairwise into the first
-    /// `live.div_ceil(2)` rows of `dst`, nodes numbered from `node_base`.
-    /// An unpaired last row folds against zero, a stuck node pins its
-    /// positive half.
-    #[inline]
-    fn fold<'a>(
-        &self,
-        dst: &mut [u16],
-        live: usize,
-        node_base: usize,
-        row: impl Fn(usize) -> &'a [u16],
-    ) {
-        let w = self.width;
-        for (i, out) in dst.chunks_exact_mut(w).take(live.div_ceil(2)).enumerate() {
-            let node = node_base + i;
-            let x = row(2 * i);
-            let y = if 2 * i + 1 < live { row(2 * i + 1) } else { self.zero };
-            let s0 = self.policy.state_for(node);
-            for ((d, &a), &b) in out.iter_mut().zip(&x[..w]).zip(&y[..w]) {
-                *d = tff_node(a, b, s0);
-            }
-            if let Some((stuck, value)) = self.stuck {
-                if stuck == node {
-                    out[..self.lanes].fill(value);
+    pub fn sum(&mut self, rows: &[&[u16]]) -> &[u16] {
+        let width = self.stage(rows);
+        for (b, root) in self.root.chunks_mut(BLOCK).enumerate() {
+            let mut acc = ZERO;
+            for (t, row) in rows.iter().enumerate() {
+                for (a, &c) in acc.iter_mut().zip(leaf_block(row, &self.partial, t, b, width)) {
+                    *a = a.wrapping_add(c);
                 }
             }
+            root.copy_from_slice(&acc[..root.len()]);
         }
+        &self.root
     }
+
+    /// Checks the leaf rows and copies each tap's lanes past the last whole
+    /// block into its zero-padded block; returns the row width.
+    fn stage(&mut self, rows: &[&[u16]]) -> usize {
+        let width = 2 * self.lanes;
+        assert_eq!(rows.len(), self.taps, "a LaneTree needs one leaf row per tap");
+        debug_assert!(
+            rows.iter().all(|row| row[..width].iter().all(|&c| c <= MAX_LEAF_COUNT)),
+            "LaneTree leaf counts must satisfy 2·count + 1 ≤ u16::MAX"
+        );
+        let whole = width / BLOCK * BLOCK;
+        for (block, row) in self.partial.iter_mut().zip(rows) {
+            block[..width - whole].copy_from_slice(&row[whole..width]);
+        }
+        width
+    }
+}
+
+/// Block `b` of tap `t`'s leaf row of width `w`: in place if the row holds
+/// it whole, else the tap's zero-padded block in `pads`.
+#[inline(always)]
+fn leaf_block<'a>(row: &'a [u16], pads: &'a [Block], t: usize, b: usize, w: usize) -> &'a Block {
+    match row[..w].get(b * BLOCK..(b + 1) * BLOCK) {
+        Some(block) => block.try_into().expect("a whole block"),
+        None => &pads[t],
+    }
+}
+
+/// One TFF adder node over a block of lanes: `(x + y + S0) >> 1` per lane
+/// — exactly [`scnn_sim::TffAdder::add_count`] for both rounding
+/// directions. With both inputs within [`MAX_LEAF_COUNT`] the sum never
+/// wraps and the mask is a no-op; it bounds the result to 15 bits all the
+/// same.
+#[inline(always)]
+fn tff_block(x: &Block, y: &Block, s0: u16) -> Block {
+    std::array::from_fn(|j| (x[j].wrapping_add(y[j]).wrapping_add(s0) >> 1) & 0x7FFF)
 }
 
 /// The wide scalar TFF tree fold used by the bit-level streaming engines:
@@ -478,19 +476,22 @@ pub fn fold_tree_counts_wide(
 /// assert!(!live_fold_node(25, 31)); // out of range
 /// ```
 pub fn live_fold_node(taps: usize, node: usize) -> bool {
-    let mut width = taps.next_power_of_two();
-    let mut live = taps;
-    let mut node_base = 0usize;
-    while width > 1 {
-        let pairs = live.div_ceil(2);
-        if (node_base..node_base + pairs).contains(&node) {
-            return true;
-        }
-        node_base += width / 2;
-        width /= 2;
-        live = pairs;
+    live_nodes(taps).contains(&node)
+}
+
+/// The breadth-first numbers of a `taps`-leaf fold's live nodes, bottom
+/// level first. Dead pairs (zeros fold to zero) count only in the
+/// numbering: each level starts `level_width / 2` nodes further on.
+fn live_nodes(taps: usize) -> Vec<usize> {
+    let mut numbers = Vec::new();
+    let (mut live, mut level_width, mut base) = (taps, taps.next_power_of_two(), 0);
+    while level_width > 1 {
+        live = live.div_ceil(2);
+        numbers.extend(base..base + live);
+        base += level_width / 2;
+        level_width /= 2;
     }
-    false
+    numbers
 }
 
 /// The route masks of one MUX scaled-adder tree: stream `leaf` holds the
@@ -623,6 +624,11 @@ mod tests {
         (0..taps).map(|t| (0..2 * lanes).map(|c| count(t, c)).collect()).collect()
     }
 
+    /// The leaf rows as the slice of borrowed rows a fold takes.
+    fn refs(rows: &[Vec<u16>]) -> Vec<&[u16]> {
+        rows.iter().map(Vec::as_slice).collect()
+    }
+
     /// Column `c` of every leaf row, widened for the scalar references.
     fn column(rows: &[Vec<u16>], c: usize) -> Vec<u64> {
         rows.iter().map(|row| u64::from(row[c])).collect()
@@ -630,20 +636,24 @@ mod tests {
 
     #[test]
     fn lane_tree_matches_reference_tree_per_lane() {
-        for taps in [1usize, 3, 7, 25, 30] {
+        // Every tap count up to one past the 5×5 window's padded 32, at a
+        // width inside one lane block, exactly one block, and one block
+        // plus a partial one.
+        for taps in 1usize..=33 {
             for policy in POLICIES {
-                let lanes = 9;
-                let mut tree = LaneTree::new(taps, lanes, policy, 64).unwrap();
-                let reference = TffAdderTree::new(taps, policy).unwrap();
-                let rows = leaves(taps, lanes, |t, c| ((t * 31 + c * 17 + 5) % 64) as u16);
-                let root = tree.fold(|t| &rows[t]).to_vec();
-                assert_eq!(root.len(), 2 * lanes);
-                for (c, &got) in root.iter().enumerate() {
-                    assert_eq!(
-                        u64::from(got),
-                        reference.fold_counts(&column(&rows, c)),
-                        "taps={taps} column={c} policy={policy:?}"
-                    );
+                for lanes in [9, 32, 40] {
+                    let mut tree = LaneTree::new(taps, lanes, policy, 64).unwrap();
+                    let reference = TffAdderTree::new(taps, policy).unwrap();
+                    let rows = leaves(taps, lanes, |t, c| ((t * 31 + c * 17 + 5) % 64) as u16);
+                    let root = tree.fold(&refs(&rows)).to_vec();
+                    assert_eq!(root.len(), 2 * lanes);
+                    for (c, &got) in root.iter().enumerate() {
+                        assert_eq!(
+                            u64::from(got),
+                            reference.fold_counts(&column(&rows, c)),
+                            "taps={taps} lanes={lanes} column={c} policy={policy:?}"
+                        );
+                    }
                 }
             }
         }
@@ -652,11 +662,12 @@ mod tests {
     #[test]
     fn tff_node_is_exact_at_the_count_ceiling() {
         // (32767 + 32767 + s0) >> 1 = 32767 for both rounding directions.
-        for s0 in [false, true] {
-            assert_eq!(tff_node(MAX_LEAF_COUNT, MAX_LEAF_COUNT, s0), MAX_LEAF_COUNT, "s0={s0}");
+        let (ceiling, zero) = ([MAX_LEAF_COUNT; BLOCK], [0; BLOCK]);
+        for s0 in [0, 1] {
+            assert_eq!(tff_block(&ceiling, &ceiling, s0), ceiling, "s0={s0}");
         }
-        assert_eq!(tff_node(MAX_LEAF_COUNT, 0, true), 16384);
-        assert_eq!(tff_node(MAX_LEAF_COUNT, 0, false), 16383);
+        assert_eq!(tff_block(&ceiling, &zero, 1), [16384; BLOCK]);
+        assert_eq!(tff_block(&ceiling, &zero, 0), [16383; BLOCK]);
     }
 
     #[test]
@@ -667,7 +678,7 @@ mod tests {
             let (taps, lanes) = (32usize, 4usize);
             let mut tree = LaneTree::new(taps, lanes, policy, 32000).unwrap();
             let rows = leaves(taps, lanes, |t, c| ((t * 29 + c * 1031 + 3) % 32000) as u16);
-            let root = tree.fold(|t| &rows[t]).to_vec();
+            let root = tree.fold(&refs(&rows)).to_vec();
             for (c, &got) in root.iter().enumerate() {
                 assert_eq!(
                     u64::from(got),
@@ -686,12 +697,12 @@ mod tests {
         let first = leaves(taps, lanes, |_, _| 7);
         let second = leaves(taps, lanes, |t, c| ((t + c) % 9) as u16);
         let mut tree = LaneTree::new(taps, lanes, S0Policy::Alternating, 16).unwrap();
-        let _ = tree.fold(|t| &first[t]);
-        let _ = tree.fold_stuck(|t| &first[t], 3, 16);
-        let _ = tree.sum(|t| &first[t]);
-        let reused = tree.fold(|t| &second[t]).to_vec();
+        let _ = tree.fold(&refs(&first));
+        let _ = tree.fold_stuck(&refs(&first), 3, 16);
+        let _ = tree.sum(&refs(&first));
+        let reused = tree.fold(&refs(&second)).to_vec();
         let mut fresh = LaneTree::new(taps, lanes, S0Policy::Alternating, 16).unwrap();
-        assert_eq!(reused, fresh.fold(|t| &second[t]));
+        assert_eq!(reused, fresh.fold(&refs(&second)));
     }
 
     #[test]
@@ -700,7 +711,7 @@ mod tests {
             let lanes = 5;
             let rows = leaves(taps, lanes, |t, c| ((t * 3 + c * 7) % 11) as u16);
             let mut tree = LaneTree::new(taps, lanes, S0Policy::AllZero, 16).unwrap();
-            let root = tree.sum(|t| &rows[t]).to_vec();
+            let root = tree.sum(&refs(&rows)).to_vec();
             for (c, &got) in root.iter().enumerate() {
                 assert_eq!(u64::from(got), column(&rows, c).iter().sum::<u64>(), "column={c}");
             }
@@ -808,7 +819,7 @@ mod tests {
             for value in [0u16, 17, n as u16] {
                 for node in (0..31).filter(|&nd| live_fold_node(taps, nd)) {
                     let mut tree = LaneTree::new(taps, lanes, policy, n).unwrap();
-                    let root = tree.fold_stuck(|t| &rows[t], node, value).to_vec();
+                    let root = tree.fold_stuck(&refs(&rows), node, value).to_vec();
                     for (c, &got) in root.iter().enumerate() {
                         let mut counts = column(&rows, c);
                         counts.resize(taps.next_power_of_two(), 0);
@@ -829,10 +840,10 @@ mod tests {
         let (taps, lanes, n) = (25usize, 3usize, 64usize);
         let rows = leaves(taps, lanes, |t, c| ((t * 11 + c * 5) % (n + 1)) as u16);
         let mut tree = LaneTree::new(taps, lanes, S0Policy::Alternating, n).unwrap();
-        let healthy = tree.fold(|t| &rows[t]).to_vec();
+        let healthy = tree.fold(&refs(&rows)).to_vec();
         // Node 13 is dead for a 25-tap tree; an out-of-range index too.
-        assert_eq!(healthy, tree.fold_stuck(|t| &rows[t], 13, 50));
-        assert_eq!(healthy, tree.fold_stuck(|t| &rows[t], 1000, 50));
+        assert_eq!(healthy, tree.fold_stuck(&refs(&rows), 13, 50));
+        assert_eq!(healthy, tree.fold_stuck(&refs(&rows), 1000, 50));
     }
 
     #[test]

@@ -240,11 +240,12 @@ impl StochasticDenseLayer {
         let bits = self.precision.bits();
         let n = self.precision.stream_len() as f32;
         let max_leaf = self.precision.stream_len();
-        let levels: Vec<usize> = input.iter().map(|&v| pixel_level(v, bits) as usize).collect();
+        let levels = input.iter().map(|&v| pixel_level(v, bits) as usize);
+        let rows: Vec<&[u16]> = levels.zip(0..).map(|(level, i)| lut.row(level, i)).collect();
         let mut tree =
             LaneTree::new(self.in_features, self.out_features, DENSE_S0_POLICY, max_leaf)?;
         let _fold = scnn_obs::span("dense/fold");
-        let root = tree.fold(|i| lut.row(levels[i], i));
+        let root = tree.fold(&rows);
         let (pos, neg) = root.split_at(self.out_features);
         let scale = self.tree.scale() as f32;
         Ok(self

@@ -138,12 +138,14 @@ impl HybridLenet {
     ///
     /// # Errors
     ///
-    /// Propagates engine, source and shape errors.
+    /// Returns [`Error::Config`] for a zero `batch_size` before any image
+    /// reaches the head, and propagates engine, source and shape errors.
     pub fn evaluate<S: BatchSource + ?Sized>(
         &mut self,
         source: &S,
         batch_size: usize,
     ) -> Result<Evaluation, Error> {
+        crate::retrain::check_batch_size(batch_size)?;
         let features = FeatureSource::new(self.head.as_ref(), source);
         Ok(self.tail.evaluate(&features, batch_size)?)
     }
@@ -264,6 +266,32 @@ mod tests {
         assert_eq!(features.labels(), ds.labels());
         // Pooled sign features stay ternary.
         assert!(features.item(0).iter().all(|&v| v == -1.0 || v == 0.0 || v == 1.0));
+    }
+
+    /// A head that must never run.
+    struct Unreachable;
+
+    impl FirstLayer for Unreachable {
+        fn forward_image(&self, _: &[f32]) -> Result<Vec<f32>, Error> {
+            panic!("the head ran")
+        }
+
+        fn kernels(&self) -> usize {
+            32
+        }
+
+        fn label(&self) -> String {
+            "unreachable".into()
+        }
+    }
+
+    #[test]
+    fn zero_batch_is_rejected_before_the_head_runs() {
+        let tail = lenet5_tail(&LenetConfig::default()).unwrap();
+        let mut hybrid = HybridLenet::new(Box::new(Unreachable), tail);
+        let err = hybrid.evaluate(&synthetic::generate(4, 1), 0).unwrap_err();
+        assert!(matches!(err, Error::Config { .. }), "{err}");
+        assert!(err.to_string().contains("batch size"), "{err}");
     }
 
     #[test]

@@ -235,8 +235,8 @@ pub fn retrain(
     Ok((hybrid, RetrainReport { before, after }))
 }
 
-/// Rejects a zero batch size before any training work starts.
-fn check_batch_size(batch_size: usize) -> Result<(), Error> {
+/// Rejects a zero batch size before any training or feature work starts.
+pub(crate) fn check_batch_size(batch_size: usize) -> Result<(), Error> {
     if batch_size == 0 {
         return Err(Error::config("batch size must be positive"));
     }

@@ -94,30 +94,24 @@ pub enum AdderKind {
 ///
 /// # The level-indexed AND-count table
 ///
-/// A comparator SNG is a deterministic function of its input level: against
-/// the fixed shared `pixel_seq`, a stream can take at most `2^b + 1`
-/// distinct bit patterns — one per comparator level `0..=2^b`; the table
-/// covers them all, though `b`-bit pixel quantization saturates at level
-/// `2^b − 1` and so reads only `2^b` rows. The TFF datapath consumes
-/// streams *only* through `count(pixel ∧ weight)`, so the whole per-tap
-/// multiply-and-count collapses to a
+/// Against the fixed shared `pixel_seq`, a comparator SNG stream can take
+/// at most `2^b + 1` distinct bit patterns, one per input level, and the
+/// TFF datapath consumes streams *only* through `count(pixel ∧ weight)`.
+/// So the whole per-tap multiply-and-count collapses to a
 /// [`LevelCountTable`](crate::counts::LevelCountTable) precomputed at
 /// construction, its rows already split by weight sign.
-/// [`forward_image`](FirstLayer::forward_image) then quantizes each pixel
-/// once and, per window, folds the positive and negative trees of all `K`
-/// kernels as one [`LaneTree`](crate::counts::LaneTree) whose leaves are
-/// the table rows, read in place — zero bitstream traffic, bit-exact with
+/// [`forward_image`](FirstLayer::forward_image) quantizes each pixel once
+/// and, per window, folds the positive and negative trees of all `K`
+/// kernels as one [`LaneTree`](crate::counts::LaneTree) over the table
+/// rows, read in place — bit-exact with
 /// [`forward_image_streaming`](Self::forward_image_streaming) (checked by
-/// the oracle harness in `tests/oracle.rs`). Fault injection stays on the
-/// fast path: bit errors are lifted into per-(pixel, tap) count deltas on
-/// a copy of the row and stuck-at sites into leaf/fold overrides, so
-/// faulted sweeps run at LUT speed (see [`ScenarioSpec::fault`]). For the MUX
-/// tree the table is built over route-masked weight streams and the tree
-/// reduces by a plain lane sum instead of the fold. The streaming
+/// the oracle harness in `tests/oracle.rs`). Faults stay on this path: bit
+/// errors become per-(pixel, tap) count deltas on a copy of the row and
+/// stuck-at sites leaf/fold overrides (see [`ScenarioSpec::fault`]). For
+/// the MUX tree the table is built over route-masked weight streams and
+/// the tree reduces by a plain lane sum instead of the fold. The streaming
 /// simulation remains the reference model for both adders and the
-/// ground-truth fault reference. The shared machinery lives in
-/// [`counts`](crate::counts) and also powers
-/// [`StochasticDenseLayer`](crate::StochasticDenseLayer).
+/// ground-truth fault reference.
 #[derive(Debug, Clone)]
 pub struct StochasticConvLayer {
     bank: KernelBank,
@@ -417,12 +411,14 @@ impl StochasticConvLayer {
     }
 
     /// The count-domain fast path: quantize each pixel once, then per
-    /// window reduce one split-row tree for all kernels — a TFF fold, or a
-    /// plain sum of the route-masked MUX counts — whose leaves are the
-    /// table rows of the window's pixels, read in place. `image_index`
-    /// seeds the bit-error flip set (ignored when the engine is
-    /// fault-free), keeping faulted results byte-identical for any thread
-    /// count or batch order.
+    /// window gather its leaf rows once (table rows in place, perturbed
+    /// copies, the stuck AND line's row) and reduce them as one split-row
+    /// tree for all kernels: a TFF fold, or a plain sum of the route-masked
+    /// MUX counts. All kernels' comparators run at once, branch-free, into
+    /// a buffer of the image row's windows, stored into the
+    /// `[kernel][pixel]` output once per row. `image_index` seeds the
+    /// bit-error flip set, keeping faulted results byte-identical for any
+    /// thread count or batch order.
     fn forward_image_lut(
         &self,
         lut: &LevelCountTable,
@@ -474,49 +470,55 @@ impl StochasticConvLayer {
         }
         // Counter difference to scaled dot-product units. Both factors are
         // powers of two, so the one multiplier is exact.
-        let unit = self.padded as f32 / self.n as f32;
+        let (unit, tau) = (self.padded as f32 / self.n as f32, self.spec.soft_threshold);
         let mut out = vec![0.0f32; lanes * n_out];
         let ksq = ksize * ksize;
-        let width = 2 * lanes;
-        let stuck_leaf = self.stuck_leaf.as_ref().map(|(tap, row)| (*tap, row.as_slice()));
         let mut tree = LaneTree::new(ksq, lanes, self.spec.s0_policy, self.n)?;
-        // Per-window copies of the table rows of pixels with bit flips.
-        let mut perturbed = vec![false; ksq];
-        let mut fault_rows = vec![0u16; ksq * width];
+        // Per image row: a perturbed copy of any window tap's table row,
+        // and the comparator outputs, `[window][kernel]`.
+        let mut copies = vec![0u16; IMAGE_SIDE * ksq * 2 * lanes * usize::from(faults.is_some())];
+        let mut row_out = vec![0.0f32; IMAGE_SIDE * lanes];
         let _fold = scnn_obs::span("conv/fold");
         for oy in 0..IMAGE_SIDE {
-            for ox in 0..IMAGE_SIDE {
+            let mut spare = copies.chunks_exact_mut(2 * lanes);
+            let mut leaves: Vec<&[u16]> = vec![&[]; ksq];
+            for (ox, window_out) in row_out.chunks_exact_mut(lanes).enumerate() {
                 let corner = oy * side + ox;
+                for (t, (leaf, &offset)) in leaves.iter_mut().zip(&tap_offsets).enumerate() {
+                    *leaf = lut.row(canvas[corner + offset].0, t);
+                }
                 if let Some(f) = &faults {
-                    let rows = fault_rows.chunks_exact_mut(width);
-                    for (t, (&offset, row)) in tap_offsets.iter().zip(rows).enumerate() {
-                        let (level, p) = canvas[corner + offset];
-                        perturbed[t] = p < n_out && f.flipped(p);
-                        if perturbed[t] {
-                            row.copy_from_slice(lut.row(level, t));
-                            f.apply(p, t, row);
+                    for (t, (leaf, &offset)) in leaves.iter_mut().zip(&tap_offsets).enumerate() {
+                        let p = canvas[corner + offset].1;
+                        if p < n_out && f.flipped(p) {
+                            let copy = spare.next().expect("one copy per window tap");
+                            copy.copy_from_slice(leaf);
+                            f.apply(p, t, copy);
+                            *leaf = copy;
                         }
                     }
                 }
-                // A stuck AND-gate line overrides whatever the table (and
-                // any bit-error delta) holds — for out-of-image taps too:
-                // the defective gate drives its line regardless of the
-                // pixel feeding it.
-                let leaf = |t: usize| match stuck_leaf {
-                    Some((tap, row)) if tap == t => row,
-                    _ if perturbed[t] => &fault_rows[t * width..(t + 1) * width],
-                    _ => lut.row(canvas[corner + tap_offsets[t]].0, t),
-                };
+                // A stuck AND-gate line overrides the table and any bit-error
+                // delta, out-of-image taps included.
+                if let Some((tap, row)) = &self.stuck_leaf {
+                    leaves[*tap] = row;
+                }
                 let root = match stuck_node {
-                    _ if mux => tree.sum(leaf),
-                    Some((node, value)) => tree.fold_stuck(leaf, node, value),
-                    None => tree.fold(leaf),
+                    _ if mux => tree.sum(&leaves),
+                    Some((node, value)) => tree.fold_stuck(&leaves, node, value),
+                    None => tree.fold(&leaves),
                 };
                 let (pos, neg) = root.split_at(lanes);
-                let base = oy * IMAGE_SIDE + ox;
-                for k in 0..lanes {
-                    let v = (f32::from(pos[k]) - f32::from(neg[k])) * unit + self.bank.offsets[k];
-                    out[k * n_out + base] = ternary(v, self.spec.soft_threshold);
+                let lanes_in = pos.iter().zip(neg).zip(&self.bank.offsets);
+                for (o, ((&p, &m), &offset)) in window_out.iter_mut().zip(lanes_in) {
+                    *o = ternary((f32::from(p) - f32::from(m)) * unit + offset, tau);
+                }
+            }
+            // One store per kernel and image row.
+            for (k, plane) in out.chunks_exact_mut(n_out).enumerate() {
+                let dst = &mut plane[oy * IMAGE_SIDE..][..IMAGE_SIDE];
+                for (d, window_out) in dst.iter_mut().zip(row_out.chunks_exact(lanes)) {
+                    *d = window_out[k];
                 }
             }
         }
@@ -791,36 +793,6 @@ mod tests {
         let policy = engine.spec().s0_policy;
         assert_eq!(fold_tree_counts_wide(policy, &mut pos_counts, None), pos_ref);
         assert_eq!(fold_tree_counts_wide(policy, &mut neg_counts, None), neg_ref);
-    }
-
-    #[test]
-    fn mux_count_path_matches_streaming_oracle() {
-        // The route-masked table plus lane sum must reproduce the streamed
-        // MUX trees bit for bit, across precisions, SNG sources and seeds
-        // (the seed also draws the select streams).
-        let sources =
-            [(SourceKind::Lfsr, SourceKind::Lfsr), (SourceKind::Ramp, SourceKind::Sobol2)];
-        for bits in [2u32, 3, 4, 6, 8] {
-            for (pixel_source, weight_source) in sources {
-                for seed in [1u64, 42, 977] {
-                    let engine = engine(ScenarioSpec {
-                        pixel_source,
-                        weight_source,
-                        seed,
-                        ..ScenarioSpec::old_sc(bits)
-                    });
-                    let case =
-                        format!("bits={bits} {pixel_source:?}/{weight_source:?} seed={seed}");
-                    assert!(engine.uses_count_table(), "{case}");
-                    let img = test_image(seed + u64::from(bits));
-                    assert_eq!(
-                        engine.forward_image(&img).unwrap(),
-                        engine.forward_image_streaming(&img).unwrap(),
-                        "{case}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! One table of [`ScenarioSpec`] cases ([`cases`]) spans the engine space:
 //! head (float, binary and stochastic conv, dense unipolar and ternary),
 //! adder, precision, S0 policy, SNG sources, fault model and seed. Conv
-//! rows use 4 kernels, except a few production-width rows at the
-//! benchmarked 32. One check function per fault class runs over it:
+//! rows use 4 kernels, except the production-width rows at the
+//! benchmarked 32 and a few at 12 and 40, whose lanes fill no whole
+//! number of the fold's 64-lane blocks. One check function per fault
+//! class runs over it:
 //!
 //! * every case: conv outputs are ternary and every output is correctly
 //!   sized, two engines built from the same spec give identical bytes, and
@@ -63,6 +65,9 @@ const KERNELS: usize = 4;
 /// Kernels of the production-width rows: the benchmarked LeNet-5 first
 /// layer, so a lane-width-specific loop is checked at the measured width.
 const WIDE_KERNELS: usize = 32;
+/// Kernel counts whose `2 · K` split-row lanes end in a partial 64-lane
+/// fold block: inside the first block, and one block plus a partial one.
+const PARTIAL_BLOCK_KERNELS: [usize; 2] = [12, 40];
 const SEEDS: [u64; 3] = [1, 42, 977];
 const POLICIES: [S0Policy; 3] = [S0Policy::AllZero, S0Policy::AllOne, S0Policy::Alternating];
 /// (pixel, weight) sources of the full product: the paper's design and the
@@ -172,7 +177,7 @@ fn cases() -> Vec<Case> {
     // pairs and every seed. The S0 policy rotates with the seed, so every
     // (adder, bits, sources) cell sees all three.
     for adder in [Tff, Mux] {
-        for (b, bits) in [2, 4, 6, 8].into_iter().enumerate() {
+        for (b, bits) in [2, 3, 4, 6, 8].into_iter().enumerate() {
             for sources in SOURCES {
                 for (s, seed) in SEEDS.into_iter().enumerate() {
                     let policy = POLICIES[(b + s) % 3];
@@ -236,6 +241,24 @@ fn cases() -> Vec<Case> {
         preset(Tff, 6, stuck_line),
     ] {
         cases.push(Case::wide(spec));
+    }
+    // Production width, a stuck adder node at the bottom, the middle and
+    // the root of the 25-tap fold, under each S0 policy.
+    for (i, node) in [0, 24, 30].into_iter().enumerate() {
+        for (p, policy) in POLICIES.into_iter().enumerate() {
+            let fault = FaultModel::StuckAt {
+                site: FaultSite::AdderNode { node },
+                value: (i + p) % 2 == 0,
+            };
+            let spec = stochastic(Tff, 6, SOURCES[p % 2], policy, fault, SEEDS[i]);
+            cases.push(Case::wide(spec));
+        }
+    }
+    // Partial fold blocks: both adders fault-free.
+    for (kernels, bits) in PARTIAL_BLOCK_KERNELS.into_iter().zip([6, 8]) {
+        for adder in [Tff, Mux] {
+            cases.push(Case { kernels, ..Case::conv(preset(adder, bits, FaultModel::None)) });
+        }
     }
     // Float and binary heads: no streaming reference, but the same
     // every-case checks and index independence.

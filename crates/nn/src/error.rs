@@ -21,6 +21,12 @@ pub enum Error {
         /// Description of the failure.
         reason: String,
     },
+    /// An argument is outside its valid range (for example a zero batch
+    /// size).
+    InvalidArgument {
+        /// Description of the invalid argument.
+        reason: String,
+    },
 }
 
 impl Error {
@@ -37,6 +43,7 @@ impl fmt::Display for Error {
             }
             Error::InvalidDataset { reason } => write!(f, "invalid dataset: {reason}"),
             Error::ParseIdx { reason } => write!(f, "failed to parse idx file: {reason}"),
+            Error::InvalidArgument { reason } => write!(f, "invalid argument: {reason}"),
         }
     }
 }
@@ -53,5 +60,7 @@ mod tests {
         assert!(e.to_string().contains("[4]"));
         assert!(Error::InvalidDataset { reason: "x".into() }.to_string().contains("x"));
         assert!(Error::ParseIdx { reason: "magic".into() }.to_string().contains("magic"));
+        let arg = Error::InvalidArgument { reason: "batch size".into() };
+        assert!(arg.to_string().contains("batch size"));
     }
 }

@@ -49,9 +49,26 @@ impl Layer for MaxPool2d {
             return Err(Error::shape("spatial size at least 2×2", input.shape()));
         }
         let mut out = Tensor::zeros(&[batch, c, oh, ow]);
-        let mut argmax = vec![0usize; batch * c * oh * ow];
         let data = input.data();
         let out_data = out.data_mut();
+        if !training {
+            // Values only, with the argmax loop's first-maximum rule: each
+            // strict `>` select is one `maxps`, and no argmax is built.
+            let planes = data.chunks_exact(h * w).zip(out_data.chunks_exact_mut(oh * ow));
+            for (plane, dst) in planes {
+                for (oy, dst) in dst.chunks_exact_mut(ow).enumerate() {
+                    let top = plane[2 * oy * w..][..2 * ow].chunks_exact(2);
+                    let bottom = plane[(2 * oy + 1) * w..][..2 * ow].chunks_exact(2);
+                    for ((d, t), b) in dst.iter_mut().zip(top).zip(bottom) {
+                        *d = [t[1], b[0], b[1]]
+                            .into_iter()
+                            .fold(t[0], |m, v| if v > m { v } else { m });
+                    }
+                }
+            }
+            return Ok(out);
+        }
+        let mut argmax = vec![0usize; batch * c * oh * ow];
         for bc in 0..batch * c {
             let plane = &data[bc * h * w..(bc + 1) * h * w];
             for oy in 0..oh {
@@ -71,10 +88,8 @@ impl Layer for MaxPool2d {
                 }
             }
         }
-        if training {
-            self.argmax_cache = argmax;
-            self.input_shape_cache = Some(input.shape().to_vec());
-        }
+        self.argmax_cache = argmax;
+        self.input_shape_cache = Some(input.shape().to_vec());
         Ok(out)
     }
 
@@ -145,6 +160,19 @@ mod tests {
         let _ = pool.forward(&x, true).unwrap();
         let dx = pool.backward(&Tensor::filled(&[1, 1, 1, 1], 2.5)).unwrap();
         assert_eq!(dx.data(), &[0.0, 2.5, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn inference_values_match_the_training_pass_bit_for_bit() {
+        // Odd sizes, ties between 0.0 and −0.0, and NaNs: the values-only
+        // loop must keep the first maximum exactly as the argmax loop does.
+        let specials = [0.0, -0.0, f32::NAN, 1.0, -1.0, 0.5, 0.5, f32::NEG_INFINITY];
+        let data: Vec<f32> = (0..2 * 3 * 5 * 7).map(|i| specials[(i * 5 + i / 3) % 8]).collect();
+        let x = Tensor::from_vec(data, &[2, 3, 5, 7]).unwrap();
+        let mut pool = MaxPool2d::new();
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let inference = bits(pool.forward(&x, false).unwrap());
+        assert_eq!(inference, bits(pool.forward(&x, true).unwrap()));
     }
 
     #[test]

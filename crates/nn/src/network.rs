@@ -203,7 +203,8 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the layers, the source, or the loss.
+    /// Returns [`Error::InvalidArgument`] for a zero `batch_size`, and
+    /// propagates shape errors from the layers, the source, or the loss.
     ///
     /// [`train_epoch_threads`]: Self::train_epoch_threads
     pub fn train_epoch<S: BatchSource + ?Sized>(
@@ -238,7 +239,8 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the layers, the source, or the loss.
+    /// Returns [`Error::InvalidArgument`] for a zero `batch_size`, and
+    /// propagates shape errors from the layers, the source, or the loss.
     pub fn train_epoch_threads<S: BatchSource + ?Sized>(
         &mut self,
         source: &S,
@@ -247,7 +249,7 @@ impl Network {
         shuffle_seed: u64,
         threads: usize,
     ) -> Result<f32, Error> {
-        assert!(batch_size > 0, "batch size must be positive");
+        check_batch_size(batch_size)?;
         let _pass = scnn_obs::span("nn/train_epoch");
         let mut indices: Vec<usize> = (0..source.len()).collect();
         indices.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
@@ -369,13 +371,14 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Propagates layer shape and source errors.
+    /// Returns [`Error::InvalidArgument`] for a zero `batch_size`, and
+    /// propagates layer shape and source errors.
     pub fn evaluate<S: BatchSource + ?Sized>(
         &mut self,
         source: &S,
         batch_size: usize,
     ) -> Result<Evaluation, Error> {
-        assert!(batch_size > 0, "batch size must be positive");
+        check_batch_size(batch_size)?;
         let _pass = scnn_obs::span("nn/evaluate");
         let total = source.len();
         let batches: Vec<std::ops::Range<usize>> =
@@ -477,6 +480,14 @@ fn count_correct(logits: &Tensor, labels: &[u8]) -> Result<usize, Error> {
     Ok(correct)
 }
 
+/// Rejects a zero batch size before any work starts.
+fn check_batch_size(batch_size: usize) -> Result<(), Error> {
+    if batch_size == 0 {
+        return Err(Error::InvalidArgument { reason: "batch size must be positive".into() });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,6 +509,19 @@ mod tests {
             }
         }
         Dataset::new(data, &[2], labels).unwrap()
+    }
+
+    #[test]
+    fn zero_batch_size_is_an_error_not_a_panic() {
+        let ds = xor_dataset();
+        let mut net = Network::new();
+        net.push(Dense::new(2, 2, 1));
+        let invalid = |r: Result<_, Error>| matches!(r, Err(Error::InvalidArgument { .. }));
+        assert!(invalid(net.evaluate(&ds, 0).map(|_| ())));
+        let mut opt = Sgd::new(0.1);
+        assert!(invalid(net.train_epoch(&ds, 0, &mut opt, 3).map(|_| ())));
+        assert!(invalid(net.train_epoch_threads(&ds, 0, &mut opt, 3, 2).map(|_| ())));
+        assert!(net.evaluate(&ds, 4).is_ok());
     }
 
     #[test]
