@@ -61,7 +61,7 @@ fn binary_accuracy(net: &Network, test: &scnn_nn::data::Dataset, bits: u32) -> f
     };
     let l1 = quantize(&dense_at(net, 1));
     let l2 = quantize(&dense_at(net, 3));
-    let hits = scnn_core::parallel::par_chunk_map(test.len(), |range| {
+    let hits = scnn_nn::parallel::par_chunk_map(test.len(), |range| {
         let (mut l1, mut l2) = (l1.clone(), l2.clone());
         let mut sign = Sign::new(0.0);
         range
@@ -96,7 +96,7 @@ fn stochastic_accuracy(
         ScenarioSpec { input_mode: DenseInput::Ternary, seed: 2, ..ScenarioSpec::this_work(bits) }
             .dense_layer(&l2_float)
             .expect("engine");
-    let hits = scnn_core::parallel::par_chunk_map(test.len(), |range| {
+    let hits = scnn_nn::parallel::par_chunk_map(test.len(), |range| {
         let mut l2_float = l2_float.clone();
         range
             .map(|i| {

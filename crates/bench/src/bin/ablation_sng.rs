@@ -37,7 +37,7 @@ fn mismatch_rate(conv: &Conv2d, images: &[&[f32]], spec: &ScenarioSpec) -> f64 {
         ScenarioSpec::binary(spec.bits).first_layer(conv).expect("reference engine");
     let engine = spec.first_layer(conv).expect("engine");
     // Engines are immutable: one per-image task per parallel worker.
-    let per_image = scnn_core::parallel::par_map_range(images.len(), |i| {
+    let per_image = scnn_nn::parallel::par_map_range(images.len(), |i| {
         let reference = reference_engine.forward_image(images[i]).expect("forward");
         let got = engine.forward_image(images[i]).expect("forward");
         let mismatches = got.iter().zip(&reference).filter(|(a, b)| (*a - *b).abs() > 0.5).count();

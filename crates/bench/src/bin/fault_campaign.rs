@@ -152,6 +152,10 @@ fn run() {
 /// sparse per pixel and converges toward streaming cost once `ber · N`
 /// passes a few flips per pixel — the accuracy campaign above still
 /// sweeps those heavy rates, they just pay more of the streaming price.
+///
+/// Before timing, it asserts that the first image's faulted count-path
+/// forward equals the streaming forward bit for bit on the trained base
+/// model.
 fn record_fault_speedup(bench: &Workbench, bits_list: &[u32], json: &mut BenchJson) -> f64 {
     let images: Vec<&[f32]> = (0..bench.test.len().min(4)).map(|i| bench.test.item(i)).collect();
     let mut min_speedup = f64::INFINITY;
@@ -161,10 +165,15 @@ fn record_fault_speedup(bench: &Workbench, bits_list: &[u32], json: &mut BenchJs
         let engine = spec.stochastic_conv(bench.base.conv1()).expect("faulted engine");
         assert!(engine.uses_count_table(), "faulted TFF engine must stay on the LUT path");
         // One warm-up pass each, then one timed pass over the same images.
-        for (i, image) in images.iter().enumerate() {
-            FirstLayer::forward_image_indexed(&engine, image, i as u64).expect("warm-up");
-        }
-        engine.forward_image_streaming(images[0]).expect("warm-up");
+        // The streaming warm-up realizes index 0, as the first count-path
+        // one does: both flip the same bits, so they agree bit for bit.
+        let mut warm = images.iter().enumerate().map(|(i, image)| {
+            FirstLayer::forward_image_indexed(&engine, image, i as u64).expect("warm-up")
+        });
+        let counted = warm.next().expect("at least one test image");
+        warm.for_each(drop);
+        let streamed = engine.forward_image_streaming(images[0]).expect("warm-up");
+        assert!(counted == streamed, "faulted count path differs from streaming at {bits} bits");
         let start = Instant::now();
         for (i, image) in images.iter().enumerate() {
             FirstLayer::forward_image_indexed(&engine, image, i as u64).expect("lut forward");

@@ -65,7 +65,7 @@ fn thread_scaling(bench: &Workbench) {
     let spec = ScenarioSpec::this_work(4);
     let hybrid = scnn_core::HybridLenet::new(bench.first_layer(&spec), bench.base.tail_clone());
     let features = hybrid.extract_features(&bench.train).expect("feature extraction failed");
-    let threads = scnn_core::parallel::thread_count();
+    let threads = scnn_nn::parallel::thread_count();
     let cfg = RetrainConfig::default();
 
     let time_epoch = |width: usize| {

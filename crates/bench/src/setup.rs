@@ -227,8 +227,8 @@ pub fn prepare(effort: Effort) -> Workbench {
     eprintln!("[setup] data source: {source}, {} train / {} test images", train.len(), test.len());
     eprintln!(
         "[setup] worker threads: {} (override with {}=N)",
-        scnn_core::parallel::thread_count(),
-        scnn_core::parallel::THREADS_ENV,
+        scnn_nn::parallel::thread_count(),
+        scnn_nn::parallel::THREADS_ENV,
     );
     let config = TrainConfig { epochs: effort.base_epochs(), ..TrainConfig::default() };
     let cache = Path::new("target/scnn-cache").join(format!("base-{source}-{effort:?}.bin"));

@@ -16,7 +16,7 @@ pub const IMAGE_SIDE: usize = 28;
 /// generic over the hardware design being evaluated.
 ///
 /// `Send + Sync` are supertraits: `forward_image` takes `&self`, so one
-/// engine is shared by all [`parallel`](crate::parallel) workers during
+/// engine is shared by all [`parallel`](scnn_nn::parallel) workers during
 /// dataset-scale feature extraction. Engines are immutable after
 /// construction, so the bounds are free.
 pub trait FirstLayer: Send + Sync {
@@ -30,9 +30,9 @@ pub trait FirstLayer: Send + Sync {
 
     /// [`forward_image`](Self::forward_image) with the image's dataset
     /// index. Deterministic engines ignore the index (this default); the
-    /// stochastic engine under count-domain fault injection seeds each
-    /// image's flip set from it, so batched evaluation is byte-identical
-    /// for any worker count or visit order.
+    /// stochastic engine under bit errors seeds each image's flip set from
+    /// it, on the count path and the streaming path alike, so batched
+    /// evaluation is byte-identical for any worker count or visit order.
     ///
     /// # Errors
     ///

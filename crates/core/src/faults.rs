@@ -1,36 +1,35 @@
 //! Count-domain fault injection: the LUT-speed twin of the streaming
 //! bit-flip model.
 //!
-//! The streaming engine injects transient faults by literally flipping
-//! pixel-stream bits ([`scnn_sim::fault::inject_bit_errors`]'s Bernoulli
-//! model, gap-sampled). That forfeits the count-domain fast path — the
-//! AND-count LUT tabulates *healthy* streams. But a flip's effect on every
-//! downstream count is itself a pure function of the flipped position:
-//! flipping bit `j` of pixel `p`'s stream changes
+//! Transient faults flip pixel-stream bits under a Bernoulli model. The
+//! streaming engine flips the bits themselves, which forfeits the
+//! count-domain fast path: the AND-count LUT tabulates *healthy* streams.
+//! But a flip's effect on every downstream count is itself a pure function
+//! of the flipped position: flipping bit `j` of pixel `p`'s stream changes
 //! `count(pixel(p) ∧ weight(k, t))` by `±weight_bit(k, t, j)` — `+1` when
 //! the healthy bit was 0, `−1` when it was 1, and only where the weight
 //! stream has a 1 at `j`. So the engine can read healthy counts from the
 //! LUT and add the flipped bits' **weight-plane rows** instead of touching
 //! any stream bits.
 //!
+//! Both paths draw their flipped positions from one sampler, [`flips`]:
+//! a geometric gap sampler seeded from `(seed, image_index, pixel)`, so the
+//! flip set is a pure function of the image *index*, byte-identical for
+//! any `SCNN_THREADS`. The streaming reference flips exactly those bits,
+//! and the count path adds exactly their plane rows, so the two agree bit
+//! for bit (checked by the oracle harness in `tests/oracle.rs`).
+//!
 //! [`CountFaultPlan`] precomputes, per stream-bit position `j` and tap
 //! `t`, the per-kernel weight-bit indicator rows as one split row
 //! (`[pos lanes | neg lanes]`, the layout of every
 //! [`LevelCountTable`](crate::counts::LevelCountTable) row). Per image,
-//! [`CountFaultPlan::image_faults`] gap-samples each pixel's flip
-//! positions — seeded from `(seed, image_index, pixel)`, so the flip set
-//! is a pure function of the image *index*, byte-identical for any
-//! `SCNN_THREADS` — into a compact flip list. A `(pixel, tap)` leaf whose
-//! pixel has flips is a copy of the table row that
-//! [`ImageFaults::apply`] perturbs by its flips' plane rows; a flip-free
-//! pixel's leaves stay the table rows themselves. The plane is a few
-//! hundred kilobytes and stays cache-hot across the whole image, where a
-//! materialized per-pixel delta block would stream megabytes through
-//! memory for exactly one use per entry. The faulted count is distributed
-//! exactly as `count(flipped_stream ∧ weight)`: the LUT path is
-//! statistically indistinguishable from the streaming reference
-//! (moment-matched in `tests/oracle.rs`), it just draws a different
-//! deterministic realization.
+//! [`CountFaultPlan::image_faults`] collects each pixel's flip positions
+//! into a compact flip list. A `(pixel, tap)` leaf whose pixel has flips
+//! is a copy of the table row that [`ImageFaults::apply`] perturbs by its
+//! flips' plane rows; a flip-free pixel's leaves stay the table rows
+//! themselves. The plane is a few hundred kilobytes and stays cache-hot
+//! across the whole image, where a materialized per-pixel delta block
+//! would stream megabytes through memory for exactly one use per entry.
 //!
 //! Lane safety: [`ImageFaults::apply`] accumulates a pixel's `0→1` flips
 //! (count grows) before its `1→0` flips (count shrinks). Each add keeps a
@@ -56,6 +55,34 @@ fn fault_seed(seed: u64, image: u64, pixel: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The flipped bit positions of one pixel stream of `n` bits, ascending,
+/// seeded from `(seed, image, pixel)`.
+///
+/// Geometric skip-sampling: each draw is the gap to the next flipped bit
+/// (`P(gap = g) = (1 − p)^g · p`, the inverse-CDF form), the same
+/// Bernoulli(p) flip distribution as one draw per bit in O(expected flips).
+/// `ln_keep` is `ln(1 − p)`, computed via `ln_1p` so denormally small rates
+/// don't round it to 0 (`−∞` when `p == 1`: every gap is 0).
+pub(crate) fn flips(
+    seed: u64,
+    image: u64,
+    pixel: u64,
+    n: usize,
+    ln_keep: f64,
+) -> impl Iterator<Item = usize> {
+    let mut rng = StdRng::seed_from_u64(fault_seed(seed, image, pixel));
+    let mut j = 0usize;
+    std::iter::from_fn(move || {
+        let u: f64 = rng.gen();
+        let gap = ((1.0 - u).ln() / ln_keep).floor();
+        if gap >= (n - j) as f64 {
+            return None;
+        }
+        j += gap as usize + 1;
+        Some(j - 1)
+    })
+}
+
 /// Per-engine precomputation for count-domain bit-error injection; built
 /// at engine construction alongside the count table.
 #[derive(Debug, Clone)]
@@ -64,9 +91,7 @@ pub(crate) struct CountFaultPlan {
     n: usize,
     taps: usize,
     lanes: usize,
-    /// `ln(1 − ber)` — the geometric gap sampler's denominator (`−∞` when
-    /// `ber == 1`: every gap is 0). Computed via `ln_1p` so denormally
-    /// small rates don't round it to 0.
+    /// `ln(1 − ber)`, the `ln_keep` of [`flips`].
     ln_keep: f64,
     /// The comparator source sequence: bit `j` of a level-`L` pixel stream
     /// is `pixel_seq[j] < L`, which decides each flip's sign.
@@ -109,8 +134,8 @@ impl CountFaultPlan {
         Self { seed, n, taps, lanes, ln_keep: (-ber).ln_1p(), pixel_seq: pixel_seq.to_vec(), plane }
     }
 
-    /// Samples this image's flip set (seeded from `(seed, image_index,
-    /// pixel)`) into a per-pixel flip list, `0→1` flips first.
+    /// Collects this image's flip set (each pixel's [`flips`]) into a
+    /// per-pixel flip list, `0→1` flips first.
     ///
     /// `levels` holds one quantized comparator level per pixel — the same
     /// values the LUT forward reads its table rows with.
@@ -121,20 +146,9 @@ impl CountFaultPlan {
         let mut bits: Vec<u16> = Vec::new();
         let (mut adds, mut subs): (Vec<u16>, Vec<u16>) = (Vec::new(), Vec::new());
         for (p, &level) in levels.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(fault_seed(self.seed, image_index, p as u64));
             adds.clear();
             subs.clear();
-            // Geometric skip-sampling, as in the streaming injector: draw
-            // the gap to the next flipped bit directly — the same Bernoulli
-            // flip distribution in O(expected flips) per pixel.
-            let mut j = 0usize;
-            loop {
-                let u: f64 = rng.gen();
-                let gap = ((1.0 - u).ln() / self.ln_keep).floor();
-                if gap >= (self.n - j) as f64 {
-                    break;
-                }
-                j += gap as usize;
+            for j in flips(self.seed, image_index, p as u64, self.n, self.ln_keep) {
                 // A healthy 1 flips to 0 (counts shrink where the weight
                 // samples bit j), a healthy 0 flips to 1 (counts grow).
                 if self.pixel_seq[j] < level as u64 {
@@ -142,7 +156,6 @@ impl CountFaultPlan {
                 } else {
                     adds.push(j as u16);
                 }
-                j += 1;
             }
             bits.extend_from_slice(&adds);
             splits.push(bits.len() as u32);
@@ -227,25 +240,6 @@ mod tests {
         (pixel_seq, weights, neg, table)
     }
 
-    /// Replays the plan's per-pixel sampler: the flip positions of
-    /// `(seed, image, pixel)` over `n` bits at rate `ber`.
-    fn reference_flips(seed: u64, image: u64, pixel: u64, n: usize, ber: f64) -> Vec<usize> {
-        let mut rng = StdRng::seed_from_u64(fault_seed(seed, image, pixel));
-        let ln_keep = (-ber).ln_1p();
-        let mut out = Vec::new();
-        let mut j = 0usize;
-        loop {
-            let u: f64 = rng.gen();
-            let gap = ((1.0 - u).ln() / ln_keep).floor();
-            if gap >= (n - j) as f64 {
-                return out;
-            }
-            j += gap as usize;
-            out.push(j);
-            j += 1;
-        }
-    }
-
     #[test]
     fn deltas_equal_counts_of_literally_flipped_streams() {
         // The plan's perturbed counts must equal popcount(flipped ∧ weight)
@@ -262,13 +256,13 @@ mod tests {
             let faults = plan.image_faults(&levels, image);
             for (p, &level) in levels.iter().enumerate() {
                 // Literal flipped stream of pixel p.
-                let flips = reference_flips(seed, image, p as u64, n, ber);
+                let flipped: Vec<usize> = flips(seed, image, p as u64, n, (-ber).ln_1p()).collect();
                 let mut stream: Vec<bool> = (0..n).map(|j| pixel_seq[j] < level as u64).collect();
-                for &j in &flips {
+                for &j in &flipped {
                     stream[j] = !stream[j];
                 }
                 let mut row = table.row(level, p).to_vec();
-                assert_eq!(faults.flipped(p), !flips.is_empty());
+                assert_eq!(faults.flipped(p), !flipped.is_empty());
                 faults.apply(p, p, &mut row);
                 let (pos, neg_row) = row.split_at(lanes);
                 for k in 0..lanes {

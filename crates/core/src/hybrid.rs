@@ -72,7 +72,7 @@ impl HybridLenet {
     /// plain evaluation streams through [`features`](Self::features)
     /// instead, which never materializes them. Faults are seeded by each
     /// image's absolute index, never by its chunk. Images are distributed
-    /// over the [`parallel`](crate::parallel) worker threads (the engine is
+    /// over the [`parallel`](scnn_nn::parallel) worker threads (the engine is
     /// immutable and shared); item order is preserved, so the features are
     /// identical for every `SCNN_THREADS` setting.
     ///
@@ -87,10 +87,10 @@ impl HybridLenet {
         // on chunk boundaries, so the output is identical either way.
         const MAX_CHUNK: usize = 64;
         let _pass = scnn_obs::span("core/extract_features");
-        let chunk = source.len().div_ceil(crate::parallel::thread_count()).clamp(1, MAX_CHUNK);
+        let chunk = source.len().div_ceil(scnn_nn::parallel::thread_count()).clamp(1, MAX_CHUNK);
         let features = self.features(source);
         let chunks: Vec<FeatureChunk> =
-            crate::parallel::par_map_range(source.len().div_ceil(chunk), |c| {
+            scnn_nn::parallel::par_map_range(source.len().div_ceil(chunk), |c| {
                 let start = c * chunk;
                 let end = (start + chunk).min(source.len());
                 let (x, labels) = features.batch_range(start..end)?;
@@ -138,14 +138,15 @@ impl HybridLenet {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] for a zero `batch_size` before any image
-    /// reaches the head, and propagates engine, source and shape errors.
+    /// Returns [`Error::Config`] for a zero `batch_size` or an empty
+    /// `source` before any image reaches the head, and propagates engine,
+    /// source and shape errors.
     pub fn evaluate<S: BatchSource + ?Sized>(
         &mut self,
         source: &S,
         batch_size: usize,
     ) -> Result<Evaluation, Error> {
-        crate::retrain::check_batch_size(batch_size)?;
+        crate::retrain::check_evaluation(batch_size, source.len())?;
         let features = FeatureSource::new(self.head.as_ref(), source);
         Ok(self.tail.evaluate(&features, batch_size)?)
     }
@@ -292,6 +293,19 @@ mod tests {
         let err = hybrid.evaluate(&synthetic::generate(4, 1), 0).unwrap_err();
         assert!(matches!(err, Error::Config { .. }), "{err}");
         assert!(err.to_string().contains("batch size"), "{err}");
+    }
+
+    #[test]
+    fn empty_test_set_is_rejected_before_the_head_runs() {
+        let tail = lenet5_tail(&LenetConfig::default()).unwrap();
+        let (train, empty) = (synthetic::generate(4, 1), synthetic::generate(0, 2));
+        let config = crate::RetrainConfig::default();
+        let retrained =
+            crate::retrain(Box::new(Unreachable), tail.clone(), &train, &empty, &config);
+        assert!(matches!(retrained, Err(Error::Config { .. })));
+        let err = HybridLenet::new(Box::new(Unreachable), tail).evaluate(&empty, 4).unwrap_err();
+        assert!(matches!(err, Error::Config { .. }), "{err}");
+        assert!(err.to_string().contains("empty"), "{err}");
     }
 
     #[test]

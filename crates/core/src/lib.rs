@@ -59,7 +59,6 @@ mod dense;
 mod error;
 mod faults;
 mod hybrid;
-pub mod parallel;
 mod retrain;
 mod scenario;
 mod stochastic;

@@ -138,14 +138,14 @@ impl BaseModel {
 ///
 /// # Errors
 ///
-/// Returns [`Error::Config`] for a zero batch size; propagates training
-/// errors.
+/// Returns [`Error::Config`] for a zero batch size or an empty test set;
+/// propagates training errors.
 pub fn train_base(
     train: &Dataset,
     test: &Dataset,
     config: &TrainConfig,
 ) -> Result<BaseModel, Error> {
-    check_batch_size(config.batch_size)?;
+    check_evaluation(config.batch_size, test.len())?;
     let mut net = lenet5(&config.lenet)?;
     let mut opt = Adam::new(config.learning_rate);
     for epoch in 0..config.epochs {
@@ -205,8 +205,8 @@ impl RetrainReport {
 ///
 /// # Errors
 ///
-/// Returns [`Error::Config`] for a zero batch size; propagates engine and
-/// training errors.
+/// Returns [`Error::Config`] for a zero batch size or an empty test set
+/// before the engine runs; propagates engine and training errors.
 pub fn retrain(
     engine: Box<dyn FirstLayer>,
     base_tail: Network,
@@ -214,7 +214,7 @@ pub fn retrain(
     test: &Dataset,
     config: &RetrainConfig,
 ) -> Result<(HybridLenet, RetrainReport), Error> {
-    check_batch_size(config.batch_size)?;
+    check_evaluation(config.batch_size, test.len())?;
     let mut hybrid = HybridLenet::new(engine, base_tail);
     // A pre-training copy of the tail: the "no retraining" ablation row.
     let mut base_tail = hybrid.tail().clone();
@@ -235,10 +235,14 @@ pub fn retrain(
     Ok((hybrid, RetrainReport { before, after }))
 }
 
-/// Rejects a zero batch size before any training or feature work starts.
-pub(crate) fn check_batch_size(batch_size: usize) -> Result<(), Error> {
+/// Rejects a zero batch size, and an evaluation over no images (whose
+/// accuracy is undefined), before any training or feature work starts.
+pub(crate) fn check_evaluation(batch_size: usize, images: usize) -> Result<(), Error> {
     if batch_size == 0 {
         return Err(Error::config("batch size must be positive"));
+    }
+    if images == 0 {
+        return Err(Error::config("cannot evaluate an empty test set"));
     }
     Ok(())
 }
@@ -340,6 +344,13 @@ mod tests {
         let config = RetrainConfig { batch_size: 0, ..RetrainConfig::default() };
         let result = retrain(Box::new(engine), tail, &train, &test, &config);
         assert!(matches!(result, Err(Error::Config { .. })));
+    }
+
+    #[test]
+    fn empty_test_set_is_a_config_error() {
+        let (train, empty) = (synthetic::generate(8, 9), synthetic::generate(0, 10));
+        let err = train_base(&train, &empty, &tiny_config()).unwrap_err();
+        assert!(err.to_string().contains("empty test set"), "{err}");
     }
 
     #[test]

@@ -4,11 +4,9 @@ use crate::counts::{
     fold_tree_counts_wide, live_fold_node, mux_route_masks, split_by_sign, table_fits, LaneTree,
     LevelCountTable, LevelStreamCache,
 };
-use crate::faults::CountFaultPlan;
+use crate::faults::{flips, CountFaultPlan};
 use crate::scenario::{HeadKind, ScenarioSpec};
 use crate::Error;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use scnn_bitstream::Precision;
 use scnn_nn::layers::Conv2d;
 use scnn_nn::quant::{pixel_level, weight_level};
@@ -106,8 +104,9 @@ pub enum AdderKind {
 /// rows, read in place — bit-exact with
 /// [`forward_image_streaming`](Self::forward_image_streaming) (checked by
 /// the oracle harness in `tests/oracle.rs`). Faults stay on this path: bit
-/// errors become per-(pixel, tap) count deltas on a copy of the row and
-/// stuck-at sites leaf/fold overrides (see [`ScenarioSpec::fault`]). For
+/// errors become per-(pixel, tap) count deltas on a copy of the row (the
+/// streaming path flips the same stream bits for the same image index)
+/// and stuck-at sites leaf/fold overrides (see [`ScenarioSpec::fault`]). For
 /// the MUX tree the table is built over route-masked weight streams and
 /// the tree reduces by a plain lane sum instead of the fold. The streaming
 /// simulation remains the reference model for both adders and the
@@ -352,12 +351,15 @@ impl StochasticConvLayer {
     }
 
     /// Converts the image to its per-pixel streams — step one of the
-    /// pipeline, exposed for tests and benches.
+    /// pipeline, exposed for tests, benches and the activity model. Under
+    /// bit errors each pixel's stream is flipped at the positions
+    /// `(seed, image_index, pixel)` draws, the flip set the count path
+    /// applies as weight-plane deltas for the same index.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Config`] if the image has the wrong size.
-    pub fn pixel_streams(&self, image: &[f32]) -> Result<StreamArena, Error> {
+    pub fn pixel_streams(&self, image: &[f32], image_index: u64) -> Result<StreamArena, Error> {
         check_image(image)?;
         let _convert = scnn_obs::span("conv/sng_convert");
         let bits = self.precision.bits();
@@ -373,30 +375,12 @@ impl StochasticConvLayer {
         }
         let ber = self.spec.fault.bit_error_rate();
         if ber > 0.0 {
-            // Deterministic per image content.
-            let content_hash: u64 =
-                image.iter().enumerate().map(|(i, &v)| (i as u64 + 1) * (v.to_bits() as u64)).sum();
-            let mut rng = StdRng::seed_from_u64(self.spec.seed ^ content_hash);
-            let total_bits = image.len() * self.n;
-            // Geometric skip-sampling: draw the gap to the next flipped bit
-            // directly (P(gap = g) = (1 − p)^g · p, the inverse-CDF form)
-            // instead of one Bernoulli draw per bit — the same flip
-            // distribution in O(expected flips) rather than O(total bits).
-            let p = ber;
-            // ln(1 − p) via ln_1p so denormally small rates don't round the
-            // denominator to 0 (−∞ when p == 1: every gap is 0).
-            let ln_keep = (-p).ln_1p();
-            let mut flat = 0usize;
-            while flat < total_bits {
-                let u: f64 = rng.gen();
-                let gap = ((1.0 - u).ln() / ln_keep).floor();
-                if gap >= (total_bits - flat) as f64 {
-                    break;
+            let ln_keep = (-ber).ln_1p();
+            for p in 0..image.len() {
+                let stream = arena.stream_mut(p);
+                for j in flips(self.spec.seed, image_index, p as u64, self.n, ln_keep) {
+                    stream[j / 64] ^= 1u64 << (j % 64);
                 }
-                flat += gap as usize;
-                let bit = flat % self.n;
-                arena.stream_mut(flat / self.n)[bit / 64] ^= 1u64 << (bit % 64);
-                flat += 1;
             }
         }
         Ok(arena)
@@ -527,21 +511,27 @@ impl StochasticConvLayer {
 
     /// The bit-level streaming engine — the hardware reference model.
     ///
-    /// [`forward_image`](FirstLayer::forward_image) dispatches here
-    /// whenever the count-domain table is unavailable (oversized table,
-    /// 15- and 16-bit streams); it stays public so benches and the oracle
-    /// harness can compare the two paths on any configuration (bit-exact
-    /// for the fault-free TFF and MUX engines and the stuck-at TFF engine). For
-    /// the MUX adder it ANDs every window's taps directly and folds the
-    /// select streams over the products. Under
-    /// [`FaultModel::BitError`](crate::FaultModel::BitError) this path flips literal stream bits seeded
-    /// by image *content* — the ground-truth realization the count-domain
-    /// deltas are statistically matched against.
+    /// [`forward_image_indexed`](FirstLayer::forward_image_indexed)
+    /// dispatches here whenever the count-domain table is unavailable
+    /// (oversized table, 15- and 16-bit streams); it stays public so
+    /// benches and the oracle harness can compare the two paths on any
+    /// configuration, bit for bit. For the MUX adder it ANDs every window's
+    /// taps directly and folds the select streams over the products. Under
+    /// [`FaultModel::BitError`](crate::FaultModel::BitError) this path
+    /// flips literal stream bits ([`pixel_streams`](Self::pixel_streams))
+    /// for image index 0, the convention of
+    /// [`forward_image`](FirstLayer::forward_image).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Config`] if the image has the wrong size.
     pub fn forward_image_streaming(&self, image: &[f32]) -> Result<Vec<f32>, Error> {
+        self.forward_streaming(image, 0)
+    }
+
+    /// [`forward_image_streaming`](Self::forward_image_streaming) with the
+    /// image index that seeds its bit-error flips.
+    fn forward_streaming(&self, image: &[f32], image_index: u64) -> Result<Vec<f32>, Error> {
         check_image(image)?;
         let _forward = scnn_obs::span("conv/forward_streaming");
         if scnn_obs::metrics_enabled() {
@@ -568,7 +558,7 @@ impl StochasticConvLayer {
         let mut next = vec![0u64; (self.padded / 2).max(1) * w];
         let mut pos_counts = vec![0u64; self.padded];
         let mut neg_counts = vec![0u64; self.padded];
-        let arena = self.pixel_streams(image)?;
+        let arena = self.pixel_streams(image, image_index)?;
         for k in 0..self.bank.kernels {
             for oy in 0..IMAGE_SIDE {
                 for ox in 0..IMAGE_SIDE {
@@ -689,9 +679,7 @@ impl FirstLayer for StochasticConvLayer {
     fn forward_image_indexed(&self, image: &[f32], image_index: u64) -> Result<Vec<f32>, Error> {
         match &self.lut {
             Some(lut) => self.forward_image_lut(lut, image, image_index),
-            // The streaming fault realization is seeded by image content,
-            // so the index is irrelevant here.
-            None => self.forward_image_streaming(image),
+            None => self.forward_streaming(image, image_index),
         }
     }
 
@@ -749,7 +737,7 @@ mod tests {
         // sequential scnn-sim simulation built from the same streams.
         let engine = engine(ScenarioSpec::this_work(6));
         let img = test_image(3);
-        let pixels = engine.pixel_streams(&img).unwrap();
+        let pixels = engine.pixel_streams(&img, 0).unwrap();
         let ksq = 25;
         let (k, oy, ox) = (2usize, 10usize, 12usize);
         // Reconstruct BitStreams and run the reference tree.
@@ -890,36 +878,13 @@ mod tests {
         // comparator conversion per pixel used to produce.
         let engine = engine(ScenarioSpec::this_work(6));
         let img = test_image(21);
-        let streams = engine.pixel_streams(&img).unwrap();
+        let streams = engine.pixel_streams(&img, 0).unwrap();
         let bits = engine.precision().bits();
         let mut direct = StreamArena::new(img.len(), engine.stream_len()).unwrap();
         for (p, &v) in img.iter().enumerate() {
             direct.write_from_levels(p, &engine.pixel_seq, pixel_level(v, bits));
         }
         assert_eq!(streams, direct);
-    }
-
-    #[test]
-    fn geometric_fault_injection_hits_expected_rate() {
-        // Flip count over many stream bits should concentrate near p.
-        let clean_engine = engine(ScenarioSpec::this_work(8));
-        let engine =
-            engine(ScenarioSpec { fault: FaultModel::BitError(0.05), ..*clean_engine.spec() });
-        let img = test_image(5);
-        let noisy = engine.pixel_streams(&img).unwrap();
-        let clean = clean_engine.pixel_streams(&img).unwrap();
-        let mut flips = 0u64;
-        for p in 0..img.len() {
-            flips += noisy
-                .stream(p)
-                .iter()
-                .zip(clean.stream(p))
-                .map(|(a, b)| u64::from((a ^ b).count_ones()))
-                .sum::<u64>();
-        }
-        let total = (img.len() * engine.stream_len()) as f64;
-        let rate = flips as f64 / total;
-        assert!((rate - 0.05).abs() < 0.01, "observed flip rate {rate}");
     }
 
     #[test]

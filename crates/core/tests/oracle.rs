@@ -6,19 +6,20 @@
 //! adder, precision, S0 policy, SNG sources, fault model and seed. Conv
 //! rows use 4 kernels, except the production-width rows at the
 //! benchmarked 32 and a few at 12 and 40, whose lanes fill no whole
-//! number of the fold's 64-lane blocks. One check function per fault
-//! class runs over it:
+//! number of the fold's 64-lane blocks. One check function per head kind
+//! runs over it:
 //!
 //! * every case: conv outputs are ternary and every output is correctly
 //!   sized, two engines built from the same spec give identical bytes, and
 //!   the count table is live exactly for streams of at most 14 bits (12-
-//!   and 15-bit rows check only that path selection);
-//! * fault-free and stuck-at cases: the count-domain forward equals the
-//!   streaming forward bit for bit (dense: `forward` against
-//!   `forward_streaming`);
-//! * bit-error cases: the realization is a function of the image index, a
-//!   zero rate gives the fault-free bytes, and the streaming flip counts and
-//!   the feature-perturbation rates of both paths match their laws;
+//!   and 15-bit rows check only that path selection, except one 15-bit
+//!   bit-error row that forwards one image on the streaming path);
+//! * every stochastic case, faulted or not: the count-domain forward at
+//!   image index 0 equals the streaming forward bit for bit (dense:
+//!   `forward` against `forward_streaming`), since both paths flip the
+//!   bits one sampler draws from `(seed, image_index, pixel)`;
+//! * bit-error cases: the realization is a function of the image index,
+//!   and a zero rate gives the fault-free bytes;
 //! * the thread-axis rows: features and evaluations are byte-identical at
 //!   `SCNN_THREADS` = 1, 2, 4 and 8.
 //!
@@ -26,14 +27,13 @@
 //! [`ENV_LOCK`] for writing; every other test holds it for reading, so the
 //! engine checks run concurrently but never beside such a change.
 
-use scnn_core::parallel::{par_map_range, par_map_range_threads, THREADS_ENV};
 use scnn_core::{
     AdderKind, DenseInput, FaultModel, FaultSite, FirstLayer, HeadKind, ScenarioSpec, SourceKind,
-    StochasticConvLayer,
 };
 use scnn_nn::data::{synthetic, Dataset};
 use scnn_nn::layers::{Conv2d, Dense, Flatten, Padding};
 use scnn_nn::lenet::{lenet5_tail, LenetConfig};
+use scnn_nn::parallel::{par_map_range, par_map_range_threads, THREADS_ENV};
 use scnn_nn::Network;
 use scnn_sim::S0Policy;
 use std::collections::BTreeMap;
@@ -89,8 +89,6 @@ const MAX_FORWARDED_BITS: u32 = 8;
 const MAX_COUNT_BITS: u32 = 14;
 /// Images (or dense input vectors) per forwarded case.
 const IMAGES_PER_CASE: u64 = 2;
-/// Images per bit-error statistics case.
-const STAT_IMAGES: u64 = 24;
 
 /// One row of the table.
 #[derive(Debug, Clone, Copy)]
@@ -100,6 +98,9 @@ struct Case {
     dense: Option<(usize, usize)>,
     /// Kernels of a first-layer case's convolution (unused by dense rows).
     kernels: usize,
+    /// Images (or dense input vectors) forwarded; 0 checks path selection
+    /// only.
+    images: u64,
     /// Whether the row also runs on the thread axis.
     threads: bool,
 }
@@ -113,7 +114,8 @@ enum FaultClass {
 
 impl Case {
     fn conv(spec: ScenarioSpec) -> Self {
-        Self { spec, dense: None, kernels: KERNELS, threads: false }
+        let images = if spec.bits <= MAX_FORWARDED_BITS { IMAGES_PER_CASE } else { 0 };
+        Self { spec, dense: None, kernels: KERNELS, images, threads: false }
     }
 
     /// A first-layer row at the production width.
@@ -129,14 +131,10 @@ impl Case {
         }
     }
 
-    fn forwarded(&self) -> bool {
-        self.spec.bits <= MAX_FORWARDED_BITS
-    }
-
     /// The image indices this case forwards; each also seeds its image.
     fn indices(&self) -> impl Iterator<Item = u64> {
         let base = self.spec.seed.wrapping_mul(31) + u64::from(self.spec.bits);
-        (0..IMAGES_PER_CASE).map(move |i| base + 5 * i)
+        (0..self.images).map(move |i| base + 5 * i)
     }
 }
 
@@ -187,6 +185,23 @@ fn cases() -> Vec<Case> {
             }
         }
     }
+    // Every pixel × weight source pair on the TFF adder at one precision.
+    let pixel_sources =
+        [SourceKind::Ramp, SourceKind::VanDerCorput, SourceKind::Lfsr, SourceKind::Random];
+    let weight_sources = [SourceKind::Sobol2, SourceKind::VanDerCorput, SourceKind::Lfsr];
+    for (p, pixel) in pixel_sources.into_iter().enumerate() {
+        for (w, weight) in weight_sources.into_iter().enumerate() {
+            let policy = POLICIES[(p + w) % 3];
+            cases.push(Case::conv(stochastic(
+                Tff,
+                5,
+                (pixel, weight),
+                policy,
+                FaultModel::None,
+                7,
+            )));
+        }
+    }
     // The remaining sources, once each on each adder.
     for adder in [Tff, Mux] {
         for bits in [4, 8] {
@@ -211,7 +226,7 @@ fn cases() -> Vec<Case> {
             }
         }
     }
-    // Bit errors: the zero rate, the statistics rows and one compound model.
+    // Bit errors: the zero rate, a 10% rate and one compound model.
     for adder in [Tff, Mux] {
         for bits in [4, 6] {
             cases.push(Case::conv(preset(adder, bits, FaultModel::BitError(0.0))));
@@ -229,6 +244,9 @@ fn cases() -> Vec<Case> {
     }
     let root_stuck = FaultModel::StuckAt { site: FaultSite::AdderNode { node: 30 }, value: true };
     cases.push(Case::conv(preset(Tff, 15, root_stuck)));
+    // Bit errors where only the streaming path runs: one image, so its
+    // flip set must follow the index there too.
+    cases.push(Case { images: 1, ..Case::conv(preset(Tff, 15, FaultModel::BitError(1e-2))) });
     // Production width: both adders fault-free at 8 bits, the faulted
     // frame benchmark's compound model at 6 bits, and a stuck AND line.
     let benchmarked =
@@ -284,8 +302,8 @@ fn cases() -> Vec<Case> {
             cases.push(Case { dense: Some(DENSE_SHAPES[1]), ..Case::conv(spec) });
         }
     }
-    // The thread axis: both adders fault-free and under bit errors (also
-    // the 4-bit statistics rows), one stuck-at site, binary and float.
+    // The thread axis: both adders fault-free and under bit errors, one
+    // stuck-at site, binary and float.
     for spec in [
         preset(Tff, 4, FaultModel::None),
         preset(Mux, 4, FaultModel::None),
@@ -344,22 +362,13 @@ fn assert_ternary_and_sized(out: &[f32], case: &Case, what: &str) {
     assert!(out.iter().all(|&v| v == -1.0 || v == 0.0 || v == 1.0), "{what}: not ternary");
 }
 
-/// The fraction of features that differ from `base`.
-fn perturbed(out: &[f32], base: &[f32]) -> f64 {
-    out.iter().zip(base).filter(|(a, b)| a.to_bits() != b.to_bits()).count() as f64
-        / base.len() as f64
-}
-
-/// Sample mean and unbiased variance.
-fn moments(samples: &[f64]) -> (f64, f64) {
-    let n = samples.len() as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
-    (mean, var)
+/// Whether any feature differs from `base`.
+fn differs(out: &[f32], base: &[f32]) -> bool {
+    out.iter().zip(base).any(|(a, b)| a.to_bits() != b.to_bits())
 }
 
 /// Runs every check of one first-layer row: the every-case checks, then
-/// its fault class's.
+/// the streaming reference's and, under bit errors, the index checks.
 fn check_first_layer(case: &Case) {
     let spec = case.spec;
     let conv = conv(spec.seed, case.kernels);
@@ -377,7 +386,7 @@ fn check_first_layer(case: &Case) {
     }
     let engine = spec.stochastic_conv(&conv).unwrap();
     assert_eq!(engine.uses_count_table(), spec.bits <= MAX_COUNT_BITS, "{what}: path");
-    if !case.forwarded() {
+    if case.images == 0 {
         return;
     }
     let twin = spec.stochastic_conv(&conv).unwrap();
@@ -392,65 +401,22 @@ fn check_first_layer(case: &Case) {
         if i == 0 {
             assert_same(&twin.forward_image_indexed(&img, index).unwrap(), &out, &what);
         }
-        if ber == 0.0 {
-            let streaming = engine.forward_image_streaming(&img).unwrap();
-            assert_same(&out, &streaming, &format!("{what}: count path vs streaming"));
-        } else {
+        // The streaming reference realizes image index 0.
+        let at_zero =
+            if ber > 0.0 { engine.forward_image_indexed(&img, 0).unwrap() } else { out.clone() };
+        let streaming = engine.forward_image_streaming(&img).unwrap();
+        assert_same(&at_zero, &streaming, &format!("{what}: count path vs streaming"));
+        if ber > 0.0 {
             let again = engine.forward_image_indexed(&img, index).unwrap();
             assert_same(&again, &out, &format!("{what}: same index"));
             let other = engine.forward_image_indexed(&img, index + 1).unwrap();
-            assert!(perturbed(&other, &out) > 0.0, "{what}: another index must draw other flips");
+            assert!(differs(&other, &out), "{what}: another index must draw other flips");
         }
         if let Some(clean) = &fault_free {
             let want = clean.forward_image(&img).unwrap();
             assert_same(&out, &want, &format!("{what}: zero rate vs fault-free"));
         }
     }
-    if ber > 0.0 {
-        check_bit_error_statistics(case, &engine, &conv);
-    }
-}
-
-/// Both fault paths sample Bernoulli(p) per stream bit. The streaming flip
-/// counts must follow Binomial(784·N, p) in mean and variance, and the
-/// ternary feature-perturbation rates of the count path and the streaming
-/// path must agree: the realizations differ, their statistics must not.
-fn check_bit_error_statistics(case: &Case, engine: &StochasticConvLayer, conv: &Conv2d) {
-    let spec = case.spec;
-    let ber = spec.fault.bit_error_rate();
-    // The same spec without its bit errors (a compound model keeps its
-    // stuck-at site).
-    let healthy_fault = spec
-        .fault
-        .stuck()
-        .map_or(FaultModel::None, |(site, value)| FaultModel::StuckAt { site, value });
-    let clean = ScenarioSpec { fault: healthy_fault, ..spec }.stochastic_conv(conv).unwrap();
-    let (mut flips, mut lut_rate, mut streaming_rate) = (Vec::new(), 0.0, 0.0);
-    for i in 0..STAT_IMAGES {
-        let img = image(spec.seed ^ (i * 17 + 3));
-        let noisy = engine.pixel_streams(&img).unwrap();
-        let healthy = clean.pixel_streams(&img).unwrap();
-        let count: u64 = (0..img.len())
-            .flat_map(|p| noisy.stream(p).iter().zip(healthy.stream(p)))
-            .map(|(a, b)| u64::from((a ^ b).count_ones()))
-            .sum();
-        flips.push(count as f64);
-        let base = clean.forward_image(&img).unwrap();
-        lut_rate += perturbed(&engine.forward_image_indexed(&img, i).unwrap(), &base);
-        streaming_rate += perturbed(&engine.forward_image_streaming(&img).unwrap(), &base);
-    }
-    let what = format!("{case:?}");
-    let (mean, var) = moments(&flips);
-    let expect_mean = (28 * 28 * engine.stream_len()) as f64 * ber;
-    let expect_var = expect_mean * (1.0 - ber);
-    assert!((mean - expect_mean).abs() < 0.05 * expect_mean, "{what}: flip mean {mean}");
-    assert!(var > 0.3 * expect_var && var < 3.0 * expect_var, "{what}: flip variance {var}");
-    let (lut, streaming) = (lut_rate / STAT_IMAGES as f64, streaming_rate / STAT_IMAGES as f64);
-    assert!(lut > 0.0 && streaming > 0.0, "{what}: lut {lut} streaming {streaming}");
-    assert!(
-        (lut - streaming).abs() < 0.25 * lut.max(streaming) + 0.01,
-        "{what}: perturbation rates diverge: lut {lut} vs streaming {streaming}"
-    );
 }
 
 /// Runs every check of one dense row: sized, reproducible, on the count
@@ -464,7 +430,7 @@ fn check_dense(case: &Case) {
     let layer = spec.dense_layer(&dense).unwrap();
     let unipolar = spec.input_mode == DenseInput::Unipolar;
     assert_eq!(layer.uses_count_table(), unipolar && spec.bits <= MAX_COUNT_BITS, "{what}: path");
-    if !case.forwarded() {
+    if case.images == 0 {
         return;
     }
     let twin = spec.dense_layer(&dense).unwrap();
@@ -504,7 +470,7 @@ fn stuck_at_cases_match_the_streaming_reference() {
 }
 
 #[test]
-fn bit_error_cases_match_the_streaming_statistics() {
+fn bit_error_cases_match_the_streaming_reference() {
     check_rows(first_layer_of(FaultClass::BitError), check_first_layer);
 }
 

@@ -114,7 +114,7 @@ pub fn measure_sc_activity(
 
     let images = dataset.len().min(max_images);
     for i in 0..images {
-        let pixels = engine.pixel_streams(dataset.item(i))?;
+        let pixels = engine.pixel_streams(dataset.item(i), i as u64)?;
         for wsample in 0..windows_per_image {
             // Deterministic spread of sampled windows and kernels.
             let window = (wsample * 97 + i * 13) % (28 * 28);

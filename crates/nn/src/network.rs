@@ -371,16 +371,22 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidArgument`] for a zero `batch_size`, and
-    /// propagates layer shape and source errors.
+    /// Returns [`Error::InvalidArgument`] for a zero `batch_size` or an
+    /// empty `source` (whose accuracy is undefined), and propagates layer
+    /// shape and source errors.
     pub fn evaluate<S: BatchSource + ?Sized>(
         &mut self,
         source: &S,
         batch_size: usize,
     ) -> Result<Evaluation, Error> {
         check_batch_size(batch_size)?;
-        let _pass = scnn_obs::span("nn/evaluate");
         let total = source.len();
+        if total == 0 {
+            return Err(Error::InvalidArgument {
+                reason: "cannot evaluate an empty source".into(),
+            });
+        }
+        let _pass = scnn_obs::span("nn/evaluate");
         let batches: Vec<std::ops::Range<usize>> =
             (0..total).step_by(batch_size).map(|s| s..(s + batch_size).min(total)).collect();
         let net: &Network = self;
@@ -398,7 +404,7 @@ impl Network {
         }
         Ok(Evaluation {
             accuracy: correct as f64 / total as f64,
-            loss: (loss_total / batches.len().max(1) as f64) as f32,
+            loss: (loss_total / batches.len() as f64) as f32,
             correct,
             total,
         })
@@ -522,6 +528,15 @@ mod tests {
         assert!(invalid(net.train_epoch(&ds, 0, &mut opt, 3).map(|_| ())));
         assert!(invalid(net.train_epoch_threads(&ds, 0, &mut opt, 3, 2).map(|_| ())));
         assert!(net.evaluate(&ds, 4).is_ok());
+    }
+
+    #[test]
+    fn empty_source_is_an_error_not_nan() {
+        let mut net = Network::new();
+        net.push(Dense::new(2, 2, 1));
+        let err =
+            net.evaluate(&Dataset::new(Vec::new(), &[2], Vec::new()).unwrap(), 4).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument { .. }), "{err}");
     }
 
     #[test]
