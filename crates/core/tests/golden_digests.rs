@@ -8,6 +8,11 @@
 //! * (b) the tail's logits on those features, and
 //! * (c) the tail's parameters after one `retrain` epoch.
 //!
+//! (c) trains batches of 8 images, one image per gradient shard. One more
+//! (c) row, [`MULTI_IMAGE_C`], trains batches of 32, four images per
+//! shard, so that conv2's weight gradient adds several per-image products
+//! into one `dw`.
+//!
 //! The images and every parameter come from an integer hash, not from
 //! `synthetic::generate` (which calls `sin_cos`) or the layers' own
 //! initializers (`ln`, `cos`), and no base training runs (it calls `exp`
@@ -65,6 +70,10 @@ fn cases() -> [(&'static str, ScenarioSpec, [u64; 3]); 4] {
         ),
     ]
 }
+
+/// Digest (c) for `this_work(4)` after one epoch of 32-image batches over
+/// 64 training images: four images per gradient shard.
+const MULTI_IMAGE_C: u64 = 0x2ebd_e5df_bd12_700b;
 
 /// 64-bit FNV-1a over the little-endian bytes of each value's bits.
 fn fnv1a(values: &[f32]) -> u64 {
@@ -134,12 +143,19 @@ fn forward_digests(spec: &ScenarioSpec, conv1: &Conv2d, tail: &Network, set: &Da
     [fnv1a(x.data()), fnv1a(logits.data())]
 }
 
-/// Digest (c) for one spec: one retraining epoch from the seeded tail.
-fn retrain_digest(spec: &ScenarioSpec, conv1: &Conv2d, tail: &Network) -> u64 {
-    let config = RetrainConfig { epochs: 1, batch_size: 8, ..RetrainConfig::default() };
+/// Digest (c) for one spec: one retraining epoch from the seeded tail on
+/// `train` in batches of `batch_size`.
+fn retrain_digest(
+    spec: &ScenarioSpec,
+    conv1: &Conv2d,
+    tail: &Network,
+    train: &Dataset,
+    batch_size: usize,
+) -> u64 {
+    let config = RetrainConfig { epochs: 1, batch_size, ..RetrainConfig::default() };
     let engine = spec.first_layer(conv1).expect("spec compiles");
     let (mut hybrid, _) =
-        retrain(engine, tail.clone(), &images(24, 11), &images(8, 12), &config).expect("retrain");
+        retrain(engine, tail.clone(), train, &images(8, 12), &config).expect("retrain");
     let mut bits = Vec::new();
     hybrid.tail_mut().visit_all_params(&mut |p, _| bits.extend_from_slice(p.data()));
     fnv1a(&bits)
@@ -156,11 +172,20 @@ fn golden_output_digests() {
             continue;
         }
         let [got_a, got_b] = forward_digests(&spec, conv1, &tail, &set);
-        let got_c = if GLIBC_X86_64 { retrain_digest(&spec, conv1, &tail) } else { c };
+        let got_c =
+            if GLIBC_X86_64 { retrain_digest(&spec, conv1, &tail, &images(24, 11), 8) } else { c };
         for (what, got, want) in [("(a)", got_a, a), ("(b)", got_b, b), ("(c)", got_c, c)] {
             if got != want {
                 mismatches.push(format!("{name} {what}: {got:#018x}, expected {want:#018x}"));
             }
+        }
+    }
+    if GLIBC_X86_64 {
+        let got = retrain_digest(&ScenarioSpec::this_work(4), conv1, &tail, &images(64, 13), 32);
+        if got != MULTI_IMAGE_C {
+            mismatches.push(format!(
+                "this_work(4) (c), 4 images per shard: {got:#018x}, expected {MULTI_IMAGE_C:#018x}"
+            ));
         }
     }
     assert!(mismatches.is_empty(), "digests moved:\n{}", mismatches.join("\n"));

@@ -24,9 +24,8 @@ pub enum Padding {
 /// product gathers its column panels straight from the (zero-padded)
 /// image.
 ///
-/// Weight gradients gather the same patches from the cached input, keep
-/// one partial product per image and add them into the gradient in image
-/// order.
+/// Weight gradients gather the same patches from the cached input and add
+/// one product per image into the gradient, in image order.
 ///
 /// # Example
 ///
@@ -187,13 +186,11 @@ impl Conv2d {
         // The image's patch matrix, transposed: entry (s, r) is
         // image[cols[s] + rows[r]].
         let (rows, cols) = self.patch_offsets(hp, wp, oh, ow);
-        let mut dw_image = Tensor::zeros(self.dw.shape());
         let images = grad_output.data().chunks_exact(self.out_channels * patch);
         for (g, img) in images.zip(x.data().chunks_exact(c * hp * wp)) {
             let g_mat = PackedA::new(NN, MatRef::new(g, self.out_channels, patch));
             let patches = Rhs::Gather { data: img, p_off: &cols, j_off: &rows };
-            g_mat.product(patches, dw_image.data_mut());
-            self.dw.add_scaled(&dw_image, 1.0);
+            g_mat.product(patches, self.dw.data_mut());
             for oc in 0..self.out_channels {
                 let s: f32 = g[oc * patch..(oc + 1) * patch].iter().sum();
                 self.db.data_mut()[oc] += s;
@@ -337,6 +334,7 @@ impl Layer for Conv2d {
         let mut dcols = vec![0.0f32; fan_in * patch];
         let images = grad_output.data().chunks_exact(self.out_channels * patch);
         for (g, dimg) in images.zip(dinput.data_mut().chunks_exact_mut(c * h * w)) {
+            dcols.fill(0.0);
             matmul_into(TN, w_mat, MatRef::new(g, self.out_channels, patch), &mut dcols);
             self.col2im(&dcols, h, w, oh, ow, dimg);
         }

@@ -96,9 +96,7 @@ impl Dense {
         }
         let x = MatRef::new(input.data(), batch, self.in_features);
         let g = MatRef::new(grad_output.data(), batch, self.out_features);
-        let mut dw_batch = Tensor::zeros(self.dw.shape());
-        matmul_into(TN, x, g, dw_batch.data_mut());
-        self.dw.add_scaled(&dw_batch, 1.0);
+        matmul_into(TN, x, g, self.dw.data_mut());
         for row in grad_output.data().chunks(self.out_features) {
             for (g, &v) in self.db.data_mut().iter_mut().zip(row) {
                 *g += v;
@@ -300,27 +298,38 @@ mod tests {
         }
     }
 
+    /// For `Dense` and `Conv2d`, whose weight gradients the GEMM adds into
+    /// `dw`: from zeroed gradients, a second pass on the same image gives
+    /// exactly `(+0 + p) + p`, and one pass after clearing gives `p` again.
     #[test]
     fn grads_accumulate_until_cleared() {
-        let mut layer = Dense::new(2, 2, 3);
-        let x = Tensor::filled(&[1, 2], 1.0);
-        let g = Tensor::filled(&[1, 2], 1.0);
-        let _ = layer.forward(&x, true).unwrap();
-        let _ = layer.backward(&g).unwrap();
-        let mut first = Tensor::zeros(&[1]);
-        layer.visit_params(&mut |_, grad| {
-            if grad.shape() == [2, 2] {
-                first = grad.clone();
-            }
-        });
-        let _ = layer.forward(&x, true).unwrap();
-        let _ = layer.backward(&g).unwrap();
-        layer.visit_params(&mut |_, grad| {
-            if grad.shape() == [2, 2] {
-                for (a, b) in grad.data().iter().zip(first.data()) {
-                    assert!((a - 2.0 * b).abs() < 1e-6);
-                }
-            }
-        });
+        use crate::layers::{Conv2d, Padding};
+        let ramp = |shape: &[usize], step: f32| {
+            let len = shape.iter().product::<usize>();
+            let data = (0..len).map(|i| (i % 13) as f32 * step - 1.1).collect();
+            Tensor::from_vec(data, shape).unwrap()
+        };
+        let conv = Conv2d::new(2, 18, 3, Padding::Same, 4).unwrap();
+        let cases: [(Box<dyn Layer>, Tensor, Tensor); 2] = [
+            (Box::new(Dense::new(24, 19, 3)), ramp(&[1, 24], 0.19), ramp(&[1, 19], 0.17)),
+            (Box::new(conv), ramp(&[1, 2, 7, 7], 0.19), ramp(&[1, 18, 7, 7], 0.17)),
+        ];
+        for (mut layer, x, g) in cases {
+            let pass = |layer: &mut Box<dyn Layer>| {
+                layer.forward(&x, true).unwrap();
+                layer.backward(&g).unwrap();
+                let mut bits = Vec::new();
+                layer.visit_params(&mut |_, g| bits.extend(g.data().iter().map(|v| v.to_bits())));
+                bits
+            };
+            let first = pass(&mut layer);
+            let twice: Vec<u32> =
+                first.iter().map(|&b| f32::from_bits(b)).map(|p| (p + p).to_bits()).collect();
+            let name = layer.name();
+            assert!(first != twice, "{name}: all gradients are zero");
+            assert_eq!(pass(&mut layer), twice, "{name}: second pass");
+            layer.visit_params(&mut |_, g| g.fill_zero());
+            assert_eq!(pass(&mut layer), first, "{name}: after clearing");
+        }
     }
 }

@@ -48,10 +48,10 @@ impl Dropout {
 
     /// Resets the mask stream to a fresh deterministic sequence.
     ///
-    /// The data-parallel trainer clones one network per gradient shard and
-    /// reseeds each clone's dropout from the `(batch, shard)` pair, so the
-    /// masks depend only on the shard boundaries — which are fixed — and
-    /// never on how many worker threads the shards run on.
+    /// The data-parallel trainer reseeds its worker's dropout from the
+    /// `(batch, shard)` pair before each gradient shard, so the masks
+    /// depend only on the shard boundaries — which are fixed — and never
+    /// on the thread count or on a worker's earlier shards.
     pub fn reseed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
     }

@@ -25,9 +25,9 @@ use std::fmt;
 /// parameter/gradient pairs to the optimizer through
 /// [`visit_params`](Layer::visit_params).
 ///
-/// `Send + Sync` are supertraits so networks can be cloned into the scoped
-/// worker threads of [`parallel`](crate::parallel) for batch evaluation;
-/// every layer here is plain owned data, so the bounds are free.
+/// `Send + Sync` are supertraits so a network can be cloned once per
+/// [`parallel`](crate::parallel) worker, to evaluate or to train; every
+/// layer here is plain owned data, so the bounds are free.
 pub trait Layer: fmt::Debug + Send + Sync {
     /// Short human-readable layer name (for summaries).
     fn name(&self) -> &'static str;

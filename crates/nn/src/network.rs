@@ -180,10 +180,10 @@ impl Network {
 
     /// Reseeds every [`Dropout`] layer deterministically from `seed`
     /// (per-layer seeds are decorrelated by layer position). The
-    /// data-parallel trainer calls this on each gradient-shard clone so
-    /// mask streams depend on the `(batch, shard)` pair instead of on a
-    /// shared mutable RNG — the one piece of training state that would
-    /// otherwise tie the result to the execution order.
+    /// data-parallel trainer calls this on its worker before each gradient
+    /// shard so mask streams depend on the `(batch, shard)` pair instead of
+    /// on a shared RNG or a worker's earlier shards — the one piece of
+    /// training state that would otherwise tie the result to scheduling.
     pub fn reseed_dropout(&mut self, seed: u64) {
         for (i, layer) in self.layers.iter_mut().enumerate() {
             if let Some(dropout) = layer.as_any_mut().downcast_mut::<Dropout>() {
@@ -228,14 +228,14 @@ impl Network {
     ///
     /// Data parallelism is *within* each batch: the shuffled batch is cut
     /// into a fixed number of shards (eight, or the batch size when
-    /// smaller), each shard gathers its items on its worker thread, runs
-    /// forward/backward on a clone of the current parameters with a
-    /// `(batch, shard)`-seeded dropout stream, and the shard gradients are
-    /// reduced in shard order on the calling thread before the single
-    /// optimizer step. Shard boundaries, dropout seeds, and reduction
-    /// order are all independent of `threads`, so the trained weights and
-    /// the per-epoch loss are **byte-identical for every thread count**
-    /// (property-tested).
+    /// smaller). Each worker clones the network once per batch, as
+    /// [`evaluate`](Self::evaluate) does, and runs a contiguous run of
+    /// shards on it, each with zeroed gradients and a `(batch, shard)`-
+    /// seeded dropout stream. The shard gradients are reduced in shard
+    /// order into this network's gradients before the single optimizer
+    /// step. Shard boundaries, dropout seeds, and reduction order are all
+    /// independent of `threads`, so the trained weights and the per-epoch
+    /// loss are **byte-identical for every thread count** (property-tested).
     ///
     /// # Errors
     ///
@@ -266,10 +266,10 @@ impl Network {
     /// One sharded forward/backward/update over the batch items `indices`.
     ///
     /// The gradient of the batch mean loss is the shard-size-weighted sum
-    /// of the shard mean-loss gradients; accumulating those in fixed shard
-    /// order on the calling thread keeps the floating-point association
-    /// order — and therefore the updated weights — independent of how the
-    /// shards were scheduled.
+    /// of the shard mean-loss gradients; writing the first and adding the
+    /// rest in fixed shard order on the calling thread keeps the
+    /// floating-point association order — and therefore the updated
+    /// weights — independent of how the shards were scheduled.
     fn train_batch_sharded<S: BatchSource + ?Sized>(
         &mut self,
         source: &S,
@@ -288,47 +288,43 @@ impl Network {
         // the nominal fan-out (n = 12 packs into 6 two-item shards).
         let shards = n.div_ceil(shard_len);
         let net: &Network = self;
-        type ShardResult = Result<(Vec<f32>, f32, usize), Error>;
-        let per_shard: Vec<ShardResult> =
-            crate::parallel::par_map_range_threads(threads, shards, |s| {
-                let shard = &indices[s * shard_len..((s + 1) * shard_len).min(n)];
-                let (x, labels) = source.gather(shard)?;
-                let mut worker = net.clone();
-                worker.reseed_dropout(mix_seed(batch_seed, s as u64));
-                worker.zero_grads();
-                let logits = worker.forward(&x, true)?;
-                let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
-                {
-                    let _bwd = scnn_obs::span("nn/backward");
-                    worker.backward(&grad)?;
-                }
-                let mut flat = Vec::new();
-                worker.visit_all_params(&mut |_, g| flat.extend_from_slice(g.data()));
-                Ok((flat, loss, shard.len()))
-            });
+        let per_shard = crate::parallel::par_chunk_map_threads(threads, shards, |range| {
+            let mut worker = net.clone();
+            range
+                .map(|s| -> Result<_, Error> {
+                    let shard = &indices[s * shard_len..((s + 1) * shard_len).min(n)];
+                    let (x, labels) = source.gather(shard)?;
+                    worker.reseed_dropout(mix_seed(batch_seed, s as u64));
+                    worker.zero_grads();
+                    let logits = worker.forward(&x, true)?;
+                    let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
+                    {
+                        let _bwd = scnn_obs::span("nn/backward");
+                        worker.backward(&grad)?;
+                    }
+                    let mut flat = Vec::new();
+                    worker.visit_all_params(&mut |_, g| flat.extend_from_slice(g.data()));
+                    Ok((flat, loss, shard.len()))
+                })
+                .collect()
+        });
 
         let _reduce = scnn_obs::span("nn/grad_reduce");
-        let mut acc: Vec<f32> = Vec::new();
         let mut loss = 0.0f64;
-        for result in per_shard {
+        for (s, result) in per_shard.into_iter().enumerate() {
             let (flat, shard_loss, shard_items) = result?;
             let weight = shard_items as f32 / n as f32;
-            if acc.is_empty() {
-                acc = flat.iter().map(|&g| g * weight).collect();
-            } else {
-                for (a, &g) in acc.iter_mut().zip(&flat) {
-                    *a += g * weight;
+            let mut rest = &flat[..];
+            self.visit_all_params(&mut |_, g| {
+                let (shard_g, tail) = rest.split_at(g.len());
+                for (a, &v) in g.data_mut().iter_mut().zip(shard_g) {
+                    *a = if s == 0 { v * weight } else { *a + v * weight };
                 }
-            }
+                rest = tail;
+            });
             loss += f64::from(shard_loss) * f64::from(weight);
         }
         drop(_reduce);
-        let mut offset = 0usize;
-        self.visit_all_params(&mut |_, g| {
-            let data = g.data_mut();
-            data.copy_from_slice(&acc[offset..offset + data.len()]);
-            offset += data.len();
-        });
         {
             let _step = scnn_obs::span("opt/step");
             self.step(opt);

@@ -131,18 +131,6 @@ impl Tensor {
         Tensor { data: self.data.iter().map(|&v| f(v)).collect(), shape: self.shape.clone() }
     }
 
-    /// `self += alpha · other`, elementwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn add_scaled(&mut self, other: &Tensor, alpha: f32) {
-        assert_eq!(self.shape, other.shape, "add_scaled shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Sets every element to zero (grad reset between steps).
     pub fn fill_zero(&mut self) {
         self.data.fill(0.0);
@@ -246,24 +234,27 @@ impl<'a> MatRef<'a> {
     }
 }
 
-/// The matrix product `out = op(a) · op(b)` for the [`Layout`] `L`, where
-/// `op` reads an operand as stored (`N`) or transposed (`T`); `out` is
-/// `[m, n]`, row-major, and is overwritten. It packs `a` and runs
+/// The accumulating matrix product `out += op(a) · op(b)` for the
+/// [`Layout`] `L`, where `op` reads an operand as stored (`N`) or
+/// transposed (`T`); `out` is `[m, n]`, row-major. It packs `a` and runs
 /// [`PackedA::matmul_into`], which has the details.
 ///
-/// Every output element is the sum of its `k` products in ascending `k`,
-/// starting from `+0.0`, so the result is bit-identical to a naive triple
-/// loop for every layout and shape (for finite operands).
+/// Each element's `k` products are summed in ascending `k` from `+0.0`,
+/// and only then added to `out`: bit-identical to a naive triple loop plus
+/// one add, for every layout and shape (for finite operands). That sum is
+/// never `-0.0`, so a zeroed `out` receives the product exactly.
 ///
 /// # Example
 ///
 /// ```
 /// use scnn_nn::{matmul_into, MatRef, NT};
 ///
-/// // [1 2] · [3 4]ᵀ = [11]
+/// // [1 2] · [3 4]ᵀ = [11], added to what `out` holds
 /// let mut out = [0.0f32];
 /// matmul_into(NT, MatRef::new(&[1.0, 2.0], 1, 2), MatRef::new(&[3.0, 4.0], 1, 2), &mut out);
 /// assert_eq!(out, [11.0]);
+/// matmul_into(NT, MatRef::new(&[1.0, 2.0], 1, 2), MatRef::new(&[3.0, 4.0], 1, 2), &mut out);
+/// assert_eq!(out, [22.0]);
 /// ```
 ///
 /// # Panics
@@ -346,15 +337,16 @@ impl<'a> PackedA<'a> {
         }
     }
 
-    /// [`matmul_into`] with this packed left operand: `out = op(a) · op(b)`
+    /// [`matmul_into`] with this packed left operand: `out += op(a) · op(b)`
     /// for the layout `L` it was packed for.
     ///
     /// Packed row groups run through a 4×16 register tile, swept across
     /// the right operand one L2-sized column block after another. The
-    /// other rows stream the right operand row by row and skip zero
-    /// left-hand entries, which cannot change a sum that starts at `+0.0`.
-    /// A transposed right operand is packed `k`-major, one column block at
-    /// a time; an untransposed one is read in place.
+    /// other rows stream the right operand into one scratch row and skip
+    /// zero left-hand entries, which cannot change a sum that starts at
+    /// `+0.0`; each sum is complete before it is added to `out`. A
+    /// transposed right operand is packed `k`-major, one column block at a
+    /// time; an untransposed one is read in place.
     ///
     /// # Panics
     ///
@@ -365,7 +357,7 @@ impl<'a> PackedA<'a> {
         self.product(if L::B_T { Rhs::Cols(b) } else { Rhs::Rows(b) }, out);
     }
 
-    /// `out = A · b`, the one kernel behind every product (see
+    /// `out += A · b`, the one kernel behind every product (see
     /// [`matmul_into`](Self::matmul_into)). A right operand that is not
     /// stored `[k, n]` is packed `k`-major, one column block at a time.
     pub(crate) fn product(&self, b: Rhs<'_>, out: &mut [f32]) {
@@ -378,7 +370,7 @@ impl<'a> PackedA<'a> {
         assert_eq!(k, kb, "matmul_into inner dimensions");
         assert_eq!(out.len(), m * n, "matmul_into output of {m}×{n}");
         if k == 0 || n == 0 {
-            out.fill(0.0);
+            out.iter_mut().for_each(|o| *o += 0.0); // the empty sum, +0.0
             return;
         }
 
@@ -390,6 +382,7 @@ impl<'a> PackedA<'a> {
         };
         let mut packed = vec![0.0f32; if pack { k * block.min(n) } else { 0 }];
         let mut edge = Vec::new();
+        let mut sums = Vec::new();
         for j_block in (0..n).step_by(block) {
             let width = block.min(n - j_block);
             // Row `p` of the block is `b_data[b_off + p · b_stride..][..width]`.
@@ -436,8 +429,8 @@ impl<'a> PackedA<'a> {
                         };
                         let cols = NR.min(width - j0);
                         for (r, acc_row) in acc.iter().enumerate() {
-                            let dst = &mut out[(i0 + r) * n + j_block + j0..];
-                            dst[..cols].copy_from_slice(&acc_row[..cols]);
+                            let dst = &mut out[(i0 + r) * n + j_block + j0..][..cols];
+                            dst.iter_mut().zip(acc_row).for_each(|(o, &s)| *o += s);
                         }
                     }
                 }
@@ -450,18 +443,20 @@ impl<'a> PackedA<'a> {
                     i += MR;
                     continue;
                 }
-                let o_row = &mut out[i * n + j_block..][..width];
-                o_row.fill(0.0);
+                sums.clear();
+                sums.resize(width, 0.0f32);
                 for p in 0..k {
                     let av = self.at(i, p);
                     if av == 0.0 {
                         continue;
                     }
                     let b_row = &b_data[b_off + p * b_stride..][..width];
-                    for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                        *o += av * bv;
+                    for (s, &bv) in sums.iter_mut().zip(b_row) {
+                        *s += av * bv;
                     }
                 }
+                let o_row = &mut out[i * n + j_block..][..width];
+                o_row.iter_mut().zip(&sums).for_each(|(o, &s)| *o += s);
                 i += 1;
             }
         }
@@ -533,12 +528,11 @@ mod tests {
     }
 
     #[test]
-    fn map_and_add_scaled() {
+    fn map_max_abs_and_fill_zero() {
         let a = Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap();
         let b = a.map(f32::abs);
         assert_eq!(b.data(), &[1.0, 2.0]);
-        let mut c = Tensor::zeros(&[2]);
-        c.add_scaled(&a, 0.5);
+        let mut c = a.map(|v| v * 0.5);
         assert_eq!(c.data(), &[0.5, -1.0]);
         assert_eq!(c.max_abs(), 1.0);
         c.fill_zero();

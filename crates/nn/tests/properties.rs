@@ -177,12 +177,14 @@ proptest! {
         prop_assert_eq!(wa, wb);
     }
 
-    /// `matmul_into` and `PackedA::matmul_into` equal a naive triple loop
-    /// bit for bit in all three layouts. The loop sums each output in
-    /// ascending `k` from `+0.0` and skips nothing. Cases cover row counts
-    /// on both sides of the register tile's, widths below one 16-wide
-    /// panel, up to two panels plus a ragged edge, `k` = 0 and 1, and dense
-    /// and sparse left operands.
+    /// `matmul_into` and `PackedA::matmul_into` add a naive triple loop to
+    /// `out`, bit for bit, in all three layouts. The loop sums each output
+    /// in ascending `k` from `+0.0` and skips nothing; only then is the sum
+    /// added to what `out` held, a repeating `+0.0`, `-0.0`, non-zero
+    /// pattern (at `k` = 0 the sum is `+0.0`, so `-0.0` becomes `+0.0`).
+    /// Cases cover row counts on both sides of the register tile's, widths
+    /// below one 16-wide panel, up to two panels plus a ragged edge, `k` =
+    /// 0 and 1, and dense and sparse left operands.
     #[test]
     fn matmul_into_matches_naive_loop_bit_for_bit(
         m in 1usize..=9,
@@ -193,46 +195,52 @@ proptest! {
     ) {
         let a = |i: usize, p: usize| gemm_entry(seed, i * k + p, zeros);
         let b = |p: usize, j: usize| gemm_entry(!seed, p * n + j, 0.1);
-        let mut naive = vec![0.0f32; m * n];
+        let init: Vec<f32> = (0..m * n)
+            .map(|i| match i % 3 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (i % 11) as f32 / 4.0 - 1.3,
+            })
+            .collect();
+        let mut want = Vec::with_capacity(m * n);
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
                 for p in 0..k {
                     acc += a(i, p) * b(p, j);
                 }
-                naive[i * n + j] = acc;
+                want.push((init[i * n + j] + acc).to_bits());
             }
         }
-        let naive: Vec<u32> = naive.iter().map(|v| v.to_bits()).collect();
         let stored = |rows: usize, cols: usize, at: &dyn Fn(usize, usize) -> f32| -> Vec<f32> {
             (0..rows * cols).map(|i| at(i / cols, i % cols)).collect()
         };
         let (a_n, a_t) = (stored(m, k, &a), stored(k, m, &|p, i| a(i, p)));
         let (b_n, b_t) = (stored(k, n, &b), stored(n, k, &|j, p| b(p, j)));
-        let mut out = vec![f32::NAN; m * n];
+        let mut out = init.clone();
         let bits = |out: &[f32]| out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         matmul_into(NN, MatRef::new(&a_n, m, k), MatRef::new(&b_n, k, n), &mut out);
-        prop_assert_eq!(bits(&out), naive.clone(), "NN");
-        out.fill(f32::NAN);
+        prop_assert_eq!(bits(&out), want.clone(), "NN");
+        out.copy_from_slice(&init);
         matmul_into(NT, MatRef::new(&a_n, m, k), MatRef::new(&b_t, n, k), &mut out);
-        prop_assert_eq!(bits(&out), naive.clone(), "NT");
-        out.fill(f32::NAN);
+        prop_assert_eq!(bits(&out), want.clone(), "NT");
+        out.copy_from_slice(&init);
         matmul_into(TN, MatRef::new(&a_t, k, m), MatRef::new(&b_n, k, n), &mut out);
-        prop_assert_eq!(bits(&out), naive.clone(), "TN");
+        prop_assert_eq!(bits(&out), want.clone(), "TN");
         // Packed once, each left operand serves two rounds of products,
         // and the untransposed packing serves both NN and NT.
         let a_packed = PackedA::new(NN, MatRef::new(&a_n, m, k));
         let a_t_packed = PackedA::new(TN, MatRef::new(&a_t, k, m));
         for _ in 0..2 {
-            out.fill(f32::NAN);
+            out.copy_from_slice(&init);
             a_packed.matmul_into(NN, MatRef::new(&b_n, k, n), &mut out);
-            prop_assert_eq!(bits(&out), naive.clone(), "packed NN");
-            out.fill(f32::NAN);
+            prop_assert_eq!(bits(&out), want.clone(), "packed NN");
+            out.copy_from_slice(&init);
             a_packed.matmul_into(NT, MatRef::new(&b_t, n, k), &mut out);
-            prop_assert_eq!(bits(&out), naive.clone(), "packed NT");
-            out.fill(f32::NAN);
+            prop_assert_eq!(bits(&out), want.clone(), "packed NT");
+            out.copy_from_slice(&init);
             a_t_packed.matmul_into(TN, MatRef::new(&b_n, k, n), &mut out);
-            prop_assert_eq!(bits(&out), naive.clone(), "packed TN");
+            prop_assert_eq!(bits(&out), want.clone(), "packed TN");
         }
     }
 
