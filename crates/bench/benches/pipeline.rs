@@ -11,7 +11,8 @@
 //! `scnn_nn::matmul_into`: conv2 forward, backward and weight gradients
 //! alone (what the tail's first layer costs per training step) at batch 1
 //! and 8, and the first dense layer's forward at batch 1 (a serial frame)
-//! and 8.
+//! and 8 and its backward (weight and input gradients, the largest
+//! training stage after conv2) at the same batch sizes.
 //! Its times go to `BENCH.json` as `tail/<pass>/b<batch>`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -99,6 +100,13 @@ fn bench_tail(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dense_forward", batch), &x, |b, x| {
             b.iter(|| dense.forward(black_box(x), false).expect("forward"));
             json.record(&key::per_batch("tail", "dense_forward", batch), b.last_ns_per_iter);
+        });
+        // The ReLU after this layer passes back about half its gradients.
+        dense.forward(&x, true).expect("forward");
+        let grad = activations(&[batch, 256], 2, 0.01, true);
+        group.bench_with_input(BenchmarkId::new("dense_backward", batch), &grad, |b, g| {
+            b.iter(|| dense.backward(black_box(g)).expect("backward"));
+            json.record(&key::per_batch("tail", "dense_backward", batch), b.last_ns_per_iter);
         });
     }
     group.finish();

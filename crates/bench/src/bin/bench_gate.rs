@@ -12,10 +12,11 @@
 //! trajectory becomes a gate only once a baseline exists. A missing or
 //! empty *current* record is a hard failure — it means the recording path
 //! is broken, and silently passing would disable the gate forever.
-//! Derived ratio entries (speedups, overheads), `obs/` counters, the
-//! whole `resilience/` namespace (accuracy points, not timings) and
-//! benchmarks present in only one record are skipped — see [`scnn_bench::report::regressions`] and
-//! [`scnn_bench::report::NON_TIMING_MARKERS`].
+//! `BENCH.json` holds nanosecond timings only, so every entry both records
+//! share is gated by its value, with no rule on names. Benchmarks present
+//! in only one record are skipped, which also covers the ratio, `obs/`
+//! and `resilience/` keys of baselines written before the record held
+//! timings alone — see [`scnn_bench::report::regressions`].
 
 use scnn_bench::report::{regressions, BenchJson};
 use std::path::Path;

@@ -11,11 +11,12 @@
 //! fault-free head; faulted heads from the registry are then swapped in
 //! front of that frozen tail (the paper's methodology — the classifier is
 //! trained healthy and the silicon degrades in the field). Accuracy points
-//! land under `resilience/accuracy/<design>/<bits>/<fault>` in
-//! `BENCH.json`, the LUT-vs-streaming fault speedup under
-//! `resilience/speedup_fault_lut_x`, and `SCNN_RESILIENCE_OUT` names an
-//! optional JSON file that receives just the `resilience/` entries (the CI
-//! `resilience-curves` artifact).
+//! are recorded as `resilience/accuracy/<design>/<bits>/<fault>`, the
+//! LUT-vs-streaming fault speedup as `resilience/speedup_fault_lut_x`,
+//! into the JSON file that `SCNN_RESILIENCE_OUT` names (the CI
+//! `resilience-curves` artifact); without it they are only printed.
+//! `BENCH.json` receives the campaign's wall clock alone
+//! (`bin/fault_campaign`).
 
 use scnn_bench::report::{key, pct, BenchJson, Table};
 use scnn_bench::resilience;
@@ -27,7 +28,7 @@ fn main() {
     scnn_bench::report::timed_run("fault_campaign", run);
 }
 
-/// A campaign design row: display name (also the `BENCH.json` key
+/// A campaign design row: display name (also the resilience key
 /// segment) plus its per-precision clean scenario.
 type Design = (&'static str, fn(u32) -> ScenarioSpec);
 
@@ -49,8 +50,7 @@ fn run() {
     let presets = resilience::campaign(effort);
     let bits_list = resilience::campaign_bits(effort);
 
-    let path = BenchJson::default_path();
-    let mut json = BenchJson::load(&path);
+    let mut curves = BenchJson::new();
     let mut table = Table::new(vec![
         "design".into(),
         "bits".into(),
@@ -64,7 +64,7 @@ fn run() {
             let clean_spec = scenario(bits);
             let (mut hybrid, report) = bench.retrain_scenario(&clean_spec, &retrain_cfg);
             let clean = report.after;
-            json.record(
+            curves.record(
                 &key::resilience(&format!("accuracy/{design}/{bits}/none")),
                 clean.accuracy,
             );
@@ -85,7 +85,7 @@ fn run() {
                 if scnn_obs::metrics_enabled() {
                     scnn_obs::registry().counter("fault/images_degraded").add(degraded);
                 }
-                json.record(
+                curves.record(
                     &key::resilience(&format!("accuracy/{design}/{bits}/{}", preset.name)),
                     eval.accuracy,
                 );
@@ -116,17 +116,13 @@ fn run() {
                     monotone,
                     "accuracy-vs-BER curve not monotone for {design}/{bits}: {ber_curve:?}"
                 );
-                json.record(&key::resilience(&format!("monotone/{design}/{bits}")), 1.0);
+                curves.record(&key::resilience(&format!("monotone/{design}/{bits}")), 1.0);
             }
         }
     }
 
-    let speedup = record_fault_speedup(&bench, bits_list, &mut json);
-
-    if let Err(e) = json.write(&path) {
-        eprintln!("[fault_campaign] note: could not write {}: {e}", path.display());
-    }
-    write_resilience_artifact(&json);
+    let speedup = record_fault_speedup(&bench, bits_list, &mut curves);
+    write_resilience_artifact(&curves);
 
     println!("\n# Fault-resilience campaign — accuracy under injected faults\n");
     println!(
@@ -156,7 +152,7 @@ fn run() {
 /// Before timing, it asserts that the first image's faulted count-path
 /// forward equals the streaming forward bit for bit on the trained base
 /// model.
-fn record_fault_speedup(bench: &Workbench, bits_list: &[u32], json: &mut BenchJson) -> f64 {
+fn record_fault_speedup(bench: &Workbench, bits_list: &[u32], curves: &mut BenchJson) -> f64 {
     let images: Vec<&[f32]> = (0..bench.test.len().min(4)).map(|i| bench.test.item(i)).collect();
     let mut min_speedup = f64::INFINITY;
     for &bits in bits_list.iter().filter(|b| (4..=8).contains(*b)) {
@@ -186,28 +182,22 @@ fn record_fault_speedup(bench: &Workbench, bits_list: &[u32], json: &mut BenchJs
         let stream_ns = start.elapsed().as_nanos() as f64;
         let speedup = stream_ns / lut_ns;
         eprintln!("[fault_campaign] faulted forward at {bits} bits: {speedup:.1}× (LUT vs stream)");
-        json.record(&key::resilience(&format!("speedup_fault_lut_x/{bits}")), speedup);
+        curves.record(&key::resilience(&format!("speedup_fault_lut_x/{bits}")), speedup);
         min_speedup = min_speedup.min(speedup);
     }
     if min_speedup.is_finite() {
-        json.record(&key::resilience("speedup_fault_lut_x"), min_speedup);
+        curves.record(&key::resilience("speedup_fault_lut_x"), min_speedup);
     }
     min_speedup
 }
 
-/// Writes just the `resilience/` entries to the file named by
+/// Writes the campaign's points to the file named by
 /// `SCNN_RESILIENCE_OUT`, if set — the CI `resilience-curves` artifact.
-fn write_resilience_artifact(json: &BenchJson) {
+fn write_resilience_artifact(curves: &BenchJson) {
     let Some(out) = std::env::var_os(resilience::RESILIENCE_OUT_ENV).filter(|v| !v.is_empty())
     else {
         return;
     };
-    let mut curves = BenchJson::new();
-    for (name, value) in json.entries() {
-        if name.starts_with("resilience/") {
-            curves.record(name, value);
-        }
-    }
     if let Err(e) = curves.write(std::path::Path::new(&out)) {
         eprintln!("[fault_campaign] note: could not write {out:?}: {e}");
     }

@@ -5,7 +5,7 @@
 //!
 //! Doubles as the thread-scaling harness for tail training: one
 //! tail-training epoch over materialized features at 1 worker vs the
-//! configured pool, recording the derived `train_epoch/speedup_threads_x`
+//! configured pool, recording both epoch times and printing their ratio
 //! (trained weights are byte-identical either way — the shard fan-out is
 //! fixed, only its execution width changes).
 //!
@@ -57,10 +57,11 @@ fn run() {
 }
 
 /// Times one tail-training epoch over materialized stochastic features at
-/// 1 worker vs the configured pool and records the scaling ratio. Both
-/// runs start from the same tail clone and shuffle seed, so they do the
-/// same arithmetic — the fixed shard fan-out guarantees identical trained
-/// weights regardless of width (property-tested in scnn-nn).
+/// 1 worker vs the configured pool, records both times and prints the
+/// scaling ratio. Both runs start from the same tail clone and shuffle
+/// seed, so they do the same arithmetic — the fixed shard fan-out
+/// guarantees identical trained weights regardless of width
+/// (property-tested in scnn-nn).
 fn thread_scaling(bench: &Workbench) {
     let spec = ScenarioSpec::this_work(4);
     let hybrid = scnn_core::HybridLenet::new(bench.first_layer(&spec), bench.base.tail_clone());
@@ -85,5 +86,4 @@ fn thread_scaling(bench: &Workbench) {
     println!("- {threads} workers: {:.2} ms/epoch ({speedup:.2}×)", pooled_ns / 1e6);
     record_run_ns("train_epoch/epoch_1thread_ns", serial_ns);
     record_run_ns("train_epoch/epoch_nthreads_ns", pooled_ns);
-    record_run_ns("train_epoch/speedup_threads_x", speedup);
 }

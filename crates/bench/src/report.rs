@@ -1,6 +1,8 @@
 //! Minimal markdown table rendering for harness output, plus the
 //! machine-readable `BENCH.json` timing record the perf trajectory is
-//! tracked with.
+//! tracked with. The record holds nanosecond timings only: derived ratios
+//! are printed, registry exports go to [`METRICS_OUT_ENV`] and stdout, and
+//! resilience points go to their own file.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -8,9 +10,10 @@ use std::time::Instant;
 /// The one documented home of the `BENCH.json` key-naming conventions.
 ///
 /// Every bin and bench builds its record names through these helpers, so
-/// the conventions — the `bin/<name>` prefix, per-precision `/<bits>`
-/// suffixes, and the `obs/` observability namespace — live in one place
-/// instead of being re-`format!`ed per harness.
+/// the conventions — the `bin/<name>` prefix, per-precision `/<bits>` and
+/// per-batch `/b<batch>` suffixes, and the `resilience/` names of the
+/// fault campaign's own file — live in one place instead of being
+/// re-`format!`ed per harness.
 pub mod key {
     /// A harness binary's whole-run wall clock: `bin/<name>`.
     ///
@@ -47,41 +50,12 @@ pub mod key {
         format!("{group}/{metric}/b{batch}")
     }
 
-    /// An observability export: `obs/<metric>`, where `<metric>` is a
-    /// [`scnn_obs::MetricsRegistry::snapshot`] key (so counters come out as
-    /// `obs/nn/images_evaluated` and stage latencies as
-    /// `obs/stage/conv/forward/p50`). The perf gate skips everything under
-    /// `obs/` (see [`is_non_timing`](super::is_non_timing)).
-    ///
-    /// ```
-    /// use scnn_bench::report::key;
-    ///
-    /// assert_eq!(key::obs("stage/conv/forward/p50"), "obs/stage/conv/forward/p50");
-    /// ```
-    pub fn obs(metric: &str) -> String {
-        format!("obs/{metric}")
-    }
-
-    /// A per-precision observability export: `obs/<metric>/<bits>` — the
-    /// `forward_image`/`dense_forward` benches record stage percentiles per
-    /// precision this way.
-    ///
-    /// ```
-    /// use scnn_bench::report::key;
-    ///
-    /// assert_eq!(key::obs_bits("stage/conv/fold/p99", 6), "obs/stage/conv/fold/p99/6");
-    /// ```
-    pub fn obs_bits(metric: &str, bits: u32) -> String {
-        format!("obs/{metric}/{bits}")
-    }
-
     /// A fault-resilience measurement: `resilience/<metric>` — accuracy
     /// points of the degradation campaign
     /// (`resilience/accuracy/<design>/<bits>/<fault>`), derived speedups,
-    /// and curve health flags. The whole namespace is non-timing: the perf
-    /// gate skips every `resilience/` entry (accuracies move with model
-    /// quality, not runtime), while the campaign's wall clock still gates
-    /// under `bin/fault_campaign`.
+    /// and curve health flags. These go to the file named by
+    /// `SCNN_RESILIENCE_OUT`, never to `BENCH.json`; the campaign's wall
+    /// clock is the only entry it records there (`bin/fault_campaign`).
     ///
     /// ```
     /// use scnn_bench::report::key;
@@ -97,13 +71,14 @@ pub mod key {
 }
 
 /// A flat, machine-readable record of benchmark measurements, written as a
-/// single JSON object mapping benchmark names to numbers (nanoseconds for
-/// timings; plain ratios for derived entries like speedups and overheads —
-/// see [`NON_TIMING_MARKERS`] for how the perf gate tells them apart).
+/// single JSON object mapping benchmark names to numbers.
 ///
-/// Every bench bin loads the existing file, overwrites its own entries, and
-/// rewrites the whole file, so one CI run accumulates all harness timings
-/// into one artifact that later PRs can diff.
+/// As `BENCH.json` it holds nanosecond timings only, so the perf gate
+/// ([`regressions`]) compares every shared entry alike. Every bench bin
+/// loads the existing file, overwrites its own entries, and rewrites the
+/// whole file, so one CI run accumulates all harness timings into one
+/// artifact that later PRs can diff. The fault campaign writes its
+/// resilience points through the same type to a file of their own.
 ///
 /// # Example
 ///
@@ -168,11 +143,6 @@ impl BenchJson {
     /// Looks up a measurement by exact name.
     pub fn get(&self, name: &str) -> Option<f64> {
         self.entries.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
-    /// Iterates the recorded `(name, value)` pairs in insertion order.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), *v))
     }
 
     /// Number of recorded measurements.
@@ -261,9 +231,8 @@ pub const METRICS_OUT_ENV: &str = "SCNN_METRICS_OUT";
 ///   typo fails the harness at startup, not mid-run);
 /// - a `--metrics` CLI argument forces metrics on for this run and dumps
 ///   the Prometheus-style rendering to stdout at the end;
-/// - when metrics end up enabled, the registry snapshot is merged into
-///   `BENCH.json` under the [`key::obs`] namespace, and
-///   [`METRICS_OUT_ENV`] names an optional file for the rendered text.
+/// - when metrics end up enabled, [`METRICS_OUT_ENV`] names an optional
+///   file for the rendered text. The registry never enters `BENCH.json`.
 ///
 /// # Panics
 ///
@@ -282,23 +251,14 @@ pub fn timed_run(name: &str, run: impl FnOnce()) {
 }
 
 /// Post-run metrics export behind [`timed_run`]: flushes this thread's
-/// spans, merges the registry snapshot into `BENCH.json` under `obs/`,
-/// honors [`METRICS_OUT_ENV`], and optionally prints the rendered text.
-/// A no-op when metrics are disabled.
+/// spans, honors [`METRICS_OUT_ENV`], and optionally prints the rendered
+/// text. A no-op when metrics are disabled.
 fn export_metrics(dump_stdout: bool) {
     if !scnn_obs::metrics_enabled() {
         return;
     }
     scnn_obs::flush_thread_spans();
     let registry = scnn_obs::registry();
-    let path = BenchJson::default_path();
-    let mut json = BenchJson::load(&path);
-    for (metric, value) in registry.snapshot() {
-        json.record(&key::obs(&metric), value);
-    }
-    if let Err(e) = json.write(&path) {
-        eprintln!("[report] note: could not write {}: {e}", path.display());
-    }
     if let Some(out) = std::env::var_os(METRICS_OUT_ENV).filter(|v| !v.is_empty()) {
         let rendered = registry.render_text();
         if let Err(e) = std::fs::write(&out, rendered) {
@@ -329,51 +289,12 @@ impl Regression {
     }
 }
 
-/// Name markers of `BENCH.json` entries that are *not* timings: derived
-/// ratios where higher is better (`speedup`) and overhead ratios
-/// (`overhead`, pinned near 1.0 by their own acceptance checks rather
-/// than the growth gate). The perf gate skips any entry whose name
-/// contains one of these — growing a speedup is progress, not a
-/// regression. The `obs/` and `resilience/` namespaces are skipped whole.
-pub const NON_TIMING_MARKERS: [&str; 2] = ["speedup", "overhead"];
-
-/// Whether a recorded name denotes a non-timing entry that the perf gate
-/// must skip.
-///
-/// Two namespaces are non-timing wholesale. `obs/` entries are registry
-/// exports: counters, gauges and span tallies that scale with workload,
-/// and stage-latency percentiles read off log2-bucket histograms, whose 2×
-/// resolution makes a 1% shift across a bucket boundary read as a 2×
-/// regression. `resilience/` entries are accuracy points, derived ratios
-/// and curve flags from the fault campaign (the campaign's wall clock
-/// gates separately under `bin/fault_campaign`). Everything else falls
-/// back to the [`NON_TIMING_MARKERS`] substring rule.
-///
-/// ```
-/// use scnn_bench::report::is_non_timing;
-///
-/// // obs counters, tallies and log2-bucket percentiles: skipped.
-/// assert!(is_non_timing("obs/nn/images_evaluated"));
-/// assert!(is_non_timing("obs/stage/conv/forward/count"));
-/// assert!(is_non_timing("obs/stage/conv/forward/p50"));
-/// // resilience accuracies and ratios: skipped wholesale.
-/// assert!(is_non_timing("resilience/accuracy/this-work/6/ber-0.01"));
-/// // overhead ratios: skipped.
-/// assert!(is_non_timing("forward_image/metrics_off_overhead_x"));
-/// // ordinary timings: gated.
-/// assert!(!is_non_timing("bin/table3_accuracy"));
-/// ```
-pub fn is_non_timing(name: &str) -> bool {
-    matches!(name.split('/').next(), Some("obs" | "resilience"))
-        || NON_TIMING_MARKERS.iter().any(|marker| name.contains(marker))
-}
-
 /// Compares two timing records and returns every entry whose current value
 /// exceeds `factor ×` its baseline — the CI perf gate's core.
 ///
-/// Only timings are gated: every name [`is_non_timing`] accepts (ratio
-/// entries, `obs/` exports, `resilience/` accuracies) and entries missing
-/// from either record are skipped, so adding or removing benchmarks never
+/// Every entry both records hold is gated by its value alone; `BENCH.json`
+/// holds nothing but timings, so no name is exempt. Entries missing from
+/// either record are skipped, so adding or removing benchmarks never
 /// fails the gate. Non-positive baselines are skipped too (a zero timing
 /// carries no signal).
 ///
@@ -384,21 +305,20 @@ pub fn is_non_timing(name: &str) -> bool {
 ///
 /// let mut baseline = BenchJson::new();
 /// baseline.record("bin/table1", 1e9);
-/// baseline.record("forward_image/speedup_tff_lut_x/8", 12.0);
-/// baseline.record("obs/nn/images_evaluated", 80.0);
+/// baseline.record("bin/table2", 1e9);
+/// baseline.record("bin/removed", 1e9);
 /// let mut current = BenchJson::new();
 /// current.record("bin/table1", 2.5e9);
-/// current.record("forward_image/speedup_tff_lut_x/8", 30.0);
-/// current.record("obs/nn/images_evaluated", 800.0);
+/// current.record("bin/table2", 1.5e9);
 /// let found = regressions(&baseline, &current, 2.0);
-/// assert_eq!(found.len(), 1); // ratios and counters are not timings
+/// assert_eq!(found.len(), 1); // growth below 2× and removed rows pass
 /// assert_eq!(found[0].name, "bin/table1");
 /// assert!((found[0].ratio() - 2.5).abs() < 1e-9);
 /// ```
 pub fn regressions(baseline: &BenchJson, current: &BenchJson, factor: f64) -> Vec<Regression> {
     let mut out = Vec::new();
     for (name, base_value) in &baseline.entries {
-        if is_non_timing(name) || *base_value <= 0.0 {
+        if *base_value <= 0.0 {
             continue;
         }
         let Some(current_value) = current.get(name) else { continue };
@@ -549,96 +469,42 @@ mod tests {
         baseline.record("bin/a", 100.0);
         baseline.record("bin/b", 100.0);
         baseline.record("bin/gone", 100.0);
-        baseline.record("x/speedup_y/8", 10.0);
-        baseline.record("train_epoch/speedup_threads_x", 1.5);
-        baseline.record("x/hits_pass_ns", 100.0);
         baseline.record("bin/zero", 0.0);
         let mut current = BenchJson::new();
         current.record("bin/a", 199.0); // < 2× — fine
         current.record("bin/b", 201.0); // > 2× — regression
         current.record("bin/new", 1e12); // no baseline — skipped
-        current.record("x/speedup_y/8", 100.0); // ratio entry — skipped
-        current.record("train_epoch/speedup_threads_x", 0.5); // ratio — skipped
-        current.record("x/hits_pass_ns", 250.0); // a timing named "hits" — gated
         current.record("bin/zero", 50.0); // zero baseline — skipped
         let found = regressions(&baseline, &current, 2.0);
         let names: Vec<&str> = found.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["bin/b", "x/hits_pass_ns"]);
+        assert_eq!(names, ["bin/b"]);
         assert_eq!(found[0].baseline, 100.0);
         assert_eq!(found[0].current, 201.0);
         assert!(regressions(&baseline, &current, 3.0).is_empty());
-        // The thread-scaling epoch timings gate; their derived ratio does not.
-        assert!(!is_non_timing("train_epoch/epoch_1thread_ns"));
-        assert!(!is_non_timing("train_epoch/epoch_nthreads_ns"));
+    }
+
+    #[test]
+    fn regressions_gate_every_shared_entry_by_value_alone() {
+        // No name is exempt: words that once marked ratios and the old
+        // registry namespace gate like any other timing.
+        let names = ["x/speedup_y", "a/overhead_x", "obs/stage/p50"];
+        let mut baseline = BenchJson::new();
+        let mut current = BenchJson::new();
+        for name in names {
+            baseline.record(name, 100.0);
+            current.record(name, 250.0);
+        }
+        let found = regressions(&baseline, &current, 2.0);
+        let gated: Vec<&str> = found.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(gated, names);
     }
 
     #[test]
     fn key_helpers_build_the_documented_conventions() {
         assert_eq!(key::bin("table1_mse"), "bin/table1_mse");
         assert_eq!(key::per_bits("forward_image", "tff_lut", 23), "forward_image/tff_lut/23");
-        assert_eq!(key::obs("nn/images_evaluated"), "obs/nn/images_evaluated");
-        assert_eq!(key::obs_bits("stage/dense/fold/p50", 8), "obs/stage/dense/fold/p50/8");
-    }
-
-    #[test]
-    fn obs_counters_and_gauges_are_skipped_by_the_gate() {
-        // One assertion per non-timing class under obs/.
-        assert!(is_non_timing("obs/nn/images_evaluated")); // counter
-        assert!(is_non_timing("obs/parallel/threads")); // gauge
-        assert!(is_non_timing("obs/stage/conv/forward/count")); // span tally
-        assert!(is_non_timing("obs/stage/conv/forward/total_ns")); // span total
-        assert!(is_non_timing("obs/conv/images")); // item counter
-    }
-
-    #[test]
-    fn resilience_entries_are_skipped_wholesale_by_the_gate() {
-        // Accuracy points, derived ratios, and curve flags alike.
-        assert!(is_non_timing("resilience/accuracy/this-work/6/ber-0.01"));
-        assert!(is_non_timing("resilience/accuracy/old-sc/4/stuck1-node30"));
-        assert!(is_non_timing("resilience/speedup_fault_lut_x"));
-        assert!(is_non_timing("resilience/monotone/this-work/6"));
-        // The prefix rule is a whole segment, like the obs/ rule: a name
-        // merely containing "resilience" elsewhere is not covered…
-        assert!(!is_non_timing("bin/resilience_tooling"));
-        // …and the campaign's own wall clock still gates as a timing.
-        assert!(!is_non_timing("bin/fault_campaign"));
-    }
-
-    #[test]
-    fn regressions_skip_resilience_entries() {
-        let mut baseline = BenchJson::new();
-        baseline.record("resilience/accuracy/this-work/6/ber-0.01", 0.2);
-        baseline.record("bin/fault_campaign", 100.0);
-        let mut current = BenchJson::new();
-        current.record("resilience/accuracy/this-work/6/ber-0.01", 0.9);
-        current.record("bin/fault_campaign", 500.0);
-        let found = regressions(&baseline, &current, 2.0);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].name, "bin/fault_campaign");
-    }
-
-    #[test]
-    fn overhead_ratios_are_skipped_by_the_gate() {
-        assert!(is_non_timing("forward_image/metrics_off_overhead_x"));
-        assert!(is_non_timing("forward_image/metrics_on_overhead_x/8"));
-    }
-
-    #[test]
-    fn regressions_skip_every_obs_entry() {
-        let mut baseline = BenchJson::new();
-        baseline.record("obs/nn/images_evaluated", 10.0);
-        baseline.record("obs/stage/dense/forward/p50/8", 32767.0);
-        baseline.record("bin/table3_accuracy", 100.0);
-        let mut current = BenchJson::new();
-        current.record("obs/nn/images_evaluated", 1e6); // counter growth: skipped
-                                                        // One log2 bucket up: a 2× reading from a tiny shift, skipped.
-        current.record("obs/stage/dense/forward/p50/8", 65535.0);
-        current.record("bin/table3_accuracy", 500.0); // a real timing: gated
-        let found = regressions(&baseline, &current, 2.0);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].name, "bin/table3_accuracy");
-        // Only a whole `obs` first segment opts out of the gate.
-        assert!(!is_non_timing("bin/obs_export"));
+        assert_eq!(key::per_batch("tail", "dense_backward", 8), "tail/dense_backward/b8");
+        assert_eq!(key::resilience("monotone/old-sc/4"), "resilience/monotone/old-sc/4");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! experiment deterministically: for each design row and precision it
 //! retrains the tail once on the fault-free head, then swaps in faulted
 //! heads from this registry and records the accuracy of each point under
-//! `resilience/` keys in `BENCH.json`.
+//! `resilience/` keys in the file [`RESILIENCE_OUT_ENV`] names.
 //!
 //! # Example
 //!
@@ -18,26 +18,26 @@
 //!
 //! // The full registry covers a BER ladder plus stuck-at sites…
 //! assert!(registry().len() > campaign(Effort::Smoke).len());
-//! // …and every preset's name is stable for BENCH.json keys.
+//! // …and every preset's name is stable for resilience keys.
 //! assert!(registry().iter().any(|p| p.name == "ber-0.01"));
 //! ```
 
 use crate::setup::Effort;
 use scnn_core::{AdderKind, FaultModel, FaultSite, ScenarioSpec};
 
-/// Environment variable naming a file that receives just the
-/// `resilience/` entries of `BENCH.json` after a campaign run — how CI
-/// captures the `resilience-curves` artifact.
+/// Environment variable naming the file that receives a campaign run's
+/// `resilience/` points — how CI captures the `resilience-curves`
+/// artifact. They never enter `BENCH.json`.
 pub const RESILIENCE_OUT_ENV: &str = "SCNN_RESILIENCE_OUT";
 
 /// One campaign point: a named fault model.
 ///
-/// The `name` is the stable `BENCH.json` key segment
+/// The `name` is the stable resilience key segment
 /// (`resilience/accuracy/<design>/<bits>/<name>`); keep it in sync with
 /// [`FaultModel::label`] so the keys and engine logs agree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPreset {
-    /// Stable key segment for `BENCH.json` and the CI artifact.
+    /// Stable key segment of the CI `resilience-curves` artifact.
     pub name: &'static str,
     /// The fault model the campaign compiles into the head engine.
     pub model: FaultModel,
@@ -156,7 +156,7 @@ mod tests {
     fn registry_names_match_model_labels_or_document_compounds() {
         for preset in registry() {
             // BER and stuck presets reuse the engine's own label grammar,
-            // so BENCH.json keys and engine logs agree; the compound point
+            // so resilience keys and engine logs agree; the compound point
             // keeps a short stable alias.
             if preset.name == "compound" {
                 assert!(preset.model.label().starts_with("compound-"));

@@ -28,7 +28,7 @@ fn mix_seed(a: u64, b: u64) -> u64 {
 pub struct Evaluation {
     /// Fraction of correctly classified items in `[0, 1]`.
     pub accuracy: f64,
-    /// Mean cross-entropy loss.
+    /// Mean cross-entropy loss per item (independent of the batch size).
     pub loss: f32,
     /// Correctly classified items.
     pub correct: usize,
@@ -394,19 +394,21 @@ impl Network {
         let mut correct = 0usize;
         let mut loss_total = 0.0f64;
         for result in per_batch {
-            let (batch_correct, batch_loss) = result?;
+            let (batch_correct, batch_loss_sum) = result?;
             correct += batch_correct;
-            loss_total += batch_loss;
+            loss_total += batch_loss_sum;
         }
         Ok(Evaluation {
             accuracy: correct as f64 / total as f64,
-            loss: (loss_total / batches.len() as f64) as f32,
+            loss: (loss_total / total as f64) as f32,
             correct,
             total,
         })
     }
 
-    /// One evaluation batch: forward, loss, and correct-prediction count.
+    /// One evaluation batch: correct-prediction count and the batch's
+    /// summed loss (its mean loss times its item count, so a partial last
+    /// batch weighs by what it holds).
     fn evaluate_batch<S: BatchSource + ?Sized>(
         &mut self,
         source: &S,
@@ -419,7 +421,7 @@ impl Network {
         let (x, labels) = source.batch_range(chunk)?;
         let logits = self.forward(&x, false)?;
         let (loss, _) = softmax_cross_entropy(&logits, &labels)?;
-        Ok((count_correct(&logits, &labels)?, f64::from(loss)))
+        Ok((count_correct(&logits, &labels)?, f64::from(loss) * labels.len() as f64))
     }
 
     /// Decomposes the network into its boxed layers (for recomposing heads
@@ -533,6 +535,21 @@ mod tests {
         let err =
             net.evaluate(&Dataset::new(Vec::new(), &[2], Vec::new()).unwrap(), 4).unwrap_err();
         assert!(matches!(err, Error::InvalidArgument { .. }), "{err}");
+    }
+
+    #[test]
+    fn loss_is_the_per_item_mean_for_any_batch_size() {
+        // 100 items: batch 64 leaves a partial last batch of 36.
+        let data: Vec<f32> = (0..200).map(|i| ((i * 37) % 17) as f32 / 8.0 - 1.0).collect();
+        let labels: Vec<u8> = (0..100).map(|i| (i % 3 == 0) as u8).collect();
+        let ds = Dataset::new(data, &[2], labels).unwrap();
+        let mut net = Network::new();
+        net.push(Dense::new(2, 2, 1));
+        let split = net.evaluate(&ds, 64).unwrap();
+        let whole = net.evaluate(&ds, 100).unwrap();
+        let rel = ((split.loss - whole.loss) / whole.loss).abs();
+        assert!(rel < 1e-6, "batch 64 loss {} vs one batch {}", split.loss, whole.loss);
+        assert_eq!(split.correct, whole.correct);
     }
 
     #[test]

@@ -29,10 +29,14 @@
 //!
 //! ## Exporters
 //!
-//! * [`MetricsRegistry::snapshot`] — a sorted `(key, f64)` list suitable for
-//!   merging into `BENCH.json` under an `obs/` namespace.
-//! * [`MetricsRegistry::render_text`] — Prometheus-style text exposition for
-//!   a future serving layer to scrape.
+//! * [`MetricsRegistry::snapshot`] — a sorted `(key, f64)` list for
+//!   programs that read values back, such as the benches that print stage
+//!   percentiles.
+//! * [`MetricsRegistry::render_text`] — Prometheus-style text exposition,
+//!   which the harness binaries write to stdout or to a file and which a
+//!   future serving layer could scrape.
+//!
+//! Neither feeds `BENCH.json`, which holds timings only.
 //!
 //! ```
 //! use scnn_obs::{force, registry, span};

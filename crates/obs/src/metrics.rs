@@ -334,7 +334,7 @@ impl MetricsRegistry {
 
     /// Exports every metric as a name-sorted `(key, value)` list.
     ///
-    /// Key shapes (the `BENCH.json` merge prefixes each with `obs/`):
+    /// Key shapes:
     ///
     /// * counters — `<name>` (e.g. `nn/images_evaluated`),
     /// * gauges — `<name>`,
