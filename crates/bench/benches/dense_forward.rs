@@ -69,7 +69,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--test" || a == "--quick")
         || std::env::var_os("SCNN_BENCH_QUICK").is_some_and(|v| v != "0");
     let iters = if quick { 3 } else { 50 };
-    let (was_metrics, was_trace) = (scnn_obs::metrics_enabled(), scnn_obs::trace_enabled());
+    let was_metrics = scnn_obs::metrics_enabled();
     for bits in PRECISIONS {
         let layer = ScenarioSpec::this_work(bits).dense_layer(&dense).expect("engine");
         let time_rows = |n: usize| {
@@ -79,12 +79,12 @@ fn main() {
             }
             start.elapsed().as_nanos() as f64 / n as f64
         };
-        scnn_obs::force(false, false);
+        scnn_obs::force(false);
         // Untimed warmup so the off-loop doesn't absorb cold-start costs
         // (page faults, frequency ramp) that would skew the ratio.
         let _ = time_rows(iters.min(5));
         let off_ns = time_rows(iters);
-        scnn_obs::force(true, was_trace);
+        scnn_obs::force(true);
         scnn_obs::registry().reset();
         let on_ns = time_rows(iters);
         scnn_obs::flush_thread_spans();
@@ -100,7 +100,7 @@ fn main() {
             );
         }
     }
-    scnn_obs::force(was_metrics, was_trace);
+    scnn_obs::force(was_metrics);
 
     json.write(&path).expect("write BENCH.json");
     println!("timings recorded in {}", path.display());

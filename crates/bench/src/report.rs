@@ -227,8 +227,8 @@ pub const METRICS_OUT_ENV: &str = "SCNN_METRICS_OUT";
 ///
 /// Observability hooks:
 ///
-/// - the `SCNN_METRICS`/`SCNN_TRACE` toggles are validated up front (a
-///   typo fails the harness at startup, not mid-run);
+/// - the `SCNN_METRICS` toggle is validated up front (a typo fails the
+///   harness at startup, not mid-run);
 /// - a `--metrics` CLI argument forces metrics on for this run and dumps
 ///   the Prometheus-style rendering to stdout at the end;
 /// - when metrics end up enabled, [`METRICS_OUT_ENV`] names an optional
@@ -236,13 +236,13 @@ pub const METRICS_OUT_ENV: &str = "SCNN_METRICS_OUT";
 ///
 /// # Panics
 ///
-/// Panics on an unparseable `SCNN_METRICS`/`SCNN_TRACE` value (see
+/// Panics on an unparseable `SCNN_METRICS` value (see
 /// [`crate::setup::obs_env_init`]).
 pub fn timed_run(name: &str, run: impl FnOnce()) {
     crate::setup::obs_env_init();
     let dump_stdout = std::env::args().any(|arg| arg == "--metrics");
     if dump_stdout {
-        scnn_obs::force(true, scnn_obs::trace_enabled());
+        scnn_obs::force(true);
     }
     let stopwatch = Stopwatch::start();
     run();

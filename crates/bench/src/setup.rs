@@ -7,10 +7,10 @@ use scnn_core::{
 use scnn_nn::data::{load_or_synthesize, DataSource, Dataset};
 use std::path::Path;
 
-/// Validates the `SCNN_METRICS`/`SCNN_TRACE` observability toggles once,
-/// up front, so a typo'd value fails the harness at startup with the
-/// parser's message (variable name, offending value, accepted grammar)
-/// instead of deep inside the first instrumented hot path.
+/// Validates the `SCNN_METRICS` observability toggle once, up front, so a
+/// typo'd value fails the harness at startup with the parser's message
+/// (variable name, offending value, accepted grammar) instead of deep
+/// inside the first instrumented hot path.
 ///
 /// # Panics
 ///

@@ -125,6 +125,30 @@ pub(crate) fn ternary(v: f32, tau: f32) -> f32 {
     f32::from(if v.abs() <= tau { 0 } else { sign })
 }
 
+/// The window loop of the float and fixed-point heads: per kernel and
+/// output pixel, `offset + Σ pixel·weight` over the in-image taps in tap
+/// order, then [`ternary`]. `weights` is lane-major (`kernel · ksize² +
+/// tap`), like [`KernelBank::weights`].
+fn conv_ternary(bank: &KernelBank, weights: &[f32], pixels: &[f32], tau: f32) -> Vec<f32> {
+    let n = IMAGE_SIDE * IMAGE_SIDE;
+    let ksq = bank.ksize * bank.ksize;
+    let mut out = vec![0.0f32; bank.kernels * n];
+    for (k, kernel) in weights.chunks_exact(ksq).enumerate() {
+        for oy in 0..IMAGE_SIDE {
+            for ox in 0..IMAGE_SIDE {
+                let mut d = bank.offsets[k];
+                for (t, px) in window_taps(bank.ksize, oy, ox) {
+                    if let Some(p) = px {
+                        d += pixels[p] * kernel[t];
+                    }
+                }
+                out[k * n + oy * IMAGE_SIDE + ox] = ternary(d, tau);
+            }
+        }
+    }
+    out
+}
+
 /// Rejects images that are not 28×28.
 pub(crate) fn check_image(image: &[f32]) -> Result<(), Error> {
     if image.len() != IMAGE_SIDE * IMAGE_SIDE {
@@ -179,22 +203,7 @@ impl FloatConvLayer {
 impl FirstLayer for FloatConvLayer {
     fn forward_image(&self, image: &[f32]) -> Result<Vec<f32>, Error> {
         check_image(image)?;
-        let n = IMAGE_SIDE * IMAGE_SIDE;
-        let mut out = vec![0.0f32; self.bank.kernels * n];
-        for k in 0..self.bank.kernels {
-            for oy in 0..IMAGE_SIDE {
-                for ox in 0..IMAGE_SIDE {
-                    let mut d = self.bank.offsets[k];
-                    for (t, px) in window_taps(self.bank.ksize, oy, ox) {
-                        if let Some(p) = px {
-                            d += image[p] * self.bank.weight(k, t);
-                        }
-                    }
-                    out[k * n + oy * IMAGE_SIDE + ox] = ternary(d, self.tau);
-                }
-            }
-        }
-        Ok(out)
+        Ok(conv_ternary(&self.bank, &self.bank.weights, image, self.tau))
     }
 
     fn kernels(&self) -> usize {
@@ -257,28 +266,11 @@ impl BinaryConvLayer {
 impl FirstLayer for BinaryConvLayer {
     fn forward_image(&self, image: &[f32]) -> Result<Vec<f32>, Error> {
         check_image(image)?;
-        let n = IMAGE_SIDE * IMAGE_SIDE;
         let bits = self.precision.bits();
         let denom = (1u64 << bits) as f32;
         // Quantize the image once (the sensor-side ADC).
         let pixels: Vec<f32> = image.iter().map(|&p| pixel_level(p, bits) as f32 / denom).collect();
-        let mut out = vec![0.0f32; self.bank.kernels * n];
-        let ksq = self.bank.ksize * self.bank.ksize;
-        for k in 0..self.bank.kernels {
-            let wq = &self.quantized[k * ksq..(k + 1) * ksq];
-            for oy in 0..IMAGE_SIDE {
-                for ox in 0..IMAGE_SIDE {
-                    let mut d = self.bank.offsets[k];
-                    for (t, px) in window_taps(self.bank.ksize, oy, ox) {
-                        if let Some(p) = px {
-                            d += pixels[p] * wq[t];
-                        }
-                    }
-                    out[k * n + oy * IMAGE_SIDE + ox] = ternary(d, self.tau);
-                }
-            }
-        }
-        Ok(out)
+        Ok(conv_ternary(&self.bank, &self.quantized, &pixels, self.tau))
     }
 
     fn kernels(&self) -> usize {

@@ -415,47 +415,6 @@ fn tff_block(x: &Block, y: &Block, s0: u16) -> Block {
     std::array::from_fn(|j| (x[j].wrapping_add(y[j]).wrapping_add(s0) >> 1) & 0x7FFF)
 }
 
-/// The wide scalar TFF tree fold used by the bit-level streaming engines:
-/// each element is one `u64` count, so counts beyond the 16-bit lane
-/// ceiling (15- and 16-bit streams) fold exactly. Node numbering matches
-/// [`scnn_sim::TffAdderTree`].
-///
-/// `stuck = Some((node, value))` is a stuck-at fault: node `node` emits
-/// `value` instead of its computed output — the scalar twin of
-/// [`LaneTree::fold_stuck`], so the streaming and count-domain engines
-/// share one defect semantics.
-///
-/// # Panics
-///
-/// Debug-panics if `counts.len()` is not a power of two.
-pub fn fold_tree_counts_wide(
-    policy: S0Policy,
-    counts: &mut [u64],
-    stuck: Option<(usize, u64)>,
-) -> u64 {
-    debug_assert!(counts.len().is_power_of_two(), "fold needs the padded tree width");
-    let mut width = counts.len();
-    let mut node = 0usize;
-    while width > 1 {
-        for i in 0..width / 2 {
-            counts[i] = match stuck {
-                Some((stuck_node, value)) if stuck_node == node => value,
-                _ => {
-                    let sum = counts[2 * i] + counts[2 * i + 1];
-                    if policy.state_for(node) {
-                        sum.div_ceil(2)
-                    } else {
-                        sum / 2
-                    }
-                }
-            };
-            node += 1;
-        }
-        width /= 2;
-    }
-    counts[0]
-}
-
 /// Whether breadth-first node `node` is on the **live prefix** of a
 /// `taps`-leaf TFF tree fold — the nodes [`LaneTree::fold`] actually
 /// computes. The padded tail above `taps` is all-zero by construction and
@@ -677,12 +636,13 @@ mod tests {
         for policy in POLICIES {
             let (taps, lanes) = (32usize, 4usize);
             let mut tree = LaneTree::new(taps, lanes, policy, 32000).unwrap();
+            let reference = TffAdderTree::new(taps, policy).unwrap();
             let rows = leaves(taps, lanes, |t, c| ((t * 29 + c * 1031 + 3) % 32000) as u16);
             let root = tree.fold(&refs(&rows)).to_vec();
             for (c, &got) in root.iter().enumerate() {
                 assert_eq!(
                     u64::from(got),
-                    fold_tree_counts_wide(policy, &mut column(&rows, c), None),
+                    reference.fold_counts(&column(&rows, c)),
                     "column={c} policy={policy:?}"
                 );
             }
@@ -817,6 +777,7 @@ mod tests {
         let rows = leaves(taps, lanes, |t, c| ((t * 7 + c * 13) % (n + 1)) as u16);
         for policy in POLICIES {
             for value in [0u16, 17, n as u16] {
+                let reference = TffAdderTree::new(taps, policy).unwrap();
                 for node in (0..31).filter(|&nd| live_fold_node(taps, nd)) {
                     let mut tree = LaneTree::new(taps, lanes, policy, n).unwrap();
                     let root = tree.fold_stuck(&refs(&rows), node, value).to_vec();
@@ -826,7 +787,7 @@ mod tests {
                         let stuck = (c < lanes).then_some((node, u64::from(value)));
                         assert_eq!(
                             u64::from(got),
-                            fold_tree_counts_wide(policy, &mut counts, stuck),
+                            reference.fold_padded(&mut counts, stuck),
                             "policy={policy:?} node={node} value={value} column={c}"
                         );
                     }

@@ -289,8 +289,8 @@ impl StochasticDenseLayer {
         };
         let scale = self.tree.scale() as f32;
         let mut out = vec![0.0f32; self.out_features];
-        let mut pos_counts = vec![0u64; self.in_features];
-        let mut neg_counts = vec![0u64; self.in_features];
+        let mut pos_counts = vec![0u64; self.tree.scale() as usize];
+        let mut neg_counts = vec![0u64; self.tree.scale() as usize];
         for (j, o) in out.iter_mut().enumerate() {
             pos_counts.fill(0);
             neg_counts.fill(0);
@@ -316,8 +316,8 @@ impl StochasticDenseLayer {
                     pos_counts[i] = count;
                 }
             }
-            let pos = self.tree.fold_counts(&pos_counts);
-            let neg = self.tree.fold_counts(&neg_counts);
+            let pos = self.tree.fold_padded(&mut pos_counts, None);
+            let neg = self.tree.fold_padded(&mut neg_counts, None);
             *o = (pos as f32 - neg as f32) * scale / n as f32 + self.offsets[j];
         }
         Ok(out)

@@ -1,8 +1,8 @@
 use crate::arena::{and_count, mux_words, StreamArena};
 use crate::baseline::{check_image, ternary, window_taps, FirstLayer, KernelBank, IMAGE_SIDE};
 use crate::counts::{
-    fold_tree_counts_wide, live_fold_node, mux_route_masks, split_by_sign, table_fits, LaneTree,
-    LevelCountTable, LevelStreamCache,
+    live_fold_node, mux_route_masks, split_by_sign, table_fits, LaneTree, LevelCountTable,
+    LevelStreamCache,
 };
 use crate::faults::{flips, CountFaultPlan};
 use crate::scenario::{HeadKind, ScenarioSpec};
@@ -11,7 +11,7 @@ use scnn_bitstream::Precision;
 use scnn_nn::layers::Conv2d;
 use scnn_nn::quant::{pixel_level, weight_level};
 use scnn_rng::{Lfsr, NumberSource, Ramp, Sobol2, TrueRandom, VanDerCorput};
-use scnn_sim::FaultSite;
+use scnn_sim::{FaultSite, TffAdderTree};
 
 /// Salt XORed into the scenario seed for the shared weight SNG sequence
 /// (conv and dense engines alike).
@@ -541,7 +541,7 @@ impl StochasticConvLayer {
         let ksq = self.bank.ksize * self.bank.ksize;
         let scale = self.padded as f32;
         let n_f = self.n as f32;
-        let policy = self.spec.s0_policy;
+        let tree = TffAdderTree::new(ksq, self.spec.s0_policy)?;
         // Stuck-at site, mirrored from the LUT path (construction already
         // rejected stuck-at on the MUX adder, so only the TFF arm reads it).
         // A stuck TFF column pins one node of the positive tree.
@@ -596,8 +596,8 @@ impl StochasticConvLayer {
                                 }
                             }
                             (
-                                fold_tree_counts_wide(policy, &mut pos_counts, stuck_node),
-                                fold_tree_counts_wide(policy, &mut neg_counts, None),
+                                tree.fold_padded(&mut pos_counts, stuck_node),
+                                tree.fold_padded(&mut neg_counts, None),
                             )
                         }
                         AdderKind::Mux => {
@@ -698,7 +698,7 @@ mod tests {
     use crate::baseline::FloatConvLayer;
     use scnn_bitstream::BitStream;
     use scnn_nn::layers::Padding;
-    use scnn_sim::{FaultModel, S0Policy, TffAdderTree};
+    use scnn_sim::{FaultModel, TffAdderTree};
 
     fn conv() -> Conv2d {
         Conv2d::new(1, 8, 5, Padding::Same, 5).unwrap()
@@ -710,25 +710,6 @@ mod tests {
 
     fn engine(spec: ScenarioSpec) -> StochasticConvLayer {
         StochasticConvLayer::from_conv(&conv(), &spec).unwrap()
-    }
-
-    #[test]
-    fn tff_fold_matches_sim_reference_tree() {
-        // The inline fold must agree with scnn-sim's TffAdderTree for every
-        // policy and count pattern.
-        for policy in [S0Policy::AllZero, S0Policy::AllOne, S0Policy::Alternating] {
-            let tree = TffAdderTree::new(32, policy).unwrap();
-            for seed in 0..20u64 {
-                let counts: Vec<u64> =
-                    (0..32).map(|i| (seed.wrapping_mul(31 + i) ^ i) % 65).collect();
-                let mut scratch = counts.clone();
-                assert_eq!(
-                    fold_tree_counts_wide(policy, &mut scratch, None),
-                    tree.fold_counts(&counts),
-                    "policy {policy:?} seed {seed}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -778,9 +759,8 @@ mod tests {
                 }
             }
         }
-        let policy = engine.spec().s0_policy;
-        assert_eq!(fold_tree_counts_wide(policy, &mut pos_counts, None), pos_ref);
-        assert_eq!(fold_tree_counts_wide(policy, &mut neg_counts, None), neg_ref);
+        assert_eq!(tree.fold_padded(&mut pos_counts, None), pos_ref);
+        assert_eq!(tree.fold_padded(&mut neg_counts, None), neg_ref);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! (c) trains batches of 8 images, one image per gradient shard. One more
 //! (c) row, [`MULTI_IMAGE_C`], trains batches of 32, four images per
 //! shard, so that conv2's weight gradient adds several per-image products
-//! into one `dw`.
+//! into one `dw`. The float and 4-bit fixed-point heads get (a) only
+//! ([`head_cases`]).
 //!
 //! The images and every parameter come from an integer hash, not from
 //! `synthetic::generate` (which calls `sin_cos`) or the layers' own
@@ -68,6 +69,16 @@ fn cases() -> [(&'static str, ScenarioSpec, [u64; 3]); 4] {
             ScenarioSpec::this_work(4),
             [0x5d04_e265_a9fd_8ea5, 0x374e_7d2d_b963_e950, 0x8548_e069_aa11_5a95],
         ),
+    ]
+}
+
+/// Digest (a) of the two non-stochastic heads: the float reference and
+/// the 4-bit fixed-point baseline. The tail code behind (b) and (c) is
+/// already pinned by [`cases`].
+fn head_cases() -> [(&'static str, ScenarioSpec, u64); 2] {
+    [
+        ("float", ScenarioSpec::float(), 0x44e3_3aa7_da38_9525),
+        ("binary(4)", ScenarioSpec::binary(4), 0x9519_60e9_67e0_dca5),
     ]
 }
 
@@ -178,6 +189,12 @@ fn golden_output_digests() {
             if got != want {
                 mismatches.push(format!("{name} {what}: {got:#018x}, expected {want:#018x}"));
             }
+        }
+    }
+    for (name, spec, a) in head_cases() {
+        let [got, _] = forward_digests(&spec, conv1, &tail, &set);
+        if got != a {
+            mismatches.push(format!("{name} (a): {got:#018x}, expected {a:#018x}"));
         }
     }
     if GLIBC_X86_64 {

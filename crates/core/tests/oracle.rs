@@ -540,11 +540,11 @@ fn retrain_identical_for_any_thread_count() {
         });
         (report, weights)
     };
-    scnn_obs::force(true, false);
+    scnn_obs::force(true);
     let head_images = scnn_obs::registry().counter("conv/images");
     head_images.reset();
     let (reference, reference_weights) = run("1");
-    scnn_obs::force(false, false);
+    scnn_obs::force(false);
     let distinct = (train.len() + test.len()) as u64;
     assert_eq!(head_images.get(), distinct, "head forwards in one retrain");
     for threads in ["2", "8"] {
@@ -591,7 +591,7 @@ const DETERMINISTIC_KEYS: &[&str] = &[
 #[test]
 fn counter_totals_identical_for_1_and_8_threads() {
     let _env = exclusive_env();
-    scnn_obs::force(true, false);
+    scnn_obs::force(true);
 
     // Dataset sizes include ones that don't divide evenly across 8 workers.
     for images in [1usize, 5, 12] {
@@ -617,13 +617,13 @@ fn counter_totals_identical_for_1_and_8_threads() {
         assert_eq!(baseline.get("nn/images_evaluated"), Some(&images_f));
     }
 
-    scnn_obs::force(false, false);
+    scnn_obs::force(false);
 }
 
 #[test]
 fn disabled_metrics_record_nothing() {
     let _env = exclusive_env();
-    scnn_obs::force(false, false);
+    scnn_obs::force(false);
     let snap = pass_snapshot(3, "2");
     for (key, value) in &snap {
         assert_eq!(*value, 0.0, "{key} recorded with metrics off");

@@ -1,7 +1,7 @@
 //! Property-based tests for the hybrid-engine invariants.
 
 use proptest::prelude::*;
-use scnn_core::counts::{fold_tree_counts_wide, live_fold_node, LaneTree};
+use scnn_core::counts::{live_fold_node, LaneTree};
 use scnn_core::{and_count, FirstLayer, FloatConvLayer, HybridLenet, ScenarioSpec, StreamArena};
 use scnn_nn::data::BatchSource;
 use scnn_nn::layers::{Conv2d, Padding};
@@ -223,7 +223,7 @@ proptest! {
             prop_assert_eq!(u64::from(healthy[column]), want, "taps={} column={}", taps, column);
             let want_stuck = if column < lanes && live_fold_node(taps, node) {
                 counts.resize(taps.next_power_of_two(), 0);
-                fold_tree_counts_wide(policy, &mut counts, Some((node, u64::from(value))))
+                reference.fold_padded(&mut counts, Some((node, u64::from(value))))
             } else {
                 want
             };

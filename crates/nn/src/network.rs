@@ -342,16 +342,7 @@ impl Network {
         let &[batch, classes] = logits.shape() else {
             return Err(Error::shape("[batch, classes] logits", logits.shape()));
         };
-        Ok((0..batch)
-            .map(|bi| {
-                let row = &logits.data()[bi * classes..(bi + 1) * classes];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(i, _)| i)
-                    .expect("at least one class")
-            })
-            .collect())
+        Ok(logits.data().chunks_exact(classes).take(batch).map(argmax).collect())
     }
 
     /// Classification accuracy and loss over a whole [`BatchSource`] —
@@ -468,20 +459,22 @@ fn count_correct(logits: &Tensor, labels: &[u8]) -> Result<usize, Error> {
     let &[batch, classes] = logits.shape() else {
         return Err(Error::shape("[batch, classes] logits", logits.shape()));
     };
-    let mut correct = 0usize;
-    for (bi, &label) in labels.iter().enumerate().take(batch) {
-        let row = &logits.data()[bi * classes..(bi + 1) * classes];
-        let pred = row
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-            .map(|(i, _)| i)
-            .expect("at least one class");
-        if pred == usize::from(label) {
-            correct += 1;
-        }
-    }
-    Ok(correct)
+    let rows = logits.data().chunks_exact(classes).take(batch);
+    Ok(rows.zip(labels).filter(|&(row, &label)| argmax(row) == usize::from(label)).count())
+}
+
+/// The predicted class of one logit row: the index of its largest value,
+/// the last one on a tie (`max_by`'s rule).
+///
+/// # Panics
+///
+/// Panics on an empty row or a NaN logit.
+fn argmax(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
+        .map(|(i, _)| i)
+        .expect("at least one class")
 }
 
 /// Rejects a zero batch size before any work starts.
@@ -593,6 +586,12 @@ mod tests {
         let preds = net.predict(&x).unwrap();
         assert_eq!(preds.len(), labels.len());
         assert!(preds.iter().all(|&p| p < 2));
+    }
+
+    #[test]
+    fn argmax_breaks_ties_to_the_last_maximum() {
+        assert_eq!(argmax(&[0.5, 2.0, -1.0, 2.0, 1.0]), 3);
+        assert_eq!(argmax(&[-3.0]), 0);
     }
 
     #[test]

@@ -1,27 +1,20 @@
 //! # scnn-obs — zero-dependency metrics and span tracing
 //!
 //! A hand-rolled observability layer (no crates.io, like `vendor/rand`) used
-//! across the `scnn` workspace: a global [`MetricsRegistry`] holding sharded
-//! atomic [`Counter`]s, [`Gauge`]s, and fixed-bucket log2 [`Histogram`]s with
+//! across the `scnn` workspace: a global [`MetricsRegistry`] holding atomic
+//! [`Counter`]s, [`Gauge`]s, and fixed-bucket log2 [`Histogram`]s with
 //! rank-exact p50/p90/p99 extraction and an exact maximum, plus lightweight
 //! span tracing ([`span`] returns an RAII [`Span`] guard over a thread-local
 //! stack) that aggregates per-stage durations and call counts and merges them
 //! deterministically into the registry when each thread's outermost span ends.
 //!
-//! ## Runtime toggles
+//! ## Runtime toggle
 //!
-//! Everything is gated behind two environment toggles so the library can stay
-//! wired through hot paths permanently:
-//!
-//! * [`METRICS_ENV`] (`SCNN_METRICS`) — master switch for counters, gauges,
-//!   and span histograms.
-//! * [`TRACE_ENV`] (`SCNN_TRACE`) — additionally keys span aggregates by the
-//!   full enclosing span path (e.g. `parallel/worker/conv/forward` instead of
-//!   `conv/forward`). Turning tracing on implies metrics.
-//!
-//! Accepted values for both: `on`/`1`/`true`/`yes` and `off`/`0`/`false`/`no`
-//! (unset or empty means off). Anything else is reported with the offending
-//! value and this grammar — see [`parse_toggle`].
+//! One environment toggle, [`METRICS_ENV`] (`SCNN_METRICS`), switches
+//! counters, gauges and span histograms on, so the library can stay wired
+//! through hot paths permanently. Accepted values: `on`/`1`/`true`/`yes` and
+//! `off`/`0`/`false`/`no` (unset or empty means off). Anything else is
+//! reported with the offending value and this grammar — see [`parse_toggle`].
 //!
 //! The **off-path is a single relaxed atomic load**: [`metrics_enabled`]
 //! reads one `AtomicU8` and instrumented call sites do no other work when it
@@ -41,7 +34,7 @@
 //! ```
 //! use scnn_obs::{force, registry, span};
 //!
-//! force(true, false); // or SCNN_METRICS=on in the environment
+//! force(true); // or SCNN_METRICS=on in the environment
 //! registry().counter("demo/images").add(2);
 //! {
 //!     let _guard = span("demo/forward");
@@ -63,102 +56,58 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Environment variable enabling the metrics registry (`SCNN_METRICS`).
 pub const METRICS_ENV: &str = "SCNN_METRICS";
 
-/// Environment variable enabling full-path span tracing (`SCNN_TRACE`).
-///
-/// Implies [`METRICS_ENV`]: tracing without the registry would have nowhere
-/// to put its aggregates.
-pub const TRACE_ENV: &str = "SCNN_TRACE";
-
 const STATE_UNINIT: u8 = 0;
-const STATE_INIT: u8 = 0b100;
-const STATE_METRICS: u8 = 0b001;
-const STATE_TRACE: u8 = 0b010;
+const STATE_OFF: u8 = 1;
+const STATE_ON: u8 = 2;
 
-/// Toggle state: 0 = not yet initialised from the environment; otherwise
-/// `STATE_INIT | metrics-bit | trace-bit`.
+/// Toggle state: not yet read from the environment, off, or on.
 static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
 
 /// Returns `true` when metric recording is enabled.
 ///
 /// This is the hot-path gate: once initialised it is a single relaxed atomic
-/// load. The first call lazily initialises from [`METRICS_ENV`] /
-/// [`TRACE_ENV`] and **panics** with the offending value and the accepted
-/// grammar if either variable fails to parse (call [`init_from_env`] at
-/// program start to surface that error as a `Result` instead).
+/// load. The first call lazily initialises from [`METRICS_ENV`] and
+/// **panics** with the offending value and the accepted grammar if the
+/// variable fails to parse (call [`init_from_env`] at program start to
+/// surface that error as a `Result` instead).
 #[inline]
 pub fn metrics_enabled() -> bool {
-    let state = STATE.load(Ordering::Relaxed);
-    if state == STATE_UNINIT {
-        return init_slow() & STATE_METRICS != 0;
+    match STATE.load(Ordering::Relaxed) {
+        STATE_UNINIT => init_slow(),
+        state => state == STATE_ON,
     }
-    state & STATE_METRICS != 0
-}
-
-/// Returns `true` when full-path span tracing is enabled.
-///
-/// Same cost model as [`metrics_enabled`]: one relaxed load after the first
-/// call.
-#[inline]
-pub fn trace_enabled() -> bool {
-    let state = STATE.load(Ordering::Relaxed);
-    if state == STATE_UNINIT {
-        return init_slow() & STATE_TRACE != 0;
-    }
-    state & STATE_TRACE != 0
 }
 
 #[cold]
-fn init_slow() -> u8 {
-    match env_bits() {
-        Ok(bits) => {
-            let state = STATE_INIT | bits;
-            STATE.store(state, Ordering::Relaxed);
-            state
-        }
+fn init_slow() -> bool {
+    match init_from_env() {
+        Ok(()) => STATE.load(Ordering::Relaxed) == STATE_ON,
         Err(message) => panic!("{message}"),
     }
 }
 
-/// Initialises the toggles from the environment, reporting parse errors.
+/// Initialises the toggle from the environment, reporting parse errors.
 ///
-/// Harness binaries call this once at startup so a typo in `SCNN_METRICS` or
-/// `SCNN_TRACE` fails fast with a clean message instead of panicking inside
-/// the first instrumented forward pass. Calling it again re-reads the
-/// environment (later [`force`] calls still win).
+/// Harness binaries call this once at startup so a typo in `SCNN_METRICS`
+/// fails fast with a clean message instead of panicking inside the first
+/// instrumented forward pass. Calling it again re-reads the environment
+/// (later [`force`] calls still win).
 ///
 /// # Errors
 ///
-/// Returns the human-readable message from [`parse_toggle`] when either
+/// Returns the human-readable message from [`parse_toggle`] when the
 /// variable holds an unrecognised value.
 ///
 /// ```
-/// scnn_obs::init_from_env().expect("SCNN_METRICS/SCNN_TRACE should parse");
+/// scnn_obs::init_from_env().expect("SCNN_METRICS should parse");
 /// ```
 pub fn init_from_env() -> Result<(), String> {
-    let bits = env_bits()?;
-    STATE.store(STATE_INIT | bits, Ordering::Relaxed);
+    let on = match std::env::var(METRICS_ENV) {
+        Ok(value) => parse_toggle(METRICS_ENV, &value)?,
+        Err(_) => false,
+    };
+    force(on);
     Ok(())
-}
-
-fn env_bits() -> Result<u8, String> {
-    let metrics = env_toggle(METRICS_ENV)?;
-    let trace = env_toggle(TRACE_ENV)?;
-    let mut bits = 0;
-    // Tracing implies metrics: span aggregates land in the registry.
-    if metrics || trace {
-        bits |= STATE_METRICS;
-    }
-    if trace {
-        bits |= STATE_TRACE;
-    }
-    Ok(bits)
-}
-
-fn env_toggle(name: &'static str) -> Result<bool, String> {
-    match std::env::var(name) {
-        Ok(value) => parse_toggle(name, &value),
-        Err(_) => Ok(false),
-    }
 }
 
 /// Parses one `on`/`off` environment toggle value.
@@ -188,28 +137,19 @@ pub fn parse_toggle(name: &str, value: &str) -> Result<bool, String> {
     }
 }
 
-/// Programmatically overrides both toggles, bypassing the environment.
+/// Programmatically overrides the toggle, bypassing the environment.
 ///
 /// Intended for benches and tests that need metrics on without mutating the
-/// process environment. `trace = true` forces metrics on as well (tracing
-/// implies metrics).
+/// process environment.
 ///
 /// ```
-/// scnn_obs::force(true, false);
+/// scnn_obs::force(true);
 /// assert!(scnn_obs::metrics_enabled());
-/// assert!(!scnn_obs::trace_enabled());
-/// scnn_obs::force(false, false);
+/// scnn_obs::force(false);
 /// assert!(!scnn_obs::metrics_enabled());
 /// ```
-pub fn force(metrics: bool, trace: bool) {
-    let mut bits = STATE_INIT;
-    if metrics || trace {
-        bits |= STATE_METRICS;
-    }
-    if trace {
-        bits |= STATE_TRACE;
-    }
-    STATE.store(bits, Ordering::Relaxed);
+pub fn force(on: bool) {
+    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -228,8 +168,8 @@ mod tests {
 
     #[test]
     fn toggle_error_reports_value_and_grammar() {
-        let err = parse_toggle("SCNN_TRACE", "maybe").unwrap_err();
-        assert!(err.contains("SCNN_TRACE"), "{err}");
+        let err = parse_toggle("SCNN_METRICS", "maybe").unwrap_err();
+        assert!(err.contains("SCNN_METRICS"), "{err}");
         assert!(err.contains("\"maybe\""), "{err}");
         assert!(err.contains("on/1/true/yes"), "{err}");
         assert!(err.contains("off/0/false/no"), "{err}");

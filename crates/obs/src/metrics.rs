@@ -1,31 +1,20 @@
-//! The global metrics registry: sharded counters, gauges, log2 histograms,
+//! The global metrics registry: counters, gauges, log2 histograms,
 //! and the two exporters (sorted snapshot + Prometheus text exposition).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Number of shards in a [`Counter`]. Threads are round-robined onto shards,
-/// so up to eight writers increment without sharing a cache line.
-const COUNTER_SHARDS: usize = 8;
 
 /// Number of buckets in a [`Histogram`]: bucket 0 holds the value `0`,
 /// bucket `i >= 1` holds values in `[2^(i-1), 2^i - 1]`, and the last bucket
 /// (`i = 64`) absorbs everything from `2^63` up to `u64::MAX`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-/// One cache line of counter storage, padded so sharded writers never false
-/// share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// Monotonic counter with per-thread sharded storage.
+/// Monotonic counter: one relaxed atomic.
 ///
-/// `add` touches a single shard chosen per thread (round-robin assignment on
-/// first use), so concurrent increments from the `SCNN_THREADS` workers do
-/// not contend. `get` sums all shards; because every update is an atomic
-/// add, the merged total is exact for any thread count.
+/// Every counter in the workspace is bumped at most once per image, dense
+/// row or batch, so concurrent workers rarely touch the same line; because
+/// every update is an atomic add, the total is exact for any thread count.
 ///
 /// ```
 /// let registry = scnn_obs::registry();
@@ -34,53 +23,25 @@ struct PaddedU64(AtomicU64);
 /// c.add(4);
 /// assert_eq!(c.get(), 7);
 /// ```
-#[derive(Default)]
-pub struct Counter {
-    shards: [PaddedU64; COUNTER_SHARDS],
-}
-
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Counter").field("total", &self.get()).finish()
-    }
-}
-
-/// Round-robin shard assignment: each thread picks a shard once and caches
-/// it in a thread-local.
-fn shard_index() -> usize {
-    static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-    }
-    SHARD.with(|cell| {
-        let cached = cell.get();
-        if cached != usize::MAX {
-            return cached;
-        }
-        let assigned = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS;
-        cell.set(assigned);
-        assigned
-    })
-}
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
 
 impl Counter {
     /// Adds `n` to the counter (relaxed; never blocks).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Returns the merged total across all shards.
+    /// Returns the total.
     pub fn get(&self) -> u64 {
-        self.shards.iter().map(|shard| shard.0.load(Ordering::Relaxed)).sum()
+        self.0.load(Ordering::Relaxed)
     }
 
     /// Zeroes the counter. Concurrent `add`s are not torn, just attributed
     /// to one side of the reset.
     pub fn reset(&self) {
-        for shard in &self.shards {
-            shard.0.store(0, Ordering::Relaxed);
-        }
+        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -89,18 +50,12 @@ impl Counter {
 /// ```
 /// let g = scnn_obs::registry().gauge("doc/gauge_demo");
 /// g.set(8);
-/// g.add(-3);
+/// g.set(5);
 /// assert_eq!(g.get(), 5);
 /// ```
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicI64,
-}
-
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Gauge").field("value", &self.get()).finish()
-    }
 }
 
 impl Gauge {
@@ -108,12 +63,6 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative) to the gauge.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Returns the current value.
@@ -165,7 +114,7 @@ impl Default for Histogram {
 }
 
 /// Bucket index for a sample: 0 for 0, otherwise `floor(log2(v)) + 1`.
-fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
 
@@ -413,7 +362,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_merges_shards_exactly() {
+    fn counter_adds_exactly() {
         let c = Counter::default();
         for _ in 0..100 {
             c.add(3);
@@ -424,11 +373,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_add() {
+    fn gauge_keeps_the_last_write() {
         let g = Gauge::default();
         g.set(10);
-        g.add(-4);
-        assert_eq!(g.get(), 6);
+        g.set(-4);
+        assert_eq!(g.get(), -4);
     }
 
     #[test]

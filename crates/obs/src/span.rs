@@ -2,18 +2,18 @@
 //!
 //! [`span`] returns a guard that measures the enclosed scope. Durations and
 //! call counts aggregate into a thread-local table (no atomics while spans
-//! are running) and flush into the global registry as `stage/<path>`
+//! are running) and flush into the global registry as `stage/<stage>`
 //! histograms whenever the thread's outermost span ends — so worker threads
 //! merge their aggregates exactly once per pass, and merged call counts are
 //! exact for any `SCNN_THREADS`.
 
-use crate::metrics::{registry, HISTOGRAM_BUCKETS};
-use crate::{metrics_enabled, trace_enabled};
+use crate::metrics::{bucket_index, registry, HISTOGRAM_BUCKETS};
+use crate::metrics_enabled;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Thread-local aggregate for one span key.
+/// Thread-local aggregate for one span stage.
 struct LocalAgg {
     calls: u64,
     total_ns: u64,
@@ -27,21 +27,15 @@ impl Default for LocalAgg {
     }
 }
 
-/// Bucket index mirroring `Histogram::record`'s quantisation.
-fn bucket_index(v: u64) -> usize {
-    (u64::BITS - v.leading_zeros()) as usize
-}
-
 #[derive(Default)]
 struct SpanState {
-    /// Active span keys, innermost last. With tracing on, each entry is the
-    /// full path (`parent/child`); otherwise just the stage name.
-    stack: Vec<String>,
-    aggs: HashMap<String, LocalAgg>,
+    /// Active span stages, innermost last.
+    stack: Vec<&'static str>,
+    aggs: HashMap<&'static str, LocalAgg>,
 }
 
 impl SpanState {
-    fn record(&mut self, key: String, duration_ns: u64) {
+    fn record(&mut self, key: &'static str, duration_ns: u64) {
         let agg = self.aggs.entry(key).or_default();
         agg.calls += 1;
         agg.total_ns += duration_ns;
@@ -85,13 +79,12 @@ pub struct Span(Option<ActiveSpan>);
 /// Opens a span for `stage`, returning its RAII guard.
 ///
 /// When metrics are disabled this is a single relaxed atomic load and the
-/// guard is inert. When [`crate::trace_enabled`], the aggregate key is the
-/// full path of enclosing spans on this thread (`parallel/worker/conv/fold`);
-/// otherwise it is just `stage`. Aggregates surface in the registry as
-/// `stage/<key>` histograms of nanosecond durations.
+/// guard is inert. Otherwise the span aggregates under `stage` itself,
+/// whatever spans enclose it, and surfaces in the registry as a
+/// `stage/<stage>` histogram of nanosecond durations.
 ///
 /// ```
-/// scnn_obs::force(true, false);
+/// scnn_obs::force(true);
 /// {
 ///     let _outer = scnn_obs::span("doc/outer");
 ///     let _inner = scnn_obs::span("doc/inner");
@@ -105,11 +98,7 @@ pub fn span(stage: &'static str) -> Span {
     }
     let depth = SPAN_STATE.with(|state| {
         let mut state = state.borrow_mut();
-        let key = match state.stack.last() {
-            Some(parent) if trace_enabled() => format!("{parent}/{stage}"),
-            _ => stage.to_owned(),
-        };
-        state.stack.push(key);
+        state.stack.push(stage);
         state.stack.len()
     });
     Span(Some(ActiveSpan { depth, start: Instant::now() }))
@@ -122,7 +111,7 @@ impl Drop for Span {
         SPAN_STATE.with(|state| {
             let mut state = state.borrow_mut();
             if state.stack.len() >= active.depth {
-                // Drop any leaked inner entries, then pop our own key.
+                // Drop any leaked inner entries, then pop our own stage.
                 state.stack.truncate(active.depth);
                 if let Some(key) = state.stack.pop() {
                     state.record(key, duration_ns);

@@ -37,7 +37,7 @@ fn run_partitioned(threads: usize, items: u64) {
 #[test]
 fn concurrent_totals_are_exact_and_export_is_byte_deterministic() {
     let _guard = locked();
-    force(true, false);
+    force(true);
     const ITEMS: u64 = 10_000;
     let expected_total: u64 = (0..ITEMS).map(|i| i % 7).sum();
 
@@ -59,13 +59,13 @@ fn concurrent_totals_are_exact_and_export_is_byte_deterministic() {
         assert_eq!(render, &renders[0], "render_text differs at thread set {i}");
         assert_eq!(snapshots[i], snapshots[0], "snapshot differs at thread set {i}");
     }
-    force(false, false);
+    force(false);
 }
 
 #[test]
 fn span_counts_merge_exactly_across_worker_threads() {
     let _guard = locked();
-    force(true, false);
+    force(true);
     const PER_THREAD: u64 = 257;
     for threads in [1usize, 3, 8] {
         registry().reset();
@@ -85,13 +85,13 @@ fn span_counts_merge_exactly_across_worker_threads() {
             "span call count must be exact with {threads} threads"
         );
     }
-    force(false, false);
+    force(false);
 }
 
 #[test]
 fn spans_are_inert_when_disabled() {
     let _guard = locked();
-    force(false, false);
+    force(false);
     registry().reset();
     {
         let _s = span("det/disabled");
@@ -101,23 +101,9 @@ fn spans_are_inert_when_disabled() {
 }
 
 #[test]
-fn trace_mode_keys_spans_by_full_path() {
-    let _guard = locked();
-    force(true, true);
-    registry().reset();
-    {
-        let _outer = span("outer");
-        let _inner = span("inner");
-    }
-    assert_eq!(registry().histogram("stage/outer").count(), 1);
-    assert_eq!(registry().histogram("stage/outer/inner").count(), 1);
-    force(false, false);
-}
-
-#[test]
 fn metrics_mode_keys_spans_by_leaf_stage() {
     let _guard = locked();
-    force(true, false);
+    force(true);
     registry().reset();
     {
         let _outer = span("flat_outer");
@@ -125,13 +111,13 @@ fn metrics_mode_keys_spans_by_leaf_stage() {
     }
     assert_eq!(registry().histogram("stage/flat_inner").count(), 1);
     assert_eq!(registry().histogram("stage/flat_outer/flat_inner").count(), 0);
-    force(false, false);
+    force(false);
 }
 
 #[test]
 fn leaked_inner_span_does_not_misattribute() {
     let _guard = locked();
-    force(true, false);
+    force(true);
     registry().reset();
     {
         let outer = span("leak_outer");
@@ -145,5 +131,5 @@ fn leaked_inner_span_does_not_misattribute() {
     // rather than being attributed to some other stage.
     assert_eq!(registry().histogram("stage/leak_outer").count(), 1);
     assert_eq!(registry().histogram("stage/leak_inner").count(), 0);
-    force(false, false);
+    force(false);
 }

@@ -40,8 +40,9 @@ impl S0Policy {
 /// what the hardware's unused leaf inputs do), so the scale factor is the
 /// padded width. Because each TFF adder's output count is a deterministic
 /// function of its input counts, the whole tree admits a closed-form count
-/// fold ([`fold_counts`](Self::fold_counts)) that `scnn-core` uses as its
-/// fast path; the streamwise simulation here is the reference model.
+/// fold ([`fold_counts`](Self::fold_counts),
+/// [`fold_padded`](Self::fold_padded)) that `scnn-core`'s streaming
+/// references use; the streamwise simulation here is the reference model.
 ///
 /// # Example
 ///
@@ -140,30 +141,50 @@ impl TffAdderTree {
         Ok(level.swap_remove(0))
     }
 
-    /// Closed-form output count from the input counts only — the packed
-    /// fast path. Exactly equivalent to counting
-    /// [`add_streams`](Self::add_streams)' output (property-tested).
-    /// Folds in place over one padded scratch buffer.
+    /// Closed-form output count from the input counts only. Exactly
+    /// equivalent to counting [`add_streams`](Self::add_streams)' output
+    /// (property-tested). Copies the counts into a padded buffer and runs
+    /// [`fold_padded`](Self::fold_padded) on it.
     ///
     /// # Panics
     ///
     /// Panics if `counts.len() != num_inputs`.
     pub fn fold_counts(&self, counts: &[u64]) -> u64 {
         assert_eq!(counts.len(), self.num_inputs, "count vector length mismatch");
-        let mut level: Vec<u64> = Vec::with_capacity(self.padded);
-        level.extend_from_slice(counts);
-        level.resize(self.padded, 0);
+        let mut level = vec![0; self.padded];
+        level[..counts.len()].copy_from_slice(counts);
+        self.fold_padded(&mut level, None)
+    }
+
+    /// The count fold over a caller's buffer of [`scale`](Self::scale)
+    /// leaf counts (zeros past [`num_inputs`](Self::num_inputs)), which it
+    /// overwrites: node `i`'s output lands in a slot its level has already
+    /// read. Allocates nothing, so a per-window caller reuses one buffer.
+    ///
+    /// `stuck = Some((node, count))` is a stuck-at fault: node `node`,
+    /// numbered breadth-first from the bottom level as in
+    /// [`FaultSite::AdderNode`](crate::FaultSite::AdderNode), emits `count`
+    /// instead of its computed output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts.len() != scale()`.
+    pub fn fold_padded(&self, counts: &mut [u64], stuck: Option<(usize, u64)>) -> u64 {
+        assert_eq!(counts.len(), self.padded, "padded count buffer length mismatch");
         let mut width = self.padded;
-        let mut node_index = 0usize;
+        let mut node = 0usize;
         while width > 1 {
             for i in 0..width / 2 {
-                let adder = TffAdder::new(self.policy.state_for(node_index));
-                node_index += 1;
-                level[i] = adder.add_count(level[2 * i], level[2 * i + 1]);
+                counts[i] = match stuck {
+                    Some((stuck_node, count)) if stuck_node == node => count,
+                    _ => TffAdder::new(self.policy.state_for(node))
+                        .add_count(counts[2 * i], counts[2 * i + 1]),
+                };
+                node += 1;
             }
             width /= 2;
         }
-        level[0]
+        counts[0]
     }
 }
 
@@ -176,12 +197,10 @@ impl TffAdderTree {
 /// shortcut: the output depends on *which* bits the selects sample.
 ///
 /// The per-node select streams are deterministic functions of the
-/// construction parameters (seed, width) and the stream length, so they
-/// are generated once per distinct length and cached — the hardware's
-/// fixed select register bank — instead of re-running every node's LFSR on
-/// each [`add_streams`](Self::add_streams) call. (The length is only known
-/// at the first call, so "at construction" is realized lazily; repeated
-/// calls hit the cache.)
+/// construction parameters (seed, width) and the stream length — the
+/// hardware's fixed select register bank — so every
+/// [`add_streams`](Self::add_streams) call with the same length sees the
+/// same bank.
 ///
 /// # Example
 ///
@@ -197,28 +216,12 @@ impl TffAdderTree {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MuxAdderTree {
     num_inputs: usize,
     padded: usize,
     select_width: u32,
     seed: u64,
-    /// Cached select-stream banks keyed by stream length.
-    select_cache: std::sync::Mutex<Vec<(usize, std::sync::Arc<Vec<BitStream>>)>>,
-}
-
-impl Clone for MuxAdderTree {
-    fn clone(&self) -> Self {
-        Self {
-            num_inputs: self.num_inputs,
-            padded: self.padded,
-            select_width: self.select_width,
-            seed: self.seed,
-            select_cache: std::sync::Mutex::new(
-                self.select_cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone(),
-            ),
-        }
-    }
 }
 
 impl MuxAdderTree {
@@ -237,13 +240,7 @@ impl MuxAdderTree {
         if !(3..=32).contains(&select_width) {
             return Err(Error::InvalidPrecision { bits: select_width });
         }
-        Ok(Self {
-            num_inputs,
-            padded: num_inputs.next_power_of_two(),
-            select_width,
-            seed,
-            select_cache: std::sync::Mutex::new(Vec::new()),
-        })
+        Ok(Self { num_inputs, padded: num_inputs.next_power_of_two(), select_width, seed })
     }
 
     /// The number of (unpadded) inputs.
@@ -278,22 +275,6 @@ impl MuxAdderTree {
         sng.generate_level(1u64 << (self.select_width - 1), len)
     }
 
-    /// The whole select bank (one stream per node) for stream length `len`,
-    /// generated once and cached.
-    fn select_bank(&self, len: usize) -> std::sync::Arc<Vec<BitStream>> {
-        // Recover a poisoned guard: the cache holds only recomputable
-        // select banks, so a panic mid-insert at worst loses an entry.
-        let mut cache = self.select_cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((_, bank)) = cache.iter().find(|(l, _)| *l == len) {
-            return bank.clone();
-        }
-        let bank = std::sync::Arc::new(
-            (0..self.num_nodes()).map(|i| self.generate_select_stream(i, len)).collect::<Vec<_>>(),
-        );
-        cache.push((len, bank.clone()));
-        bank
-    }
-
     /// Streamwise tree evaluation.
     ///
     /// # Errors
@@ -309,7 +290,8 @@ impl MuxAdderTree {
             });
         }
         let len = inputs[0].len();
-        let selects = self.select_bank(len);
+        let selects: Vec<BitStream> =
+            (0..self.num_nodes()).map(|i| self.generate_select_stream(i, len)).collect();
         let mut level: Vec<BitStream> = Vec::with_capacity(self.padded);
         level.extend_from_slice(inputs);
         level.resize(self.padded, BitStream::zeros(len));
@@ -436,9 +418,9 @@ mod tests {
     }
 
     #[test]
-    fn mux_select_cache_is_transparent() {
-        // Repeated calls (cache hits), fresh trees (cache misses), clones,
-        // and mixed lengths must all agree.
+    fn mux_tree_is_deterministic() {
+        // Repeated calls, fresh trees, clones and mixed lengths must all
+        // agree: the select bank depends on the seed, width and length only.
         let inputs = |len: usize, n: usize| -> Vec<BitStream> {
             (0..n).map(|k| BitStream::from_fn(len, |i| (i * 13 + k * 7) % 5 < 2)).collect()
         };

@@ -14,8 +14,8 @@
 //! * [`nn`] — a minimal CPU training framework plus MNIST-like data,
 //! * [`core`] — the hybrid stochastic-binary network and retraining pipeline,
 //! * [`hw`] — the 65 nm area/power/energy cost model,
-//! * [`obs`] — zero-dependency metrics registry and span tracing
-//!   (`SCNN_METRICS` / `SCNN_TRACE`).
+//! * [`obs`] — zero-dependency metrics registry and span tracing, switched
+//!   on by `SCNN_METRICS`.
 //!
 //! # Quickstart
 //!
