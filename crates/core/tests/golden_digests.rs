@@ -18,9 +18,11 @@
 //! `synthetic::generate` (which calls `sin_cos`) or the layers' own
 //! initializers (`ln`, `cos`), and no base training runs (it calls `exp`
 //! and `ln`). So (a) and (b) call no libm function and must hold on any
-//! IEEE-754 target, under any `target-cpu`: Rust neither fuses nor
-//! reorders float operations. Two exceptions are gated to x86_64 Linux,
-//! where the constants were recorded with glibc:
+//! IEEE-754 target, under any `target-cpu`: Rust reorders no float
+//! operation, and the code fuses a multiply and an add only where the
+//! product is exact (conv2's ternary input, where the target has FMA), so
+//! the fused and unfused sums round alike. Two exceptions are gated to
+//! x86_64 Linux, where the constants were recorded with glibc:
 //!
 //! * the faulted engine samples its bit-error gaps through `ln`, so its
 //!   (a) and (b) are;

@@ -27,6 +27,13 @@ pub enum Padding {
 /// Weight gradients gather the same patches from the cached input and add
 /// one product per image into the gradient, in image order.
 ///
+/// When every input value is ±0 or ±1 (the hybrid network's conv2 reads
+/// the head's pooled `Sign` features), each product `w·x` is exact. Then
+/// [`forward`](Layer::forward) and [`weight_grads`](Conv2d::weight_grads)
+/// use fused multiply-adds on targets with FMA, and get the bits of a
+/// multiply and an add. The input gradient and any other input keep the
+/// plain multiply and add.
+///
 /// # Example
 ///
 /// ```
@@ -186,10 +193,11 @@ impl Conv2d {
         // The image's patch matrix, transposed: entry (s, r) is
         // image[cols[s] + rows[r]].
         let (rows, cols) = self.patch_offsets(hp, wp, oh, ow);
+        let ternary = all_ternary(x.data());
         let images = grad_output.data().chunks_exact(self.out_channels * patch);
         for (g, img) in images.zip(x.data().chunks_exact(c * hp * wp)) {
             let g_mat = PackedA::new(NN, MatRef::new(g, self.out_channels, patch));
-            let patches = Rhs::Gather { data: img, p_off: &cols, j_off: &rows };
+            let patches = Rhs::Gather { data: img, p_off: &cols, j_off: &rows, ternary };
             g_mat.product(patches, self.dw.data_mut());
             for oc in 0..self.out_channels {
                 let s: f32 = g[oc * patch..(oc + 1) * patch].iter().sum();
@@ -285,6 +293,17 @@ impl Conv2d {
     }
 }
 
+/// Whether every value is ±0 or ±1, so that `w·v` is exact for every `w`.
+/// One pass of bit compares, without an early exit, so that it vectorizes.
+fn all_ternary(values: &[f32]) -> bool {
+    values.iter().fold(true, |all, &v| all & is_ternary(v))
+}
+
+/// Whether `v` is ±0 or ±1: its bits, sign cleared, are those of 0 or 1.
+fn is_ternary(v: f32) -> bool {
+    matches!(v.to_bits() & 0x7fff_ffff, 0 | 0x3f80_0000)
+}
+
 impl Layer for Conv2d {
     fn name(&self) -> &'static str {
         "conv2d"
@@ -308,9 +327,10 @@ impl Layer for Conv2d {
         let fan_in = c * self.kernel * self.kernel;
         let w_mat = PackedA::new(NN, MatRef::new(self.w.data(), self.out_channels, fan_in));
         let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
+        let ternary = all_ternary(x.data());
         let images = x.data().chunks_exact(c * hp * wp);
         for (img, dst) in images.zip(out.data_mut().chunks_exact_mut(self.out_channels * patch)) {
-            w_mat.product(Rhs::Gather { data: img, p_off: &rows, j_off: &cols }, dst);
+            w_mat.product(Rhs::Gather { data: img, p_off: &rows, j_off: &cols, ternary }, dst);
             for (d, &bias) in dst.chunks_exact_mut(patch).zip(self.b.data()) {
                 for o in d {
                     *o += bias;
@@ -484,7 +504,9 @@ mod tests {
     /// the register tile and the leftover rows, with 25 and 81 outputs per
     /// map (neither a multiple of the tile's 16 columns); the Same case
     /// gathers zero padding into the patch panels, as conv1 does in base
-    /// training.
+    /// training. Each shape also runs on an all-ternary input (±0 and ±1,
+    /// as conv2 reads), which takes the fused path in the forward and
+    /// `dw` products.
     #[test]
     fn batched_passes_match_direct_loops_bit_for_bit() {
         let (c, oc, k) = (2usize, 18usize, 3usize);
@@ -497,16 +519,21 @@ mod tests {
             8..=11 => -1.0,
             _ => (i % 97) as f32 / 13.0 - 3.5,
         };
-        for (padding, h) in [(Padding::Valid, 7usize), (Padding::Same, 9)] {
+        let cases = [(Padding::Valid, 7usize), (Padding::Same, 9)];
+        for ((padding, h), ternary) in cases.into_iter().flat_map(|c| [(c, false), (c, true)]) {
             let pad = if padding == Padding::Same { (k - 1) / 2 } else { 0 };
             let o = h + 2 * pad - k + 1;
+            let x_value = |i: usize| match ternary {
+                false => value(i, 1),
+                true => [1.0, -1.0, 0.0, -0.0, -1.0, 1.0, 1.0][(i * 7919) % 7],
+            };
             for batch in [1usize, 3, 4] {
                 let mut conv = Conv2d::new(c, oc, k, padding, 5).unwrap();
                 for (i, b) in conv.bias_mut().data_mut().iter_mut().enumerate() {
                     *b = value(i, 9) / 4.0;
                 }
                 let w = conv.weights().data().to_vec();
-                let x: Vec<f32> = (0..batch * c * h * h).map(|i| value(i, 1)).collect();
+                let x: Vec<f32> = (0..batch * c * h * h).map(x_value).collect();
                 let g: Vec<f32> = (0..batch * oc * o * o).map(|i| value(i, 2)).collect();
                 let input = Tensor::from_vec(x.clone(), &[batch, c, h, h]).unwrap();
                 let y = conv.forward(&input, true);
@@ -561,13 +588,33 @@ mod tests {
                     }
                 }
                 let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                let case = format!("{padding:?}, batch {batch}");
+                assert_eq!(all_ternary(&x), ternary);
+                let case = format!("{padding:?}, batch {batch}, ternary {ternary}");
                 assert_eq!(bits(y.data()), bits(&y_ref), "forward, {case}");
                 assert_eq!(bits(dx.data()), bits(&dx_ref), "dx, {case}");
                 let mut grads = Vec::new();
                 conv.visit_params(&mut |_, g| grads.push(bits(g.data())));
                 assert_eq!(grads, [bits(&dw_ref), bits(&db_ref)], "dw and db, {case}");
             }
+        }
+    }
+
+    /// The fused path's guard: only ±0 and ±1 make every `w·x` exact.
+    #[test]
+    fn ternary_predicate_accepts_only_signed_zeros_and_ones() {
+        for v in [0.0f32, -0.0, 1.0, -1.0] {
+            assert!(is_ternary(v), "{v} is ternary");
+        }
+        let subnormal = f32::from_bits(1);
+        let rejected =
+            [0.5f32, 2.0, -1.000_000_1, subnormal, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for v in rejected {
+            assert!(!is_ternary(v), "{v:e} is not ternary");
+        }
+        assert!(all_ternary(&[1.0, -0.0, -1.0, 0.0]));
+        assert!(all_ternary(&[]));
+        for v in rejected {
+            assert!(!all_ternary(&[1.0, 0.0, v, -1.0]), "a {v:e} among ternary values");
         }
     }
 

@@ -292,8 +292,9 @@ pub(crate) enum Rhs<'a> {
     /// Stored `[n, k]` and read as its transpose.
     Cols(MatRef<'a>),
     /// Entry `(p, j)` is `data[p_off[p] + j_off[j]]`: a convolution's patch
-    /// matrix, read from its image.
-    Gather { data: &'a [f32], p_off: &'a [usize], j_off: &'a [usize] },
+    /// matrix, read from its image. `ternary` promises that every entry is
+    /// ±0 or ±1, so that every product is exact and may be fused.
+    Gather { data: &'a [f32], p_off: &'a [usize], j_off: &'a [usize], ternary: bool },
 }
 
 impl<'a> PackedA<'a> {
@@ -360,8 +361,13 @@ impl<'a> PackedA<'a> {
     /// `out += A · b`, the one kernel behind every product (see
     /// [`matmul_into`](Self::matmul_into)). A right operand that is not
     /// stored `[k, n]` is packed `k`-major, one column block at a time.
+    ///
+    /// A ternary [`Rhs::Gather`] takes fused multiply-adds where the target
+    /// has them: each product `a·x` is `±a` or `±0`, exact, so
+    /// `fma(a, x, s)` rounds once to the bits of `s + a·x`.
     pub(crate) fn product(&self, b: Rhs<'_>, out: &mut [f32]) {
         let (m, k) = (self.m, self.k);
+        let fused = matches!(b, Rhs::Gather { ternary: true, .. });
         let (kb, n) = match b {
             Rhs::Rows(b) => (b.rows, b.cols),
             Rhs::Cols(b) => (b.cols, b.rows),
@@ -399,7 +405,7 @@ impl<'a> PackedA<'a> {
                     }
                     (&packed[..], 0, width)
                 }
-                Rhs::Gather { data, p_off, j_off } => {
+                Rhs::Gather { data, p_off, j_off, .. } => {
                     let j_off = &j_off[j_block..][..width];
                     for (row, &po) in packed.chunks_exact_mut(width).zip(p_off) {
                         for (dst, &jo) in row.iter_mut().zip(j_off) {
@@ -423,9 +429,9 @@ impl<'a> PackedA<'a> {
                 for (a_panel, &i0) in self.panels.chunks_exact(MR * k).zip(&self.panel_rows) {
                     for j0 in (0..width).step_by(NR) {
                         let acc = if j0 < edge_start {
-                            register_tile(a_panel, &b_data[b_off + j0..], b_stride)
+                            tile(fused, a_panel, &b_data[b_off + j0..], b_stride)
                         } else {
-                            register_tile(a_panel, &edge, NR)
+                            tile(fused, a_panel, &edge, NR)
                         };
                         let cols = NR.min(width - j0);
                         for (r, acc_row) in acc.iter().enumerate() {
@@ -451,8 +457,10 @@ impl<'a> PackedA<'a> {
                         continue;
                     }
                     let b_row = &b_data[b_off + p * b_stride..][..width];
-                    for (s, &bv) in sums.iter_mut().zip(b_row) {
-                        *s += av * bv;
+                    if fused {
+                        add_row_product::<true>(&mut sums, av, b_row);
+                    } else {
+                        add_row_product::<false>(&mut sums, av, b_row);
                     }
                 }
                 let o_row = &mut out[i * n + j_block..][..width];
@@ -463,21 +471,60 @@ impl<'a> PackedA<'a> {
     }
 }
 
+/// [`register_tile`], fused when every product is exact.
+fn tile(fused: bool, a_panel: &[f32], b: &[f32], b_stride: usize) -> [[f32; NR]; MR] {
+    if fused {
+        register_tile::<true>(a_panel, b, b_stride)
+    } else {
+        register_tile::<false>(a_panel, b, b_stride)
+    }
+}
+
 /// One `MR × NR` block of outputs from a packed row panel and `k` rows of
 /// `NR` right-hand columns, `b_stride` apart in `b`; each output is summed
 /// in ascending `k` in a register.
+///
+/// `FUSED` promises that every product is exact (a ternary `b`, the
+/// zero-padded edge panel included), so each step may be one fused
+/// multiply-add with the bits of a multiply and an add; see [`mul_acc`].
 #[inline(always)]
-fn register_tile(a_panel: &[f32], b: &[f32], b_stride: usize) -> [[f32; NR]; MR] {
+fn register_tile<const FUSED: bool>(
+    a_panel: &[f32],
+    b: &[f32],
+    b_stride: usize,
+) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
     for (p, a) in a_panel.chunks_exact(MR).enumerate() {
         let b_row = &b[p * b_stride..][..NR];
         for (acc_row, &av) in acc.iter_mut().zip(a) {
             for (o, &bv) in acc_row.iter_mut().zip(b_row) {
-                *o += av * bv;
+                *o = mul_acc::<FUSED>(*o, av, bv);
             }
         }
     }
     acc
+}
+
+/// `sums += a · b_row`, one streamed row step; `FUSED` as in [`mul_acc`].
+#[inline(always)]
+fn add_row_product<const FUSED: bool>(sums: &mut [f32], a: f32, b_row: &[f32]) {
+    for (s, &bv) in sums.iter_mut().zip(b_row) {
+        *s = mul_acc::<FUSED>(*s, a, bv);
+    }
+}
+
+/// `s + a·b`. With `FUSED`, and only where the target has FMA, it is one
+/// fused multiply-add, which rounds once: callers pass `FUSED` only when
+/// `a·b` is exact, so both forms give the same bits. Without FMA,
+/// `f32::mul_add` would call a software `fmaf`, so that build keeps the
+/// multiply and the add.
+#[inline(always)]
+fn mul_acc<const FUSED: bool>(s: f32, a: f32, b: f32) -> f32 {
+    if FUSED && cfg!(target_feature = "fma") {
+        a.mul_add(b, s)
+    } else {
+        s + a * b
+    }
 }
 
 #[cfg(test)]

@@ -244,6 +244,102 @@ proptest! {
         }
     }
 
+    /// conv2's fused path against the unfused GEMM, bit for bit. An input
+    /// of ±0 and ±1 only sends `Conv2d::forward` and `weight_grads`
+    /// through fused multiply-adds where the target has FMA;
+    /// `matmul_into` over an explicit patch matrix never fuses. Images mix
+    /// +0.0 and −0.0 around a zero block (so some patches are all zero),
+    /// or are all +1, all −1 or all zero. Weights and output gradients
+    /// hold ±inf, whose products with zero are NaN: NaN outputs are
+    /// compared with `is_nan`, as their payload is not part of the claim.
+    /// Output rows on both sides of the register tile's 4 and 16, and
+    /// sparse gradients, cover the packed tile, its zero-padded edge and
+    /// the streamed rows.
+    #[test]
+    fn fused_ternary_conv_matches_unfused_gemm(
+        seed in 0u64..1000,
+        h in 5usize..=12,
+        batch in 1usize..=4,
+        same in 0usize..2,
+        g_zeros in prop_oneof![Just(0.0f32), Just(0.8)],
+    ) {
+        let (c, oc, k) = (2usize, 9usize, 3usize);
+        let padding = if same == 1 { Padding::Same } else { Padding::Valid };
+        let pad = same * (k - 1) / 2;
+        let o = h + 2 * pad - k + 1;
+        let (fan_in, patch) = (c * k * k, o * o);
+        let with_infs = |v: f32, i: usize| match (i as u64 ^ seed) % 41 {
+            0 => f32::INFINITY,
+            1 => f32::NEG_INFINITY,
+            _ => v,
+        };
+        let mut conv = Conv2d::new(c, oc, k, padding, seed).unwrap();
+        for (i, w) in conv.weights_mut().data_mut().iter_mut().enumerate() {
+            *w = with_infs(*w, i);
+        }
+        for (i, b) in conv.bias_mut().data_mut().iter_mut().enumerate() {
+            *b = gemm_entry(seed, i, 0.2) / 8.0;
+        }
+        let x: Vec<f32> = (0..batch * c * h * h)
+            .map(|i| {
+                let (b, y, xx) = (i / (c * h * h), i / h % h, i % h);
+                let hash = (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed;
+                match (b as u64 + seed) % 4 {
+                    0 if y < k && xx < k => 0.0,
+                    0 => [0.0, -0.0, 1.0, -1.0][(hash >> 61) as usize & 3],
+                    1 => 1.0,
+                    2 => -1.0,
+                    _ => [0.0, -0.0][(hash >> 63) as usize],
+                }
+            })
+            .collect();
+        let g: Vec<f32> =
+            (0..batch * oc * patch).map(|i| with_infs(gemm_entry(!seed, i, g_zeros), i)).collect();
+        let y = conv.forward(&Tensor::from_vec(x.clone(), &[batch, c, h, h]).unwrap(), true);
+        let y = y.unwrap();
+        conv.weight_grads(&Tensor::from_vec(g.clone(), &[batch, oc, o, o]).unwrap()).unwrap();
+
+        let (w, bias) = (conv.weights().data(), conv.bias().data());
+        let padded = |b: usize, ci: usize, py: usize, px: usize| {
+            let (iy, ix) = (py.checked_sub(pad), px.checked_sub(pad));
+            match (iy, ix) {
+                (Some(iy), Some(ix)) if iy < h && ix < h => x[((b * c + ci) * h + iy) * h + ix],
+                _ => 0.0,
+            }
+        };
+        let mut y_ref = vec![0.0f32; batch * oc * patch];
+        let (mut dw_ref, mut db_ref) = (vec![0.0f32; oc * fan_in], vec![0.0f32; oc]);
+        for b in 0..batch {
+            let cols: Vec<f32> = (0..fan_in * patch)
+                .map(|i| {
+                    let (r, s) = (i / patch, i % patch);
+                    padded(b, r / (k * k), s / o + r / k % k, s % o + r % k)
+                })
+                .collect();
+            let y_img = &mut y_ref[b * oc * patch..][..oc * patch];
+            matmul_into(NN, MatRef::new(w, oc, fan_in), MatRef::new(&cols, fan_in, patch), y_img);
+            for (row, &bv) in y_img.chunks_exact_mut(patch).zip(bias) {
+                row.iter_mut().for_each(|v| *v += bv);
+            }
+            let g_img = &g[b * oc * patch..][..oc * patch];
+            let (g_mat, cols) = (MatRef::new(g_img, oc, patch), MatRef::new(&cols, fan_in, patch));
+            matmul_into(NT, g_mat, cols, &mut dw_ref);
+            for (db, g_row) in db_ref.iter_mut().zip(g_img.chunks_exact(patch)) {
+                *db += g_row.iter().sum::<f32>();
+            }
+        }
+        let mismatch = |got: &[f32], want: &[f32]| {
+            got.iter().zip(want).position(|(a, b)| {
+                a.to_bits() != b.to_bits() && !(a.is_nan() && b.is_nan())
+            })
+        };
+        prop_assert_eq!(mismatch(y.data(), &y_ref), None, "forward");
+        let mut grads = Vec::new();
+        conv.visit_params(&mut |_, g| grads.push(g.data().to_vec()));
+        prop_assert_eq!(mismatch(&grads[0], &dw_ref), None, "dw");
+        prop_assert_eq!(mismatch(&grads[1], &db_ref), None, "db");
+    }
+
     /// Conv2d is linear: conv(a·x) == a·conv(x) (bias removed).
     #[test]
     fn conv_is_linear(seed in 0u64..1000, alpha in -2.0f32..2.0) {
