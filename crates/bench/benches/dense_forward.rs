@@ -9,8 +9,9 @@
 //! count-domain port is a ≥ 5× speedup at 8-bit precision.
 //!
 //! An observability section re-runs the count-domain forward with
-//! metrics recording forced off and on, and prints the dense
-//! stage-latency percentiles and the on-vs-off overhead.
+//! metrics recording forced off and on in alternating rounds, and prints
+//! the dense stage-latency percentiles and the median on-vs-off overhead
+//! with its range.
 //!
 //! ```text
 //! cargo bench -p scnn-bench --bench dense_forward            # measured
@@ -18,7 +19,7 @@
 //! ```
 
 use criterion::{BenchmarkId, Criterion};
-use scnn_bench::report::{key, BenchJson};
+use scnn_bench::report::{key, metrics_overhead, BenchJson};
 use scnn_core::ScenarioSpec;
 use scnn_nn::layers::Dense;
 use std::hint::black_box;
@@ -63,42 +64,34 @@ fn main() {
         }
     }
     // --- Observability: dense stage percentiles + metrics overhead ---
-    // Re-run the count-domain forward with recording forced on to read
-    // the dense stage-latency percentiles, and compare against the same
-    // loop with recording forced off.
+    // Re-run the count-domain forward with recording forced off and on in
+    // alternating rounds: the median on/off ratio and its range, plus the
+    // dense stage-latency percentiles of the forced-on loops.
     let quick = std::env::args().any(|a| a == "--test" || a == "--quick")
         || std::env::var_os("SCNN_BENCH_QUICK").is_some_and(|v| v != "0");
-    let iters = if quick { 3 } else { 50 };
+    let (iters, rounds) = if quick { (3, 3) } else { (50, 7) };
     let was_metrics = scnn_obs::metrics_enabled();
     for bits in PRECISIONS {
         let layer = ScenarioSpec::this_work(bits).dense_layer(&dense).expect("engine");
-        let time_rows = |n: usize| {
+        let time_rows = || {
             let start = std::time::Instant::now();
-            for _ in 0..n {
+            for _ in 0..iters {
                 black_box(layer.forward(black_box(&input)).expect("forward"));
             }
-            start.elapsed().as_nanos() as f64 / n as f64
+            start.elapsed().as_nanos() as f64 / iters as f64
         };
-        scnn_obs::force(false);
-        // Untimed warmup so the off-loop doesn't absorb cold-start costs
-        // (page faults, frequency ramp) that would skew the ratio.
-        let _ = time_rows(iters.min(5));
-        let off_ns = time_rows(iters);
-        scnn_obs::force(true);
-        scnn_obs::registry().reset();
-        let on_ns = time_rows(iters);
+        let ratios = metrics_overhead(rounds, time_rows);
         scnn_obs::flush_thread_spans();
         for (metric, value) in scnn_obs::registry().snapshot() {
             if metric.starts_with("stage/") {
                 println!("dense_forward: {bits}-bit {metric} {value}");
             }
         }
-        if off_ns > 0.0 {
-            let overhead = on_ns / off_ns;
-            println!(
-                "dense_forward: {bits}-bit metrics-on overhead {overhead:.3}x over forced-off"
-            );
-        }
+        let (min, median, max) = (ratios[0], ratios[rounds / 2], ratios[rounds - 1]);
+        println!(
+            "dense_forward: {bits}-bit metrics-on overhead {median:.3}x over forced-off \
+             (min {min:.3}x, max {max:.3}x, {rounds} rounds)"
+        );
     }
     scnn_obs::force(was_metrics);
 

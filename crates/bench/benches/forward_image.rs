@@ -2,7 +2,10 @@
 //! paths: the level-indexed AND-count table (the default `forward_image`)
 //! versus the packed bit-level streaming simulation
 //! (`forward_image_streaming`), across precisions. The MUX engine's count
-//! path is timed on the same image (`forward_image/mux_lut/<bits>`).
+//! path is timed on the same image (`forward_image/mux_lut/<bits>`), and
+//! so is the faulted frame benchmark's compound model (bit errors at 1e-2
+//! plus a stuck adder node) at 6 bits (`forward_image/tff_lut_faulted/6`);
+//! its ratio to `tff_lut/6` is printed as the faulted head cost.
 //!
 //! This is the repo's perf-trajectory anchor: the measured times are
 //! written to `BENCH.json` (`scnn_bench::report::BenchJson`), which CI
@@ -17,9 +20,9 @@
 //! repeated.
 //!
 //! An observability section measures the metrics layer itself: the
-//! per-image loop is re-timed with recording forced off and forced on,
-//! and the on-vs-off overhead and the per-precision stage-latency
-//! percentiles are printed.
+//! per-image loop is re-timed with recording forced off and forced on in
+//! alternating rounds, and the median on-vs-off overhead with its range
+//! and the per-precision stage-latency percentiles are printed.
 //!
 //! ```text
 //! cargo bench -p scnn-bench --bench forward_image            # measured
@@ -27,8 +30,8 @@
 //! ```
 
 use criterion::{BenchmarkId, Criterion};
-use scnn_bench::report::{key, BenchJson};
-use scnn_core::{FirstLayer, ScenarioSpec, StochasticConvLayer};
+use scnn_bench::report::{key, metrics_overhead, BenchJson};
+use scnn_core::{FaultModel, FaultSite, FirstLayer, ScenarioSpec, StochasticConvLayer};
 use scnn_nn::data::{load_or_synthesize, synthetic};
 use scnn_nn::layers::{Conv2d, Padding};
 use std::hint::black_box;
@@ -38,6 +41,12 @@ use std::time::{Duration, Instant};
 const DATASET_IMAGES: usize = 64;
 
 const PRECISIONS: [u32; 3] = [4, 6, 8];
+
+/// The frame benchmark's faulted head: bit errors at 1e-2 plus a stuck
+/// node of the TFF fold, at 6 bits.
+const FAULTED: FaultModel =
+    FaultModel::Compound { ber: 1e-2, site: FaultSite::AdderNode { node: 3 }, value: false };
+const FAULTED_BITS: u32 = 6;
 
 /// Mean per-image nanoseconds over `iters` forward passes.
 fn time_forwards(engine: &StochasticConvLayer, image: &[f32], iters: usize) -> f64 {
@@ -76,6 +85,16 @@ fn main() {
             json.record(&key::per_bits("forward_image", "mux_lut", bits), b.last_ns_per_iter);
         });
     }
+    let faulted = ScenarioSpec { fault: FAULTED, ..ScenarioSpec::this_work(FAULTED_BITS) };
+    let engine = faulted.stochastic_conv(&conv).expect("engine");
+    assert!(engine.uses_count_table(), "the faulted engine must build the count table");
+    group.bench_with_input(BenchmarkId::new("tff_lut_faulted", FAULTED_BITS), &engine, |b, e| {
+        b.iter(|| e.forward_image(black_box(&image)).expect("forward"));
+        json.record(
+            &key::per_bits("forward_image", "tff_lut_faulted", FAULTED_BITS),
+            b.last_ns_per_iter,
+        );
+    });
     group.finish();
 
     // Dataset pass: per-image time over distinct images (MNIST when
@@ -113,36 +132,35 @@ fn main() {
             );
         }
     }
+    let faulted = json.get(&key::per_bits("forward_image", "tff_lut_faulted", FAULTED_BITS));
+    let healthy = json.get(&key::per_bits("forward_image", "tff_lut", FAULTED_BITS));
+    if let (Some(faulted), Some(healthy)) = (faulted, healthy) {
+        let cost = faulted / healthy;
+        println!("forward_image: {FAULTED_BITS}-bit faulted head cost {cost:.2}x over tff_lut");
+    }
     // --- Observability: metrics-layer overhead and stage percentiles ---
-    // Re-time the same per-image loop with recording forced off and on:
-    // the measured cost of full metrics collection, plus the
-    // per-precision stage-latency percentiles.
+    // Re-time the same per-image loop with recording forced off and on in
+    // alternating rounds: the measured cost of full metrics collection
+    // (median on/off ratio and its range), plus the per-precision
+    // stage-latency percentiles of the forced-on loops.
     let quick = std::env::args().any(|a| a == "--test" || a == "--quick")
         || std::env::var_os("SCNN_BENCH_QUICK").is_some_and(|v| v != "0");
-    let iters = if quick { 3 } else { 50 };
+    let (iters, rounds) = if quick { (3, 3) } else { (50, 7) };
     let was_metrics = scnn_obs::metrics_enabled();
     for bits in PRECISIONS {
         let engine = ScenarioSpec::this_work(bits).stochastic_conv(&conv).expect("engine");
-        scnn_obs::force(false);
-        // Untimed warmup so the off-loop doesn't absorb cold-start costs
-        // (page faults, frequency ramp) that would skew the ratio.
-        let _ = time_forwards(&engine, &image, iters.min(5));
-        let off_ns = time_forwards(&engine, &image, iters);
-        scnn_obs::force(true);
-        scnn_obs::registry().reset();
-        let on_ns = time_forwards(&engine, &image, iters);
+        let ratios = metrics_overhead(rounds, || time_forwards(&engine, &image, iters));
         scnn_obs::flush_thread_spans();
         for (metric, value) in scnn_obs::registry().snapshot() {
             if metric.starts_with("stage/") {
                 println!("forward_image: {bits}-bit {metric} {value}");
             }
         }
-        if off_ns > 0.0 {
-            let overhead = on_ns / off_ns;
-            println!(
-                "forward_image: {bits}-bit metrics-on overhead {overhead:.3}x over forced-off"
-            );
-        }
+        let (min, median, max) = (ratios[0], ratios[rounds / 2], ratios[rounds - 1]);
+        println!(
+            "forward_image: {bits}-bit metrics-on overhead {median:.3}x over forced-off \
+             (min {min:.3}x, max {max:.3}x, {rounds} rounds)"
+        );
     }
     scnn_obs::force(was_metrics);
 

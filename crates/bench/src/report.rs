@@ -270,6 +270,37 @@ fn export_metrics(dump_stdout: bool) {
     }
 }
 
+/// The metrics layer's cost on one timed loop, as on-over-off time ratios
+/// sorted ascending: `run` times one loop and returns its nanoseconds per
+/// call. After one untimed forced-off warm-up loop, `rounds` pairs of a
+/// forced-off and a forced-on loop alternate, the order swapping every
+/// pair, so a drift in host speed falls on both sides. The registry is
+/// reset before the first forced-on loop, so afterwards it holds the
+/// forced-on loops' records; recording stays forced on.
+pub fn metrics_overhead(rounds: usize, mut run: impl FnMut() -> f64) -> Vec<f64> {
+    scnn_obs::force(false);
+    run();
+    scnn_obs::registry().reset();
+    let mut timed = |on: bool| {
+        scnn_obs::force(on);
+        run()
+    };
+    let mut ratios: Vec<f64> = (0..rounds)
+        .map(|round| {
+            let (on, off) = if round % 2 == 0 {
+                let off = timed(false);
+                (timed(true), off)
+            } else {
+                (timed(true), timed(false))
+            };
+            on / off
+        })
+        .collect();
+    scnn_obs::force(true);
+    ratios.sort_by(f64::total_cmp);
+    ratios
+}
+
 /// One perf-gate violation: a recorded timing that grew by more than the
 /// allowed factor relative to the baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -512,5 +543,25 @@ mod tests {
         let sw = Stopwatch::start();
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(sw.elapsed_ns() >= 1e6);
+    }
+
+    #[test]
+    fn metrics_overhead_alternates_off_and_on_loops() {
+        let was = scnn_obs::metrics_enabled();
+        let mut toggles = Vec::new();
+        let ratios = metrics_overhead(3, || {
+            let on = scnn_obs::metrics_enabled();
+            toggles.push(on);
+            if on {
+                2.0 + toggles.len() as f64
+            } else {
+                1.0
+            }
+        });
+        // A forced-off warm-up, then off/on, on/off, off/on.
+        assert_eq!(toggles, [false, false, true, true, false, false, true]);
+        assert_eq!(ratios, [5.0, 6.0, 9.0]);
+        assert!(scnn_obs::metrics_enabled());
+        scnn_obs::force(was);
     }
 }

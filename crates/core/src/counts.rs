@@ -43,10 +43,10 @@
 //! precision and under fold exactly ([`table_fits`] is the gate).
 //!
 //! A [`LaneTree`] has no leaf buffer: its folds take the leaves as one
-//! slice of borrowed split rows — table rows in place, or a caller's
-//! perturbed copy — and fold only the **live prefix** of each level (~20 %
-//! of the nodes at 784 taps are padding), so a forward builds one tree per
-//! call and reuses it across windows with nothing to reset.
+//! slice of borrowed split rows — table rows in place, or rows of a
+//! caller's perturbed block — and fold only the **live prefix** of each
+//! level (~20 % of the nodes at 784 taps are padding), so a forward builds
+//! one tree per call and reuses it across windows with nothing to reset.
 //!
 //! # Example: count a dot product through the table
 //!
@@ -103,9 +103,11 @@ pub fn table_fits(n: usize, taps: usize, lanes: usize) -> bool {
 /// Layout: one split row (`[pos lanes | neg lanes]`, see the module's
 /// *Lanes*) per (level, tap), stored at `[level][tap]`, so a tap's
 /// [`row`](Self::row) is one contiguous slice shared by every lane and a
-/// [`LaneTree`] reads it in place. Weight streams and signs are supplied
-/// **lane-major** (`lane · taps + tap`), the natural layout of both the
-/// convolution engine (`kernel · ksize² + tap`) and the dense engine
+/// [`LaneTree`] reads it in place, and one level's rows for all taps are
+/// one contiguous block ([`level_rows`](Self::level_rows)). Weight
+/// streams and signs are supplied **lane-major** (`lane · taps + tap`),
+/// the natural layout of both the convolution engine
+/// (`kernel · ksize² + tap`) and the dense engine
 /// (`neuron · in_features + input`).
 ///
 /// Level 0's rows are all zero — a level-0 comparator stream has no ones
@@ -172,6 +174,19 @@ impl LevelCountTable {
         assert!(tap < self.taps, "tap out of range");
         let width = 2 * self.lanes;
         &self.rows[(level * self.taps + tap) * width..][..width]
+    }
+
+    /// Every tap's split row of input level `level`, tap-major: the
+    /// `taps · 2 · lanes` counts whose tap-`t` slice of `2 · lanes` is
+    /// [`row(level, t)`](Self::row).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is out of range.
+    #[inline]
+    pub fn level_rows(&self, level: usize) -> &[u16] {
+        let block = self.taps * 2 * self.lanes;
+        &self.rows[level * block..][..block]
     }
 }
 

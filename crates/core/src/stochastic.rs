@@ -394,15 +394,19 @@ impl StochasticConvLayer {
         self.lut.is_some()
     }
 
-    /// The count-domain fast path: quantize each pixel once, then per
-    /// window gather its leaf rows once (table rows in place, perturbed
-    /// copies, the stuck AND line's row) and reduce them as one split-row
-    /// tree for all kernels: a TFF fold, or a plain sum of the route-masked
-    /// MUX counts. All kernels' comparators run at once, branch-free, into
-    /// a buffer of the image row's windows, stored into the
-    /// `[kernel][pixel]` output once per row. `image_index` seeds the
-    /// bit-error flip set, keeping faulted results byte-identical for any
-    /// thread count or batch order.
+    /// The count-domain fast path: quantize each pixel once and give every
+    /// cell of the padded canvas a block of all taps' split rows — the
+    /// table's block for the pixel's level, level 0's zero block for
+    /// padding, or, under bit errors, the pixel's perturbed block, written
+    /// once per image. Each window then gathers tap `t`'s leaf from its
+    /// cell's block (one gather for every fault model; a stuck AND line
+    /// overrides its tap), and reduces the leaves as one split-row tree for
+    /// all kernels: a TFF fold, or a plain sum of the route-masked MUX
+    /// counts. All kernels' comparators run at once, branch-free, into a
+    /// buffer of the image row's windows, stored into the `[kernel][pixel]`
+    /// output once per row. `image_index` seeds the bit-error flip set,
+    /// keeping faulted results byte-identical for any thread count or
+    /// batch order.
     fn forward_image_lut(
         &self,
         lut: &LevelCountTable,
@@ -416,23 +420,26 @@ impl StochasticConvLayer {
         }
         let bits = self.precision.bits();
         let lanes = self.bank.kernels;
+        let width = 2 * lanes;
         let n_out = IMAGE_SIDE * IMAGE_SIDE;
         let levels: Vec<usize> = image.iter().map(|&v| pixel_level(v, bits) as usize).collect();
-        // Per-image fault state: the sampled flip lists (bit errors,
-        // seeded from the image index), applied to copies of the healthy
-        // table rows below.
-        let faults = self.fault_plan.as_ref().map(|p| p.image_faults(&levels, image_index));
-        // `(level, pixel)` on a padded canvas, so every window reads its
+        // Per-image bit errors (seeded from the image index): each flipped
+        // pixel's perturbed block of all taps' rows.
+        let faults = self.fault_plan.as_ref().map(|p| p.image_faults(lut, &levels, image_index));
+        // Each cell's block on a padded canvas, so every window reads its
         // taps at fixed offsets from its corner. A padding cell holds
-        // level 0, whose table rows are the zero row (a level-0 comparator
-        // stream has no ones), and pixel `n_out`, which names no pixel.
+        // level 0's block, the zero rows (a level-0 comparator stream has
+        // no ones).
         let ksize = self.bank.ksize;
         let (side, pad) = (IMAGE_SIDE + ksize - 1, (ksize - 1) / 2);
-        let mut canvas = vec![(0, n_out); side * side];
+        let mut cells = vec![lut.level_rows(0); side * side];
         for (iy, src) in levels.chunks_exact(IMAGE_SIDE).enumerate() {
-            let row = &mut canvas[(iy + pad) * side + pad..][..IMAGE_SIDE];
+            let row = &mut cells[(iy + pad) * side + pad..][..IMAGE_SIDE];
             for ((cell, &level), p) in row.iter_mut().zip(src).zip(iy * IMAGE_SIDE..) {
-                *cell = (level, p);
+                *cell = match &faults {
+                    Some(f) => f.block(lut, p, level),
+                    None => lut.level_rows(level),
+                };
             }
         }
         let tap_offsets: Vec<usize> =
@@ -458,32 +465,18 @@ impl StochasticConvLayer {
         let mut out = vec![0.0f32; lanes * n_out];
         let ksq = ksize * ksize;
         let mut tree = LaneTree::new(ksq, lanes, self.spec.s0_policy, self.n)?;
-        // Per image row: a perturbed copy of any window tap's table row,
-        // and the comparator outputs, `[window][kernel]`.
-        let mut copies = vec![0u16; IMAGE_SIDE * ksq * 2 * lanes * usize::from(faults.is_some())];
+        // The comparator outputs of one image row, `[window][kernel]`.
         let mut row_out = vec![0.0f32; IMAGE_SIDE * lanes];
         let _fold = scnn_obs::span("conv/fold");
+        let mut leaves: Vec<&[u16]> = vec![&[]; ksq];
         for oy in 0..IMAGE_SIDE {
-            let mut spare = copies.chunks_exact_mut(2 * lanes);
-            let mut leaves: Vec<&[u16]> = vec![&[]; ksq];
             for (ox, window_out) in row_out.chunks_exact_mut(lanes).enumerate() {
                 let corner = oy * side + ox;
                 for (t, (leaf, &offset)) in leaves.iter_mut().zip(&tap_offsets).enumerate() {
-                    *leaf = lut.row(canvas[corner + offset].0, t);
+                    *leaf = &cells[corner + offset][t * width..][..width];
                 }
-                if let Some(f) = &faults {
-                    for (t, (leaf, &offset)) in leaves.iter_mut().zip(&tap_offsets).enumerate() {
-                        let p = canvas[corner + offset].1;
-                        if p < n_out && f.flipped(p) {
-                            let copy = spare.next().expect("one copy per window tap");
-                            copy.copy_from_slice(leaf);
-                            f.apply(p, t, copy);
-                            *leaf = copy;
-                        }
-                    }
-                }
-                // A stuck AND-gate line overrides the table and any bit-error
-                // delta, out-of-image taps included.
+                // A stuck AND-gate line overrides its tap's leaf, perturbed
+                // or not, out-of-image taps included.
                 if let Some((tap, row)) = &self.stuck_leaf {
                     leaves[*tap] = row;
                 }

@@ -248,7 +248,8 @@ fn cases() -> Vec<Case> {
     // flip set must follow the index there too.
     cases.push(Case { images: 1, ..Case::conv(preset(Tff, 15, FaultModel::BitError(1e-2))) });
     // Production width: both adders fault-free at 8 bits, the faulted
-    // frame benchmark's compound model at 6 bits, and a stuck AND line.
+    // frame benchmark's compound model at 6 bits, the MUX sum over the
+    // same perturbed blocks, and a stuck AND line.
     let benchmarked =
         FaultModel::Compound { ber: 1e-2, site: FaultSite::AdderNode { node: 3 }, value: false };
     let stuck_line = FaultModel::StuckAt { site: FaultSite::LutTap { tap: 7 }, value: true };
@@ -256,6 +257,7 @@ fn cases() -> Vec<Case> {
         preset(Tff, 8, FaultModel::None),
         preset(Mux, 8, FaultModel::None),
         preset(Tff, 6, benchmarked),
+        preset(Mux, 6, FaultModel::BitError(1e-2)),
         preset(Tff, 6, stuck_line),
     ] {
         cases.push(Case::wide(spec));
