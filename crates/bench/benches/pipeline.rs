@@ -12,15 +12,21 @@
 //! alone (what the tail's first layer costs per training step) at batch 1
 //! and 8, and the first dense layer's forward at batch 1 (a serial frame)
 //! and 8 and its backward (weight and input gradients, the largest
-//! training stage after conv2) at the same batch sizes.
+//! training stage after conv2) at the same batch sizes, and one whole
+//! training step (`train_batch`: a 32-item batch through the LeNet-5 tail,
+//! its sharded forward and backward, the in-order gradient reduce and the
+//! Adam update, at the default thread count).
 //! Its times go to `BENCH.json` as `tail/<pass>/b<batch>`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scnn_bench::report::{key, BenchJson};
 use scnn_bitstream::Precision;
 use scnn_core::{BinaryConvLayer, FirstLayer, ScenarioSpec};
-use scnn_nn::data::synthetic;
+use scnn_nn::data::{synthetic, Dataset};
 use scnn_nn::layers::{Conv2d, Dense, Layer, Padding};
+use scnn_nn::lenet::{lenet5_tail, LenetConfig};
+use scnn_nn::optim::Adam;
+use scnn_nn::parallel::thread_count;
 use scnn_nn::Tensor;
 use std::hint::black_box;
 use std::time::Duration;
@@ -109,6 +115,21 @@ fn bench_tail(c: &mut Criterion) {
             json.record(&key::per_batch("tail", "dense_backward", batch), b.last_ns_per_iter);
         });
     }
+    // One retraining step: a 32-item batch of pooled head features through
+    // the whole tail, sharded over the default worker count, then Adam.
+    let batch = 32;
+    let x = activations(&[batch, 32, 14, 14], 1, 1.0, true).map(f32::signum);
+    let labels = (0..batch as u8).map(|i| i % 10).collect();
+    let features = Dataset::new(x.into_vec(), &[32, 14, 14], labels).expect("features");
+    let mut tail = lenet5_tail(&LenetConfig::default()).expect("tail");
+    let mut opt = Adam::new(5e-4);
+    group.bench_with_input(BenchmarkId::new("train_batch", batch), &features, |b, ds| {
+        b.iter(|| {
+            tail.train_epoch_threads(black_box(ds), batch, &mut opt, 7, thread_count())
+                .expect("step")
+        });
+        json.record(&key::per_batch("tail", "train_batch", batch), b.last_ns_per_iter);
+    });
     group.finish();
     json.write(&path).expect("write BENCH.json");
 }

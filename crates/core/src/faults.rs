@@ -35,12 +35,12 @@
 //! pixel's block is the table's own. The plane is a few hundred kilobytes
 //! and stays cache-hot across the whole image.
 //!
-//! Lane safety: a flipped pixel's block takes its `0→1` flips (counts
-//! grow) before its `1→0` flips (counts shrink). Each add keeps every
-//! lane of the block at most `healthy + plus ≤ 2N ≤ 65534`, so it never
-//! wraps; each subtract then steps the lanes down toward the final
-//! faulted counts, which are true AND-counts and hence non-negative, so
-//! every intermediate stays `≥ 0`.
+//! Lane safety: a flipped pixel's block takes its flips in stream order,
+//! `0→1` flips (counts grow) and `1→0` flips (counts shrink) alike, with
+//! wrapping `u16` adds and subtracts. Those commute mod 2¹⁶, so the order
+//! cannot change the bits, and the final faulted counts are true
+//! AND-counts in `[0, N]`, so the block ends exact even where an
+//! intermediate lane wrapped.
 
 use crate::arena::StreamArena;
 use crate::counts::LevelCountTable;
@@ -171,24 +171,27 @@ impl CountFaultPlan {
         for ((start, &end), &level) in starts.iter_mut().zip(&ends).zip(levels) {
             let pixel_flips = &bits[begin..end];
             begin = end;
-            if pixel_flips.is_empty() {
+            let Some((&first, rest)) = pixel_flips.split_first() else {
                 continue;
-            }
+            };
             let at = blocks.len();
             *start = Some(at);
-            blocks.extend_from_slice(table.level_rows(level));
-            let rows = &mut blocks[at..];
             // A healthy 0 flips to 1 (counts grow where the weight samples
-            // bit j), a healthy 1 flips to 0 (counts shrink); adds first.
+            // bit j), a healthy 1 flips to 0 (counts shrink). The copy of
+            // the level block takes the first flip on the way.
             let grows = |j: u16| self.pixel_seq[usize::from(j)] >= level as u64;
-            for &j in pixel_flips.iter().filter(|&&j| grows(j)) {
-                for (c, &d) in rows.iter_mut().zip(plane(j)) {
-                    *c = c.wrapping_add(d);
-                }
+            let healthy = table.level_rows(level).iter().zip(plane(first));
+            if grows(first) {
+                blocks.extend(healthy.map(|(&c, &d)| c.wrapping_add(d)));
+            } else {
+                blocks.extend(healthy.map(|(&c, &d)| c.wrapping_sub(d)));
             }
-            for &j in pixel_flips.iter().filter(|&&j| !grows(j)) {
-                for (c, &d) in rows.iter_mut().zip(plane(j)) {
-                    *c = c.wrapping_sub(d);
+            for &j in rest {
+                let rows = blocks[at..].iter_mut().zip(plane(j));
+                if grows(j) {
+                    rows.for_each(|(c, &d)| *c = c.wrapping_add(d));
+                } else {
+                    rows.for_each(|(c, &d)| *c = c.wrapping_sub(d));
                 }
             }
         }

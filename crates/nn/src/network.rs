@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Gradient shards per training batch. Fixed — *not* the worker-thread
 /// count — so the shard boundaries, the per-shard dropout streams, and the
@@ -229,13 +230,18 @@ impl Network {
     /// Data parallelism is *within* each batch: the shuffled batch is cut
     /// into a fixed number of shards (eight, or the batch size when
     /// smaller). Each worker clones the network once per batch, as
-    /// [`evaluate`](Self::evaluate) does, and runs a contiguous run of
-    /// shards on it, each with zeroed gradients and a `(batch, shard)`-
-    /// seeded dropout stream. The shard gradients are reduced in shard
-    /// order into this network's gradients before the single optimizer
-    /// step. Shard boundaries, dropout seeds, and reduction order are all
-    /// independent of `threads`, so the trained weights and the per-epoch
-    /// loss are **byte-identical for every thread count** (property-tested).
+    /// [`evaluate`](Self::evaluate) does, and runs every `W`-th shard on
+    /// it (`W` workers), each with zeroed gradients and a `(batch, shard)`-
+    /// seeded dropout stream. The workers reduce the shards themselves, by
+    /// turn and in shard order, into one accumulator that is copied into
+    /// this network's gradients before the single optimizer step. Shard
+    /// boundaries, dropout seeds, and reduction order are all independent
+    /// of `threads`, so the trained weights and the per-epoch loss are
+    /// **byte-identical for every thread count** (property-tested).
+    ///
+    /// A failing shard still passes its turn on, and the batch returns the
+    /// error of the lowest failing shard. A panicking worker wakes the
+    /// others, and the panic propagates.
     ///
     /// # Errors
     ///
@@ -266,10 +272,13 @@ impl Network {
     /// One sharded forward/backward/update over the batch items `indices`.
     ///
     /// The gradient of the batch mean loss is the shard-size-weighted sum
-    /// of the shard mean-loss gradients; writing the first and adding the
-    /// rest in fixed shard order on the calling thread keeps the
-    /// floating-point association order — and therefore the updated
-    /// weights — independent of how the shards were scheduled.
+    /// of the shard mean-loss gradients. `W = min(threads, shards)`
+    /// workers each clone the network once and run shards `s ≡ w (mod W)`
+    /// in ascending order. After each backward a worker waits for turn `s`
+    /// and adds its weighted gradients into one accumulator: shard 0
+    /// writes, later shards add. So every sum keeps the shard order of a
+    /// serial loop, the reduce overlaps the other workers' compute, and the
+    /// updated weights do not depend on how the shards were scheduled.
     fn train_batch_sharded<S: BatchSource + ?Sized>(
         &mut self,
         source: &S,
@@ -287,49 +296,67 @@ impl Network {
         // Only the non-empty shards: ceil(n / shard_len) may round below
         // the nominal fan-out (n = 12 packs into 6 two-item shards).
         let shards = n.div_ceil(shard_len);
+        let workers = threads.clamp(1, shards);
+        let turns = Turns {
+            state: Mutex::new(Reduced {
+                grads: vec![0.0; self.num_params()],
+                ..Reduced::default()
+            }),
+            next: Condvar::new(),
+        };
         let net: &Network = self;
-        let per_shard = crate::parallel::par_chunk_map_threads(threads, shards, |range| {
-            let mut worker = net.clone();
-            range
-                .map(|s| -> Result<_, Error> {
+        crate::parallel::par_chunk_map_threads(workers, workers, |ws| {
+            let _wake = AbandonOnPanic(&turns);
+            for w in ws {
+                let mut worker = net.clone();
+                for s in (w..shards).step_by(workers) {
                     let shard = &indices[s * shard_len..((s + 1) * shard_len).min(n)];
-                    let (x, labels) = source.gather(shard)?;
-                    worker.reseed_dropout(mix_seed(batch_seed, s as u64));
-                    worker.zero_grads();
-                    let logits = worker.forward(&x, true)?;
-                    let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
-                    {
-                        let _bwd = scnn_obs::span("nn/backward");
-                        worker.backward(&grad)?;
+                    let loss = worker.shard_grads(source, shard, mix_seed(batch_seed, s as u64));
+                    let Some(mut state) = turns.wait(s) else { return Vec::new() };
+                    match loss {
+                        _ if state.error.is_some() => {}
+                        Ok(loss) => state.add(s, shard.len() as f32 / n as f32, loss, &mut worker),
+                        Err(e) => state.error = Some(e),
                     }
-                    let mut flat = Vec::new();
-                    worker.visit_all_params(&mut |_, g| flat.extend_from_slice(g.data()));
-                    Ok((flat, loss, shard.len()))
-                })
-                .collect()
-        });
-
-        let _reduce = scnn_obs::span("nn/grad_reduce");
-        let mut loss = 0.0f64;
-        for (s, result) in per_shard.into_iter().enumerate() {
-            let (flat, shard_loss, shard_items) = result?;
-            let weight = shard_items as f32 / n as f32;
-            let mut rest = &flat[..];
-            self.visit_all_params(&mut |_, g| {
-                let (shard_g, tail) = rest.split_at(g.len());
-                for (a, &v) in g.data_mut().iter_mut().zip(shard_g) {
-                    *a = if s == 0 { v * weight } else { *a + v * weight };
+                    state.turn += 1;
+                    turns.next.notify_all();
                 }
-                rest = tail;
-            });
-            loss += f64::from(shard_loss) * f64::from(weight);
+            }
+            Vec::<()>::new()
+        });
+        let reduced = turns.state.into_inner().expect("no training worker panicked");
+        if let Some(e) = reduced.error {
+            return Err(e);
         }
-        drop(_reduce);
+        let mut rest = &reduced.grads[..];
+        self.visit_all_params(&mut |_, g| {
+            let (sum, tail) = rest.split_at(g.len());
+            g.data_mut().copy_from_slice(sum);
+            rest = tail;
+        });
         {
             let _step = scnn_obs::span("opt/step");
             self.step(opt);
         }
-        Ok(loss as f32)
+        Ok(reduced.loss as f32)
+    }
+
+    /// One shard's forward and backward on zeroed gradients, with dropout
+    /// reseeded from `dropout_seed`; returns the shard's mean loss.
+    fn shard_grads<S: BatchSource + ?Sized>(
+        &mut self,
+        source: &S,
+        shard: &[usize],
+        dropout_seed: u64,
+    ) -> Result<f32, Error> {
+        let (x, labels) = source.gather(shard)?;
+        self.reseed_dropout(dropout_seed);
+        self.zero_grads();
+        let logits = self.forward(&x, true)?;
+        let (loss, grad) = softmax_cross_entropy(&logits, &labels)?;
+        let _bwd = scnn_obs::span("nn/backward");
+        self.backward(&grad)?;
+        Ok(loss)
     }
 
     /// Argmax class predictions for a batch.
@@ -483,6 +510,69 @@ fn check_batch_size(batch_size: usize) -> Result<(), Error> {
         return Err(Error::InvalidArgument { reason: "batch size must be positive".into() });
     }
     Ok(())
+}
+
+/// One batch's gradient accumulator and the turn that orders its adds:
+/// shard `s` adds only while `turn == s`; see
+/// [`Network::train_batch_sharded`].
+struct Turns {
+    state: Mutex<Reduced>,
+    next: Condvar,
+}
+
+/// What the shards have added so far, in shard order.
+#[derive(Default)]
+struct Reduced {
+    /// The shard whose result is added next.
+    turn: usize,
+    /// A worker panicked, so some turn never comes.
+    abandoned: bool,
+    /// Shard-weighted gradients, in visit order.
+    grads: Vec<f32>,
+    /// Shard-weighted mean loss.
+    loss: f64,
+    /// The error of the lowest failing shard; later shards add nothing.
+    error: Option<Error>,
+}
+
+impl Turns {
+    /// Blocks until shard `s`'s turn; `None` if a worker panicked first
+    /// (a panic while holding the lock poisons it).
+    fn wait(&self, s: usize) -> Option<MutexGuard<'_, Reduced>> {
+        let state = self.state.lock().ok()?;
+        let state = self.next.wait_while(state, |r| r.turn != s && !r.abandoned).ok()?;
+        (!state.abandoned).then_some(state)
+    }
+}
+
+impl Reduced {
+    /// Adds shard `s`'s gradients and loss, both scaled by `weight`: shard 0
+    /// writes `v·w`, later shards `a + v·w`.
+    fn add(&mut self, s: usize, weight: f32, loss: f32, worker: &mut Network) {
+        let _reduce = scnn_obs::span("nn/grad_reduce");
+        let mut rest = &mut self.grads[..];
+        worker.visit_all_params(&mut |_, g| {
+            let (sum, tail) = std::mem::take(&mut rest).split_at_mut(g.len());
+            for (a, &v) in sum.iter_mut().zip(g.data()) {
+                *a = if s == 0 { v * weight } else { *a + v * weight };
+            }
+            rest = tail;
+        });
+        self.loss += f64::from(loss) * f64::from(weight);
+    }
+}
+
+/// Marks the reduce abandoned and wakes every waiting worker when its
+/// worker unwinds, so a panic propagates instead of stalling the scope.
+struct AbandonOnPanic<'a>(&'a Turns);
+
+impl Drop for AbandonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.state.lock().unwrap_or_else(PoisonError::into_inner).abandoned = true;
+            self.0.next.notify_all();
+        }
+    }
 }
 
 #[cfg(test)]

@@ -23,9 +23,10 @@
 //! for every thread count** — the property tests assert byte-equality of
 //! whole evaluation pipelines under `SCNN_THREADS=1` vs `SCNN_THREADS=4`.
 //! Reductions that are sensitive to association order (e.g. floating-point
-//! mean loss) must therefore happen on the ordered output, not inside the
-//! workers; [`Network::evaluate`](crate::Network::evaluate) is written that
-//! way.
+//! mean loss) must therefore happen in item order: on the ordered output,
+//! as [`Network::evaluate`](crate::Network::evaluate) does, or inside the
+//! workers by turn, as the training step's gradient reduce does (see
+//! [`Network::train_epoch_threads`](crate::Network::train_epoch_threads)).
 //!
 //! # Example
 //!

@@ -5,7 +5,13 @@ use scnn_nn::data::{parse_idx_images, parse_idx_labels, BatchSource, ChunkLoader
 use scnn_nn::layers::{Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Padding, Relu, Sign};
 use scnn_nn::optim::Adam;
 use scnn_nn::quant::{pixel_level, quantize_bipolar, scale_kernels, soft_threshold, weight_level};
-use scnn_nn::{matmul_into, softmax_cross_entropy, MatRef, Network, PackedA, Tensor, NN, NT, TN};
+use scnn_nn::{
+    matmul_into, softmax_cross_entropy, Error, MatRef, Network, PackedA, Tensor, NN, NT, TN,
+};
+use std::any::Any;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// A small synthetic classification dataset: `items` 6-float items over 3
 /// classes, fully determined by `seed`.
@@ -130,8 +136,10 @@ proptest! {
 
     /// Data-parallel training is byte-identical for every worker-thread
     /// count: final weights and the loss trajectory match bit for bit for
-    /// 1/2/8 workers, across batch sizes — including batches smaller than
+    /// 1/2/3/8 workers, across batch sizes — including batches smaller than
     /// the 8-shard fan-out — and with a stateful [`Dropout`] in the net.
+    /// Three workers deal eight shards unevenly (0,3,6 / 1,4,7 / 2,5), so
+    /// the reduce's turn passes between more than two workers.
     #[test]
     fn sharded_training_byte_identical_across_thread_counts(
         seed in 0u64..100,
@@ -141,7 +149,7 @@ proptest! {
     ) {
         let dataset = tiny_dataset(items, seed);
         let reference = train_fingerprint(&dataset, seed, batch_size, epochs, 1);
-        for threads in [2usize, 8] {
+        for threads in [2usize, 3, 8] {
             let run = train_fingerprint(&dataset, seed, batch_size, epochs, threads);
             prop_assert_eq!(&run.0, &reference.0, "weights diverge at threads={}", threads);
             prop_assert_eq!(&run.1, &reference.1, "losses diverge at threads={}", threads);
@@ -503,5 +511,108 @@ proptest! {
             prop_assert_eq!(pixels.len(), c * r * k);
         }
         let _ = parse_idx_images(&file[..cut.min(file.len())]);
+    }
+}
+
+/// Passes its input through and records each batch it sees; errors or
+/// panics on a batch that holds one of the items `trip_on`. The items of
+/// [`marked_dataset`] are their own indices, so a batch names its items.
+#[derive(Debug, Clone)]
+struct Tripwire {
+    trip_on: Vec<f32>,
+    panic: bool,
+    seen: Arc<Mutex<Vec<Vec<f32>>>>,
+}
+
+impl Layer for Tripwire {
+    fn name(&self) -> &'static str {
+        "tripwire"
+    }
+
+    fn forward(&mut self, input: &Tensor, _training: bool) -> Result<Tensor, Error> {
+        self.seen.lock().unwrap().push(input.data().to_vec());
+        match input.data().iter().find(|v| self.trip_on.contains(v)) {
+            Some(v) if self.panic => panic!("tripwire on item {v}"),
+            Some(v) => Err(Error::InvalidArgument { reason: format!("item {v}") }),
+            None => Ok(input.clone()),
+        }
+    }
+
+    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, Error> {
+        Ok(grad_output.clone())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+/// Sixteen one-float items, each holding its own index: one batch of 16
+/// is eight two-item shards.
+fn marked_dataset() -> Dataset {
+    Dataset::new((0..16).map(|i| i as f32).collect(), &[1], (0..16).map(|i| i % 3).collect())
+        .unwrap()
+}
+
+/// Trains one epoch of one 16-item batch through a [`Tripwire`] and a
+/// dense layer.
+fn train_tripwire(trip: Tripwire, threads: usize) -> Result<f32, Error> {
+    let mut net = Network::new();
+    net.push(trip);
+    net.push(Dense::new(1, 3, 5));
+    net.train_epoch_threads(&marked_dataset(), 16, &mut Adam::new(1e-3), 9, threads)
+}
+
+/// The items of each shard, in shard order: on one thread the shards run
+/// in order on the calling thread, so the tripwire sees them that way.
+fn shards_in_order() -> Vec<Vec<f32>> {
+    let seen = Arc::default();
+    let trip = Tripwire { trip_on: Vec::new(), panic: false, seen: Arc::clone(&seen) };
+    train_tripwire(trip, 1).unwrap();
+    let shards = seen.lock().unwrap().clone();
+    assert_eq!(shards.len(), 8);
+    shards
+}
+
+/// A shard that errors still passes its turn on, and the batch returns
+/// the error of the lowest failing shard whichever worker fails first.
+/// Shards 3, 4 and 7 fail: two workers run them as (4) and (3, 7), three
+/// as (3) and (4, 7), eight each on its own.
+#[test]
+fn sharded_training_returns_the_lowest_failing_shards_error() {
+    let shards = shards_in_order();
+    let trip_on = vec![shards[7][0], shards[4][1], shards[3][0]];
+    for threads in [1usize, 2, 3, 8] {
+        let trip = Tripwire { trip_on: trip_on.clone(), panic: false, seen: Arc::default() };
+        let err = train_tripwire(trip, threads).unwrap_err();
+        let want = Error::InvalidArgument { reason: format!("item {}", shards[3][0]) };
+        assert_eq!(err, want, "threads={threads}");
+    }
+}
+
+/// A worker that panics before its turn wakes the workers waiting for
+/// later turns, so the panic reaches the caller instead of hanging the
+/// batch.
+#[test]
+fn sharded_training_propagates_a_worker_panic_without_hanging() {
+    let shards = shards_in_order();
+    for (threads, shard) in [(2usize, 0usize), (3, 0), (3, 5), (8, 0), (8, 7)] {
+        let trip = Tripwire { trip_on: vec![shards[shard][0]], panic: true, seen: Arc::default() };
+        let (done, finished) = mpsc::channel();
+        let run = std::thread::spawn(move || done.send(train_tripwire(trip, threads)).unwrap());
+        match finished.recv_timeout(Duration::from_secs(60)) {
+            Err(RecvTimeoutError::Disconnected) => {}
+            Err(RecvTimeoutError::Timeout) => panic!("threads={threads}: the batch hung"),
+            Ok(result) => panic!("threads={threads}: returned {result:?} instead of panicking"),
+        }
+        assert!(run.join().is_err(), "threads={threads}: the panic did not propagate");
     }
 }
